@@ -29,7 +29,6 @@ from .arrays import (
 )
 from .codebook import (
     BeamPatternMatrix,
-    DegenerateDesignError,
     IndexRange,
     StageCodebook,
     SubrangePartition,

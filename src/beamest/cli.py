@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codebook import IndexRange, partition_subranges, write_beam_matrix
+from .codebook import write_beam_matrix
 from .estimator import (
     ALPHA_FINAL,
     ALPHA_MMSE_ALL,
@@ -36,9 +36,10 @@ from .estimator import (
     VARIANTS,
     EstimatorConfig,
     codebook_bank,
+    leftmost_path,
     run_estimation,
     slot_count,
-    stage_count,
+    stage_count,  # noqa: F401 -- benchmarks/workloads.py wraps cli.stage_count
     trace_record,
     write_trace_records,
 )
@@ -211,10 +212,7 @@ def _gain_flatness_rows(n: int, k: int, variant: str) -> list[str]:
     grid = bank.grid
     patterns = bank.patterns
     rows = ["stage,beam,gain,gain_spread,residual,max_in_range_error,max_out_of_range_gain"]
-    parent = IndexRange(0, n)
-    for s in range(1, stage_count(n, k) + 1):
-        partition = partition_subranges(parent, parent, k, stage=s)
-        cb = bank.stage_codebook(partition)
+    for s, partition, cb in leftmost_path(n, k, variant):
         realized = np.abs(grid.response_matrix.conj().T @ cb.f)
         covered = np.zeros(n, dtype=bool)
         target = np.zeros((n, patterns.m))
@@ -226,7 +224,6 @@ def _gain_flatness_rows(n: int, k: int, variant: str) -> list[str]:
             out_gain = float(realized[~covered, m].max()) if (~covered).any() else 0.0
             rows.append(",".join([str(s), str(m), repr(cb.gain), repr(cb.gain_spread),
                                   repr(cb.residual), repr(in_err), repr(out_gain)]))
-        parent = partition.transmit[0]
     return rows
 
 
@@ -246,18 +243,13 @@ def cmd_codebook(cfg: dict, config_name: str, args) -> list[Path]:
     outputs.append(_write(out_dir / "pattern_matrix.csv",
                           "\n".join(pattern_lines) + "\n", args.quiet))
 
-    # One bank per stage along the leftmost path; with matching transmit and
-    # receive parents the combining bank equals the beamforming bank.
-    parent = IndexRange(0, n)
-    for s in range(1, stage_count(n, k) + 1):
-        partition = partition_subranges(parent, parent, k, stage=s)
-        cb = bank.stage_codebook(partition)
+    # One bank per stage; on the leftmost path the combining bank equals it.
+    for s, _, cb in leftmost_path(n, k, variant):
         path = out_dir / f"stage_{s}_beams.txt"
         write_beam_matrix(path, cb.f, s, cb.gain)
         if not args.quiet:
             print(f"wrote {path}")
         outputs.append(path)
-        parent = partition.transmit[0]
 
     outputs.append(_write(out_dir / "gain_flatness.csv",
                           "\n".join(_gain_flatness_rows(n, k, variant)) + "\n",
@@ -400,7 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker process cap for Monte Carlo trials")
+                        help="worker process cap for Monte Carlo trials (at most the "
+                             "usable CPU count is started)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     return parser
@@ -408,6 +401,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.workers < 1:
+        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     try:
         config_name, cfg = load_config(args.config)

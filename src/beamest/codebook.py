@@ -5,8 +5,10 @@ them with a bank of beams.  Each beam's gain is piecewise constant across the
 sub-ranges, prescribed by a column-normalized pattern matrix: the overlapped
 design covers the ``k = 2^m - 1`` sub-ranges with only ``m`` beams by letting
 beams overlap, while the non-overlapped design uses one beam per sub-range.
-Beam weight vectors are synthesized by solving the grid-response system for a
-scaled copy of the target gain profile.
+The grid responses ``U`` are orthonormal (see :class:`~beamest.arrays.AngleGrid`),
+so the system ``U^H v = C p`` for a unit-norm beam ``v`` realizing a scaled
+copy of the target gain profile ``p`` has the exact solution
+``v = U p / ||p||`` with gain constant ``C_s = 1/||p||``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .arrays import AngleGrid
 
 __all__ = [
     "BeamPatternMatrix",
-    "DegenerateDesignError",
     "IndexRange",
     "StageCodebook",
     "StageCodebookCache",
@@ -38,17 +39,6 @@ __all__ = [
     "target_profile",
     "write_beam_matrix",
 ]
-
-CONDITION_LIMIT = 1e12
-
-
-class DegenerateDesignError(ValueError):
-    """The grid response matrix is too ill-conditioned for beam synthesis."""
-
-    def __init__(self, message: str, condition: float):
-        super().__init__(f"{message} (condition estimate {condition:.3e})")
-        self.condition = condition
-
 
 @dataclass(frozen=True, eq=False)
 class BeamPatternMatrix:
@@ -214,41 +204,26 @@ class SynthesizedBeam:
     residual: float
 
 
-def _solve_profile(response_matrix: np.ndarray, profile: np.ndarray) -> SynthesizedBeam:
-    solution, _, _, singular_values = np.linalg.lstsq(
-        response_matrix.conj().T, profile.astype(complex), rcond=None)
-    condition = (float(singular_values[0] / singular_values[-1])
-                 if singular_values[-1] > 0 else np.inf)
-    if condition > CONDITION_LIMIT:
-        raise DegenerateDesignError("grid response matrix is numerically singular",
-                                    condition)
-    norm = float(np.linalg.norm(solution))
-    if norm == 0:
-        raise DegenerateDesignError(
-            "target profile lies outside the realizable range space", condition)
-    vector = solution / norm
-    gain = 1.0 / norm
-    realized = response_matrix.conj().T @ vector
-    residual = float(np.linalg.norm(realized - gain * profile)
-                     / (gain * np.linalg.norm(profile)))
-    return SynthesizedBeam(vector=vector, gain=gain, residual=residual)
-
-
 def synthesize_vector(profile: np.ndarray, grid: AngleGrid) -> SynthesizedBeam:
-    """Solve ``response_matrix^H v = c * profile`` for the unit-norm weights ``v``.
+    """Unit-norm weights ``v`` with ``response_matrix^H v = gain * profile``.
 
-    The solve is least squares; ``residual`` reports the relative misfit of
-    the realized gains against the scaled profile.  A grid whose response
-    matrix is numerically singular (condition estimate beyond
-    ``CONDITION_LIMIT``) raises :class:`DegenerateDesignError` instead of
-    returning meaningless weights.
+    Orthonormal grid responses make ``v = U p / ||p||`` with ``gain = 1/||p||``
+    the exact solution; ``residual`` reports the relative misfit of the
+    realized gains ``U^H v`` against the scaled profile.
     """
     profile = np.asarray(profile, dtype=float)
     if profile.shape != (grid.n,):
         raise ValueError(f"profile must have length {grid.n}, got shape {profile.shape}")
     if not profile.any():
         raise ValueError("target profile is identically zero")
-    return _solve_profile(grid.response_matrix, profile)
+    u = grid.response_matrix
+    gain = 1.0 / float(np.linalg.norm(profile))
+    target = gain * profile  # unit norm, so the misfit below is already relative
+    vector = u @ target
+    # U^H v as conj(U^T conj(v)): U^T is a view, so U^H is never copied
+    realized = (u.T @ vector.conj()).conj()
+    residual = float(np.linalg.norm(realized - target))
+    return SynthesizedBeam(vector=vector, gain=gain, residual=residual)
 
 
 @dataclass(frozen=True, eq=False)

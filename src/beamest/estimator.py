@@ -10,8 +10,9 @@ either Bayes-optimally across all stages or from the last stage alone.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -19,7 +20,9 @@ from .arrays import AngleGrid, ChannelRealization, MeasurementNoise, build_chann
 from .codebook import (
     BeamPatternMatrix,
     IndexRange,
+    StageCodebook,
     StageCodebookCache,
+    SubrangePartition,
     format_complex,
     identity_pattern_matrix,
     overlapped_pattern_matrix,
@@ -40,6 +43,7 @@ __all__ = [
     "estimate_alpha_final_stage",
     "estimate_alpha_mmse",
     "fuse_measurements",
+    "leftmost_path",
     "patterns_per_end",
     "run_baseline",
     "run_estimation",
@@ -120,8 +124,8 @@ class EstimatorConfig:
         if self.alpha_estimator not in ALPHA_ESTIMATORS:
             raise ValueError(f"unknown alpha estimator {self.alpha_estimator!r}; "
                              f"expected one of {ALPHA_ESTIMATORS}")
-        patterns_per_end(self.k, self.variant)
-        stage_count(self.n, self.k)
+        # computing the cached geometry validates the variant, k and n
+        _ = self.patterns, self.stages
         if self.p_t <= 0:
             raise ValueError(f"power constant must be positive, got {self.p_t}")
         if self.n0 < 0:
@@ -129,11 +133,11 @@ class EstimatorConfig:
         if self.var_alpha < 0:
             raise ValueError(f"gain prior variance must be nonnegative, got {self.var_alpha}")
 
-    @property
+    @cached_property
     def stages(self) -> int:
         return stage_count(self.n, self.k)
 
-    @property
+    @cached_property
     def patterns(self) -> int:
         return patterns_per_end(self.k, self.variant)
 
@@ -154,6 +158,22 @@ def codebook_bank(n: int, k: int, variant: str = OVERLAPPED) -> StageCodebookCac
     patterns = (identity_pattern_matrix(k) if variant == NON_OVERLAPPED
                 else overlapped_pattern_matrix(patterns_per_end(k, variant)))
     return StageCodebookCache(AngleGrid(n), patterns)
+
+
+def leftmost_path(n: int, k: int, variant: str = OVERLAPPED
+                  ) -> Iterator[tuple[int, SubrangePartition, StageCodebook]]:
+    """``(stage, partition, codebook)`` for each stage, always refining block 0.
+
+    A stage's codebook gain depends only on the sub-range size, not on which
+    parent is refined, so this one path covers every stage.  Transmit and
+    receive parents match, so the combining bank equals the beamforming bank.
+    """
+    bank = codebook_bank(n, k, variant)
+    parent = IndexRange(0, n)
+    for s in range(1, stage_count(n, k) + 1):
+        partition, codebook = bank.refine(parent, parent, k, stage=s)
+        yield s, partition, codebook
+        parent = partition.transmit[0]
 
 
 def fuse_measurements(y: np.ndarray, patterns: BeamPatternMatrix) -> np.ndarray:

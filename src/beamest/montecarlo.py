@@ -11,6 +11,7 @@ any worker split or execution order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .analysis import pcef_upper_bound
 from .arrays import ChannelRealization, substream
-from .codebook import IndexRange, overlapped_pattern_matrix, partition_subranges
+from .codebook import overlapped_pattern_matrix
 from .estimator import (
     ALPHA_MMSE_ALL,
     NON_OVERLAPPED,
@@ -26,8 +27,8 @@ from .estimator import (
     PILOT,
     EstimationTrace,
     EstimatorConfig,
-    codebook_bank,
     estimate_alpha_final_stage,
+    leftmost_path,
     patterns_per_end,
     run_estimation,
     slot_count,
@@ -125,19 +126,8 @@ def failure_indicator(trace: EstimationTrace, truth: ChannelRealization) -> bool
 
 
 def stage_gains(n: int, k: int, variant: str = OVERLAPPED) -> tuple[float, ...]:
-    """Per-stage codebook gain constants.
-
-    The constant depends only on the sub-range size, not on which parent is
-    refined, so walking the leftmost refinement path covers every stage.
-    """
-    bank = codebook_bank(n, k, variant)
-    gains = []
-    parent = IndexRange(0, n)
-    for s in range(1, stage_count(n, k) + 1):
-        partition = partition_subranges(parent, parent, k, stage=s)
-        gains.append(bank.stage_codebook(partition).gain)
-        parent = partition.transmit[0]
-    return tuple(gains)
+    """Per-stage codebook gain constants, read off the leftmost refinement path."""
+    return tuple(codebook.gain for _, _, codebook in leftmost_path(n, k, variant))
 
 
 def power_for_energy(total_energy: float, n: int, k: int, variant: str = OVERLAPPED) -> float:
@@ -269,17 +259,27 @@ def _aggregate(cfg: ExperimentConfig, variant: str, fails: np.ndarray,
     return ResultTable(variant=variant, n=cfg.n, k=cfg.k, points=tuple(points))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> dict[str, ResultTable]:
     """Run the full paired sweep; returns one table per variant.
 
-    ``workers > 1`` splits trials across processes.  Per-trial streams are
-    keyed by trial index, and chunks are reassembled in trial order before
-    aggregation, so the result does not depend on the split.
+    ``workers > 1`` splits trials across processes, at most one per usable
+    CPU.  Per-trial streams are keyed by trial index, and chunks are
+    reassembled in trial order before aggregation, so the result does not
+    depend on the split.
     """
-    if workers <= 1 or cfg.trials == 1:
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    workers = min(workers, cfg.trials, _usable_cpus())
+    if workers == 1:
         chunks = [_sweep_chunk(cfg, 0, cfg.trials)]
     else:
-        workers = min(workers, cfg.trials)
         size = -(-cfg.trials // (workers * 4))
         bounds = [(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

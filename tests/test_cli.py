@@ -193,6 +193,14 @@ class TestSweepCommand:
         for name in ("overlapped_pcef.csv", "non_overlapped_pcef.csv", "bound.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_non_positive_workers_exit_2(self, tmp_path, capsys, workers):
+        path = write_cfg(tmp_path, SWEEP_CFG)
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", path, "--out", out, "--workers", workers) == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_results(self, tmp_path):
         path = write_cfg(tmp_path, SWEEP_CFG)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

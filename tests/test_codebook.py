@@ -6,10 +6,8 @@ import pytest
 from beamest.arrays import AngleGrid
 from beamest.codebook import (
     BeamPatternMatrix,
-    DegenerateDesignError,
     IndexRange,
     StageCodebookCache,
-    _solve_profile,
     build_stage_codebook,
     format_complex,
     identity_pattern_matrix,
@@ -21,6 +19,7 @@ from beamest.codebook import (
     target_profile,
     write_beam_matrix,
 )
+from beamest.estimator import VARIANTS, codebook_bank, leftmost_path
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -197,12 +196,6 @@ class TestSynthesizeVector:
         with pytest.raises(ValueError):
             synthesize_vector(np.zeros(8), AngleGrid(8))
 
-    def test_degenerate_solve_raises(self):
-        # duplicated responses make the system singular
-        singular = np.ones((3, 3), dtype=complex) / np.sqrt(3)
-        with pytest.raises(DegenerateDesignError):
-            _solve_profile(singular, np.array([1.0, 0.0, 0.0]))
-
 
 class TestStageCodebook:
     def test_small_stage_shape_and_norms(self):
@@ -280,3 +273,29 @@ class TestComplexFormat:
         np.testing.assert_array_equal(matrix, cb.f)
         header = path.read_text().splitlines()[0].split()
         assert header[:3] == ["9", "2", "1"]
+
+
+class TestClosedFormOracle:
+    """The closed form agrees with a generic least-squares solve of the same system."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n, k", [(27, 3), (81, 3), (243, 3), (49, 7), (343, 7)])
+    def test_matches_lstsq_along_leftmost_path(self, n, k, variant):
+        bank = codebook_bank(n, k, variant)
+        u = bank.grid.response_matrix
+        path = list(leftmost_path(n, k, variant))
+        profiles = [np.stack([target_profile(bank.patterns, m, partition.transmit, n)
+                              for m in range(bank.patterns.m)], axis=1)
+                    for _, partition, _ in path]
+        # one solve of U^H v = p for every beam on the path
+        solutions = np.linalg.lstsq(u.conj().T, np.hstack(profiles).astype(complex),
+                                    rcond=None)[0]
+        norms = np.linalg.norm(solutions, axis=0)
+        for stage, (_, _, cb) in enumerate(path):
+            columns = slice(stage * bank.patterns.m, (stage + 1) * bank.patterns.m)
+            oracle_gain = float(np.exp(np.mean(np.log(1.0 / norms[columns]))))
+            assert abs(cb.gain - oracle_gain) <= 1e-12 * oracle_gain
+            np.testing.assert_allclose(cb.f, solutions[:, columns] / norms[columns],
+                                       rtol=0, atol=1e-12)
+            realized = np.abs(u.conj().T @ cb.f)
+            np.testing.assert_allclose(realized, cb.gain * profiles[stage], rtol=0, atol=1e-12)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from beamest import estimator
 from beamest.arrays import ChannelRealization, substream
 from beamest.codebook import identity_pattern_matrix, overlapped_pattern_matrix
 from beamest.estimator import (
@@ -329,6 +330,21 @@ class TestConfigValidation:
             _config(variant="diagonal")
         with pytest.raises(ValueError):
             _config(alpha_estimator="oracle")
+
+    def test_geometry_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_stage_count(n, k):
+            calls.append((n, k))
+            return stage_count(n, k)
+
+        monkeypatch.setattr(estimator, "stage_count", counting_stage_count)
+        cfg = _config(n0=1.0)
+        channel = ChannelRealization(theta=4, phi=20, alpha=3 - 2j, n=27)
+        for seed in range(3):
+            run_estimation(channel, cfg, seed)
+        assert cfg.slots == 12
+        assert calls == [(27, 3)]
 
 
 class TestTraceRecords:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from beamest import montecarlo
 from beamest.estimator import NON_OVERLAPPED, OVERLAPPED, run_estimation, EstimatorConfig
 from beamest.montecarlo import (
     ExperimentConfig,
@@ -151,6 +152,40 @@ class TestRunSweep:
         parallel = run_sweep(cfg, workers=3)
         for variant in cfg.variants:
             assert serial[variant].to_csv() == parallel[variant].to_csv()
+
+    def test_worker_pool_capped_at_usable_cpus(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            """Records the requested size and maps in this process; starts nothing."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        cfg = _cfg(n=9, et_db=(4.0,), trials=40)
+        capped = run_sweep(cfg, workers=10_000)
+        run_sweep(_cfg(n=9, et_db=(4.0,), trials=2), workers=10_000)
+        assert pools == [3, 2]
+        serial = run_sweep(cfg, workers=1)
+        for variant in cfg.variants:
+            assert capped[variant].to_csv() == serial[variant].to_csv()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="worker count"):
+            run_sweep(_cfg(trials=4), workers=workers)
 
     def test_csv_shape(self):
         cfg = _cfg(trials=32)
