@@ -53,6 +53,7 @@ from .estimator import (
     fuse_measurements,
     run_baseline,
     run_estimation,
+    search_batch,
     select_path,
     slot_count,
     stage_count,
@@ -67,6 +68,7 @@ from .montecarlo import (
     run_sweep,
     sample_channel,
     stage_gains,
+    wilson_interval,
 )
 
 __version__ = "0.1.0"

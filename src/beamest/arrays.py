@@ -143,10 +143,19 @@ class MeasurementNoise:
         self._rng = np.random.default_rng(self.seed)
 
     def draw(self, shape) -> np.ndarray:
+        return self.draw_blocks(1, shape)[0]
+
+    def draw_blocks(self, count: int, shape) -> np.ndarray:
+        """``count`` successive :meth:`draw` results stacked on a new first axis.
+
+        One generator call yields the same numbers as ``count`` calls in a
+        row, because each block consumes its real parts, then its imaginary
+        parts, in stream order.  With ``n0 == 0`` nothing is drawn.
+        """
         if self.n0 == 0:
-            return np.zeros(shape, dtype=complex)
-        parts = self._rng.normal(scale=np.sqrt(self.n0 / 2), size=(2, *shape))
-        return parts[0] + 1j * parts[1]
+            return np.zeros((count, *shape), dtype=complex)
+        parts = self._rng.normal(scale=np.sqrt(self.n0 / 2), size=(count, 2, *shape))
+        return parts[:, 0] + 1j * parts[:, 1]
 
 
 def measure_block(

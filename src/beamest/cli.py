@@ -11,20 +11,25 @@ presets under ``beamest/presets``) and dispatched through four subcommands:
 * ``trace``    -- per-trial estimation traces as JSON lines.
 
 Every run writes a ``<command>_manifest.json`` echoing the resolved config,
-the seed and every emitted file.  Data tables are comma-separated with a
-header row; complex values serialize as ``re<+/->imj``.
+the seed and every emitted file, plus the software environment and, for a
+sweep, the estimation-run throughput.  Commands put such run facts in a
+``run_info`` dict that goes into the manifest only, never into a data file.
+Data tables are comma-separated with a header row; complex values serialize
+as ``re<+/->imj``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .codebook import write_beam_matrix
@@ -51,6 +56,7 @@ from .montecarlo import (
     power_for_energy,
     run_sweep,
     sample_channel,
+    usable_cpus,
 )
 
 __all__ = ["ConfigError", "load_config", "main"]
@@ -182,8 +188,17 @@ def _write(path: Path, text: str, quiet: bool) -> Path:
     return path
 
 
+def _environment() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "usable_cpus": usable_cpus(),
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, config_name: str, cfg: dict,
-                    args, elapsed: float, outputs: list[Path]) -> Path:
+                    args, elapsed: float, outputs: list[Path], run_info: dict) -> Path:
     manifest = {
         "command": command,
         "config_source": config_name,
@@ -191,8 +206,10 @@ def _write_manifest(out_dir: Path, command: str, config_name: str, cfg: dict,
         "seed_override": args.seed,
         "workers": args.workers,
         "version": __version__,
+        "environment": _environment(),
         "elapsed_seconds": elapsed,
         "outputs": [p.name for p in outputs],
+        **run_info,
     }
     path = out_dir / f"{command}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -227,7 +244,7 @@ def _gain_flatness_rows(n: int, k: int, variant: str) -> list[str]:
     return rows
 
 
-def cmd_codebook(cfg: dict, config_name: str, args) -> list[Path]:
+def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
     n = _require(cfg, "n", int, "codebook")
     k = _require(cfg, "k", int, "codebook")
     variant = cfg.get("variant", OVERLAPPED)
@@ -271,7 +288,7 @@ def _slot_table_csv(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(cfg: dict, config_name: str, args) -> list[Path]:
+def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs_wanted = [str(o) for o in _as_list(cfg.get("outputs", "pcef"))]
@@ -293,7 +310,11 @@ def cmd_sweep(cfg: dict, config_name: str, args) -> list[Path]:
         trials=_require(cfg, "trials", int, "sweep"),
         master_seed=int(cfg.get("seed", 0)), n0=float(cfg.get("n0", 1.0)),
         var_alpha=_alpha_variance(cfg), variants=_variants(cfg))
+    started = time.perf_counter()
     tables = run_sweep(experiment, workers=args.workers)
+    runs = experiment.trials * len(experiment.et_db) * len(experiment.variants)
+    run_info["estimation_runs"] = runs
+    run_info["runs_per_s"] = runs / (time.perf_counter() - started)
 
     if "pcef" in outputs_wanted:
         for variant, table in tables.items():
@@ -317,7 +338,7 @@ def cmd_sweep(cfg: dict, config_name: str, args) -> list[Path]:
     return outputs
 
 
-def cmd_bound(cfg: dict, config_name: str, args) -> list[Path]:
+def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_values = [int(v) for v in _as_list(_require(cfg, "n", (int, list), "bound"))]
@@ -336,7 +357,7 @@ def cmd_bound(cfg: dict, config_name: str, args) -> list[Path]:
     return outputs
 
 
-def cmd_trace(cfg: dict, config_name: str, args) -> list[Path]:
+def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = _require(cfg, "n", int, "trace")
@@ -411,13 +432,14 @@ def main(argv=None) -> int:
             # resolve the override into the config so the manifest echo alone
             # reproduces the run
             cfg["seed"] = args.seed
-        outputs = _COMMANDS[args.command](cfg, config_name, args)
+        run_info: dict = {}
+        outputs = _COMMANDS[args.command](cfg, args, run_info)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
     _write_manifest(Path(args.out), args.command, config_name, cfg, args,
-                    elapsed, outputs)
+                    elapsed, outputs, run_info)
     return 0
 
 

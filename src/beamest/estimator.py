@@ -5,6 +5,17 @@ outputs against every sub-range hypothesis pair, keeps the strongest pair and
 refines.  After the final stage the angles are known to grid resolution and
 the fading coefficient is estimated from the per-stage selected measurements,
 either Bayes-optimally across all stages or from the last stage alone.
+
+The beams are exact (``U^H v = C p``) and the channel has rank one, so a
+stage's noiseless ``m x m`` block never needs the ``n``-element beams: while
+both true angles lie in the current parents it is
+``sqrt(p_s) * alpha * (g_r o P[:, dr]) (g_t o P[:, dt])^T * pilot``, with
+``g_r``, ``g_t`` the banks' per-beam gain constants and ``dr``, ``dt`` the
+base-``k`` digits of ``theta``, ``phi`` at that stage; once the search has
+left the true range it is zero.  :func:`search_batch` runs every stage on that
+signal for arrays of trials and power points at once; :func:`run_estimation`
+is a batch of one.  Sounding with the explicit beams (``measure_block`` on
+``h``, ``f``, ``w``) gives the same blocks up to beam leakage of about 1e-15.
 """
 
 from __future__ import annotations
@@ -16,7 +27,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arrays import AngleGrid, ChannelRealization, MeasurementNoise, build_channel, measure_block
+from .arrays import AngleGrid, ChannelRealization, MeasurementNoise
+# Not used here: the benchmark's traced run looks these names up on this module.
+from .arrays import build_channel, measure_block  # noqa: F401
 from .codebook import (
     BeamPatternMatrix,
     IndexRange,
@@ -37,6 +50,7 @@ __all__ = [
     "NON_OVERLAPPED",
     "OVERLAPPED",
     "PILOT",
+    "SearchBatch",
     "StageMeasurement",
     "VARIANTS",
     "codebook_bank",
@@ -47,6 +61,7 @@ __all__ = [
     "patterns_per_end",
     "run_baseline",
     "run_estimation",
+    "search_batch",
     "select_path",
     "slot_count",
     "stage_count",
@@ -160,17 +175,18 @@ def codebook_bank(n: int, k: int, variant: str = OVERLAPPED) -> StageCodebookCac
     return StageCodebookCache(AngleGrid(n), patterns)
 
 
-def leftmost_path(n: int, k: int, variant: str = OVERLAPPED
+def leftmost_path(n: int, k: int, variant: str = OVERLAPPED, stages: int | None = None
                   ) -> Iterator[tuple[int, SubrangePartition, StageCodebook]]:
     """``(stage, partition, codebook)`` for each stage, always refining block 0.
 
-    A stage's codebook gain depends only on the sub-range size, not on which
+    A stage's codebook gains depend only on the sub-range size, not on which
     parent is refined, so this one path covers every stage.  Transmit and
     receive parents match, so the combining bank equals the beamforming bank.
+    ``stages`` skips recounting a geometry the caller has already validated.
     """
     bank = codebook_bank(n, k, variant)
     parent = IndexRange(0, n)
-    for s in range(1, stage_count(n, k) + 1):
+    for s in range(1, (stage_count(n, k) if stages is None else stages) + 1):
         partition, codebook = bank.refine(parent, parent, k, stage=s)
         yield s, partition, codebook
         parent = partition.transmit[0]
@@ -182,25 +198,29 @@ def fuse_measurements(y: np.ndarray, patterns: BeamPatternMatrix) -> np.ndarray:
     Entry ``(kr, kt)`` is ``b_kr^T y b_kt``, the matched-filter output for the
     hypothesis that the path sits in receive sub-range ``kr`` and transmit
     sub-range ``kt``; flattened, that is the inner product of ``vec(y)`` with
-    the unit-norm Kronecker signature of the pair.
+    the unit-norm Kronecker signature of the pair.  A stack of blocks
+    ``(..., m, m)`` is fused block by block.
     """
     m = patterns.m
-    if y.shape != (m, m):
-        raise ValueError(f"expected a {m}x{m} measurement block, got {y.shape}")
+    if y.shape[-2:] != (m, m):
+        raise ValueError(f"expected {m}x{m} measurement blocks, got {y.shape}")
     return patterns.values.T @ y @ patterns.values
 
 
-def select_path(r: np.ndarray) -> tuple[int, int]:
+def select_path(r: np.ndarray):
     """Indices ``(kr, kt)`` of the largest-magnitude fused measurement.
 
     Ties resolve to the lexicographically smallest pair so selection is
-    deterministic.
+    deterministic.  A stack of blocks ``(..., k, k)`` gives two index arrays
+    of the stack's shape instead of two ints.
     """
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("fused measurements contain NaN or infinite entries")
-    flat = int(np.argmax(np.abs(r)))
-    kr, kt = np.unravel_index(flat, r.shape)
-    return int(kr), int(kt)
+    flat = np.abs(r).reshape(*r.shape[:-2], -1).argmax(axis=-1)
+    kr, kt = np.divmod(flat, r.shape[-1])
+    if r.ndim == 2:
+        return int(kr), int(kt)
+    return kr, kt
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,17 +265,18 @@ def estimate_alpha_mmse(
     alpha`` plus independent noise of variance ``n0``, so with a zero-mean
     prior of variance ``var_alpha`` the estimator collapses (rank-one inverse)
     to ``var_alpha * sqrt(p_t) * conj(pilot) * sum(values) / (S * var_alpha *
-    p_t + n0)``.
+    p_t + n0)``.  Stages run along the last axis of ``values``; leading axes
+    broadcast against ``p_t``, so one call estimates a whole batch.
     """
-    values = tuple(complex(v) for v in values)
-    if not values:
+    values = np.asarray(values, dtype=complex)
+    if values.ndim == 0 or values.shape[-1] == 0:
         raise ValueError("need at least one selected measurement")
-    if p_t <= 0:
+    if (np.asarray(p_t) <= 0).any():
         raise ValueError(f"power constant must be positive, got {p_t}")
-    denominator = len(values) * var_alpha * p_t + n0
-    if denominator <= 0:
+    denominator = values.shape[-1] * var_alpha * p_t + n0
+    if (np.asarray(denominator) <= 0).any():
         raise ValueError("prior variance and noise variance cannot both be zero")
-    return var_alpha * np.sqrt(p_t) * np.conj(pilot) * sum(values) / denominator
+    return var_alpha * np.sqrt(p_t) * np.conj(pilot) * values.sum(axis=-1) / denominator
 
 
 def estimate_alpha_final_stage(
@@ -266,7 +287,134 @@ def estimate_alpha_final_stage(
     var_alpha: float,
 ) -> complex:
     """Single-measurement variant of :func:`estimate_alpha_mmse` (last stage only)."""
-    return estimate_alpha_mmse((final_value,), p_t, pilot, n0, var_alpha)
+    return estimate_alpha_mmse(np.asarray(final_value)[..., None], p_t, pilot, n0, var_alpha)
+
+
+@dataclass(frozen=True, eq=False)
+class _StagePlan:
+    """Per-stage constants of the noiseless stage signal for one geometry.
+
+    ``receive[s, d]`` is the receive bank's realized gains on sub-range ``d``
+    (``g_r o P[:, d]``) and ``fused_receive[s, d]`` that vector correlated
+    against every hypothesis (``P^T`` times it); likewise for the transmit
+    side.  ``places[s]`` is ``k^(S-1-s)``, the grid step of stage ``s``'s
+    sub-ranges.
+    """
+
+    patterns: BeamPatternMatrix
+    gains_fourth: np.ndarray      # (S,) C_s^4, so p_s = p_t / C_s^4
+    places: np.ndarray            # (S,)
+    receive: np.ndarray           # (S, k, m)
+    transmit: np.ndarray          # (S, k, m)
+    fused_receive: np.ndarray     # (S, k, k)
+    fused_transmit: np.ndarray    # (S, k, k)
+
+
+@lru_cache(maxsize=None)
+def _stage_plan(n: int, k: int, variant: str, stages: int) -> _StagePlan:
+    """Built from the leftmost path: per-beam gains depend only on the stage."""
+    patterns = codebook_bank(n, k, variant).patterns
+    values = patterns.values
+    path = [cb for _, _, cb in leftmost_path(n, k, variant, stages)]
+    receive = np.array([(cb.w_gains[:, None] * values).T for cb in path])
+    transmit = np.array([(cb.f_gains[:, None] * values).T for cb in path])
+    return _StagePlan(
+        patterns=patterns,
+        gains_fourth=np.array([cb.gain ** 4 for cb in path]),
+        places=k ** np.arange(stages - 1, -1, -1),
+        receive=receive,
+        transmit=transmit,
+        fused_receive=receive @ values,
+        fused_transmit=transmit @ values,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class SearchBatch:
+    """Staged-search outcome for ``T`` trials at ``Q`` power points.
+
+    Per-stage arrays have shape ``(T, Q, S)``: the selected receive and
+    transmit sub-ranges and the fused value of each pick.  ``on_track`` is
+    ``(T, Q)``, true where every stage picked the true pair, i.e. where the
+    angles were estimated exactly.  ``y`` and ``r`` hold the raw and fused
+    blocks, ``(T, Q, S, m, m)`` and ``(T, Q, S, k, k)``, when kept.
+    """
+
+    receive: np.ndarray
+    transmit: np.ndarray
+    values: np.ndarray
+    on_track: np.ndarray
+    stage_powers: np.ndarray      # (Q, S)
+    places: np.ndarray            # (S,) grid step of each stage's sub-ranges
+    y: np.ndarray | None = None
+    r: np.ndarray | None = None
+
+    @property
+    def theta_hat(self) -> np.ndarray:
+        return self.receive @ self.places
+
+    @property
+    def phi_hat(self) -> np.ndarray:
+        return self.transmit @ self.places
+
+
+def search_batch(configs, theta, phi, alpha, noise: np.ndarray,
+                 keep_blocks: bool = False) -> SearchBatch:
+    """Run every stage for ``T`` trials times ``Q`` configs at once.
+
+    ``configs`` share ``n``, ``k`` and the variant and differ in ``p_t``
+    (one power point each); ``theta``, ``phi`` and ``alpha`` give the ``T``
+    true channels and ``noise`` their ``(T, S, m, m)`` slot noise, shared by
+    every point (see :meth:`MeasurementNoise.draw_blocks`).  A stage fuses
+    its block with ``P^T y P`` and keeps the largest ``|r|`` (first flat index
+    on ties).  Its block is the rank-one signal plus noise while every
+    earlier stage picked the true pair, and noise alone after that, so all
+    stages are evaluated on track at once and the on-track mask, a running
+    AND of the correct picks, chooses between the two.  ``keep_blocks`` also
+    returns ``y`` and ``r``.
+    """
+    cfg = configs[0]
+    if any((c.n, c.k, c.variant) != (cfg.n, cfg.k, cfg.variant) for c in configs):
+        raise ValueError("batched configs must share n, k and variant")
+    k, m, stages = cfg.k, cfg.patterns, cfg.stages
+    plan = _stage_plan(cfg.n, k, cfg.variant, stages)
+    alpha = np.asarray(alpha, dtype=complex)
+    trials = len(alpha)
+    if noise.shape != (trials, stages, m, m):
+        raise ValueError(f"expected noise of shape {(trials, stages, m, m)}, got {noise.shape}")
+    powers = np.array([c.p_t for c in configs])[:, None] / plan.gains_fourth   # (Q, S)
+    # sqrt(p_s) alpha pilot times the outer product of the two banks' gains on
+    # the true sub-ranges, whose indices are the stage's digits of theta, phi
+    amplitude = (alpha[:, None, None] * PILOT * np.sqrt(powers))[..., None, None]
+    dr = np.asarray(theta)[:, None] // plan.places % k                      # (T, S)
+    dt = np.asarray(phi)[:, None] // plan.places % k
+    stage = np.arange(stages)
+    fused_noise = fuse_measurements(noise, plan.patterns)                   # (T, S, k, k)
+    fused_signal = (plan.fused_receive[stage, dr][..., :, None]
+                    * plan.fused_transmit[stage, dt][..., None, :])[:, None]
+    r_on = amplitude * fused_signal + fused_noise[:, None]                  # (T, Q, S, k, k)
+    kr_on, kt_on = select_path(r_on)
+    correct = np.logical_and.accumulate(
+        (kr_on == dr[:, None]) & (kt_on == dt[:, None]), axis=-1)
+    on = np.ones_like(correct)
+    on[..., 1:] = correct[..., :-1]
+    # off track, a stage sees the same noise at every point
+    kr_off, kt_off = select_path(fused_noise)
+    receive = np.where(on, kr_on, kr_off[:, None])
+    transmit = np.where(on, kt_on, kt_off[:, None])
+    rows, cols = np.arange(trials)[:, None, None], np.arange(len(configs))[:, None]
+    values = np.where(on, r_on[rows, cols, stage, kr_on, kt_on],
+                      fused_noise[rows[..., 0], stage, kr_off, kt_off][:, None])
+    y = r = None
+    if keep_blocks:
+        on = on[..., None, None]
+        signal = (plan.receive[stage, dr][..., :, None]
+                  * plan.transmit[stage, dt][..., None, :])[:, None]
+        y = np.where(on, amplitude * signal, 0) + noise[:, None]
+        r = np.where(on, r_on, fused_noise[:, None])
+    return SearchBatch(receive=receive, transmit=transmit, values=values,
+                       on_track=correct[..., -1], stage_powers=powers,
+                       places=plan.places, y=y, r=r)
 
 
 def run_estimation(
@@ -279,50 +427,37 @@ def run_estimation(
     ``rng`` seeds the measurement noise; pass distinct substreams to make
     repeated trials independent.  With ``cfg.n0 == 0`` the run is fully
     deterministic.  Per-stage transmit power follows ``p_s = p_t / C_s^4`` so
-    every stage sees the same matched-filter SNR.
+    every stage sees the same matched-filter SNR.  This is
+    :func:`search_batch` on one trial and one power point.
     """
     if channel.n != cfg.n:
         raise ValueError(f"channel has {channel.n} antennas but config expects {cfg.n}")
-    bank = codebook_bank(cfg.n, cfg.k, cfg.variant)
-    patterns = bank.patterns
-    h = build_channel(channel)
-    noise = MeasurementNoise(cfg.n0, rng)
-
-    parent_t = IndexRange(0, cfg.n)
-    parent_r = IndexRange(0, cfg.n)
-    stages: list[StageMeasurement] = []
-    powers: list[float] = []
-    for s in range(1, cfg.stages + 1):
-        partition, stage_cb = bank.refine(parent_t, parent_r, cfg.k, stage=s)
-        p_s = cfg.p_t / stage_cb.gain ** 4
-        y = measure_block(h, stage_cb.f, stage_cb.w, p_s, PILOT, noise)
-        r = fuse_measurements(y, patterns)
-        kr, kt = select_path(r)
-        stages.append(StageMeasurement(y=y, r=r, selected_receive=kr,
-                                       selected_transmit=kt, value=complex(r[kr, kt])))
-        powers.append(p_s)
-        parent_t = partition.transmit[kt]
-        parent_r = partition.receive[kr]
-
-    phi_hat = sum(stage.selected_transmit * cfg.k ** (cfg.stages - s)
-                  for s, stage in enumerate(stages, start=1))
-    theta_hat = sum(stage.selected_receive * cfg.k ** (cfg.stages - s)
-                    for s, stage in enumerate(stages, start=1))
-    selected = tuple(stage.value for stage in stages)
+    m = cfg.patterns
+    noise = MeasurementNoise(cfg.n0, rng).draw_blocks(cfg.stages, (m, m))
+    batch = search_batch((cfg,), [channel.theta], [channel.phi], [channel.alpha],
+                         noise[None], keep_blocks=True)
+    receive, transmit = batch.receive[0, 0].tolist(), batch.transmit[0, 0].tolist()
+    values = batch.values[0, 0]
+    stages = tuple(
+        StageMeasurement(y=y, r=r, selected_receive=kr, selected_transmit=kt,
+                         value=complex(value))
+        for y, r, kr, kt, value in zip(batch.y[0, 0], batch.r[0, 0], receive, transmit, values))
+    theta_hat, phi_hat = int(batch.theta_hat[0, 0]), int(batch.phi_hat[0, 0])
     if cfg.alpha_estimator == ALPHA_MMSE_ALL:
-        alpha_hat = estimate_alpha_mmse(selected, cfg.p_t, PILOT, cfg.n0, cfg.var_alpha)
+        alpha_hat = estimate_alpha_mmse(values, cfg.p_t, PILOT, cfg.n0, cfg.var_alpha)
     else:
-        alpha_hat = estimate_alpha_final_stage(selected[-1], cfg.p_t, PILOT,
+        alpha_hat = estimate_alpha_final_stage(values[-1], cfg.p_t, PILOT,
                                                cfg.n0, cfg.var_alpha)
+    powers = tuple(batch.stage_powers[0].tolist())
     return EstimationTrace(
-        stages=tuple(stages),
+        stages=stages,
         theta_hat=theta_hat,
         phi_hat=phi_hat,
         alpha_hat=complex(alpha_hat),
-        stage_powers=tuple(powers),
-        total_energy=cfg.patterns ** 2 * sum(powers),
-        final_receive_range=parent_r,
-        final_transmit_range=parent_t,
+        stage_powers=powers,
+        total_energy=m ** 2 * sum(powers),
+        final_receive_range=IndexRange(theta_hat, theta_hat + 1),
+        final_transmit_range=IndexRange(phi_hat, phi_hat + 1),
     )
 
 

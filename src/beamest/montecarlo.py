@@ -3,9 +3,15 @@
 Every trial draws a channel from a stream keyed by ``(master_seed, trial)``
 and both search variants consume that same draw, so curve comparisons are
 paired.  Noise streams are keyed per ``(trial, variant)`` and reused across
-energy points.  Aggregation uses exact integer counts for failures and
-exactly-rounded summation for error means, so results are bit-identical for
-any worker split or execution order.
+energy points: one draw of all ``S`` stages' ``m x m`` slot noise per
+``(trial, variant)`` yields exactly the numbers ``S`` per-stage draws would,
+and every energy point sees the same noise.  The trials then run through
+:func:`~beamest.estimator.search_batch`, which needs no ``n``-element beam:
+each stage's noiseless block is the rank-one product of the two banks'
+gains on the true sub-ranges.  Trials go through in blocks of bounded size.
+Aggregation uses exact integer counts for failures and exactly-rounded
+summation for error means, so results are bit-identical for any worker split
+or execution order.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import pcef_upper_bound
-from .arrays import ChannelRealization, substream
+from .arrays import ChannelRealization, MeasurementNoise, substream
 from .codebook import overlapped_pattern_matrix
 from .estimator import (
     ALPHA_MMSE_ALL,
@@ -28,9 +34,11 @@ from .estimator import (
     EstimationTrace,
     EstimatorConfig,
     estimate_alpha_final_stage,
+    estimate_alpha_mmse,
     leftmost_path,
     patterns_per_end,
-    run_estimation,
+    run_estimation,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.run_estimation
+    search_batch,
     slot_count,
     stage_count,
 )
@@ -49,6 +57,8 @@ __all__ = [
     "run_sweep",
     "sample_channel",
     "stage_gains",
+    "usable_cpus",
+    "wilson_interval",
 ]
 
 # Substream keys: 0 reserves the channel draw, variants get their own noise key.
@@ -56,6 +66,12 @@ _CHANNEL_KEY = 0
 _VARIANT_KEYS = {OVERLAPPED: 1, NON_OVERLAPPED: 2}
 
 _CONFIDENCE_Z = 1.959963984540054  # two-sided 95% normal quantile
+
+# Trials per engine call, and a cap on the entries of its largest arrays,
+# shaped (trials, points, stages, k, k), so the engine's working memory stays
+# bounded for any trial count, energy grid and geometry.
+_BLOCK_TRIALS = 1024
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -141,9 +157,11 @@ def power_for_energy(total_energy: float, n: int, k: int, variant: str = OVERLAP
 class SweepPoint:
     """Aggregated results of one energy point for one variant.
 
-    Relative gain errors are reported both over all trials and conditioned on
-    successful angle estimation (the conditioning the downstream consumer
-    wants is not knowable here, so both ship).
+    ``ci_low`` and ``ci_high`` bound the PCEF with the 95% Wilson score
+    interval (:func:`wilson_interval`); ``low_count`` flags fewer than five
+    failures or successes.  Relative gain errors are reported both over all
+    trials and conditioned on successful angle estimation (the conditioning
+    the downstream consumer wants is not knowable here, so both ship).
     """
 
     et_db: float
@@ -190,39 +208,61 @@ class ResultTable:
 
 def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
     """Raw per-trial outcomes for trials [lo, hi) across all points and variants."""
+    configs = {variant: tuple(
+        EstimatorConfig(n=cfg.n, k=cfg.k,
+                        p_t=power_for_energy(cfg.n0 * 10.0 ** (db / 10.0), cfg.n, cfg.k, variant),
+                        n0=cfg.n0, var_alpha=cfg.alpha_variance,
+                        variant=variant, alpha_estimator=ALPHA_MMSE_ALL)
+        for db in cfg.et_db) for variant in cfg.variants}
     n_points = len(cfg.et_db)
-    estimator_configs = {}
-    for variant in cfg.variants:
-        configs = []
-        for db in cfg.et_db:
-            energy = cfg.n0 * 10.0 ** (db / 10.0)
-            configs.append(EstimatorConfig(
-                n=cfg.n, k=cfg.k,
-                p_t=power_for_energy(energy, cfg.n, cfg.k, variant),
-                n0=cfg.n0, var_alpha=cfg.alpha_variance,
-                variant=variant, alpha_estimator=ALPHA_MMSE_ALL))
-        estimator_configs[variant] = configs
-
+    per_trial = n_points * stage_count(cfg.n, cfg.k) * cfg.k * cfg.k
+    block = max(1, min(_BLOCK_TRIALS, _BLOCK_ENTRIES // per_trial))
     width = hi - lo
     out = {variant: (np.zeros((n_points, width), dtype=bool),
                      np.zeros((n_points, width)),
                      np.zeros((n_points, width)))
            for variant in cfg.variants}
-    for column, trial in enumerate(range(lo, hi)):
-        channel = sample_channel(cfg, trial)
-        alpha_mag = abs(channel.alpha)
+    for start in range(lo, hi, block):
+        trials = range(start, min(start + block, hi))
+        columns = slice(start - lo, start - lo + len(trials))
+        channels = [sample_channel(cfg, trial) for trial in trials]
+        theta = np.array([channel.theta for channel in channels])
+        phi = np.array([channel.phi for channel in channels])
+        alpha = np.array([channel.alpha for channel in channels])
+        alpha_mag = np.abs(alpha)[:, None]
         for variant in cfg.variants:
-            seed = noise_stream(cfg, trial, variant)
+            ecfgs = configs[variant]
+            m = ecfgs[0].patterns
+            noise = np.stack([
+                MeasurementNoise(cfg.n0, noise_stream(cfg, trial, variant))
+                .draw_blocks(ecfgs[0].stages, (m, m)) for trial in trials])
+            batch = search_batch(ecfgs, theta, phi, alpha, noise)
+            p_t = np.array([ecfg.p_t for ecfg in ecfgs])
+            mmse_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
+                                           cfg.alpha_variance)
+            final_hat = estimate_alpha_final_stage(batch.values[..., -1], p_t, PILOT,
+                                                   cfg.n0, cfg.alpha_variance)
             fails, err_mmse, err_final = out[variant]
-            for i, ecfg in enumerate(estimator_configs[variant]):
-                trace = run_estimation(channel, ecfg, np.random.default_rng(seed))
-                fails[i, column] = failure_indicator(trace, channel)
-                final_hat = estimate_alpha_final_stage(
-                    trace.selected_values[-1], ecfg.p_t, PILOT, cfg.n0,
-                    cfg.alpha_variance)
-                err_mmse[i, column] = abs(trace.alpha_hat - channel.alpha) / alpha_mag
-                err_final[i, column] = abs(final_hat - channel.alpha) / alpha_mag
+            fails[:, columns] = ~batch.on_track.T
+            err_mmse[:, columns] = (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T
+            err_final[:, columns] = (np.abs(final_hat - alpha[:, None]) / alpha_mag).T
     return out
+
+
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion.
+
+    Unlike the normal-approximation (Wald) interval it keeps a nonzero width
+    at 0 and at ``trials`` failures.  The bounds are clamped so that rounding
+    never puts them on the wrong side of ``failures / trials``.
+    """
+    z2 = _CONFIDENCE_Z * _CONFIDENCE_Z
+    root = _CONFIDENCE_Z * math.sqrt(z2 + 4.0 * failures * (trials - failures) / trials)
+    scale = 2.0 * (trials + z2)
+    pcef = failures / trials
+    low = (2.0 * failures + z2 - root) / scale
+    high = (2.0 * failures + z2 + root) / scale
+    return max(0.0, min(low, pcef)), min(1.0, max(high, pcef))
 
 
 def _aggregate(cfg: ExperimentConfig, variant: str, fails: np.ndarray,
@@ -233,7 +273,7 @@ def _aggregate(cfg: ExperimentConfig, variant: str, fails: np.ndarray,
         trials = fails.shape[1]
         failures = int(fails[i].sum())
         pcef = failures / trials
-        half_width = _CONFIDENCE_Z * math.sqrt(pcef * (1.0 - pcef) / trials)
+        ci_low, ci_high = wilson_interval(failures, trials)
         success = ~fails[i]
         n_success = trials - failures
 
@@ -245,8 +285,8 @@ def _aggregate(cfg: ExperimentConfig, variant: str, fails: np.ndarray,
         points.append(SweepPoint(
             et_db=db,
             pcef=pcef,
-            ci_low=max(0.0, pcef - half_width),
-            ci_high=min(1.0, pcef + half_width),
+            ci_low=ci_low,
+            ci_high=ci_high,
             low_count=failures < 5 or n_success < 5,
             relerr_mmse_all=math.fsum(err_mmse[i].tolist()) / trials,
             relerr_mmse_success=conditional_mean(err_mmse[i]),
@@ -259,7 +299,8 @@ def _aggregate(cfg: ExperimentConfig, variant: str, fails: np.ndarray,
     return ResultTable(variant=variant, n=cfg.n, k=cfg.k, points=tuple(points))
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
@@ -276,7 +317,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> dict[str, ResultTable]
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
-    workers = min(workers, cfg.trials, _usable_cpus())
+    workers = min(workers, cfg.trials, usable_cpus())
     if workers == 1:
         chunks = [_sweep_chunk(cfg, 0, cfg.trials)]
     else:

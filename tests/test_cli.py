@@ -214,6 +214,26 @@ class TestSweepCommand:
         assert manifest["config"]["seed"] == 999
         assert manifest["seed_override"] == 999
 
+    def test_manifest_records_environment_and_throughput(self, tmp_path):
+        path = write_cfg(tmp_path, SWEEP_CFG)
+        out = tmp_path / "m"
+        assert run_cli("sweep", "--config", path, "--out", out, "--quiet") == 0
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "usable_cpus"}
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["usable_cpus"], int) and env["usable_cpus"] >= 1
+        # 60 trials x 2 energy points x 2 variants
+        assert manifest["estimation_runs"] == 240
+        assert manifest["runs_per_s"] > 0
+        assert "sweep_manifest.json" not in manifest["outputs"]
+
+    def test_non_finite_gains_exit_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 4\net_db = 10\nvar_alpha = inf\n")
+        with np.errstate(invalid="ignore"):
+            assert run_cli("sweep", "--config", path, "--out", tmp_path / "x", "--quiet") == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
     def test_manifest_echo_reproduces_run(self, tmp_path):
         path = write_cfg(tmp_path, SWEEP_CFG)
         out1 = tmp_path / "orig"
@@ -269,6 +289,14 @@ class TestTraceCommand:
                     "theta_hat", "phi_hat", "alpha_hat", "correct"} <= set(record)
             complex(record["alpha"])  # parses back
             assert isinstance(record["correct"], bool)
+
+    def test_manifest_records_environment_only(self, tmp_path):
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 20\n")
+        out = tmp_path / "tm"
+        assert run_cli("trace", "--config", path, "--out", out, "--quiet") == 0
+        manifest = json.loads((out / "trace_manifest.json").read_text())
+        assert set(manifest["environment"]) == {"python", "numpy", "scipy", "usable_cpus"}
+        assert "estimation_runs" not in manifest
 
     def test_seed_flag_overrides(self, tmp_path):
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 4\net_db = 6\nseed = 2\n")

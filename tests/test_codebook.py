@@ -237,6 +237,23 @@ class TestStageCodebook:
                                            cb.gain * b.values[m, j], atol=1e-9)
             assert realized[9:, m].max() < 1e-9
 
+    def test_per_beam_gains_give_realized_gains(self):
+        # column m of f realizes f_gains[m] * pattern on its sub-ranges (same for w),
+        # and the stage gain is the geometric mean of all those constants
+        grid = AngleGrid(27)
+        b = overlapped_pattern_matrix(2)
+        part = partition_subranges(IndexRange(9, 18), IndexRange(0, 9), 3, stage=2)
+        cb = build_stage_codebook(b, part, grid)
+        for bank, gains, blocks in ((cb.f, cb.f_gains, part.transmit),
+                                    (cb.w, cb.w_gains, part.receive)):
+            realized = np.abs(grid.response_matrix.conj().T @ bank)
+            for m in range(2):
+                for j, block in enumerate(blocks):
+                    np.testing.assert_allclose(realized[block.start:block.stop, m],
+                                               gains[m] * b.values[m, j], atol=1e-12)
+        all_gains = np.concatenate([cb.f_gains, cb.w_gains])
+        assert abs(np.exp(np.log(all_gains).mean()) - cb.gain) < 1e-12 * cb.gain
+
     def test_cache_reuses_end_banks(self):
         cache = StageCodebookCache(AngleGrid(9), overlapped_pattern_matrix(2))
         part = partition_subranges(IndexRange(0, 9), IndexRange(0, 9), 3)

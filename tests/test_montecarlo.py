@@ -14,6 +14,7 @@ from beamest.montecarlo import (
     run_sweep,
     sample_channel,
     stage_gains,
+    wilson_interval,
 )
 
 
@@ -218,6 +219,51 @@ class TestRunSweep:
         for a, b in zip(points, points[1:]):
             band = 3.0 * np.hypot(a.pcef - a.ci_low, b.pcef - b.ci_low) / 1.96
             assert b.pcef <= a.pcef + band
+
+
+class TestWilsonInterval:
+    Z = 1.959963984540054
+
+    def _textbook(self, failures, trials):
+        # centre and half-width form: (p + z^2/2n) / (1 + z^2/n) +- ...
+        p, z = failures / trials, self.Z
+        denom = 1.0 + z * z / trials
+        centre = (p + z * z / (2 * trials)) / denom
+        half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+        return centre - half, centre + half
+
+    def test_hand_computed_value(self):
+        # 10 failures in 100 trials: the 95% Wilson interval is [0.0552, 0.1744]
+        low, high = wilson_interval(10, 100)
+        assert (round(low, 4), round(high, 4)) == (0.0552, 0.1744)
+        np.testing.assert_allclose((low, high), self._textbook(10, 100), rtol=1e-12)
+
+    def test_zero_failures_has_width(self):
+        low, high = wilson_interval(0, 100)
+        assert low == 0.0
+        assert high > 0.0
+        assert abs(high - self.Z ** 2 / (100 + self.Z ** 2)) < 1e-15
+
+    def test_all_failures_has_width(self):
+        low, high = wilson_interval(100, 100)
+        assert high == 1.0
+        assert low < 1.0
+        assert abs(low - 100 / (100 + self.Z ** 2)) < 1e-15
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 50, 10_000])
+    def test_contains_estimate(self, trials):
+        for failures in range(0, trials + 1, max(1, trials // 50)):
+            low, high = wilson_interval(failures, trials)
+            assert 0.0 <= low <= failures / trials <= high <= 1.0
+            np.testing.assert_allclose((low, high), np.clip(self._textbook(failures, trials), 0, 1),
+                                       rtol=1e-9, atol=1e-15)
+
+    def test_sweep_rows_use_it(self):
+        cfg = _cfg(n=27, et_db=(80.0,), trials=200)
+        point = run_sweep(cfg)[OVERLAPPED].points[0]
+        assert point.failures == 0
+        assert (point.ci_low, point.ci_high) == wilson_interval(0, 200)
+        assert point.ci_high > 0.0
 
 
 class TestBoundTable:
