@@ -175,18 +175,17 @@ def codebook_bank(n: int, k: int, variant: str = OVERLAPPED) -> StageCodebookCac
     return StageCodebookCache(AngleGrid(n), patterns)
 
 
-def leftmost_path(n: int, k: int, variant: str = OVERLAPPED, stages: int | None = None
+def leftmost_path(n: int, k: int, variant: str = OVERLAPPED
                   ) -> Iterator[tuple[int, SubrangePartition, StageCodebook]]:
     """``(stage, partition, codebook)`` for each stage, always refining block 0.
 
     A stage's codebook gains depend only on the sub-range size, not on which
     parent is refined, so this one path covers every stage.  Transmit and
     receive parents match, so the combining bank equals the beamforming bank.
-    ``stages`` skips recounting a geometry the caller has already validated.
     """
     bank = codebook_bank(n, k, variant)
     parent = IndexRange(0, n)
-    for s in range(1, (stage_count(n, k) if stages is None else stages) + 1):
+    for s in range(1, stage_count(n, k) + 1):
         partition, codebook = bank.refine(parent, parent, k, stage=s)
         yield s, partition, codebook
         parent = partition.transmit[0]
@@ -311,11 +310,12 @@ class _StagePlan:
 
 
 @lru_cache(maxsize=None)
-def _stage_plan(n: int, k: int, variant: str, stages: int) -> _StagePlan:
+def _stage_plan(n: int, k: int, variant: str) -> _StagePlan:
     """Built from the leftmost path: per-beam gains depend only on the stage."""
     patterns = codebook_bank(n, k, variant).patterns
     values = patterns.values
-    path = [cb for _, _, cb in leftmost_path(n, k, variant, stages)]
+    path = [cb for _, _, cb in leftmost_path(n, k, variant)]
+    stages = len(path)
     receive = np.array([(cb.w_gains[:, None] * values).T for cb in path])
     transmit = np.array([(cb.f_gains[:, None] * values).T for cb in path])
     return _StagePlan(
@@ -377,17 +377,23 @@ def search_batch(configs, theta, phi, alpha, noise: np.ndarray,
     if any((c.n, c.k, c.variant) != (cfg.n, cfg.k, cfg.variant) for c in configs):
         raise ValueError("batched configs must share n, k and variant")
     k, m, stages = cfg.k, cfg.patterns, cfg.stages
-    plan = _stage_plan(cfg.n, k, cfg.variant, stages)
+    plan = _stage_plan(cfg.n, k, cfg.variant)
     alpha = np.asarray(alpha, dtype=complex)
+    theta, phi = np.asarray(theta), np.asarray(phi)
     trials = len(alpha)
+    if theta.shape != (trials,) or phi.shape != (trials,):
+        raise ValueError(f"expected {trials} angle indices per end, "
+                         f"got {theta.shape} and {phi.shape}")
+    if ((theta < 0) | (theta >= cfg.n) | (phi < 0) | (phi >= cfg.n)).any():
+        raise ValueError(f"angle indices must lie in [0, {cfg.n})")
     if noise.shape != (trials, stages, m, m):
         raise ValueError(f"expected noise of shape {(trials, stages, m, m)}, got {noise.shape}")
     powers = np.array([c.p_t for c in configs])[:, None] / plan.gains_fourth   # (Q, S)
     # sqrt(p_s) alpha pilot times the outer product of the two banks' gains on
     # the true sub-ranges, whose indices are the stage's digits of theta, phi
     amplitude = (alpha[:, None, None] * PILOT * np.sqrt(powers))[..., None, None]
-    dr = np.asarray(theta)[:, None] // plan.places % k                      # (T, S)
-    dt = np.asarray(phi)[:, None] // plan.places % k
+    dr = theta[:, None] // plan.places % k                                  # (T, S)
+    dt = phi[:, None] // plan.places % k
     stage = np.arange(stages)
     fused_noise = fuse_measurements(noise, plan.patterns)                   # (T, S, k, k)
     fused_signal = (plan.fused_receive[stage, dr][..., :, None]

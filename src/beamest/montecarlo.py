@@ -67,11 +67,10 @@ _VARIANT_KEYS = {OVERLAPPED: 1, NON_OVERLAPPED: 2}
 
 _CONFIDENCE_Z = 1.959963984540054  # two-sided 95% normal quantile
 
-# Trials per engine call, and a cap on the entries of its largest arrays,
-# shaped (trials, points, stages, k, k), so the engine's working memory stays
-# bounded for any trial count, energy grid and geometry.
-_BLOCK_TRIALS = 1024
-_BLOCK_ENTRIES = 1 << 20
+# Cap on the entries of the engine's largest arrays, shaped (trials, points,
+# stages, k, k), so its working memory stays bounded for any trial count,
+# energy grid and geometry; the fig3 grid gets about 1000 trials per block.
+_BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,7 @@ def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
         for db in cfg.et_db) for variant in cfg.variants}
     n_points = len(cfg.et_db)
     per_trial = n_points * stage_count(cfg.n, cfg.k) * cfg.k * cfg.k
-    block = max(1, min(_BLOCK_TRIALS, _BLOCK_ENTRIES // per_trial))
+    block = max(1, _BLOCK_ENTRIES // per_trial)
     width = hi - lo
     out = {variant: (np.zeros((n_points, width), dtype=bool),
                      np.zeros((n_points, width)),

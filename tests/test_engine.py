@@ -157,6 +157,20 @@ class TestSearchBatch:
         with pytest.raises(ValueError, match="noise"):
             search_batch((cfg,), [0, 1], [0, 1], [1.0, 1.0], np.zeros((1, 3, 2, 2), complex))
 
+    def test_angle_counts_checked(self):
+        cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
+        noise = np.zeros((2, 3, 2, 2), complex)
+        with pytest.raises(ValueError, match="angle indices per end"):
+            search_batch((cfg,), [4], [5, 6], [1.0, 1.0], noise)
+        with pytest.raises(ValueError, match="angle indices per end"):
+            search_batch((cfg,), [4, 5], [6], [1.0, 1.0], noise)
+
+    @pytest.mark.parametrize("theta, phi", [(-1, 0), (27, 0), (0, -1), (0, 27)])
+    def test_angle_range_checked(self, theta, phi):
+        cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
+        with pytest.raises(ValueError, match=r"\[0, 27\)"):
+            search_batch((cfg,), [theta], [phi], [1.0], np.zeros((1, 3, 2, 2), complex))
+
     def test_non_finite_fused_values_rejected(self):
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
         with np.errstate(invalid="ignore"):
