@@ -5,10 +5,17 @@ an angle of arrival and a complex fading coefficient.  Angles live on a finite
 grid of ``n`` resolvable directions spaced uniformly in the sine domain, which
 makes the grid responses mutually orthonormal; beam synthesis downstream
 relies on that orthogonality.
+
+Random streams are keyed ``(master seed, key...)`` through
+:func:`substream`.  :func:`substream_states` computes the PCG64 start states
+of a whole block of ``(trial, key)`` streams in one vectorised pass, bit for
+bit equal to seeding each one through ``SeedSequence``; sweeps reseat one
+generator with them instead of building a generator per stream.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +29,7 @@ __all__ = [
     "build_channel",
     "measure_block",
     "substream",
+    "substream_states",
 ]
 
 UNIT_NORM_TOL = 1e-9
@@ -142,6 +150,11 @@ class MeasurementNoise:
             raise ValueError(f"noise variance must be nonnegative, got {self.n0}")
         self._rng = np.random.default_rng(self.seed)
 
+    @property
+    def generator(self) -> np.random.Generator:
+        """The generator every draw comes from."""
+        return self._rng
+
     def draw(self, shape) -> np.ndarray:
         return self.draw_blocks(1, shape)[0]
 
@@ -205,3 +218,99 @@ def substream(master_seed: int, *key: int) -> np.random.SeedSequence:
     parallel without changing any result.
     """
     return np.random.SeedSequence(master_seed, spawn_key=tuple(key))
+
+
+# numpy.random.SeedSequence's pool size and hash constants (numpy >= 1.19),
+# and the multiplier of PCG64's 128-bit LCG.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's running hash constant: yields its value before and after each step."""
+    const = init
+    while True:
+        after = (const * mult) & _MASK32
+        yield const, after
+        const = after
+
+
+def _constant_arrays(constants, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``count`` hash-constant pairs as ``uint32`` columns ``(count, 1, 1)``."""
+    pairs = np.array([next(constants) for _ in range(count)], dtype=np.uint32)
+    return pairs[:, 0, None, None], pairs[:, 1, None, None]
+
+
+def _hash(value, xor, mul):
+    """SeedSequence's ``hashmix``; Python ints and ``uint32`` arrays alike."""
+    value = ((value ^ xor) * mul) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of pool word ``x`` with hashed word ``y``."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _words32(values, name: str) -> np.ndarray:
+    array = np.asarray(values)
+    if array.ndim != 1 or (array.size and (array.dtype.kind not in "iu"
+                                           or array.min() < 0 or array.max() > _MASK32)):
+        raise ValueError(f"{name} must be a 1-d sequence of integers in [0, 2**32)")
+    return array.astype(np.uint32)
+
+
+def substream_states(master_seed: int, trials, keys) -> list[list[dict]]:
+    """PCG64 start states of ``substream(master_seed, trial, key)`` for every key and trial.
+
+    ``result[j][i] == np.random.PCG64(substream(master_seed, trials[i],
+    keys[j])).state`` bit for bit, and assigning it to a PCG64's ``state``
+    reseats that generator onto the stream.  It follows SeedSequence's pool
+    mixing and ``generate_state`` hashing: the master-seed words are hashed
+    once, as scalars, and the two spawn-key words of every stream in
+    ``uint32`` arithmetic over all trials, keys and pool words at once.
+    Trial indices and keys must each fit one 32-bit word.
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be nonnegative, got {master_seed}")
+    trial_words = _words32(trials, "trial indices")
+    key_words = _words32(keys, "stream keys")[:, None]
+    # entropy: the master seed's 32-bit words, zero-padded to the pool size
+    # because a spawn key follows, then one trial word and one key word
+    words = [(master_seed >> shift) & _MASK32
+             for shift in range(0, max(master_seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, *next(constants)) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(constants)))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(constants)))
+    # each spawn-key word enters all pool words, each with its own constant
+    pool = np.array(pool, dtype=np.uint32)[:, None, None]
+    for word in (trial_words, key_words):
+        pool = _mix(pool, _hash(word, *_constant_arrays(constants, _POOL_SIZE)))
+    # generate_state(4, uint64): eight hashed pool words, paired little-endian
+    out = _hash(np.concatenate([pool, pool]),
+                *_constant_arrays(_hash_constants(_INIT_B, _MULT_B), 2 * _POOL_SIZE))
+    out = out.astype(np.uint64)
+    seed = (out[0::2] | (out[1::2] << 32)).tolist()
+    return [[_pcg64_state(*words) for words in zip(*rows)] for rows in zip(*seed)]
+
+
+def _pcg64_state(hi_state: int, lo_state: int, hi_seq: int, lo_seq: int) -> dict:
+    """PCG64's ``state`` after seeding with ``initstate`` and ``initseq`` words."""
+    inc = ((((hi_seq << 64) | lo_seq) << 1) | 1) & _MASK128
+    state = ((inc + ((hi_state << 64) | lo_state)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}

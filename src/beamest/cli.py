@@ -52,6 +52,7 @@ from .montecarlo import (
     ExperimentConfig,
     bound_csv,
     bound_table,
+    energy_from_db,
     noise_stream,
     power_for_energy,
     run_sweep,
@@ -372,9 +373,9 @@ def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
                                   master_seed=seed, n0=n0,
                                   var_alpha=_alpha_variance(cfg),
                                   variants=_variants(cfg))
+    energy = energy_from_db(et_db, n0)
     outputs = []
     for variant in experiment.variants:
-        energy = n0 * 10.0 ** (float(et_db) / 10.0)
         ecfg = EstimatorConfig(
             n=n, k=k, p_t=power_for_energy(energy, n, k, variant), n0=n0,
             var_alpha=experiment.alpha_variance, variant=variant)

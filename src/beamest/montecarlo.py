@@ -5,7 +5,11 @@ and both search variants consume that same draw, so curve comparisons are
 paired.  Noise streams are keyed per ``(trial, variant)`` and reused across
 energy points: one draw of all ``S`` stages' ``m x m`` slot noise per
 ``(trial, variant)`` yields exactly the numbers ``S`` per-stage draws would,
-and every energy point sees the same noise.  The trials then run through
+and every energy point sees the same noise.  A sweep block computes the
+start states of all its streams in one vectorised pass
+(:func:`~beamest.arrays.substream_states`) and reseats one generator per
+stream, which draws exactly what :func:`sample_channel` and
+:func:`noise_stream` give trial by trial.  The trials then run through
 :func:`~beamest.estimator.search_batch`, which needs no ``n``-element beam:
 each stage's noiseless block is the rank-one product of the two banks'
 gains on the true sub-ranges.  Trials go through in blocks of bounded size.
@@ -20,11 +24,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .analysis import pcef_upper_bound
-from .arrays import ChannelRealization, MeasurementNoise, substream
+from .arrays import ChannelRealization, MeasurementNoise, substream, substream_states
 from .codebook import overlapped_pattern_matrix
 from .estimator import (
     ALPHA_MMSE_ALL,
@@ -52,6 +57,7 @@ __all__ = [
     "SweepPoint",
     "bound_csv",
     "bound_table",
+    "energy_from_db",
     "failure_indicator",
     "power_for_energy",
     "run_sweep",
@@ -64,6 +70,9 @@ __all__ = [
 # Substream keys: 0 reserves the channel draw, variants get their own noise key.
 _CHANNEL_KEY = 0
 _VARIANT_KEYS = {OVERLAPPED: 1, NON_OVERLAPPED: 2}
+
+# Trial indices enter the stream hash as one 32-bit word each.
+_MAX_TRIALS = 1 << 32
 
 _CONFIDENCE_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -96,6 +105,10 @@ class ExperimentConfig:
         object.__setattr__(self, "variants", tuple(self.variants))
         if self.trials < 1:
             raise ValueError(f"trial count must be at least 1, got {self.trials}")
+        if self.trials > _MAX_TRIALS:
+            raise ValueError(f"trial count must be at most 2**32, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
         if not self.et_db:
             raise ValueError("energy sweep is empty")
         if any(b <= a for a, b in zip(self.et_db, self.et_db[1:])):
@@ -140,9 +153,22 @@ def failure_indicator(trace: EstimationTrace, truth: ChannelRealization) -> bool
             or truth.theta not in trace.final_receive_range)
 
 
+@lru_cache
 def stage_gains(n: int, k: int, variant: str = OVERLAPPED) -> tuple[float, ...]:
     """Per-stage codebook gain constants, read off the leftmost refinement path."""
     return tuple(codebook.gain for _, _, codebook in leftmost_path(n, k, variant))
+
+
+def energy_from_db(db: float, n0: float = 1.0) -> float:
+    """Total pilot energy ``n0 * 10^(db / 10)``; ``ValueError`` unless it is finite."""
+    db = float(db)
+    try:
+        energy = n0 * 10.0 ** (db / 10.0)
+    except OverflowError:
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise ValueError(f"pilot energy at {db!r} dB (n0 = {n0!r}) is not finite")
+    return energy
 
 
 def power_for_energy(total_energy: float, n: int, k: int, variant: str = OVERLAPPED) -> float:
@@ -205,37 +231,65 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
+def _draw_block(cfg: ExperimentConfig, trials: range, source: MeasurementNoise, stages: int):
+    """Engine inputs of ``trials``: ``(theta, phi, alpha, {variant: noise})``.
+
+    Trial for trial the same numbers as :func:`sample_channel` and
+    ``MeasurementNoise(n0, noise_stream(...)).draw_blocks``: the PCG64 behind
+    ``source`` is reseated onto each stream in turn, and ``source.n0`` sets
+    the noise variance.
+    """
+    keys = (_CHANNEL_KEY, *(_VARIANT_KEYS[variant] for variant in cfg.variants))
+    channel_states, *noise_states = substream_states(cfg.master_seed, trials, keys)
+    rng = source.generator
+    bit_generator = rng.bit_generator
+    scale = math.sqrt(cfg.alpha_variance / 2.0)
+    angles, gains = [], []
+    for state in channel_states:
+        bit_generator.state = state
+        angles.append(rng.integers(cfg.n, size=2))
+        gains.append(rng.normal(scale=scale, size=2))
+    theta, phi = np.array(angles).T
+    # each row's two normals are the real and imaginary parts, as in sample_channel
+    alpha = np.array(gains).view(complex)[:, 0]
+    noises = {}
+    for variant, states in zip(cfg.variants, noise_states):
+        m = patterns_per_end(cfg.k, variant)
+        blocks = []
+        for state in states:
+            bit_generator.state = state
+            blocks.append(source.draw_blocks(stages, (m, m)))
+        noises[variant] = np.stack(blocks)
+    return theta, phi, alpha, noises
+
+
 def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
     """Raw per-trial outcomes for trials [lo, hi) across all points and variants."""
     configs = {variant: tuple(
         EstimatorConfig(n=cfg.n, k=cfg.k,
-                        p_t=power_for_energy(cfg.n0 * 10.0 ** (db / 10.0), cfg.n, cfg.k, variant),
+                        p_t=power_for_energy(energy_from_db(db, cfg.n0), cfg.n, cfg.k, variant),
                         n0=cfg.n0, var_alpha=cfg.alpha_variance,
                         variant=variant, alpha_estimator=ALPHA_MMSE_ALL)
         for db in cfg.et_db) for variant in cfg.variants}
     n_points = len(cfg.et_db)
-    per_trial = n_points * stage_count(cfg.n, cfg.k) * cfg.k * cfg.k
+    stages = stage_count(cfg.n, cfg.k)
+    per_trial = n_points * stages * cfg.k * cfg.k
     block = max(1, _BLOCK_ENTRIES // per_trial)
     width = hi - lo
     out = {variant: (np.zeros((n_points, width), dtype=bool),
                      np.zeros((n_points, width)),
                      np.zeros((n_points, width)))
            for variant in cfg.variants}
+    # seed 0's stream is never drawn from: every trial stream reseats it
+    source = MeasurementNoise(cfg.n0)
     for start in range(lo, hi, block):
         trials = range(start, min(start + block, hi))
         columns = slice(start - lo, start - lo + len(trials))
-        channels = [sample_channel(cfg, trial) for trial in trials]
-        theta = np.array([channel.theta for channel in channels])
-        phi = np.array([channel.phi for channel in channels])
-        alpha = np.array([channel.alpha for channel in channels])
+        theta, phi, alpha, noises = _draw_block(cfg, trials, source, stages)
         alpha_mag = np.abs(alpha)[:, None]
         for variant in cfg.variants:
             ecfgs = configs[variant]
-            m = ecfgs[0].patterns
-            noise = np.stack([
-                MeasurementNoise(cfg.n0, noise_stream(cfg, trial, variant))
-                .draw_blocks(ecfgs[0].stages, (m, m)) for trial in trials])
-            batch = search_batch(ecfgs, theta, phi, alpha, noise)
+            batch = search_batch(ecfgs, theta, phi, alpha, noises[variant])
             p_t = np.array([ecfg.p_t for ecfg in ecfgs])
             mmse_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
                                            cfg.alpha_variance)
@@ -354,8 +408,7 @@ def bound_table(n: int, k: int, et_db, n0: float = 1.0,
     variance = float(n * n) if var_alpha is None else float(var_alpha)
     points = []
     for db in et_db:
-        energy = n0 * 10.0 ** (float(db) / 10.0)
-        p_t = power_for_energy(energy, n, k, OVERLAPPED)
+        p_t = power_for_energy(energy_from_db(db, n0), n, k, OVERLAPPED)
         result = pcef_upper_bound(patterns, stages, p_t, n0, variance)
         points.append(BoundPoint(et_db=float(db), per_stage=result.per_stage,
                                  raw_total=result.raw_total, bound=result.total,

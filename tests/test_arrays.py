@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamest.arrays import (
     AngleGrid,
@@ -9,6 +11,7 @@ from beamest.arrays import (
     measure_block,
     steering_vector,
     substream,
+    substream_states,
 )
 
 
@@ -189,3 +192,43 @@ class TestSubstream:
         a = np.random.default_rng(substream(7, 3, 1)).normal(size=4)
         b = np.random.default_rng(substream(7, 3, 1)).normal(size=4)
         assert np.array_equal(a, b)
+
+
+class TestSubstreamStates:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(master_seed=st.integers(0, 2**130 - 1),
+           trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+           keys=st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=3))
+    # one, two and five 32-bit seed words, and the word boundaries
+    @example(master_seed=0, trials=[0], keys=[0, 1, 2])
+    @example(master_seed=2**32 - 1, trials=[2**32 - 1], keys=[2])
+    @example(master_seed=2**32, trials=[1, 0], keys=[0])
+    @example(master_seed=2**128, trials=[7], keys=[1])
+    @example(master_seed=2**130 - 1, trials=[123456789], keys=[2, 0])
+    def test_equals_seeding_through_seed_sequence(self, master_seed, trials, keys):
+        states = substream_states(master_seed, trials, keys)
+        assert len(states) == len(keys)
+        for key, row in zip(keys, states):
+            assert row == [np.random.PCG64(substream(master_seed, trial, key)).state
+                           for trial in trials]
+
+    def test_reseated_generator_draws_the_stream(self):
+        (state,), = substream_states(7, [3], [1])
+        bit_generator = np.random.PCG64()
+        bit_generator.state = state
+        np.testing.assert_array_equal(np.random.Generator(bit_generator).normal(size=5),
+                                      np.random.default_rng(substream(7, 3, 1)).normal(size=5))
+
+    def test_accepts_ranges_and_empty_blocks(self):
+        assert substream_states(5, range(2, 4), (0,)) == substream_states(5, [2, 3], [0])
+        assert substream_states(5, [], [0, 1]) == [[], []]
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="master seed"):
+            substream_states(-1, [0], [0])
+
+    @pytest.mark.parametrize("trials, keys", [([2**32], [0]), ([-1], [0]), ([0], [-1]),
+                                              ([0.5], [0]), ([[0]], [0])])
+    def test_words_must_fit_32_bits(self, trials, keys):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            substream_states(3, trials, keys)

@@ -234,6 +234,22 @@ class TestSweepCommand:
             assert run_cli("sweep", "--config", path, "--out", tmp_path / "x", "--quiet") == 2
         assert "NaN or infinite" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, SWEEP_CFG)
+        assert run_cli("sweep", "--config", path, "--out", tmp_path / "neg", "--seed", -1,
+                       "--quiet") == 2
+        assert "master seed must be nonnegative, got -1" in capsys.readouterr().err
+
+    def test_too_many_trials_exit_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 4294967297\net_db = 10\n")
+        assert run_cli("sweep", "--config", path, "--out", tmp_path / "big", "--quiet") == 2
+        assert "at most 2**32" in capsys.readouterr().err
+
+    def test_infinite_energy_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 5\net_db = 10, 4000\n")
+        assert run_cli("sweep", "--config", path, "--out", tmp_path / "e", "--quiet") == 2
+        assert "4000.0 dB" in capsys.readouterr().err
+
     def test_manifest_echo_reproduces_run(self, tmp_path):
         path = write_cfg(tmp_path, SWEEP_CFG)
         out1 = tmp_path / "orig"
@@ -269,6 +285,11 @@ class TestBoundCommand:
         b = (out / "bound_k7_n343.csv").read_text()
         assert a != b
         assert a.startswith("et_db,bound")
+
+    def test_infinite_energy_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "n = 27\nk = 3\net_db = 10, 4000\n")
+        assert run_cli("bound", "--config", path, "--out", tmp_path / "e", "--quiet") == 2
+        assert "4000.0 dB" in capsys.readouterr().err
 
     def test_mismatched_pairs_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "n = 27, 343\nk = 3\net_db = 10\n")
@@ -306,3 +327,13 @@ class TestTraceCommand:
                        "--quiet") == 0
         assert ((out1 / "traces_overlapped.jsonl").read_bytes()
                 != (out2 / "traces_overlapped.jsonl").read_bytes())
+
+    def test_infinite_energy_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 4000\n")
+        assert run_cli("trace", "--config", path, "--out", tmp_path / "e", "--quiet") == 2
+        assert "4000.0 dB" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 6\nseed = -3\n")
+        assert run_cli("trace", "--config", path, "--out", tmp_path / "n", "--quiet") == 2
+        assert "master seed must be nonnegative, got -3" in capsys.readouterr().err

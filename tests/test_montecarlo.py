@@ -3,9 +3,19 @@ import pytest
 from scipy import stats
 
 from beamest import montecarlo
-from beamest.estimator import NON_OVERLAPPED, OVERLAPPED, run_estimation, EstimatorConfig
+from beamest.arrays import MeasurementNoise
+from beamest.estimator import (
+    NON_OVERLAPPED,
+    OVERLAPPED,
+    EstimatorConfig,
+    patterns_per_end,
+    run_estimation,
+    stage_count,
+)
 from beamest.montecarlo import (
     ExperimentConfig,
+    _draw_block,
+    energy_from_db,
     bound_csv,
     bound_table,
     failure_indicator,
@@ -70,6 +80,65 @@ class TestSampleChannel:
         assert not np.allclose(a, b)
 
 
+class TestBlockDraws:
+    """A sweep block's seeding against the per-trial reference streams."""
+
+    def _draw(self, cfg, trials, n0):
+        source = MeasurementNoise(n0, np.random.default_rng(123))
+        return source, _draw_block(cfg, trials, source, stage_count(cfg.n, cfg.k))
+
+    def test_channels_equal_sample_channel(self):
+        cfg = _cfg(n=27, var_alpha=3.5)
+        _, (theta, phi, alpha, _) = self._draw(cfg, range(37, 101), cfg.n0)
+        for i, trial in enumerate(range(37, 101)):
+            channel = sample_channel(cfg, trial)
+            assert (theta[i], phi[i]) == (channel.theta, channel.phi)
+            assert np.array(alpha[i]).tobytes() == np.array(channel.alpha).tobytes()
+
+    @pytest.mark.parametrize("n0", [0.7, 0.0])
+    def test_noise_equals_per_trial_streams(self, n0):
+        cfg = _cfg(n=27, k=3)
+        stages = stage_count(cfg.n, cfg.k)
+        source, (*_, noises) = self._draw(cfg, range(5, 25), n0)
+        assert set(noises) == set(cfg.variants)
+        for variant, noise in noises.items():
+            m = patterns_per_end(cfg.k, variant)
+            assert noise.shape == (20, stages, m, m)
+            for i, trial in enumerate(range(5, 25)):
+                expected = MeasurementNoise(n0, noise_stream(cfg, trial, variant))
+                np.testing.assert_array_equal(noise[i], expected.draw_blocks(stages, (m, m)))
+        last = np.random.PCG64(noise_stream(cfg, 24, cfg.variants[-1]))
+        if n0 == 0:
+            # nothing drawn: the generator still sits at the last stream's start
+            assert source.generator.bit_generator.state == last.state
+        else:
+            assert not (noises[OVERLAPPED] == 0).any()
+
+    def test_sweep_feeds_the_engine_the_block_draws(self, monkeypatch):
+        cfg = _cfg(n=9, trials=12)
+        seen = []
+        engine = montecarlo.search_batch
+
+        def recording(configs, theta, phi, alpha, noise):
+            seen.append((configs[0].variant, theta.tolist(), phi.tolist(), alpha.tolist(),
+                         noise))
+            return engine(configs, theta, phi, alpha, noise)
+
+        monkeypatch.setattr(montecarlo, "search_batch", recording)
+        montecarlo._sweep_chunk(cfg, 3, 12)
+        assert [variant for variant, *_ in seen] == list(cfg.variants)
+        for variant, theta, phi, alpha, noise in seen:
+            channels = [sample_channel(cfg, trial) for trial in range(3, 12)]
+            assert theta == [c.theta for c in channels]
+            assert phi == [c.phi for c in channels]
+            assert alpha == [c.alpha for c in channels]
+            m = patterns_per_end(cfg.k, variant)
+            for i, trial in enumerate(range(3, 12)):
+                expected = MeasurementNoise(cfg.n0, noise_stream(cfg, trial, variant))
+                np.testing.assert_array_equal(
+                    noise[i], expected.draw_blocks(stage_count(cfg.n, cfg.k), (m, m)))
+
+
 class TestFailureIndicator:
     def test_equivalence_with_index_match(self):
         # containment in the final singleton sub-range must agree with exact
@@ -121,6 +190,43 @@ class TestEnergyAccounting:
         a = power_for_energy(100.0, 27, 3, OVERLAPPED)
         b = power_for_energy(100.0, 27, 3, NON_OVERLAPPED)
         assert abs(a - b) / a < 1e-12
+
+
+    def test_stage_gains_cached(self, monkeypatch):
+        walks = []
+        walk = montecarlo.leftmost_path
+
+        def counting(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(montecarlo, "leftmost_path", counting)
+        stage_gains.cache_clear()
+        try:
+            first = power_for_energy(100.0, 27, 3, NON_OVERLAPPED)
+            assert power_for_energy(100.0, 27, 3, NON_OVERLAPPED) == first
+            assert stage_gains(27, 3, NON_OVERLAPPED) is stage_gains(27, 3, NON_OVERLAPPED)
+            assert walks == [(27, 3, NON_OVERLAPPED)]
+        finally:
+            stage_gains.cache_clear()
+
+
+class TestEnergyFromDb:
+    def test_values(self):
+        assert energy_from_db(20.0, 2.0) == 2.0 * 10.0 ** 2.0
+        assert energy_from_db(-np.inf) == 0.0
+
+    @pytest.mark.parametrize("db, n0", [(4000.0, 1.0), (np.inf, 1.0), (np.nan, 1.0),
+                                        (300.0, 1e300)])
+    def test_non_finite_energy_rejected(self, db, n0):
+        with pytest.raises(ValueError, match=f"{db!r} dB"):
+            energy_from_db(db, n0)
+
+    def test_sweep_and_bound_reject_it(self):
+        with pytest.raises(ValueError, match="4000.0 dB"):
+            run_sweep(_cfg(et_db=(10.0, 4000.0), trials=2))
+        with pytest.raises(ValueError, match="4000.0 dB"):
+            bound_table(9, 3, (4000.0,))
 
 
 class TestRunSweep:
@@ -211,6 +317,14 @@ class TestRunSweep:
             _cfg(variants=("sideways",))
         with pytest.raises(ValueError):
             _cfg(n=10)
+
+    def test_trial_and_seed_limits(self):
+        # trial indices must fit one 32-bit word of the stream hash
+        assert _cfg(trials=2**32).trials == 2**32
+        with pytest.raises(ValueError, match=r"at most 2\*\*32"):
+            _cfg(trials=2**32 + 1)
+        with pytest.raises(ValueError, match="master seed"):
+            _cfg(master_seed=-1)
 
     def test_pcef_statistically_non_increasing_in_energy(self):
         cfg = _cfg(n=9, et_db=(0.0, 6.0, 12.0, 18.0, 24.0), trials=2000,
