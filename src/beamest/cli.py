@@ -374,14 +374,15 @@ def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
                                   var_alpha=_alpha_variance(cfg),
                                   variants=_variants(cfg))
     energy = energy_from_db(et_db, n0)
+    # both variants see the same channel draws
+    channels = [sample_channel(experiment, trial) for trial in range(trials)]
     outputs = []
     for variant in experiment.variants:
         ecfg = EstimatorConfig(
             n=n, k=k, p_t=power_for_energy(energy, n, k, variant), n0=n0,
             var_alpha=experiment.alpha_variance, variant=variant)
         records = []
-        for trial in range(trials):
-            channel = sample_channel(experiment, trial)
+        for trial, channel in enumerate(channels):
             rng = np.random.default_rng(noise_stream(experiment, trial, variant))
             trace = run_estimation(channel, ecfg, rng)
             records.append(trace_record(trace, channel, trial=trial, seed=seed))

@@ -230,12 +230,11 @@ def synthesize_vector(profile: np.ndarray, grid: AngleGrid) -> SynthesizedBeam:
 class StageCodebook:
     """Beamforming (``f``) and combining (``w``) banks for one stage.
 
-    One column per beam.  ``f_gains`` and ``w_gains`` hold each column's
-    synthesis constant: on sub-range ``j`` the column's realized gain is that
-    constant times its pattern amplitude on ``j``.  ``gain`` is the per-stage
-    constant shared by all beams (geometric mean of those constants),
-    ``gain_spread`` records how far the individual constants straddle it
-    (max/min - 1) and ``residual`` the worst relative synthesis misfit.
+    One column per beam.  ``gain`` is the per-stage constant shared by all
+    beams (geometric mean of the columns' synthesis constants): on sub-range
+    ``j`` a column's realized gain is ``gain`` times its pattern amplitude on
+    ``j``.  ``gain_spread`` records how far the individual constants straddle
+    it (max/min - 1) and ``residual`` the worst relative synthesis misfit.
     """
 
     stage: int
@@ -244,8 +243,6 @@ class StageCodebook:
     gain: float
     gain_spread: float
     residual: float
-    f_gains: np.ndarray
-    w_gains: np.ndarray
 
 
 class StageCodebookCache:
@@ -282,8 +279,7 @@ class StageCodebookCache:
         gain = float(np.exp(np.mean(np.log(gains))))
         spread = float(gains.max() / gains.min() - 1.0)
         return StageCodebook(stage=partition.stage, f=f, w=w, gain=gain,
-                             gain_spread=spread, residual=max(res_t, res_r),
-                             f_gains=gains_t, w_gains=gains_r)
+                             gain_spread=spread, residual=max(res_t, res_r))
 
     def refine(self, parent_transmit: IndexRange, parent_receive: IndexRange,
                k: int, stage: int) -> tuple[SubrangePartition, StageCodebook]:

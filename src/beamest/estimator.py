@@ -6,21 +6,26 @@ refines.  After the final stage the angles are known to grid resolution and
 the fading coefficient is estimated from the per-stage selected measurements,
 either Bayes-optimally across all stages or from the last stage alone.
 
-The beams are exact (``U^H v = C p``) and the channel has rank one, so a
-stage's noiseless ``m x m`` block never needs the ``n``-element beams: while
-both true angles lie in the current parents it is
-``sqrt(p_s) * alpha * (g_r o P[:, dr]) (g_t o P[:, dt])^T * pilot``, with
-``g_r``, ``g_t`` the banks' per-beam gain constants and ``dr``, ``dt`` the
-base-``k`` digits of ``theta``, ``phi`` at that stage; once the search has
-left the true range it is zero.  :func:`search_batch` runs every stage on that
-signal for arrays of trials and power points at once; :func:`run_estimation`
-is a batch of one.  Sounding with the explicit beams (``measure_block`` on
-``h``, ``f``, ``w``) gives the same blocks up to beam leakage of about 1e-15.
+Every row of a pattern matrix ``P`` has squared norm ``k/m``, so every exact
+beam (``U^H v = C p``) of stage ``s`` has the same gain constant
+``C_s = sqrt(m k^(s-1) / n)`` (:func:`stage_gains`).  With the power rule
+``p_s = p_t / C_s^4`` and a rank-one channel, a stage's noiseless ``m x m``
+block is then the same at every stage: while both true angles lie in the
+current parents it is ``sqrt(p_t) * alpha * pilot * P[:, dr] P[:, dt]^T``,
+fused ``sqrt(p_t) * alpha * pilot * G[:, dr] G[dt, :]`` with ``G = P^T P``
+and ``dr``, ``dt`` the base-``k`` digits of ``theta``, ``phi`` at that stage;
+once the search has left the true range it is zero.  :func:`search_batch` runs
+every stage on that signal for arrays of trials and power points at once, and
+:func:`run_estimation` is a batch of one, so neither builds a beam or the
+``n x n`` response matrix.  Sounding with the explicit beams
+(``measure_block`` on ``h``, ``f``, ``w``, from :func:`codebook_bank`) gives
+the same blocks up to beam leakage of about 1e-15.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -58,6 +63,7 @@ __all__ = [
     "estimate_alpha_mmse",
     "fuse_measurements",
     "leftmost_path",
+    "pattern_matrix",
     "patterns_per_end",
     "run_baseline",
     "run_estimation",
@@ -65,6 +71,7 @@ __all__ = [
     "select_path",
     "slot_count",
     "stage_count",
+    "stage_gains",
     "trace_record",
     "write_trace_records",
 ]
@@ -117,6 +124,26 @@ def slot_count(n: int, k: int, variant: str = OVERLAPPED) -> int:
     return stage_count(n, k) * patterns_per_end(k, variant) ** 2
 
 
+def stage_gains(n: int, k: int, variant: str = OVERLAPPED) -> tuple[float, ...]:
+    """Per-stage beam gain constants ``C_s = sqrt(m k^(s-1) / n)``, ``s = 1..S``.
+
+    Stage ``s`` gives each of the ``k`` sub-ranges ``n / k^s`` grid points, and
+    every pattern row has squared norm ``k/m``, so every beam's target profile
+    has norm ``sqrt(n / (m k^(s-1)))`` and gain ``C_s = 1/||p||``.
+    """
+    m = patterns_per_end(k, variant)
+    return tuple(math.sqrt(m * k ** s / n) for s in range(stage_count(n, k)))
+
+
+@lru_cache(maxsize=None)
+def pattern_matrix(k: int, variant: str = OVERLAPPED) -> BeamPatternMatrix:
+    """The design's pattern matrix: identity non-overlapped, else overlapped on m beams."""
+    m = patterns_per_end(k, variant)
+    if variant == NON_OVERLAPPED:
+        return identity_pattern_matrix(k)
+    return overlapped_pattern_matrix(m)
+
+
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -160,19 +187,15 @@ class EstimatorConfig:
     def slots(self) -> int:
         return self.stages * self.patterns ** 2
 
-    def pattern_matrix(self) -> BeamPatternMatrix:
-        if self.variant == NON_OVERLAPPED:
-            return identity_pattern_matrix(self.k)
-        return overlapped_pattern_matrix(self.patterns)
-
 
 @lru_cache(maxsize=None)
 def codebook_bank(n: int, k: int, variant: str = OVERLAPPED) -> StageCodebookCache:
-    """Shared synthesis cache for every run with the same geometry."""
-    _check_variant(variant)
-    patterns = (identity_pattern_matrix(k) if variant == NON_OVERLAPPED
-                else overlapped_pattern_matrix(patterns_per_end(k, variant)))
-    return StageCodebookCache(AngleGrid(n), patterns)
+    """Shared beam-synthesis cache of one geometry.
+
+    Only ``beamest codebook`` and the tests' explicit-beam reference need
+    beams; the search runs on :func:`pattern_matrix` and :func:`stage_gains`.
+    """
+    return StageCodebookCache(AngleGrid(n), pattern_matrix(k, variant))
 
 
 def leftmost_path(n: int, k: int, variant: str = OVERLAPPED
@@ -290,46 +313,6 @@ def estimate_alpha_final_stage(
 
 
 @dataclass(frozen=True, eq=False)
-class _StagePlan:
-    """Per-stage constants of the noiseless stage signal for one geometry.
-
-    ``receive[s, d]`` is the receive bank's realized gains on sub-range ``d``
-    (``g_r o P[:, d]``) and ``fused_receive[s, d]`` that vector correlated
-    against every hypothesis (``P^T`` times it); likewise for the transmit
-    side.  ``places[s]`` is ``k^(S-1-s)``, the grid step of stage ``s``'s
-    sub-ranges.
-    """
-
-    patterns: BeamPatternMatrix
-    gains_fourth: np.ndarray      # (S,) C_s^4, so p_s = p_t / C_s^4
-    places: np.ndarray            # (S,)
-    receive: np.ndarray           # (S, k, m)
-    transmit: np.ndarray          # (S, k, m)
-    fused_receive: np.ndarray     # (S, k, k)
-    fused_transmit: np.ndarray    # (S, k, k)
-
-
-@lru_cache(maxsize=None)
-def _stage_plan(n: int, k: int, variant: str) -> _StagePlan:
-    """Built from the leftmost path: per-beam gains depend only on the stage."""
-    patterns = codebook_bank(n, k, variant).patterns
-    values = patterns.values
-    path = [cb for _, _, cb in leftmost_path(n, k, variant)]
-    stages = len(path)
-    receive = np.array([(cb.w_gains[:, None] * values).T for cb in path])
-    transmit = np.array([(cb.f_gains[:, None] * values).T for cb in path])
-    return _StagePlan(
-        patterns=patterns,
-        gains_fourth=np.array([cb.gain ** 4 for cb in path]),
-        places=k ** np.arange(stages - 1, -1, -1),
-        receive=receive,
-        transmit=transmit,
-        fused_receive=receive @ values,
-        fused_transmit=transmit @ values,
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class SearchBatch:
     """Staged-search outcome for ``T`` trials at ``Q`` power points.
 
@@ -377,7 +360,7 @@ def search_batch(configs, theta, phi, alpha, noise: np.ndarray,
     if any((c.n, c.k, c.variant) != (cfg.n, cfg.k, cfg.variant) for c in configs):
         raise ValueError("batched configs must share n, k and variant")
     k, m, stages = cfg.k, cfg.patterns, cfg.stages
-    plan = _stage_plan(cfg.n, k, cfg.variant)
+    patterns = pattern_matrix(k, cfg.variant)
     alpha = np.asarray(alpha, dtype=complex)
     theta, phi = np.asarray(theta), np.asarray(phi)
     trials = len(alpha)
@@ -388,16 +371,18 @@ def search_batch(configs, theta, phi, alpha, noise: np.ndarray,
         raise ValueError(f"angle indices must lie in [0, {cfg.n})")
     if noise.shape != (trials, stages, m, m):
         raise ValueError(f"expected noise of shape {(trials, stages, m, m)}, got {noise.shape}")
-    powers = np.array([c.p_t for c in configs])[:, None] / plan.gains_fourth   # (Q, S)
-    # sqrt(p_s) alpha pilot times the outer product of the two banks' gains on
-    # the true sub-ranges, whose indices are the stage's digits of theta, phi
-    amplitude = (alpha[:, None, None] * PILOT * np.sqrt(powers))[..., None, None]
-    dr = theta[:, None] // plan.places % k                                  # (T, S)
-    dt = phi[:, None] // plan.places % k
+    p_t = np.array([c.p_t for c in configs])
+    places = k ** np.arange(stages - 1, -1, -1)
+    # p_s = p_t / C_s^4 with C_s^2 = m k^(s-1) / n = m / (k * places) (stage_gains);
+    # it cancels the beams' gains, so every stage's signal is sqrt(p_t) alpha
+    # pilot times the pattern columns picked by the stage's digits of theta, phi
+    powers = p_t[:, None] * (k * places / m) ** 2                           # (Q, S)
+    amplitude = (alpha[:, None] * PILOT * np.sqrt(p_t))[..., None, None, None]
+    dr = theta[:, None] // places % k                                       # (T, S)
+    dt = phi[:, None] // places % k
     stage = np.arange(stages)
-    fused_noise = fuse_measurements(noise, plan.patterns)                   # (T, S, k, k)
-    fused_signal = (plan.fused_receive[stage, dr][..., :, None]
-                    * plan.fused_transmit[stage, dt][..., None, :])[:, None]
+    fused_noise = fuse_measurements(noise, patterns)                        # (T, S, k, k)
+    fused_signal = (patterns.gram[dr][..., :, None] * patterns.gram[dt][..., None, :])[:, None]
     r_on = amplitude * fused_signal + fused_noise[:, None]                  # (T, Q, S, k, k)
     kr_on, kt_on = select_path(r_on)
     correct = np.logical_and.accumulate(
@@ -414,13 +399,13 @@ def search_batch(configs, theta, phi, alpha, noise: np.ndarray,
     y = r = None
     if keep_blocks:
         on = on[..., None, None]
-        signal = (plan.receive[stage, dr][..., :, None]
-                  * plan.transmit[stage, dt][..., None, :])[:, None]
+        columns = patterns.values.T
+        signal = (columns[dr][..., :, None] * columns[dt][..., None, :])[:, None]
         y = np.where(on, amplitude * signal, 0) + noise[:, None]
         r = np.where(on, r_on, fused_noise[:, None])
     return SearchBatch(receive=receive, transmit=transmit, values=values,
                        on_track=correct[..., -1], stage_powers=powers,
-                       places=plan.places, y=y, r=r)
+                       places=places, y=y, r=r)
 
 
 def run_estimation(

@@ -11,8 +11,10 @@ start states of all its streams in one vectorised pass
 stream, which draws exactly what :func:`sample_channel` and
 :func:`noise_stream` give trial by trial.  The trials then run through
 :func:`~beamest.estimator.search_batch`, which needs no ``n``-element beam:
-each stage's noiseless block is the rank-one product of the two banks'
-gains on the true sub-ranges.  Trials go through in blocks of bounded size.
+the power rule makes every stage's noiseless block the same rank-one product
+of pattern columns, and the stage gains have a closed form
+(:func:`~beamest.estimator.stage_gains`), so neither sweeps nor the bound
+synthesize a beam.  Trials go through in blocks of bounded size.
 Aggregation uses exact integer counts for failures and exactly-rounded
 summation for error means, so results are bit-identical for any worker split
 or execution order.
@@ -24,13 +26,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .analysis import pcef_upper_bound
 from .arrays import ChannelRealization, MeasurementNoise, substream, substream_states
-from .codebook import overlapped_pattern_matrix
 from .estimator import (
     ALPHA_MMSE_ALL,
     NON_OVERLAPPED,
@@ -40,12 +40,13 @@ from .estimator import (
     EstimatorConfig,
     estimate_alpha_final_stage,
     estimate_alpha_mmse,
-    leftmost_path,
+    pattern_matrix,
     patterns_per_end,
     run_estimation,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.run_estimation
     search_batch,
     slot_count,
     stage_count,
+    stage_gains,
 )
 
 __all__ = [
@@ -153,12 +154,6 @@ def failure_indicator(trace: EstimationTrace, truth: ChannelRealization) -> bool
             or truth.theta not in trace.final_receive_range)
 
 
-@lru_cache
-def stage_gains(n: int, k: int, variant: str = OVERLAPPED) -> tuple[float, ...]:
-    """Per-stage codebook gain constants, read off the leftmost refinement path."""
-    return tuple(codebook.gain for _, _, codebook in leftmost_path(n, k, variant))
-
-
 def energy_from_db(db: float, n0: float = 1.0) -> float:
     """Total pilot energy ``n0 * 10^(db / 10)``; ``ValueError`` unless it is finite."""
     db = float(db)
@@ -172,7 +167,10 @@ def energy_from_db(db: float, n0: float = 1.0) -> float:
 
 
 def power_for_energy(total_energy: float, n: int, k: int, variant: str = OVERLAPPED) -> float:
-    """Invert ``E_T = (beams per end)^2 * sum_s p_s`` with ``p_s = p_t / C_s^4``."""
+    """Invert ``E_T = (beams per end)^2 * sum_s p_s`` with ``p_s = p_t / C_s^4``.
+
+    ``C_s`` is the closed-form stage gain of :func:`~beamest.estimator.stage_gains`.
+    """
     slots_per_stage = patterns_per_end(k, variant) ** 2
     weight = sum(c ** -4 for c in stage_gains(n, k, variant))
     return total_energy / (slots_per_stage * weight)
@@ -403,7 +401,7 @@ BOUND_CSV_HEADER = "et_db,bound,per_stage,raw_total,clamped"
 def bound_table(n: int, k: int, et_db, n0: float = 1.0,
                 var_alpha: float | None = None) -> tuple[BoundPoint, ...]:
     """Analytical failure bound for the overlapped design across an energy grid."""
-    patterns = overlapped_pattern_matrix(patterns_per_end(k, OVERLAPPED))
+    patterns = pattern_matrix(k, OVERLAPPED)
     stages = stage_count(n, k)
     variance = float(n * n) if var_alpha is None else float(var_alpha)
     points = []

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from beamest import cli
 from beamest.cli import ConfigError, load_config, main, parse_config
 from beamest.codebook import read_beam_matrix
 
@@ -310,6 +311,20 @@ class TestTraceCommand:
                     "theta_hat", "phi_hat", "alpha_hat", "correct"} <= set(record)
             complex(record["alpha"])  # parses back
             assert isinstance(record["correct"], bool)
+
+    def test_each_channel_drawn_once(self, tmp_path, monkeypatch):
+        # both variants trace the same channels, drawn once per trial
+        trials = []
+        draw = cli.sample_channel
+
+        def counting(experiment, trial):
+            trials.append(trial)
+            return draw(experiment, trial)
+
+        monkeypatch.setattr(cli, "sample_channel", counting)
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 5\net_db = 20\n")
+        assert run_cli("trace", "--config", path, "--out", tmp_path / "t", "--quiet") == 0
+        assert trials == list(range(5))
 
     def test_manifest_records_environment_only(self, tmp_path):
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 20\n")

@@ -19,7 +19,7 @@ from beamest.codebook import (
     target_profile,
     write_beam_matrix,
 )
-from beamest.estimator import VARIANTS, codebook_bank, leftmost_path
+from beamest.estimator import VARIANTS, codebook_bank, leftmost_path, stage_gains
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -197,6 +197,45 @@ class TestSynthesizeVector:
             synthesize_vector(np.zeros(8), AngleGrid(8))
 
 
+class TestClosedFormGains:
+    """Equal pattern row norms give every beam of stage s the gain sqrt(m k^(s-1) / n)."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_overlapped_row_norms(self, m):
+        p = overlapped_pattern_matrix(m)
+        np.testing.assert_allclose((p.values ** 2).sum(axis=1), p.k / m, rtol=1e-14)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_identity_row_norms(self, k):
+        p = identity_pattern_matrix(k)
+        np.testing.assert_array_equal((p.values ** 2).sum(axis=1), np.full(k, p.k / p.m))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n, k", [(27, 3), (81, 3), (243, 3), (49, 7), (343, 7),
+                                      (2401, 7)])
+    def test_stage_gains_equal_synthesized_gains(self, n, k, variant):
+        try:
+            bank = codebook_bank(n, k, variant)
+            u = bank.grid.response_matrix
+            values = bank.patterns.values
+            path = list(leftmost_path(n, k, variant))
+            gains = stage_gains(n, k, variant)
+            assert len(gains) == len(path)
+            for gain, (_, partition, cb) in zip(gains, path):
+                assert abs(cb.gain - gain) <= 1e-14 * gain
+                # realized gains carry the rounding of an n-term sum (4e-13 at n = 2401)
+                for beams, blocks in ((cb.f, partition.transmit), (cb.w, partition.receive)):
+                    realized = np.abs(u.T @ beams.conj())  # |U^H v|, U^H never copied
+                    for j, block in enumerate(blocks):
+                        covered = values[:, j] > 0
+                        np.testing.assert_allclose(
+                            realized[block.start:block.stop, covered] / values[covered, j],
+                            gain, rtol=1e-12, atol=0)
+        finally:
+            if n > 343:
+                codebook_bank.cache_clear()  # drop the 92 MB response matrix
+
+
 class TestStageCodebook:
     def test_small_stage_shape_and_norms(self):
         grid = AngleGrid(3)
@@ -226,33 +265,23 @@ class TestStageCodebook:
         assert gains[0] < gains[1] < gains[2]
 
     def test_gain_flatness_on_and_off_range(self):
+        # every column of f and w realizes cb.gain * pattern on its sub-ranges
+        # and leaks nothing outside them, also for unequal parents
         grid = AngleGrid(27)
         b = overlapped_pattern_matrix(2)
-        part = partition_subranges(IndexRange(0, 9), IndexRange(0, 9), 3, stage=2)
-        cb = build_stage_codebook(b, part, grid)
-        realized = np.abs(grid.response_matrix.conj().T @ cb.f)
-        for m in range(2):
-            for j, block in enumerate(part.transmit):
-                np.testing.assert_allclose(realized[block.start:block.stop, m],
-                                           cb.gain * b.values[m, j], atol=1e-9)
-            assert realized[9:, m].max() < 1e-9
-
-    def test_per_beam_gains_give_realized_gains(self):
-        # column m of f realizes f_gains[m] * pattern on its sub-ranges (same for w),
-        # and the stage gain is the geometric mean of all those constants
-        grid = AngleGrid(27)
-        b = overlapped_pattern_matrix(2)
-        part = partition_subranges(IndexRange(9, 18), IndexRange(0, 9), 3, stage=2)
-        cb = build_stage_codebook(b, part, grid)
-        for bank, gains, blocks in ((cb.f, cb.f_gains, part.transmit),
-                                    (cb.w, cb.w_gains, part.receive)):
-            realized = np.abs(grid.response_matrix.conj().T @ bank)
-            for m in range(2):
+        parents = ((IndexRange(0, 9), IndexRange(0, 9)), (IndexRange(9, 18), IndexRange(0, 9)))
+        for transmit, receive in parents:
+            part = partition_subranges(transmit, receive, 3, stage=2)
+            cb = build_stage_codebook(b, part, grid)
+            for bank, blocks in ((cb.f, part.transmit), (cb.w, part.receive)):
+                realized = np.abs(grid.response_matrix.conj().T @ bank)
+                covered = np.zeros(27, dtype=bool)
                 for j, block in enumerate(blocks):
-                    np.testing.assert_allclose(realized[block.start:block.stop, m],
-                                               gains[m] * b.values[m, j], atol=1e-12)
-        all_gains = np.concatenate([cb.f_gains, cb.w_gains])
-        assert abs(np.exp(np.log(all_gains).mean()) - cb.gain) < 1e-12 * cb.gain
+                    covered[block.start:block.stop] = True
+                    np.testing.assert_allclose(realized[block.start:block.stop],
+                                               np.broadcast_to(cb.gain * b.values[:, j],
+                                                               (len(block), 2)), atol=1e-12)
+                assert realized[~covered].max() < 1e-9
 
     def test_cache_reuses_end_banks(self):
         cache = StageCodebookCache(AngleGrid(9), overlapped_pattern_matrix(2))

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamest import montecarlo
-from beamest.arrays import ChannelRealization, MeasurementNoise, build_channel, measure_block
+from beamest import cli, codebook, montecarlo
+from beamest.arrays import (AngleGrid, ChannelRealization, MeasurementNoise, build_channel,
+                            measure_block)
 from beamest.codebook import IndexRange
 from beamest.estimator import (
     NON_OVERLAPPED,
@@ -217,3 +218,20 @@ def test_block_size_bounds_large_geometries(monkeypatch):
     for variant in cfg.variants:
         for a, b in zip(got[variant], expected[variant]):
             np.testing.assert_array_equal(a, b)
+
+
+def test_sweep_bound_and_trace_build_no_beam(monkeypatch, tmp_path):
+    # closed-form stage gains and the Gram-matrix stage signal need neither a
+    # beam nor the n x n response matrix, even at n = 2401
+    def build(*args):
+        raise AssertionError("built a beam or a response matrix")
+
+    codebook_bank.cache_clear()
+    monkeypatch.setattr(codebook, "synthesize_vector", build)
+    monkeypatch.setattr(AngleGrid, "response_matrix", property(build))
+    tables = montecarlo.run_sweep(ExperimentConfig(n=2401, k=7, et_db=(10.0, 30.0), trials=3))
+    assert all(p.trials == 3 for table in tables.values() for p in table.points)
+    assert len(montecarlo.bound_table(2401, 7, (10.0, 30.0))) == 2
+    config = tmp_path / "trace.cfg"
+    config.write_text("n = 343\nk = 7\ntrials = 3\net_db = 20\n")
+    assert cli.main(["trace", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0

@@ -192,25 +192,6 @@ class TestEnergyAccounting:
         assert abs(a - b) / a < 1e-12
 
 
-    def test_stage_gains_cached(self, monkeypatch):
-        walks = []
-        walk = montecarlo.leftmost_path
-
-        def counting(*args):
-            walks.append(args)
-            return walk(*args)
-
-        monkeypatch.setattr(montecarlo, "leftmost_path", counting)
-        stage_gains.cache_clear()
-        try:
-            first = power_for_energy(100.0, 27, 3, NON_OVERLAPPED)
-            assert power_for_energy(100.0, 27, 3, NON_OVERLAPPED) == first
-            assert stage_gains(27, 3, NON_OVERLAPPED) is stage_gains(27, 3, NON_OVERLAPPED)
-            assert walks == [(27, 3, NON_OVERLAPPED)]
-        finally:
-            stage_gains.cache_clear()
-
-
 class TestEnergyFromDb:
     def test_values(self):
         assert energy_from_db(20.0, 2.0) == 2.0 * 10.0 ** 2.0
