@@ -264,24 +264,30 @@ class TestStageCodebook:
             parent = part.transmit[0]
         assert gains[0] < gains[1] < gains[2]
 
-    def test_gain_flatness_on_and_off_range(self):
+    @staticmethod
+    def _assert_flat_at_stage_gain(transmit, receive):
         # every column of f and w realizes cb.gain * pattern on its sub-ranges
-        # and leaks nothing outside them, also for unequal parents
+        # and leaks nothing outside them
         grid = AngleGrid(27)
         b = overlapped_pattern_matrix(2)
-        parents = ((IndexRange(0, 9), IndexRange(0, 9)), (IndexRange(9, 18), IndexRange(0, 9)))
-        for transmit, receive in parents:
-            part = partition_subranges(transmit, receive, 3, stage=2)
-            cb = build_stage_codebook(b, part, grid)
-            for bank, blocks in ((cb.f, part.transmit), (cb.w, part.receive)):
-                realized = np.abs(grid.response_matrix.conj().T @ bank)
-                covered = np.zeros(27, dtype=bool)
-                for j, block in enumerate(blocks):
-                    covered[block.start:block.stop] = True
-                    np.testing.assert_allclose(realized[block.start:block.stop],
-                                               np.broadcast_to(cb.gain * b.values[:, j],
-                                                               (len(block), 2)), atol=1e-12)
-                assert realized[~covered].max() < 1e-9
+        part = partition_subranges(transmit, receive, 3, stage=2)
+        cb = build_stage_codebook(b, part, grid)
+        for bank, blocks in ((cb.f, part.transmit), (cb.w, part.receive)):
+            realized = np.abs(grid.response_matrix.conj().T @ bank)
+            covered = np.zeros(27, dtype=bool)
+            for j, block in enumerate(blocks):
+                covered[block.start:block.stop] = True
+                np.testing.assert_allclose(realized[block.start:block.stop],
+                                           np.broadcast_to(cb.gain * b.values[:, j],
+                                                           (len(block), 2)), atol=1e-12)
+            assert realized[~covered].max() < 1e-9
+
+    def test_gain_flatness_on_and_off_range(self):
+        self._assert_flat_at_stage_gain(IndexRange(0, 9), IndexRange(0, 9))
+
+    def test_per_beam_gains_give_realized_gains(self):
+        # unequal parents: each beam's realized gain is still the one stage gain
+        self._assert_flat_at_stage_gain(IndexRange(9, 18), IndexRange(0, 9))
 
     def test_cache_reuses_end_banks(self):
         cache = StageCodebookCache(AngleGrid(9), overlapped_pattern_matrix(2))
