@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .codebook import BeamPatternMatrix
 
@@ -51,6 +50,7 @@ def bessel_i0(z: float) -> float:
     if abs(z) > BESSEL_OVERFLOW_LIMIT:
         raise OverflowError(f"bessel_i0 overflows float64 for |z| = {abs(z)} > "
                             f"{BESSEL_OVERFLOW_LIMIT}")
+    from scipy import special  # here and below, not at the top: keeps 0.3 s out of import
     return float(special.i0(z))
 
 
@@ -63,6 +63,7 @@ def _q1_series(a: float, b: float) -> float:
     """
     if a == 0.0:
         return float(np.exp(-0.5 * b * b))
+    from scipy import special
     ratio = a / b
     x = a * b
     scale = np.exp(-0.5 * (a - b) ** 2)
@@ -99,6 +100,7 @@ def marcum_q1(a: float, b: float) -> float:
         raise ValueError(f"marcum_q1 arguments must be nonnegative, got ({a}, {b})")
     if b == 0.0:
         return 1.0
+    from scipy import special
     if a == b:
         return 0.5 * (1.0 + float(special.i0e(a * b)))
     if a < b:
@@ -161,6 +163,7 @@ def pairwise_error_fixed_alpha(ctx: PairwiseContext, alpha_mag: float) -> float:
     if alpha_mag < 0:
         raise ValueError(f"gain magnitude must be nonnegative, got {alpha_mag}")
     a, b = _rician_pair_params(alpha_mag * np.sqrt(ctx.p_t), ctx.rho, ctx.n0)
+    from scipy import special
     correction = 0.5 * float(special.i0e(a * b)) * np.exp(-0.5 * (a - b) ** 2)
     value = marcum_q1(a, b) - correction
     return float(min(max(value, 0.0), 1.0))

@@ -32,7 +32,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .codebook import write_beam_matrix
+from .codebook import realized_gains, write_beam_matrix
 from .estimator import (
     ALPHA_FINAL,
     ALPHA_MMSE_ALL,
@@ -226,22 +226,17 @@ def _gain_flatness_rows(n: int, k: int, variant: str) -> list[str]:
     For each stage and beam: worst deviation of |u_i^H f| from gain * amplitude
     inside the covered sub-ranges, and worst leakage outside them.
     """
-    bank = codebook_bank(n, k, variant)
-    grid = bank.grid
-    patterns = bank.patterns
-    rows = ["stage,beam,gain,gain_spread,residual,max_in_range_error,max_out_of_range_gain"]
+    patterns = codebook_bank(n, k, variant).patterns
+    rows = ["stage,beam,gain,residual,max_in_range_error,max_out_of_range_gain"]
     for s, partition, cb in leftmost_path(n, k, variant):
-        realized = np.abs(grid.response_matrix.conj().T @ cb.f)
-        covered = np.zeros(n, dtype=bool)
-        target = np.zeros((n, patterns.m))
-        for j, block in enumerate(partition.transmit):
-            covered[block.start:block.stop] = True
-            target[block.start:block.stop, :] = cb.gain * patterns.values[:, j]
+        realized = np.abs(realized_gains(cb.f))
+        # on the leftmost path the sub-ranges tile [0, len(target))
+        target = cb.gain * np.repeat(patterns.values.T, len(partition.transmit[0]), axis=0)
+        in_err = np.abs(realized[:len(target)] - target).max(axis=0)
+        out_gain = realized[len(target):].max(axis=0, initial=0.0)
         for m in range(patterns.m):
-            in_err = float(np.abs(realized[covered, m] - target[covered, m]).max())
-            out_gain = float(realized[~covered, m].max()) if (~covered).any() else 0.0
-            rows.append(",".join([str(s), str(m), repr(cb.gain), repr(cb.gain_spread),
-                                  repr(cb.residual), repr(in_err), repr(out_gain)]))
+            rows.append(",".join([str(s), str(m), repr(cb.gain), repr(cb.residual),
+                                  repr(float(in_err[m])), repr(float(out_gain[m]))]))
     return rows
 
 

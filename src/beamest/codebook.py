@@ -8,7 +8,10 @@ beams overlap, while the non-overlapped design uses one beam per sub-range.
 The grid responses ``U`` are orthonormal (see :class:`~beamest.arrays.AngleGrid`),
 so the system ``U^H v = C p`` for a unit-norm beam ``v`` realizing a scaled
 copy of the target gain profile ``p`` has the exact solution
-``v = U p / ||p||`` with gain constant ``C_s = 1/||p||``.
+``v = U p / ||p||`` with gain constant ``C_s = 1/||p||``.  On the sine grid
+``U[a, i] = (-1)^a exp(2 pi j a i / n) / sqrt(n)``, a signed unitary DFT, so
+``v = (-1)^a sqrt(n) ifft(p / ||p||)`` and the realized gains ``U^H v`` are
+``fft((-1)^a v) / sqrt(n)``: O(n log n) per beam, and ``U`` is never built.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "parse_complex",
     "partition_subranges",
     "read_beam_matrix",
+    "realized_gains",
     "synthesize_vector",
     "target_profile",
     "write_beam_matrix",
@@ -150,10 +154,6 @@ class SubrangePartition:
     transmit: tuple[IndexRange, ...]
     receive: tuple[IndexRange, ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.transmit)
-
 
 def partition_subranges(
     parent_transmit: IndexRange,
@@ -204,25 +204,28 @@ class SynthesizedBeam:
     residual: float
 
 
+def realized_gains(vectors: np.ndarray) -> np.ndarray:
+    """Grid gains ``U^H v`` of a vector, or of each column of a matrix, by one FFT."""
+    signs = (-1.0) ** np.arange(len(vectors))
+    return np.fft.fft((signs * vectors.T).T, axis=0) / np.sqrt(len(vectors))
+
+
 def synthesize_vector(profile: np.ndarray, grid: AngleGrid) -> SynthesizedBeam:
     """Unit-norm weights ``v`` with ``response_matrix^H v = gain * profile``.
 
     Orthonormal grid responses make ``v = U p / ||p||`` with ``gain = 1/||p||``
-    the exact solution; ``residual`` reports the relative misfit of the
-    realized gains ``U^H v`` against the scaled profile.
+    the exact solution, evaluated as one inverse FFT; ``residual`` reports the
+    relative misfit of the realized gains ``U^H v`` against the scaled profile.
     """
     profile = np.asarray(profile, dtype=float)
     if profile.shape != (grid.n,):
         raise ValueError(f"profile must have length {grid.n}, got shape {profile.shape}")
     if not profile.any():
         raise ValueError("target profile is identically zero")
-    u = grid.response_matrix
     gain = 1.0 / float(np.linalg.norm(profile))
     target = gain * profile  # unit norm, so the misfit below is already relative
-    vector = u @ target
-    # U^H v as conj(U^T conj(v)): U^T is a view, so U^H is never copied
-    realized = (u.T @ vector.conj()).conj()
-    residual = float(np.linalg.norm(realized - target))
+    vector = (-1.0) ** np.arange(grid.n) * (np.sqrt(grid.n) * np.fft.ifft(target))
+    residual = float(np.linalg.norm(realized_gains(vector) - target))
     return SynthesizedBeam(vector=vector, gain=gain, residual=residual)
 
 
@@ -230,56 +233,52 @@ def synthesize_vector(profile: np.ndarray, grid: AngleGrid) -> SynthesizedBeam:
 class StageCodebook:
     """Beamforming (``f``) and combining (``w``) banks for one stage.
 
-    One column per beam.  ``gain`` is the per-stage constant shared by all
-    beams (geometric mean of the columns' synthesis constants): on sub-range
-    ``j`` a column's realized gain is ``gain`` times its pattern amplitude on
-    ``j``.  ``gain_spread`` records how far the individual constants straddle
-    it (max/min - 1) and ``residual`` the worst relative synthesis misfit.
+    One column per beam.  Every pattern row has the same norm, so every beam
+    of the stage has the same synthesis constant ``gain``: on sub-range ``j``
+    a column's realized gain is ``gain`` times its pattern amplitude on ``j``.
+    ``residual`` is the worst relative synthesis misfit.
     """
 
     stage: int
     f: np.ndarray
     w: np.ndarray
     gain: float
-    gain_spread: float
     residual: float
 
 
 class StageCodebookCache:
     """Builds stage codebooks against one grid/pattern pair, memoizing per parent.
 
-    Distinct stages that refine the same parent block reuse the same synthesized
-    beams, which keeps repeated estimation runs cheap.
+    Each parent range is split and its bank of beams synthesized once; every
+    stage that refines it, on either end, reuses that bank.
     """
 
     def __init__(self, grid: AngleGrid, patterns: BeamPatternMatrix):
         self.grid = grid
         self.patterns = patterns
-        self._banks: dict[tuple[IndexRange, ...], tuple[np.ndarray, np.ndarray, float]] = {}
-        self._stages: dict[tuple[IndexRange, IndexRange, int],
-                           tuple[SubrangePartition, StageCodebook]] = {}
+        # parent -> (its children, their beams as columns, shared gain, worst residual)
+        self._banks: dict[IndexRange, tuple] = {}
+        self._stages: dict[tuple, tuple[SubrangePartition, StageCodebook]] = {}
 
-    def _end_bank(self, blocks: tuple[IndexRange, ...]) -> tuple[np.ndarray, np.ndarray, float]:
-        bank = self._banks.get(blocks)
+    def _end_bank(self, parent: IndexRange) -> tuple:
+        bank = self._banks.get(parent)
         if bank is None:
+            blocks = parent.split(self.patterns.k)
             beams = [synthesize_vector(
                 target_profile(self.patterns, m, blocks, self.grid.n), self.grid)
                 for m in range(self.patterns.m)]
-            matrix = np.stack([b.vector for b in beams], axis=1)
-            gains = np.array([b.gain for b in beams])
-            residual = max(b.residual for b in beams)
-            bank = (matrix, gains, residual)
-            self._banks[blocks] = bank
+            bank = (blocks, np.stack([b.vector for b in beams], axis=1), beams[0].gain,
+                    max(b.residual for b in beams))
+            self._banks[parent] = bank
         return bank
 
     def stage_codebook(self, partition: SubrangePartition) -> StageCodebook:
-        f, gains_t, res_t = self._end_bank(partition.transmit)
-        w, gains_r, res_r = self._end_bank(partition.receive)
-        gains = np.concatenate([gains_t, gains_r])
-        gain = float(np.exp(np.mean(np.log(gains))))
-        spread = float(gains.max() / gains.min() - 1.0)
-        return StageCodebook(stage=partition.stage, f=f, w=w, gain=gain,
-                             gain_spread=spread, residual=max(res_t, res_r))
+        parents = [IndexRange(blocks[0].start, blocks[-1].stop)
+                   for blocks in (partition.transmit, partition.receive)]
+        paired, codebook = self.refine(*parents, self.patterns.k, partition.stage)
+        if paired != partition:
+            raise ValueError("sub-ranges must split their parent ranges evenly")
+        return codebook
 
     def refine(self, parent_transmit: IndexRange, parent_receive: IndexRange,
                k: int, stage: int) -> tuple[SubrangePartition, StageCodebook]:
@@ -287,8 +286,13 @@ class StageCodebookCache:
         key = (parent_transmit, parent_receive, stage)
         hit = self._stages.get(key)
         if hit is None:
-            partition = partition_subranges(parent_transmit, parent_receive, k, stage)
-            hit = (partition, self.stage_codebook(partition))
+            if k != self.patterns.k or len(parent_transmit) != len(parent_receive):
+                raise ValueError(f"expected equal parents split {self.patterns.k} ways, got "
+                                 f"{parent_transmit} and {parent_receive} split {k} ways")
+            transmit, f, gain, res_t = self._end_bank(parent_transmit)
+            receive, w, _, res_r = self._end_bank(parent_receive)
+            hit = (SubrangePartition(stage, transmit, receive),
+                   StageCodebook(stage=stage, f=f, w=w, gain=gain, residual=max(res_t, res_r)))
             self._stages[key] = hit
         return hit
 
@@ -305,8 +309,7 @@ def build_stage_codebook(
 def format_complex(z: complex) -> str:
     """Serialize a complex number as ``re<+/->imj``, e.g. ``1.5+0.25j``."""
     z = complex(z)
-    imag = f"+{z.imag!r}" if z.imag >= 0 else repr(z.imag)
-    return f"{z.real!r}{imag}j"
+    return f"{z.real!r}{z.imag:+}j"  # "+" shows the sign of -0.0, which FFT beams carry
 
 
 def parse_complex(text: str) -> complex:
@@ -317,8 +320,7 @@ def write_beam_matrix(path, matrix: np.ndarray, stage: int, gain: float) -> None
     """Write a beam bank as text: header ``N M stage C_s``, then one row per antenna."""
     n, m = matrix.shape
     lines = [f"{n} {m} {stage} {gain!r}"]
-    for row in matrix:
-        lines.append(" ".join(format_complex(z) for z in row))
+    lines += [" ".join(map(format_complex, row)) for row in matrix.tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

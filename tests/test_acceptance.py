@@ -24,6 +24,7 @@ from beamest.estimator import (
     EstimatorConfig,
     codebook_bank,
     run_estimation,
+    search_batch,
     slot_count,
 )
 
@@ -123,26 +124,33 @@ def test_criterion_2_codebook_fidelity():
 def test_criterion_3_noiseless_exactness():
     started = time.perf_counter()
     trials = 10_000
+    singles = 100
     failures = 0
     for n, k, seed in ((27, 3, 101), (49, 7, 202)):
         rng = np.random.default_rng(seed)
-        cfg = EstimatorConfig(n=n, k=k, p_t=1.0, n0=0.0, var_alpha=float(n * n))
         thetas = rng.integers(n, size=trials)
         phis = rng.integers(n, size=trials)
         gains = rng.normal(size=trials) + 1j * rng.normal(size=trials)
-        for t in range(trials):
-            channel = ChannelRealization(theta=int(thetas[t]), phi=int(phis[t]),
-                                         alpha=complex(gains[t]), n=n)
-            for runner_cfg in (cfg, EstimatorConfig(n=n, k=k, p_t=1.0, n0=0.0,
-                                                    var_alpha=float(n * n),
-                                                    variant=NON_OVERLAPPED)):
-                trace = run_estimation(channel, runner_cfg)
+        for variant in (OVERLAPPED, NON_OVERLAPPED):
+            cfg = EstimatorConfig(n=n, k=k, p_t=1.0, n0=0.0, var_alpha=float(n * n),
+                                  variant=variant)
+            m = cfg.patterns
+            batch = search_batch((cfg,), thetas, phis, gains,
+                                 np.zeros((trials, cfg.stages, m, m), dtype=complex))
+            failures += int(np.count_nonzero((batch.theta_hat[:, 0] != thetas)
+                                             | (batch.phi_hat[:, 0] != phis)))
+            # the batch-of-one path on the first channels of the same draw
+            for t in range(singles):
+                channel = ChannelRealization(theta=int(thetas[t]), phi=int(phis[t]),
+                                             alpha=complex(gains[t]), n=n)
+                trace = run_estimation(channel, cfg)
                 failures += (trace.theta_hat != channel.theta
                              or trace.phi_hat != channel.phi)
     elapsed = time.perf_counter() - started
     check(3, "noiseless runs recover both angles exactly in 100% of trials",
           failures == 0 and elapsed < 30.0,
-          f"{2 * 2 * trials} runs, {failures} failures, {elapsed:.1f} s")
+          f"{2 * 2 * trials} batched and {2 * 2 * singles} single runs, "
+          f"{failures} failures, {elapsed:.1f} s")
 
 
 def test_criterion_4_mismatch_attenuation():

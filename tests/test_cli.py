@@ -121,10 +121,11 @@ class TestCodebookCommand:
         report = (out / "gain_flatness.csv").read_text().strip().split("\n")
         assert report[0].startswith("stage,beam,")
         assert len(report) == 1 + 3 * 2  # three stages, two beams each
+        header = report[0].split(",")
         for line in report[1:]:
-            fields = line.split(",")
-            assert float(fields[5]) < 1e-9   # in-range gain error
-            assert float(fields[6]) < 1e-9   # out-of-range leakage
+            fields = dict(zip(header, line.split(",")))
+            assert float(fields["max_in_range_error"]) < 1e-9
+            assert float(fields["max_out_of_range_gain"]) < 1e-9
 
     def test_larger_k_codebook(self, tmp_path):
         path = write_cfg(tmp_path, "n = 49\nk = 7\n")

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from beamest.arrays import AngleGrid
+from beamest.cli import _gain_flatness_rows
 from beamest.codebook import (
     BeamPatternMatrix,
     IndexRange,
     StageCodebookCache,
+    SubrangePartition,
     build_stage_codebook,
     format_complex,
     identity_pattern_matrix,
@@ -19,7 +21,7 @@ from beamest.codebook import (
     target_profile,
     write_beam_matrix,
 )
-from beamest.estimator import VARIANTS, codebook_bank, leftmost_path, stage_gains
+from beamest.estimator import OVERLAPPED, VARIANTS, codebook_bank, leftmost_path, stage_gains
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -236,6 +238,39 @@ class TestClosedFormGains:
                 codebook_bank.cache_clear()  # drop the 92 MB response matrix
 
 
+class TestFFTSynthesis:
+    """The FFT beams and realized gains against the explicit response matrix."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n, k", [(27, 3), (343, 7), (2401, 7)])
+    def test_matches_response_matrix_along_leftmost_path(self, n, k, variant):
+        grid = AngleGrid(n)
+        u = grid.response_matrix  # this grid's own copy, freed with it
+        patterns = codebook_bank(n, k, variant).patterns
+        rows = iter(_gain_flatness_rows(n, k, variant)[1:])
+        for stage, partition, cb in leftmost_path(n, k, variant):
+            for m in range(patterns.m):
+                profile = target_profile(patterns, m, partition.transmit, n)
+                oracle = u @ (profile / np.linalg.norm(profile))
+                beam = synthesize_vector(profile, grid)
+                assert np.linalg.norm(beam.vector - oracle) <= 1e-12 * np.linalg.norm(oracle)
+                assert beam.residual <= 1e-12
+            # the audit's in-range error and leakage, recomputed from |U^H f|
+            realized = np.abs(u.T @ cb.f.conj())
+            covered = np.zeros(n, dtype=bool)
+            target = np.zeros((n, patterns.m))
+            for j, block in enumerate(partition.transmit):
+                covered[block.start:block.stop] = True
+                target[block.start:block.stop] = cb.gain * patterns.values[:, j]
+            for m in range(patterns.m):
+                fields = next(rows).split(",")
+                assert fields[:2] == [str(stage), str(m)]
+                in_err = np.abs(realized[covered, m] - target[covered, m]).max()
+                out_gain = realized[~covered, m].max() if (~covered).any() else 0.0
+                assert abs(float(fields[-2]) - in_err) <= 1e-12
+                assert abs(float(fields[-1]) - out_gain) <= 1e-12
+
+
 class TestStageCodebook:
     def test_small_stage_shape_and_norms(self):
         grid = AngleGrid(3)
@@ -260,7 +295,8 @@ class TestStageCodebook:
             part = partition_subranges(parent, parent, 3, stage=stage)
             cb = build_stage_codebook(b, part, grid)
             gains.append(cb.gain)
-            assert cb.gain_spread < 1e-12
+            expected = stage_gains(27, 3, OVERLAPPED)[stage - 1]
+            assert abs(cb.gain - expected) <= 1e-14 * expected
             parent = part.transmit[0]
         assert gains[0] < gains[1] < gains[2]
 
@@ -296,6 +332,18 @@ class TestStageCodebook:
         c = cache.stage_codebook(part)
         assert a.f is c.f
 
+    def test_rejects_partitions_without_one_stage_gain(self):
+        # one gain per stage needs equal, evenly split parents on both ends
+        cache = StageCodebookCache(AngleGrid(9), overlapped_pattern_matrix(2))
+        with pytest.raises(ValueError):
+            cache.refine(IndexRange(0, 9), IndexRange(0, 3), 3, stage=1)
+        with pytest.raises(ValueError):
+            cache.refine(IndexRange(0, 8), IndexRange(0, 8), 4, stage=1)
+        uneven = SubrangePartition(1, (IndexRange(0, 2), IndexRange(2, 3), IndexRange(3, 9)),
+                                   IndexRange(0, 9).split(3))
+        with pytest.raises(ValueError):
+            cache.stage_codebook(uneven)
+
     def test_refine_matches_direct_build(self):
         cache = StageCodebookCache(AngleGrid(9), overlapped_pattern_matrix(2))
         partition, cb = cache.refine(IndexRange(0, 9), IndexRange(0, 9), 3, stage=1)
@@ -305,7 +353,8 @@ class TestStageCodebook:
 
 
 class TestComplexFormat:
-    @pytest.mark.parametrize("z", [1.5 + 0.25j, -2.0 - 3.5j, 0.0 + 0j, 1e-17 - 1e3j])
+    @pytest.mark.parametrize("z", [1.5 + 0.25j, -2.0 - 3.5j, 0.0 + 0j, 1e-17 - 1e3j,
+                                   complex(3e-17, -0.0)])
     def test_roundtrip(self, z):
         assert parse_complex(format_complex(z)) == z
 

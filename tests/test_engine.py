@@ -5,7 +5,11 @@ The reference sounds every stage with the synthesized ``n``-element beams
 rank-one stage signal; the two must pick the same sub-ranges.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +239,26 @@ def test_sweep_bound_and_trace_build_no_beam(monkeypatch, tmp_path):
     config = tmp_path / "trace.cfg"
     config.write_text("n = 343\nk = 7\ntrials = 3\net_db = 20\n")
     assert cli.main(["trace", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    # importing beamest and running a sweep, the bound and the engine must not
+    # load scipy.special (about 0.3 s of a cold start); a fresh interpreter,
+    # since this test process imports it for the fixed-gain functions
+    code = """
+import sys
+import numpy as np
+import beamest, beamest.cli
+from beamest.estimator import EstimatorConfig, search_batch
+from beamest.montecarlo import ExperimentConfig, bound_table, run_sweep
+grid = tuple(range(-4, 33, 2))
+run_sweep(ExperimentConfig(n=27, k=3, et_db=grid, trials=5, master_seed=8151372))
+bound_table(27, 3, grid)
+cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
+search_batch((cfg,), [4], [5], [1.0], np.zeros((1, 3, 2, 2), complex))
+assert "scipy.special" not in sys.modules, "scipy.special was loaded"
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 0, done.stderr
