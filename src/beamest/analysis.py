@@ -233,11 +233,9 @@ def pcef_upper_bound(
     if stages < 1:
         raise ValueError(f"stage count must be at least 1, got {stages}")
     k = patterns.k
-    rho = np.kron(patterns.gram, patterns.gram)
-    self_pair = np.eye(k * k, dtype=bool)
     terms = np.zeros((k * k, k * k))
-    off = ~self_pair
-    terms[off] = _rayleigh_terms(rho[off], p_t, n0, var_alpha)
+    terms[~np.eye(k * k, dtype=bool)] = _rayleigh_terms(patterns.pair_correlations,
+                                                        p_t, n0, var_alpha)
     per_stage = float(terms.sum() / (k * k))
     raw_total = stages * per_stage
     clamped = raw_total > 1.0

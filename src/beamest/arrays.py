@@ -10,7 +10,8 @@ Random streams are keyed ``(master seed, key...)`` through
 :func:`substream`.  :func:`substream_states` computes the PCG64 start states
 of a whole block of ``(trial, key)`` streams in one vectorised pass, bit for
 bit equal to seeding each one through ``SeedSequence``; sweeps reseat one
-generator with them instead of building a generator per stream.
+generator with them instead of building a generator per stream, and fill each
+stream's draws straight into a block buffer.
 """
 
 from __future__ import annotations

@@ -87,6 +87,20 @@ class BeamPatternMatrix:
         g.setflags(write=False)
         return g
 
+    @cached_property
+    def pair_correlations(self) -> np.ndarray:
+        """Correlation factor ``rho`` of every ordered pair of distinct hypotheses.
+
+        Hypothesis ``i = kr * k + kt`` is receive sub-range ``kr`` with
+        transmit sub-range ``kt``, and ``rho`` of the pair ``(i, j)`` is entry
+        ``(i, j)`` of ``gram (x) gram``.  Lists the off-diagonal entries in
+        row-major order; the diagonal pairs a hypothesis with itself.
+        """
+        k2 = self.k * self.k
+        rho = np.kron(self.gram, self.gram)[~np.eye(k2, dtype=bool)]
+        rho.setflags(write=False)
+        return rho
+
 
 def overlapped_pattern_matrix(m: int) -> BeamPatternMatrix:
     """All ``2^m - 1`` nonzero on/off combinations of ``m`` beams, one per column.
@@ -306,10 +320,14 @@ def build_stage_codebook(
     return StageCodebookCache(grid, patterns).stage_codebook(partition)
 
 
+# "+" shows the sign of -0.0, which FFT beams carry
+_COMPLEX_FORMAT = "{!r}{:+}j"
+
+
 def format_complex(z: complex) -> str:
     """Serialize a complex number as ``re<+/->imj``, e.g. ``1.5+0.25j``."""
     z = complex(z)
-    return f"{z.real!r}{z.imag:+}j"  # "+" shows the sign of -0.0, which FFT beams carry
+    return _COMPLEX_FORMAT.format(z.real, z.imag)
 
 
 def parse_complex(text: str) -> complex:
@@ -319,8 +337,12 @@ def parse_complex(text: str) -> complex:
 def write_beam_matrix(path, matrix: np.ndarray, stage: int, gain: float) -> None:
     """Write a beam bank as text: header ``N M stage C_s``, then one row per antenna."""
     n, m = matrix.shape
+    # each row's interleaved real and imaginary parts fill one template, so
+    # entries are written as format_complex writes them, one call per row
+    row_format = " ".join([_COMPLEX_FORMAT] * m).format
+    parts = np.ascontiguousarray(matrix, dtype=complex).view(float).tolist()
     lines = [f"{n} {m} {stage} {gain!r}"]
-    lines += [" ".join(map(format_complex, row)) for row in matrix.tolist()]
+    lines += [row_format(*row) for row in parts]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

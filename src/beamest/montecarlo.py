@@ -8,8 +8,10 @@ energy points: one draw of all ``S`` stages' ``m x m`` slot noise per
 and every energy point sees the same noise.  A sweep block computes the
 start states of all its streams in one vectorised pass
 (:func:`~beamest.arrays.substream_states`) and reseats one generator per
-stream, which draws exactly what :func:`sample_channel` and
-:func:`noise_stream` give trial by trial.  The trials then run through
+stream, filling each straight into its row of a block buffer (the angles from
+one raw word by numpy's bounded-integer rule, with an exact fallback), so it
+draws exactly what :func:`sample_channel` and :func:`noise_stream` give trial
+by trial.  The trials then run through
 :func:`~beamest.estimator.search_batch`, which needs no ``n``-element beam:
 the power rule makes every stage's noiseless block the same rank-one product
 of pattern columns, and the stage gains have a closed form
@@ -74,6 +76,7 @@ _VARIANT_KEYS = {OVERLAPPED: 1, NON_OVERLAPPED: 2}
 
 # Trial indices enter the stream hash as one 32-bit word each.
 _MAX_TRIALS = 1 << 32
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 _CONFIDENCE_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -241,23 +244,47 @@ def _draw_block(cfg: ExperimentConfig, trials: range, source: MeasurementNoise, 
     channel_states, *noise_states = substream_states(cfg.master_seed, trials, keys)
     rng = source.generator
     bit_generator = rng.bit_generator
-    scale = math.sqrt(cfg.alpha_variance / 2.0)
-    angles, gains = [], []
-    for state in channel_states:
+    n, count = cfg.n, len(trials)
+    # Each stream is reseated and filled straight into its row of a block
+    # buffer; scaling and the complex combine then run once per block, as the
+    # same elementwise expressions Generator.normal and draw_blocks evaluate.
+    words = np.empty(count, dtype=np.uint64)
+    gains = np.empty((count, 2))
+    for i, state in enumerate(channel_states):
         bit_generator.state = state
-        angles.append(rng.integers(cfg.n, size=2))
-        gains.append(rng.normal(scale=scale, size=2))
-    theta, phi = np.array(angles).T
+        words[i] = bit_generator.random_raw()
+        rng.standard_normal(out=gains[i])
+    # integers(n, size=2) with n <= 2**32 - 1 maps the low, then the high
+    # 32 bits of one raw word by Lemire's multiply-shift; it may reject and
+    # redraw only when a product's low half is below n, so such trials (and
+    # every trial at larger n) draw their channel again through numpy itself
+    if n < 1 << 32:
+        products = np.stack([words & _LOW32, words >> np.uint64(32)], axis=1) * np.uint64(n)
+        angles = (products >> np.uint64(32)).astype(np.int64)
+        redraw = np.flatnonzero(((products & _LOW32) < n).any(axis=1))
+    else:
+        angles = np.empty((count, 2), dtype=np.int64)
+        redraw = range(count)
+    for i in redraw:
+        bit_generator.state = channel_states[i]
+        angles[i] = rng.integers(n, size=2)
+        rng.standard_normal(out=gains[i])
+    theta, phi = angles.T
     # each row's two normals are the real and imaginary parts, as in sample_channel
-    alpha = np.array(gains).view(complex)[:, 0]
+    alpha = (0.0 + math.sqrt(cfg.alpha_variance / 2.0) * gains).view(complex)[:, 0]
     noises = {}
     for variant, states in zip(cfg.variants, noise_states):
         m = patterns_per_end(cfg.k, variant)
-        blocks = []
-        for state in states:
+        # C order matches normal(size=(stages, 2, m, m)): each stage's real
+        # parts, then its imaginary parts
+        parts = np.zeros((count, stages, 2, m, m))
+        for state, row in zip(states, parts):
             bit_generator.state = state
-            blocks.append(source.draw_blocks(stages, (m, m)))
-        noises[variant] = np.stack(blocks)
+            if source.n0:  # draw_blocks draws nothing when n0 == 0
+                rng.standard_normal(out=row)
+        parts *= np.sqrt(source.n0 / 2)
+        parts += 0.0  # normal's loc + scale * z: a -0.0 product becomes 0.0
+        noises[variant] = parts[:, :, 0] + 1j * parts[:, :, 1]
     return theta, phi, alpha, noises
 
 

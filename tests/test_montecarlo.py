@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from beamest import montecarlo
-from beamest.arrays import MeasurementNoise
+from beamest.arrays import MeasurementNoise, substream
 from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
@@ -80,6 +82,18 @@ class TestSampleChannel:
         assert not np.allclose(a, b)
 
 
+def _may_reject(cfg, trial):
+    """Whether numpy's bounded-integer rule may reject a word of this trial's angles.
+
+    ``integers(n, size=2)`` maps the low, then the high 32 bits of the
+    channel stream's first word to ``(half * n) >> 32``, and may reject only
+    when the product's low 32 bits fall below ``n``.
+    """
+    stream = substream(cfg.master_seed, trial, montecarlo._CHANNEL_KEY)
+    word = np.random.PCG64(stream).random_raw()
+    return any((half * cfg.n) % 2**32 < cfg.n for half in (word % 2**32, word >> 32))
+
+
 class TestBlockDraws:
     """A sweep block's seeding against the per-trial reference streams."""
 
@@ -106,13 +120,49 @@ class TestBlockDraws:
             assert noise.shape == (20, stages, m, m)
             for i, trial in enumerate(range(5, 25)):
                 expected = MeasurementNoise(n0, noise_stream(cfg, trial, variant))
-                np.testing.assert_array_equal(noise[i], expected.draw_blocks(stages, (m, m)))
+                # bytes, not values: the sign of a zero must match too
+                assert noise[i].tobytes() == expected.draw_blocks(stages, (m, m)).tobytes()
         last = np.random.PCG64(noise_stream(cfg, 24, cfg.variants[-1]))
         if n0 == 0:
             # nothing drawn: the generator still sits at the last stream's start
             assert source.generator.bit_generator.state == last.state
         else:
             assert not (noises[OVERLAPPED] == 0).any()
+
+    def test_block_draws_are_the_per_trial_draws(self):
+        """Byte for byte, over master seeds, trial windows, both variants and
+        grids up to ``3**19``, where numpy's bounded integers may reject a
+        word and the block must take its fallback."""
+        fallbacks = []
+
+        @settings(derandomize=True, deadline=None, max_examples=40)
+        @given(seed=st.integers(0, 2**128 - 1), start=st.integers(0, 2**32 - 40),
+               count=st.integers(1, 40), n=st.sampled_from([27, 343, 2401, 3**19]),
+               n0=st.sampled_from([0.7, 2.5]))
+        @example(seed=5, start=0, count=40, n=3**19, n0=2.5)
+        def check(seed, start, count, n, n0):
+            cfg = ExperimentConfig(n=n, k=3 if n % 3 == 0 else 7, et_db=(0.0,),
+                                   master_seed=seed, n0=n0)
+            trials = range(start, start + count)
+            stages = stage_count(cfg.n, cfg.k)
+            _, (theta, phi, alpha, noises) = self._draw(cfg, trials, n0)
+            channels = [sample_channel(cfg, trial) for trial in trials]
+            for drawn, expected in ((theta, [c.theta for c in channels]),
+                                    (phi, [c.phi for c in channels]),
+                                    (alpha, [c.alpha for c in channels])):
+                expected = np.array(expected)
+                assert (drawn.dtype, drawn.shape) == (expected.dtype, expected.shape)
+                assert drawn.tobytes() == expected.tobytes()
+            for variant, noise in noises.items():
+                m = patterns_per_end(cfg.k, variant)
+                expected = np.stack([MeasurementNoise(n0, noise_stream(cfg, trial, variant))
+                                     .draw_blocks(stages, (m, m)) for trial in trials])
+                assert (noise.dtype, noise.shape) == (expected.dtype, expected.shape)
+                assert noise.tobytes() == expected.tobytes()
+            fallbacks.append(sum(_may_reject(cfg, trial) for trial in trials))
+
+        check()
+        assert sum(fallbacks) > 0
 
     def test_sweep_feeds_the_engine_the_block_draws(self, monkeypatch):
         cfg = _cfg(n=9, trials=12)
