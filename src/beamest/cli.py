@@ -135,9 +135,12 @@ def load_config(spec: str) -> tuple[str, dict]:
     return name, parse_config(text)
 
 
-def _require(cfg: dict, key: str, kind, command: str):
+def _require(cfg: dict, key: str, kind, command: str, default=None):
+    """``cfg[key]`` checked to be of ``kind``; required unless a ``default`` is given."""
     if key not in cfg:
-        raise ConfigError(f"{command}: config key {key!r} is required")
+        if default is None:
+            raise ConfigError(f"{command}: config key {key!r} is required")
+        return default
     value = cfg[key]
     if kind is float and isinstance(value, int):
         value = float(value)
@@ -304,7 +307,8 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
     experiment = ExperimentConfig(
         n=n, k=k, et_db=_energy_grid(cfg, "sweep"),
         trials=_require(cfg, "trials", int, "sweep"),
-        master_seed=int(cfg.get("seed", 0)), n0=float(cfg.get("n0", 1.0)),
+        master_seed=_require(cfg, "seed", int, "sweep", default=0),
+        n0=float(cfg.get("n0", 1.0)),
         var_alpha=_alpha_variance(cfg), variants=_variants(cfg))
     started = time.perf_counter()
     tables = run_sweep(experiment, workers=args.workers)
@@ -362,7 +366,7 @@ def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
     et_db = cfg.get("et_db")
     if not isinstance(et_db, (int, float)) or isinstance(et_db, bool):
         raise ConfigError("trace: 'et_db' must be a single energy value in dB")
-    seed = int(cfg.get("seed", 0))
+    seed = _require(cfg, "seed", int, "trace", default=0)
     n0 = float(cfg.get("n0", 1.0))
     experiment = ExperimentConfig(n=n, k=k, et_db=(float(et_db),), trials=trials,
                                   master_seed=seed, n0=n0,

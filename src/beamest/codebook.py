@@ -88,16 +88,37 @@ class BeamPatternMatrix:
         return g
 
     @cached_property
+    def signatures(self) -> np.ndarray:
+        """``k^2``-by-``m^2`` Kronecker signatures of the hypotheses, one per row.
+
+        Hypothesis ``i = kr * k + kt`` is receive sub-range ``kr`` with
+        transmit sub-range ``kt``; row ``i`` is the flattened noiseless block
+        ``P[:, kr] P[:, kt]^T`` of a path in that pair.
+        """
+        s = np.kron(self.values.T, self.values.T)
+        s.setflags(write=False)
+        return s
+
+    @cached_property
+    def pair_gram(self) -> np.ndarray:
+        """``gram (x) gram``; row ``i`` is the flattened fused block ``G[:, kr] G[kt, :]``.
+
+        That is ``P^T`` applied on both sides of row ``i`` of :attr:`signatures`.
+        """
+        g = np.kron(self.gram, self.gram)
+        g.setflags(write=False)
+        return g
+
+    @cached_property
     def pair_correlations(self) -> np.ndarray:
         """Correlation factor ``rho`` of every ordered pair of distinct hypotheses.
 
-        Hypothesis ``i = kr * k + kt`` is receive sub-range ``kr`` with
-        transmit sub-range ``kt``, and ``rho`` of the pair ``(i, j)`` is entry
-        ``(i, j)`` of ``gram (x) gram``.  Lists the off-diagonal entries in
-        row-major order; the diagonal pairs a hypothesis with itself.
+        ``rho`` of the pair ``(i, j)`` is entry ``(i, j)`` of
+        :attr:`pair_gram`.  Lists the off-diagonal entries in row-major order;
+        the diagonal pairs a hypothesis with itself.
         """
         k2 = self.k * self.k
-        rho = np.kron(self.gram, self.gram)[~np.eye(k2, dtype=bool)]
+        rho = self.pair_gram[~np.eye(k2, dtype=bool)]
         rho.setflags(write=False)
         return rho
 

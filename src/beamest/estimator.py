@@ -20,6 +20,16 @@ every stage on that signal for arrays of trials and power points at once, and
 ``n x n`` response matrix.  Sounding with the explicit beams
 (``measure_block`` on ``h``, ``f``, ``w``, from :func:`codebook_bank`) gives
 the same blocks up to beam leakage of about 1e-15.
+
+The engine runs on flat blocks.  :func:`fuse_measurements` fuses a whole stack
+of blocks as ``(P^T y) P`` with two 2-D products over the reshaped stack,
+giving each block the bytes of its own product.  The on-track scores are one contiguous
+broadcast, ``amplitude (T, Q, 1) * signal (T, 1, S k^2)`` plus the fused
+noise, where the signal rows come from ``G (x) G``
+(:attr:`~beamest.codebook.BeamPatternMatrix.pair_gram`).  Each row of ``k^2``
+scores is picked by one ``abs`` and ``argmax`` pass, and the picked values
+are gathered through the flat index.  One check that the largest magnitude
+is finite rejects a NaN or infinite score anywhere, picked or not.
 """
 
 from __future__ import annotations
@@ -168,6 +178,9 @@ class EstimatorConfig:
                              f"expected one of {ALPHA_ESTIMATORS}")
         # computing the cached geometry validates the variant, k and n
         _ = self.patterns, self.stages
+        for key, value in (("n0", self.n0), ("var_alpha", self.var_alpha)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} is NaN or infinite: {value!r}")
         if self.p_t <= 0:
             raise ValueError(f"power constant must be positive, got {self.p_t}")
         if self.n0 < 0:
@@ -221,12 +234,33 @@ def fuse_measurements(y: np.ndarray, patterns: BeamPatternMatrix) -> np.ndarray:
     hypothesis that the path sits in receive sub-range ``kr`` and transmit
     sub-range ``kt``; flattened, that is the inner product of ``vec(y)`` with
     the unit-norm Kronecker signature of the pair.  A stack of blocks
-    ``(..., m, m)`` is fused block by block.
+    ``(..., m, m)`` is fused as ``(P^T y) P`` with two 2-D products over the
+    whole stack, the blocks side by side, so every block gets the sums a
+    block-by-block product gives.
     """
-    m = patterns.m
+    m, k = patterns.m, patterns.k
     if y.shape[-2:] != (m, m):
         raise ValueError(f"expected {m}x{m} measurement blocks, got {y.shape}")
-    return patterns.values.T @ y @ patterns.values
+    values = patterns.values
+    # rows l of every block side by side: P^T y_b lands at [:, b*m:(b+1)*m]
+    left = values.T @ y.reshape(-1, m, m).swapaxes(0, 1).reshape(m, -1)
+    fused = left.reshape(-1, m) @ values                        # rows (i, b)
+    return fused.reshape(k, -1, k).swapaxes(0, 1).reshape(*y.shape[:-2], k, k)
+
+
+def _pick(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of the largest ``|r|`` along the last axis, and the entry there.
+
+    Any NaN or infinite entry, picked or not, makes the largest magnitude
+    non-finite (NaN propagates through ``max``, an infinite entry has infinite
+    magnitude), so one reduction checks every entry.
+    """
+    magnitudes = np.abs(r)
+    if not np.isfinite(magnitudes.max(initial=0.0)):
+        raise ValueError("fused measurements contain NaN or infinite entries")
+    index = magnitudes.argmax(axis=-1)
+    offsets = np.arange(0, r.size, r.shape[-1]).reshape(index.shape)
+    return index, r.reshape(-1)[index + offsets]
 
 
 def select_path(r: np.ndarray):
@@ -236,10 +270,8 @@ def select_path(r: np.ndarray):
     deterministic.  A stack of blocks ``(..., k, k)`` gives two index arrays
     of the stack's shape instead of two ints.
     """
-    if not np.isfinite(r).all():
-        raise ValueError("fused measurements contain NaN or infinite entries")
-    flat = np.abs(r).reshape(*r.shape[:-2], -1).argmax(axis=-1)
-    kr, kt = np.divmod(flat, r.shape[-1])
+    index, _ = _pick(r.reshape(*r.shape[:-2], -1))
+    kr, kt = np.divmod(index, r.shape[-1])
     if r.ndim == 2:
         return int(kr), int(kt)
     return kr, kt
@@ -355,6 +387,15 @@ def search_batch(configs, theta, phi, alpha, noise: np.ndarray,
     stages are evaluated on track at once and the on-track mask, a running
     AND of the correct picks, chooses between the two.  ``keep_blocks`` also
     returns ``y`` and ``r``.
+
+    The engine works on flat blocks.  :func:`fuse_measurements` fuses the
+    whole noise stack in two products.  The on-track scores are
+    ``amplitude (T, Q, 1) * signal (T, 1, S k^2)`` plus the fused noise, one
+    row of ``k^2`` scores per ``(trial, point, stage)``.  Each row's pick is
+    one ``abs`` and ``argmax`` over ``(rows, k^2)``, and its value is gathered
+    through the flat index.  A NaN or infinite score anywhere raises
+    ``ValueError``, because the largest magnitude of all rows is checked to be
+    finite.
     """
     cfg = configs[0]
     if any((c.n, c.k, c.variant) != (cfg.n, cfg.k, cfg.variant) for c in configs):
@@ -363,11 +404,12 @@ def search_batch(configs, theta, phi, alpha, noise: np.ndarray,
     patterns = pattern_matrix(k, cfg.variant)
     alpha = np.asarray(alpha, dtype=complex)
     theta, phi = np.asarray(theta), np.asarray(phi)
-    trials = len(alpha)
+    trials, points = len(alpha), len(configs)
     if theta.shape != (trials,) or phi.shape != (trials,):
         raise ValueError(f"expected {trials} angle indices per end, "
                          f"got {theta.shape} and {phi.shape}")
-    if ((theta < 0) | (theta >= cfg.n) | (phi < 0) | (phi >= cfg.n)).any():
+    angles = np.array((theta, phi))
+    if angles.min(initial=0) < 0 or angles.max(initial=0) >= cfg.n:
         raise ValueError(f"angle indices must lie in [0, {cfg.n})")
     if noise.shape != (trials, stages, m, m):
         raise ValueError(f"expected noise of shape {(trials, stages, m, m)}, got {noise.shape}")
@@ -377,32 +419,30 @@ def search_batch(configs, theta, phi, alpha, noise: np.ndarray,
     # it cancels the beams' gains, so every stage's signal is sqrt(p_t) alpha
     # pilot times the pattern columns picked by the stage's digits of theta, phi
     powers = p_t[:, None] * (k * places / m) ** 2                           # (Q, S)
-    amplitude = (alpha[:, None] * PILOT * np.sqrt(p_t))[..., None, None, None]
-    dr = theta[:, None] // places % k                                       # (T, S)
-    dt = phi[:, None] // places % k
-    stage = np.arange(stages)
-    fused_noise = fuse_measurements(noise, patterns)                        # (T, S, k, k)
-    fused_signal = (patterns.gram[dr][..., :, None] * patterns.gram[dt][..., None, :])[:, None]
-    r_on = amplitude * fused_signal + fused_noise[:, None]                  # (T, Q, S, k, k)
-    kr_on, kt_on = select_path(r_on)
-    correct = np.logical_and.accumulate(
-        (kr_on == dr[:, None]) & (kt_on == dt[:, None]), axis=-1)
-    on = np.ones_like(correct)
+    amplitude = (alpha[:, None] * PILOT * np.sqrt(p_t))[..., None]          # (T, Q, 1)
+    dr, dt = angles[..., None] // places % k                                # (T, S) each
+    truth = dr * k + dt                                  # flat index of the true pair
+    fused_noise = fuse_measurements(noise, patterns).reshape(trials, 1, -1)  # (T, 1, S k^2)
+    r_on = amplitude * patterns.pair_gram[truth].reshape(trials, 1, -1)     # (T, Q, S k^2)
+    r_on += fused_noise
+    # one row of k^2 scores per (trial, point, stage)
+    r_on = r_on.reshape(trials, points, stages, -1)
+    fused_noise = fused_noise.reshape(trials, 1, stages, -1)
+    pick_on, value_on = _pick(r_on)
+    pick_off, value_off = _pick(fused_noise)
+    correct = np.logical_and.accumulate(pick_on == truth[:, None], axis=-1)
+    on = np.ones(correct.shape, dtype=bool)
     on[..., 1:] = correct[..., :-1]
     # off track, a stage sees the same noise at every point
-    kr_off, kt_off = select_path(fused_noise)
-    receive = np.where(on, kr_on, kr_off[:, None])
-    transmit = np.where(on, kt_on, kt_off[:, None])
-    rows, cols = np.arange(trials)[:, None, None], np.arange(len(configs))[:, None]
-    values = np.where(on, r_on[rows, cols, stage, kr_on, kt_on],
-                      fused_noise[rows[..., 0], stage, kr_off, kt_off][:, None])
+    receive, transmit = np.divmod(np.where(on, pick_on, pick_off), k)
+    values = np.where(on, value_on, value_off)
     y = r = None
     if keep_blocks:
-        on = on[..., None, None]
-        columns = patterns.values.T
-        signal = (columns[dr][..., :, None] * columns[dt][..., None, :])[:, None]
-        y = np.where(on, amplitude * signal, 0) + noise[:, None]
-        r = np.where(on, r_on, fused_noise[:, None])
+        on = on[..., None]
+        signal = patterns.signatures[truth][:, None]                       # (T, 1, S, m^2)
+        y = np.where(on, amplitude[..., None] * signal, 0) + noise.reshape(trials, 1, stages, -1)
+        y = y.reshape(trials, points, stages, m, m)
+        r = np.where(on, r_on, fused_noise).reshape(trials, points, stages, k, k)
     return SearchBatch(receive=receive, transmit=transmit, values=values,
                        on_track=correct[..., -1], stage_powers=powers,
                        places=places, y=y, r=r)

@@ -117,8 +117,12 @@ class ExperimentConfig:
             raise ValueError("energy sweep is empty")
         if any(b <= a for a, b in zip(self.et_db, self.et_db[1:])):
             raise ValueError("energy sweep must be strictly increasing")
+        if not math.isfinite(self.n0):
+            raise ValueError(f"n0 is NaN or infinite: {self.n0!r}")
         if self.n0 <= 0:
             raise ValueError(f"noise variance must be positive, got {self.n0}")
+        if self.var_alpha is not None and not math.isfinite(self.var_alpha):
+            raise ValueError(f"var_alpha is NaN or infinite: {self.var_alpha!r}")
         if not self.variants:
             raise ValueError("no variants selected")
         for variant in self.variants:

@@ -98,6 +98,22 @@ class TestExitCodes:
         assert run_cli("sweep", "--config", path, "--out", tmp_path) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "trace"])
+    @pytest.mark.parametrize("seed", ["inf", "1.5"])
+    def test_non_integer_seed_exits_2(self, tmp_path, capsys, command, seed):
+        # int() would overflow on inf and silently truncate 1.5
+        path = write_cfg(tmp_path, f"n = 9\nk = 3\ntrials = 2\net_db = 6\nseed = {seed}\n")
+        assert run_cli(command, "--config", path, "--out", tmp_path / "s", "--quiet") == 2
+        assert f"{command}: key 'seed' must be int, got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "s" / f"{command}_manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "trace"])
+    @pytest.mark.parametrize("key", ["n0", "var_alpha"])
+    def test_nan_noise_or_prior_exits_2(self, tmp_path, capsys, command, key):
+        path = write_cfg(tmp_path, f"n = 9\nk = 3\ntrials = 2\net_db = 6\n{key} = nan\n")
+        assert run_cli(command, "--config", path, "--out", tmp_path / "x", "--quiet") == 2
+        assert f"{key} is NaN or infinite" in capsys.readouterr().err
+
     def test_unknown_command_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("paint", "--config", "fig3")

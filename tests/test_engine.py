@@ -177,11 +177,32 @@ class TestSearchBatch:
             search_batch((cfg,), [theta], [phi], [1.0], np.zeros((1, 3, 2, 2), complex))
 
     def test_non_finite_fused_values_rejected(self):
-        cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="NaN or infinite"):
-                search_batch((cfg,), [4], [5], [complex(np.inf, 1.0)],
-                             np.zeros((1, 3, 2, 2), complex))
+        cases = [(1, complex(np.inf, 1.0), 0.0),
+                 # one non-finite noise entry in one block of a 40-trial stack
+                 (40, 1.0, np.nan), (40, 1.0, complex(0.0, np.inf))]
+        for variant in VARIANTS:
+            cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0,
+                                  variant=variant)
+            for trials, gain, bad_noise in cases:
+                noise = np.zeros((trials, 3, cfg.patterns, cfg.patterns), complex)
+                noise[trials // 2, 1, -1, 0] = bad_noise
+                with np.errstate(invalid="ignore"):
+                    with pytest.raises(ValueError, match="NaN or infinite"):
+                        search_batch((cfg,), (np.arange(trials) + 4) % 27,
+                                     (np.arange(trials) + 5) % 27, np.full(trials, gain),
+                                     noise)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ties_pick_first_flat_index(self, variant):
+        # no gain and no noise: every score is 0, so every stage of every trial
+        # and point picks hypothesis (0, 0), on and off track alike
+        cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=0.0, var_alpha=729.0, variant=variant)
+        m = cfg.patterns
+        batch = search_batch((cfg, cfg), np.arange(27), np.arange(27)[::-1], np.zeros(27),
+                             np.zeros((27, 3, m, m), complex))
+        assert batch.receive.shape == (27, 2, 3)
+        assert not batch.receive.any() and not batch.transmit.any()
+        np.testing.assert_array_equal(batch.theta_hat, 0)
 
 
 def _concatenate(chunks):

@@ -15,6 +15,7 @@ from beamest.estimator import (
     estimate_alpha_final_stage,
     estimate_alpha_mmse,
     fuse_measurements,
+    pattern_matrix,
     patterns_per_end,
     run_baseline,
     run_estimation,
@@ -89,6 +90,21 @@ class TestFuseMeasurements:
         with pytest.raises(ValueError):
             fuse_measurements(np.zeros((3, 3), dtype=complex), overlapped_pattern_matrix(2))
 
+    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("variant", [OVERLAPPED, NON_OVERLAPPED])
+    def test_stack_matches_block_by_block(self, k, variant):
+        # the whole stack goes through two 2-D products; every block must get
+        # exactly the bytes of its own (P^T y) P
+        patterns = pattern_matrix(k, variant)
+        p, m = patterns.values, patterns.m
+        rng = np.random.default_rng(k)
+        for shape in [(1, 3), (40, 3), (7, 4), (5,)]:
+            y = rng.normal(size=(*shape, m, m)) + 1j * rng.normal(size=(*shape, m, m))
+            fused = fuse_measurements(y, patterns)
+            expected = np.array([p.T @ block @ p for block in y.reshape(-1, m, m)])
+            assert fused.shape == (*shape, k, k)
+            assert fused.tobytes() == expected.tobytes()
+
 
 class TestSelectPath:
     def test_single_peak(self):
@@ -98,12 +114,29 @@ class TestSelectPath:
 
     def test_tie_break_lexicographic(self):
         assert select_path(np.ones((3, 3), dtype=complex)) == (0, 0)
+        # on a stack, every block keeps its first flat index among equal magnitudes
+        r = np.zeros((6, 5, 3, 3), dtype=complex)
+        r[..., 2, 1] = r[..., 1, 2] = 4.0
+        r[2, 3, 0, 2] = r[2, 3, 2, 0] = -5.0j
+        kr, kt = select_path(r)
+        assert kr.shape == kt.shape == (6, 5)
+        expected_kr, expected_kt = np.ones((6, 5), int), np.full((6, 5), 2)
+        expected_kr[2, 3], expected_kt[2, 3] = 0, 2
+        np.testing.assert_array_equal(kr, expected_kr)
+        np.testing.assert_array_equal(kt, expected_kt)
 
     def test_nan_rejected(self):
         r = np.zeros((2, 2), dtype=complex)
         r[0, 1] = np.nan
         with pytest.raises(ValueError):
             select_path(r)
+        # a non-finite entry off its block's peak, in one block of many
+        for bad in (np.nan, np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf)):
+            r = np.ones((40, 3, 3, 3), dtype=complex)
+            r[..., 0, 0] = 10.0
+            r[-1, -1, 0, 1] = bad
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                select_path(r)
 
     def test_magnitude_not_real_part(self):
         r = np.array([[1.0 + 0j, -3.0j], [0.5, 0.1]])
@@ -324,6 +357,12 @@ class TestConfigValidation:
     def test_grid_must_be_power_of_k(self):
         with pytest.raises(ValueError):
             _config(n=26, k=3)
+
+    @pytest.mark.parametrize("key", ["n0", "var_alpha"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_noise_and_prior_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} is NaN or infinite"):
+            _config(**{key: value})
 
     def test_bad_variant_names(self):
         with pytest.raises(ValueError):

@@ -348,6 +348,10 @@ class TestRunSweep:
             _cfg(variants=("sideways",))
         with pytest.raises(ValueError):
             _cfg(n=10)
+        for key in ("n0", "var_alpha"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{key} is NaN or infinite"):
+                    _cfg(**{key: value})
 
     def test_trial_and_seed_limits(self):
         # trial indices must fit one 32-bit word of the stream hash
