@@ -169,14 +169,15 @@ def pairwise_error_fixed_alpha(ctx: PairwiseContext, alpha_mag: float) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def _rayleigh_terms(rho, p_t: float, n0: float, var_alpha: float):
+def _rayleigh_terms(rho, p_t, n0: float, var_alpha: float):
     """Vectorized average of the fixed-gain exceedance over a Rayleigh prior.
 
     With ``alpha`` zero-mean complex Gaussian both measurements are jointly
     zero-mean Gaussian, and the exceedance probability reduces to
     ``1/2 - (B2 - A2) / (4 sqrt(1 + A2 + B2 + ((B2 - A2) / 2)^2))`` where
     ``A2, B2 = p_t var_alpha (1 -/+ sqrt(1 - rho^2)) / (2 n0)`` are the prior
-    means of the squared fixed-gain parameters.
+    means of the squared fixed-gain parameters.  ``p_t`` is a float or an
+    array that broadcasts against ``rho``.
     """
     rho = np.asarray(rho, dtype=float)
     u = p_t * var_alpha / n0
@@ -195,6 +196,13 @@ def pairwise_error_rayleigh(ctx: PairwiseContext) -> float:
     return float(_rayleigh_terms(ctx.rho, ctx.p_t, ctx.n0, ctx.var_alpha))
 
 
+# Cap on the pairwise terms held at once, (grid points, k^2 * k^2), so the bound
+# over any energy grid evaluates in blocks of bounded memory.  Each of a
+# block's temporaries (32 KB) stays in cache: at k = 7 blocks of 6 or 27
+# points ran slower per point than one point at a time.
+_BOUND_ENTRIES = 1 << 12
+
+
 @dataclass(frozen=True, eq=False)
 class BoundResult:
     """Union-bound evaluation across all hypothesis pairs and stages.
@@ -202,21 +210,22 @@ class BoundResult:
     ``terms[i, j]`` is the averaged pairwise exceedance for true pair index
     ``i = kr * k + kt`` against candidate ``j`` (self terms are exactly zero).
     ``total`` clamps the raw union bound to 1; ``clamped`` records whether
-    clamping occurred.
+    clamping occurred.  For a grid of powers the four bound fields are arrays
+    over the grid and ``terms`` is ``None``.
     """
 
     stages: int
-    per_stage: float
-    raw_total: float
-    total: float
-    clamped: bool
-    terms: np.ndarray
+    per_stage: float | np.ndarray
+    raw_total: float | np.ndarray
+    total: float | np.ndarray
+    clamped: bool | np.ndarray
+    terms: np.ndarray | None
 
 
 def pcef_upper_bound(
     patterns: BeamPatternMatrix,
     stages: int,
-    p_t: float,
+    p_t,
     n0: float,
     var_alpha: float,
 ) -> BoundResult:
@@ -229,16 +238,38 @@ def pcef_upper_bound(
     it is excluded from the sum.  Per-stage transmit powers scaled by
     ``1 / C_s^4`` make every stage statistically identical, which is why a
     single per-stage bound times ``stages`` suffices.
+
+    ``p_t`` is one power or a 1-D grid of them.  A grid goes through in
+    blocks of at most ``_BOUND_ENTRIES`` terms, one row of ``k^2 * k^2``
+    terms per point laid out as ``terms``, so memory does not grow with the
+    grid.  One power is a grid of one point.
     """
     if stages < 1:
         raise ValueError(f"stage count must be at least 1, got {stages}")
-    k = patterns.k
-    terms = np.zeros((k * k, k * k))
-    terms[~np.eye(k * k, dtype=bool)] = _rayleigh_terms(patterns.pair_correlations,
-                                                        p_t, n0, var_alpha)
-    per_stage = float(terms.sum() / (k * k))
+    k2 = patterns.k ** 2
+    powers = np.asarray(p_t, dtype=float)
+    grid = powers.reshape(-1, 1)
+    step = max(1, _BOUND_ENTRIES // (k2 * k2))
+    # a mask of the block's whole shape: one with a slice for the rows
+    # scatters several times slower
+    off_diagonal = np.tile(~np.eye(k2, dtype=bool).reshape(-1), (min(step, len(grid)), 1))
+    sums = np.empty(len(grid))
+    for start in range(0, len(grid), step):
+        block = grid[start:start + step]
+        terms = np.zeros((len(block), k2 * k2))
+        terms[off_diagonal[:len(block)]] = _rayleigh_terms(
+            patterns.pair_correlations, block, n0, var_alpha).reshape(-1)
+        # each row is summed like the whole of one point's (k^2, k^2) matrix
+        sums[start:start + step] = terms.sum(axis=1)
+    per_stage = sums / k2
     raw_total = stages * per_stage
     clamped = raw_total > 1.0
+    total = np.where(clamped, 1.0, raw_total)
+    if powers.ndim:
+        return BoundResult(stages=stages, per_stage=per_stage, raw_total=raw_total,
+                           total=total, clamped=clamped, terms=None)
+    terms = terms.reshape(k2, k2)
     terms.setflags(write=False)
-    return BoundResult(stages=stages, per_stage=per_stage, raw_total=raw_total,
-                       total=min(raw_total, 1.0), clamped=clamped, terms=terms)
+    return BoundResult(stages=stages, per_stage=float(per_stage[0]),
+                       raw_total=float(raw_total[0]), total=float(total[0]),
+                       clamped=bool(clamped[0]), terms=terms)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -74,6 +75,9 @@ KNOWN_KEYS = {
     "et_db", "et_db_min", "et_db_max", "et_db_step", "bound", "variant",
     "k_values",
 }
+
+# Most points an et_db_min/et_db_max/et_db_step range may expand to.
+MAX_GRID_POINTS = 10 ** 6
 
 
 def _parse_scalar(token: str):
@@ -157,15 +161,21 @@ def _as_list(value) -> list:
 def _energy_grid(cfg: dict, command: str) -> tuple[float, ...]:
     if "et_db" in cfg:
         return tuple(float(x) for x in _as_list(cfg["et_db"]))
-    for key in ("et_db_min", "et_db_max", "et_db_step"):
-        if key not in cfg:
-            raise ConfigError(f"{command}: need either 'et_db' or "
-                              "'et_db_min/et_db_max/et_db_step'")
-    lo, hi, step = (float(cfg[k]) for k in ("et_db_min", "et_db_max", "et_db_step"))
+    keys = ("et_db_min", "et_db_max", "et_db_step")
+    if any(key not in cfg for key in keys):
+        raise ConfigError(f"{command}: need either 'et_db' or "
+                          "'et_db_min/et_db_max/et_db_step'")
+    lo, hi, step = (_require(cfg, key, float, command) for key in keys)
+    for key, value in zip(keys, (lo, hi, step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{command}: key {key!r} must be finite, got {value!r}")
     if step <= 0 or hi < lo:
         raise ConfigError(f"{command}: bad energy grid ({lo}, {hi}, {step})")
-    count = int((hi - lo) / step + 1e-9) + 1
-    return tuple(lo + i * step for i in range(count))
+    span = (hi - lo) / step + 1e-9  # inf if hi - lo overflows
+    if span >= MAX_GRID_POINTS:
+        raise ConfigError(f"{command}: keys 'et_db_min', 'et_db_max' and 'et_db_step' "
+                          f"give more than {MAX_GRID_POINTS} energy points")
+    return tuple(lo + i * step for i in range(int(span) + 1))
 
 
 def _alpha_variance(cfg: dict) -> float | None:

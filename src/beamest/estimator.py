@@ -159,6 +159,17 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
+def _check_powers(p_t) -> np.ndarray:
+    """``p_t`` as a float array; ``ValueError`` unless every entry is finite and positive."""
+    powers = np.asarray(p_t, dtype=float)
+    for value in powers.ravel().tolist():
+        if not math.isfinite(value):
+            raise ValueError(f"power constant is NaN or infinite: {value!r}")
+        if value <= 0:
+            raise ValueError(f"power constant must be positive, got {value}")
+    return powers
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Static description of one estimation run."""
@@ -181,8 +192,7 @@ class EstimatorConfig:
         for key, value in (("n0", self.n0), ("var_alpha", self.var_alpha)):
             if not math.isfinite(value):
                 raise ValueError(f"{key} is NaN or infinite: {value!r}")
-        if self.p_t <= 0:
-            raise ValueError(f"power constant must be positive, got {self.p_t}")
+        _check_powers(self.p_t)
         if self.n0 < 0:
             raise ValueError(f"noise variance must be nonnegative, got {self.n0}")
         if self.var_alpha < 0:
@@ -373,20 +383,20 @@ class SearchBatch:
         return self.transmit @ self.places
 
 
-def search_batch(configs, theta, phi, alpha, noise: np.ndarray,
+def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray,
                  keep_blocks: bool = False) -> SearchBatch:
-    """Run every stage for ``T`` trials times ``Q`` configs at once.
+    """Run every stage for ``T`` trials times ``Q`` power points at once.
 
-    ``configs`` share ``n``, ``k`` and the variant and differ in ``p_t``
-    (one power point each); ``theta``, ``phi`` and ``alpha`` give the ``T``
-    true channels and ``noise`` their ``(T, S, m, m)`` slot noise, shared by
-    every point (see :meth:`MeasurementNoise.draw_blocks`).  A stage fuses
-    its block with ``P^T y P`` and keeps the largest ``|r|`` (first flat index
-    on ties).  Its block is the rank-one signal plus noise while every
-    earlier stage picked the true pair, and noise alone after that, so all
-    stages are evaluated on track at once and the on-track mask, a running
-    AND of the correct picks, chooses between the two.  ``keep_blocks`` also
-    returns ``y`` and ``r``.
+    ``cfg`` fixes the geometry (``n``, ``k`` and the variant); ``p_t`` lists
+    the ``Q`` power points, each finite and positive (``cfg.p_t`` is not
+    read).  ``theta``, ``phi`` and ``alpha`` give the ``T`` true channels and
+    ``noise`` their ``(T, S, m, m)`` slot noise, shared by every point (see
+    :meth:`MeasurementNoise.draw_blocks`).  A stage fuses its block with
+    ``P^T y P`` and keeps the largest ``|r|`` (first flat index on ties).  Its
+    block is the rank-one signal plus noise while every earlier stage picked
+    the true pair, and noise alone after that, so all stages are evaluated on
+    track at once and the on-track mask, a running AND of the correct picks,
+    chooses between the two.  ``keep_blocks`` also returns ``y`` and ``r``.
 
     The engine works on flat blocks.  :func:`fuse_measurements` fuses the
     whole noise stack in two products.  The on-track scores are
@@ -397,14 +407,14 @@ def search_batch(configs, theta, phi, alpha, noise: np.ndarray,
     ``ValueError``, because the largest magnitude of all rows is checked to be
     finite.
     """
-    cfg = configs[0]
-    if any((c.n, c.k, c.variant) != (cfg.n, cfg.k, cfg.variant) for c in configs):
-        raise ValueError("batched configs must share n, k and variant")
     k, m, stages = cfg.k, cfg.patterns, cfg.stages
     patterns = pattern_matrix(k, cfg.variant)
+    p_t = _check_powers(p_t)
+    if p_t.ndim != 1:
+        raise ValueError(f"expected a 1-D array of power points, got shape {p_t.shape}")
     alpha = np.asarray(alpha, dtype=complex)
     theta, phi = np.asarray(theta), np.asarray(phi)
-    trials, points = len(alpha), len(configs)
+    trials, points = len(alpha), len(p_t)
     if theta.shape != (trials,) or phi.shape != (trials,):
         raise ValueError(f"expected {trials} angle indices per end, "
                          f"got {theta.shape} and {phi.shape}")
@@ -413,7 +423,6 @@ def search_batch(configs, theta, phi, alpha, noise: np.ndarray,
         raise ValueError(f"angle indices must lie in [0, {cfg.n})")
     if noise.shape != (trials, stages, m, m):
         raise ValueError(f"expected noise of shape {(trials, stages, m, m)}, got {noise.shape}")
-    p_t = np.array([c.p_t for c in configs])
     places = k ** np.arange(stages - 1, -1, -1)
     # p_s = p_t / C_s^4 with C_s^2 = m k^(s-1) / n = m / (k * places) (stage_gains);
     # it cancels the beams' gains, so every stage's signal is sqrt(p_t) alpha
@@ -465,7 +474,7 @@ def run_estimation(
         raise ValueError(f"channel has {channel.n} antennas but config expects {cfg.n}")
     m = cfg.patterns
     noise = MeasurementNoise(cfg.n0, rng).draw_blocks(cfg.stages, (m, m))
-    batch = search_batch((cfg,), [channel.theta], [channel.phi], [channel.alpha],
+    batch = search_batch(cfg, [cfg.p_t], [channel.theta], [channel.phi], [channel.alpha],
                          noise[None], keep_blocks=True)
     receive, transmit = batch.receive[0, 0].tolist(), batch.transmit[0, 0].tolist()
     values = batch.values[0, 0]

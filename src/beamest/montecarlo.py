@@ -16,10 +16,13 @@ by trial.  The trials then run through
 the power rule makes every stage's noiseless block the same rank-one product
 of pattern columns, and the stage gains have a closed form
 (:func:`~beamest.estimator.stage_gains`), so neither sweeps nor the bound
-synthesize a beam.  Trials go through in blocks of bounded size.
-Aggregation uses exact integer counts for failures and exactly-rounded
-summation for error means, so results are bit-identical for any worker split
-or execution order.
+synthesize a beam.  Trials go through in blocks of bounded size.  The energy
+grid is one array throughout: each variant's powers come from one division
+and reach the engine together, :func:`bound_table` evaluates the grid in one
+call, and aggregation counts failures and forms Wilson intervals over all
+points at once.  Aggregation uses exact integer counts for failures and
+exactly-rounded summation for error means, so results are bit-identical for
+any worker split or execution order.
 """
 
 from __future__ import annotations
@@ -173,10 +176,12 @@ def energy_from_db(db: float, n0: float = 1.0) -> float:
     return energy
 
 
-def power_for_energy(total_energy: float, n: int, k: int, variant: str = OVERLAPPED) -> float:
+def power_for_energy(total_energy, n: int, k: int, variant: str = OVERLAPPED):
     """Invert ``E_T = (beams per end)^2 * sum_s p_s`` with ``p_s = p_t / C_s^4``.
 
     ``C_s`` is the closed-form stage gain of :func:`~beamest.estimator.stage_gains`.
+    ``total_energy`` is a float or an array of energies; the geometry's weight
+    is computed once and divided into it.
     """
     slots_per_stage = patterns_per_end(k, variant) ** 2
     weight = sum(c ** -4 for c in stage_gains(n, k, variant))
@@ -294,12 +299,16 @@ def _draw_block(cfg: ExperimentConfig, trials: range, source: MeasurementNoise, 
 
 def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
     """Raw per-trial outcomes for trials [lo, hi) across all points and variants."""
-    configs = {variant: tuple(
-        EstimatorConfig(n=cfg.n, k=cfg.k,
-                        p_t=power_for_energy(energy_from_db(db, cfg.n0), cfg.n, cfg.k, variant),
-                        n0=cfg.n0, var_alpha=cfg.alpha_variance,
-                        variant=variant, alpha_estimator=ALPHA_MMSE_ALL)
-        for db in cfg.et_db) for variant in cfg.variants}
+    energies = np.fromiter((energy_from_db(db, cfg.n0) for db in cfg.et_db), float,
+                           len(cfg.et_db))
+    powers = {variant: power_for_energy(energies, cfg.n, cfg.k, variant)
+              for variant in cfg.variants}
+    # one config per variant validates the geometry and the prior, at the
+    # grid's lowest power; the engine takes every point's power as one array
+    configs = {variant: EstimatorConfig(n=cfg.n, k=cfg.k, p_t=float(powers[variant][0]),
+                                        n0=cfg.n0, var_alpha=cfg.alpha_variance,
+                                        variant=variant, alpha_estimator=ALPHA_MMSE_ALL)
+               for variant in cfg.variants}
     n_points = len(cfg.et_db)
     stages = stage_count(cfg.n, cfg.k)
     per_trial = n_points * stages * cfg.k * cfg.k
@@ -317,9 +326,8 @@ def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
         theta, phi, alpha, noises = _draw_block(cfg, trials, source, stages)
         alpha_mag = np.abs(alpha)[:, None]
         for variant in cfg.variants:
-            ecfgs = configs[variant]
-            batch = search_batch(ecfgs, theta, phi, alpha, noises[variant])
-            p_t = np.array([ecfg.p_t for ecfg in ecfgs])
+            p_t = powers[variant]
+            batch = search_batch(configs[variant], p_t, theta, phi, alpha, noises[variant])
             mmse_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
                                            cfg.alpha_variance)
             final_hat = estimate_alpha_final_stage(batch.values[..., -1], p_t, PILOT,
@@ -331,31 +339,43 @@ def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
     return out
 
 
-def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+def wilson_interval(failures, trials: int):
     """Two-sided 95% Wilson score interval for a binomial proportion.
 
     Unlike the normal-approximation (Wald) interval it keeps a nonzero width
     at 0 and at ``trials`` failures.  The bounds are clamped so that rounding
-    never puts them on the wrong side of ``failures / trials``.
+    never puts them on the wrong side of ``failures / trials``.  An integer
+    count gives two floats; an array of counts gives two arrays, each entry
+    the floats its count alone gives.
     """
+    failures = np.asarray(failures)
     z2 = _CONFIDENCE_Z * _CONFIDENCE_Z
-    root = _CONFIDENCE_Z * math.sqrt(z2 + 4.0 * failures * (trials - failures) / trials)
+    root = _CONFIDENCE_Z * np.sqrt(z2 + 4.0 * failures * (trials - failures) / trials)
     scale = 2.0 * (trials + z2)
     pcef = failures / trials
     low = (2.0 * failures + z2 - root) / scale
     high = (2.0 * failures + z2 + root) / scale
-    return max(0.0, min(low, pcef)), min(1.0, max(high, pcef))
+    # the clamps as Python's min and max pick: the first argument unless the
+    # second is strictly smaller (larger)
+    low = np.where(pcef < low, pcef, low)
+    low = np.where(low > 0.0, low, 0.0)
+    high = np.where(pcef > high, pcef, high)
+    high = np.where(high < 1.0, high, 1.0)
+    if failures.ndim == 0:
+        return float(low), float(high)
+    return low, high
 
 
 def _aggregate(cfg: ExperimentConfig, variant: str, fails: np.ndarray,
                err_mmse: np.ndarray, err_final: np.ndarray) -> ResultTable:
     slots = slot_count(cfg.n, cfg.k, variant)
+    trials = fails.shape[1]
+    counts = fails.sum(axis=1)
+    lows, highs = wilson_interval(counts, trials)
     points = []
-    for i, db in enumerate(cfg.et_db):
-        trials = fails.shape[1]
-        failures = int(fails[i].sum())
+    for i, (db, failures, ci_low, ci_high) in enumerate(
+            zip(cfg.et_db, counts.tolist(), lows.tolist(), highs.tolist())):
         pcef = failures / trials
-        ci_low, ci_high = wilson_interval(failures, trials)
         success = ~fails[i]
         n_success = trials - failures
 
@@ -431,18 +451,27 @@ BOUND_CSV_HEADER = "et_db,bound,per_stage,raw_total,clamped"
 
 def bound_table(n: int, k: int, et_db, n0: float = 1.0,
                 var_alpha: float | None = None) -> tuple[BoundPoint, ...]:
-    """Analytical failure bound for the overlapped design across an energy grid."""
+    """Analytical failure bound for the overlapped design across an energy grid.
+
+    The whole grid's powers go through one
+    :func:`~beamest.analysis.pcef_upper_bound` call, which evaluates them in
+    blocks of bounded memory.
+    """
     patterns = pattern_matrix(k, OVERLAPPED)
     stages = stage_count(n, k)
     variance = float(n * n) if var_alpha is None else float(var_alpha)
-    points = []
-    for db in et_db:
-        p_t = power_for_energy(energy_from_db(db, n0), n, k, OVERLAPPED)
-        result = pcef_upper_bound(patterns, stages, p_t, n0, variance)
-        points.append(BoundPoint(et_db=float(db), per_stage=result.per_stage,
-                                 raw_total=result.raw_total, bound=result.total,
-                                 clamped=result.clamped))
-    return tuple(points)
+    grid = [float(db) for db in et_db]
+    energies = np.fromiter((energy_from_db(db, n0) for db in grid), float, len(grid))
+    result = pcef_upper_bound(patterns, stages, power_for_energy(energies, n, k, OVERLAPPED),
+                              n0, variance)
+    # an unclamped row's bound is its raw total, one float object for both
+    # fields, which keeps a long grid's rows as small as one-point results
+    return tuple(
+        BoundPoint(et_db=db, per_stage=per_stage, raw_total=raw_total,
+                   bound=1.0 if clamped else raw_total, clamped=clamped)
+        for db, per_stage, raw_total, clamped in zip(
+            grid, result.per_stage.tolist(), result.raw_total.tolist(),
+            result.clamped.tolist()))
 
 
 def bound_csv(points) -> str:

@@ -135,7 +135,7 @@ def test_criterion_3_noiseless_exactness():
             cfg = EstimatorConfig(n=n, k=k, p_t=1.0, n0=0.0, var_alpha=float(n * n),
                                   variant=variant)
             m = cfg.patterns
-            batch = search_batch((cfg,), thetas, phis, gains,
+            batch = search_batch(cfg, [cfg.p_t], thetas, phis, gains,
                                  np.zeros((trials, cfg.stages, m, m), dtype=complex))
             failures += int(np.count_nonzero((batch.theta_hat[:, 0] != thetas)
                                              | (batch.phi_hat[:, 0] != phis)))

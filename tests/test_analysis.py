@@ -292,6 +292,20 @@ class TestPcefUpperBound:
         # identity patterns: every one of the 72 non-self pairs has rho = 0
         assert abs(result.per_stage - 72 * term_rho0 / 9) < 1e-12
 
+    def test_grid_rows_are_single_points(self):
+        # one power is a grid of one point; its per-stage bound is its term
+        # matrix summed whole, diagonal zeros included
+        b = overlapped_pattern_matrix(3)
+        powers = [0.0, 0.5, 2.0, 1e9]
+        grid = pcef_upper_bound(b, stages=3, p_t=np.array(powers), n0=1.0, var_alpha=4.0)
+        assert grid.terms is None
+        for i, p_t in enumerate(powers):
+            one = pcef_upper_bound(b, stages=3, p_t=p_t, n0=1.0, var_alpha=4.0)
+            assert one.per_stage == float(one.terms.sum() / 49)
+            assert repr((one.per_stage, one.raw_total, one.total, one.clamped)) == repr((
+                grid.per_stage[i].item(), grid.raw_total[i].item(), grid.total[i].item(),
+                grid.clamped[i].item()))
+
     def test_bad_stage_count(self):
         with pytest.raises(ValueError):
             pcef_upper_bound(overlapped_pattern_matrix(2), stages=0, p_t=1.0,

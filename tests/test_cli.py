@@ -18,6 +18,24 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     return path
 
 
+# Range keys that are NaN, infinite or expand to too many points, with the
+# error each must exit 2 with before a grid is built.
+BAD_RANGES = [
+    pytest.param("0, inf, 1", "key 'et_db_max' must be finite", id="max-inf"),
+    pytest.param("0, 1e400, 1", "key 'et_db_max' must be finite", id="max-1e400"),
+    pytest.param("-inf, 0, 1", "key 'et_db_min' must be finite", id="min-inf"),
+    pytest.param("0, 10, nan", "key 'et_db_step' must be finite", id="step-nan"),
+    pytest.param("0, 1e12, 1", "more than 1000000 energy points", id="1e12-points"),
+    pytest.param("-1e308, 1e308, 1", "more than 1000000 energy points", id="span-overflows"),
+]
+
+
+def range_keys(values):
+    """``et_db_min/max/step`` config lines from ``"min, max, step"``."""
+    return "".join(f"{key} = {value}\n" for key, value in
+                   zip(("et_db_min", "et_db_max", "et_db_step"), values.split(", ")))
+
+
 class TestConfigParsing:
     def test_scalars_lists_comments(self):
         cfg = parse_config("""
@@ -268,6 +286,18 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", path, "--out", tmp_path / "e", "--quiet") == 2
         assert "4000.0 dB" in capsys.readouterr().err
 
+    def test_zero_power_exits_2(self, tmp_path, capsys):
+        # -4000 dB underflows the pilot energy, and so the power, to zero
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 5\net_db = -4000, 10\n")
+        assert run_cli("sweep", "--config", path, "--out", tmp_path / "z", "--quiet") == 2
+        assert "power constant must be positive, got 0.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, message", BAD_RANGES)
+    def test_bad_energy_range_exits_2(self, tmp_path, capsys, grid, message):
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 5\n" + range_keys(grid))
+        assert run_cli("sweep", "--config", path, "--out", tmp_path / "r", "--quiet") == 2
+        assert message in capsys.readouterr().err
+
     def test_manifest_echo_reproduces_run(self, tmp_path):
         path = write_cfg(tmp_path, SWEEP_CFG)
         out1 = tmp_path / "orig"
@@ -308,6 +338,12 @@ class TestBoundCommand:
         path = write_cfg(tmp_path, "n = 27\nk = 3\net_db = 10, 4000\n")
         assert run_cli("bound", "--config", path, "--out", tmp_path / "e", "--quiet") == 2
         assert "4000.0 dB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, message", BAD_RANGES)
+    def test_bad_energy_range_exits_2(self, tmp_path, capsys, grid, message):
+        path = write_cfg(tmp_path, "n = 27\nk = 3\n" + range_keys(grid))
+        assert run_cli("bound", "--config", path, "--out", tmp_path / "r", "--quiet") == 2
+        assert message in capsys.readouterr().err
 
     def test_mismatched_pairs_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "n = 27, 343\nk = 3\net_db = 10\n")

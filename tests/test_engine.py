@@ -93,10 +93,8 @@ def test_engine_matches_explicit_beam_reference(data, geometry, variant, gain, l
                               [st_.selected_transmit for st_ in trace.stages])
 
     # the same trial inside a batch: other trials around it, another power point
-    other = EstimatorConfig(n=n, k=k, p_t=4.0 * cfg.p_t, n0=1.0, var_alpha=float(n * n),
-                            variant=variant)
     thetas, phis = [(theta + 5) % n, theta, 0], [phi, phi, n - 1]
-    batch = search_batch((other, cfg), thetas, phis, [1j, alpha, -2.0],
+    batch = search_batch(cfg, [4.0 * cfg.p_t, cfg.p_t], thetas, phis, [1j, alpha, -2.0],
                          _noise(cfg, [seed + 1, seed, seed + 2]), keep_blocks=True)
     _assert_matches_reference(reference, batch.y[1, 1], batch.receive[1, 1],
                               batch.transmit[1, 1])
@@ -118,18 +116,16 @@ class TestNoise:
 
 
 class TestSearchBatch:
-    def _batch(self, cfgs, trials=40, seed=3, keep_blocks=False):
+    def _batch(self, cfg, p_t, trials=40, seed=3, keep_blocks=False):
         rng = np.random.default_rng(seed)
-        n = cfgs[0].n
-        theta, phi = rng.integers(n, size=trials), rng.integers(n, size=trials)
+        theta, phi = rng.integers(cfg.n, size=trials), rng.integers(cfg.n, size=trials)
         alpha = rng.normal(size=trials) + 1j * rng.normal(size=trials)
-        noise = _noise(cfgs[0], [seed * 1000 + t for t in range(trials)])
-        return theta, phi, search_batch(cfgs, theta, phi, alpha, noise, keep_blocks)
+        noise = _noise(cfg, [seed * 1000 + t for t in range(trials)])
+        return theta, phi, search_batch(cfg, p_t, theta, phi, alpha, noise, keep_blocks)
 
     def test_failure_is_wrong_final_pair(self):
-        cfgs = tuple(EstimatorConfig(n=27, k=3, p_t=p, n0=1.0, var_alpha=729.0)
-                     for p in (0.01, 0.1, 1.0))
-        theta, phi, batch = self._batch(cfgs, trials=200)
+        cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
+        theta, phi, batch = self._batch(cfg, [0.01, 0.1, 1.0], trials=200)
         exact = ((batch.theta_hat == theta[:, None]) & (batch.phi_hat == phi[:, None]))
         np.testing.assert_array_equal(batch.on_track, exact)
         assert 0 < batch.on_track.sum() < batch.on_track.size
@@ -137,7 +133,7 @@ class TestSearchBatch:
     def test_blocks_are_noise_alone_after_leaving_the_true_range(self):
         cfg = EstimatorConfig(n=27, k=3, p_t=0.01, n0=1.0, var_alpha=729.0)
         rng_seeds = [3000 + t for t in range(40)]
-        theta, phi, batch = self._batch((cfg,), keep_blocks=True)
+        theta, phi, batch = self._batch(cfg, [cfg.p_t], keep_blocks=True)
         noise = _noise(cfg, rng_seeds)
         left = 0
         for t in range(40):
@@ -150,31 +146,39 @@ class TestSearchBatch:
                     np.testing.assert_array_equal(batch.y[t, 0, s], noise[t, s])
         assert left > 0
 
-    def test_configs_must_share_geometry(self):
-        a = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
-        b = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0,
-                            variant=NON_OVERLAPPED)
-        with pytest.raises(ValueError, match="share"):
-            search_batch((a, b), [0], [0], [1.0], np.zeros((1, 3, 2, 2), complex))
+    @pytest.mark.parametrize("bad, message", [
+        (0.0, "power constant must be positive, got 0.0"),
+        (-1.0, "power constant must be positive, got -1.0"),
+        (np.nan, "power constant is NaN or infinite: nan"),
+        (np.inf, "power constant is NaN or infinite: inf")])
+    def test_power_array_checked(self, bad, message):
+        # one bad entry among good ones rejects the whole array
+        cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
+        with pytest.raises(ValueError, match=message):
+            search_batch(cfg, [1.0, bad, 2.0], [0], [0], [1.0],
+                         np.zeros((1, 3, 2, 2), complex))
+        with pytest.raises(ValueError, match="1-D array of power points"):
+            search_batch(cfg, [[1.0]], [0], [0], [1.0], np.zeros((1, 3, 2, 2), complex))
 
     def test_noise_shape_checked(self):
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
         with pytest.raises(ValueError, match="noise"):
-            search_batch((cfg,), [0, 1], [0, 1], [1.0, 1.0], np.zeros((1, 3, 2, 2), complex))
+            search_batch(cfg, [1.0], [0, 1], [0, 1], [1.0, 1.0],
+                         np.zeros((1, 3, 2, 2), complex))
 
     def test_angle_counts_checked(self):
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
         noise = np.zeros((2, 3, 2, 2), complex)
         with pytest.raises(ValueError, match="angle indices per end"):
-            search_batch((cfg,), [4], [5, 6], [1.0, 1.0], noise)
+            search_batch(cfg, [1.0], [4], [5, 6], [1.0, 1.0], noise)
         with pytest.raises(ValueError, match="angle indices per end"):
-            search_batch((cfg,), [4, 5], [6], [1.0, 1.0], noise)
+            search_batch(cfg, [1.0], [4, 5], [6], [1.0, 1.0], noise)
 
     @pytest.mark.parametrize("theta, phi", [(-1, 0), (27, 0), (0, -1), (0, 27)])
     def test_angle_range_checked(self, theta, phi):
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
         with pytest.raises(ValueError, match=r"\[0, 27\)"):
-            search_batch((cfg,), [theta], [phi], [1.0], np.zeros((1, 3, 2, 2), complex))
+            search_batch(cfg, [1.0], [theta], [phi], [1.0], np.zeros((1, 3, 2, 2), complex))
 
     def test_non_finite_fused_values_rejected(self):
         cases = [(1, complex(np.inf, 1.0), 0.0),
@@ -188,7 +192,7 @@ class TestSearchBatch:
                 noise[trials // 2, 1, -1, 0] = bad_noise
                 with np.errstate(invalid="ignore"):
                     with pytest.raises(ValueError, match="NaN or infinite"):
-                        search_batch((cfg,), (np.arange(trials) + 4) % 27,
+                        search_batch(cfg, [1.0], (np.arange(trials) + 4) % 27,
                                      (np.arange(trials) + 5) % 27, np.full(trials, gain),
                                      noise)
 
@@ -198,8 +202,8 @@ class TestSearchBatch:
         # and point picks hypothesis (0, 0), on and off track alike
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=0.0, var_alpha=729.0, variant=variant)
         m = cfg.patterns
-        batch = search_batch((cfg, cfg), np.arange(27), np.arange(27)[::-1], np.zeros(27),
-                             np.zeros((27, 3, m, m), complex))
+        batch = search_batch(cfg, [1.0, 1.0], np.arange(27), np.arange(27)[::-1],
+                             np.zeros(27), np.zeros((27, 3, m, m), complex))
         assert batch.receive.shape == (27, 2, 3)
         assert not batch.receive.any() and not batch.transmit.any()
         np.testing.assert_array_equal(batch.theta_hat, 0)
@@ -276,7 +280,7 @@ grid = tuple(range(-4, 33, 2))
 run_sweep(ExperimentConfig(n=27, k=3, et_db=grid, trials=5, master_seed=8151372))
 bound_table(27, 3, grid)
 cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
-search_batch((cfg,), [4], [5], [1.0], np.zeros((1, 3, 2, 2), complex))
+search_batch(cfg, [1.0], [4], [5], [1.0], np.zeros((1, 3, 2, 2), complex))
 assert "scipy.special" not in sys.modules, "scipy.special was loaded"
 """
     src = Path(__file__).resolve().parents[1] / "src"

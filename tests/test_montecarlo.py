@@ -1,22 +1,32 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from beamest import montecarlo
+from beamest import analysis, cli, montecarlo
+from beamest.analysis import _rayleigh_terms
 from beamest.arrays import MeasurementNoise, substream
 from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
     EstimatorConfig,
+    pattern_matrix,
     patterns_per_end,
     run_estimation,
+    slot_count,
     stage_count,
 )
 from beamest.montecarlo import (
+    BoundPoint,
     ExperimentConfig,
+    SweepPoint,
+    _aggregate,
     _draw_block,
+    _sweep_chunk,
     energy_from_db,
     bound_csv,
     bound_table,
@@ -169,10 +179,9 @@ class TestBlockDraws:
         seen = []
         engine = montecarlo.search_batch
 
-        def recording(configs, theta, phi, alpha, noise):
-            seen.append((configs[0].variant, theta.tolist(), phi.tolist(), alpha.tolist(),
-                         noise))
-            return engine(configs, theta, phi, alpha, noise)
+        def recording(ecfg, p_t, theta, phi, alpha, noise):
+            seen.append((ecfg.variant, theta.tolist(), phi.tolist(), alpha.tolist(), noise))
+            return engine(ecfg, p_t, theta, phi, alpha, noise)
 
         monkeypatch.setattr(montecarlo, "search_batch", recording)
         montecarlo._sweep_chunk(cfg, 3, 12)
@@ -370,8 +379,71 @@ class TestRunSweep:
             assert b.pcef <= a.pcef + band
 
 
+def _wilson_reference(failures, trials):
+    """The Wilson interval of one count in Python float arithmetic."""
+    z2 = TestWilsonInterval.Z * TestWilsonInterval.Z
+    root = TestWilsonInterval.Z * math.sqrt(z2 + 4.0 * failures * (trials - failures) / trials)
+    scale = 2.0 * (trials + z2)
+    pcef = failures / trials
+    low = (2.0 * failures + z2 - root) / scale
+    high = (2.0 * failures + z2 + root) / scale
+    return max(0.0, min(low, pcef)), min(1.0, max(high, pcef))
+
+
+def _aggregate_reference(cfg, variant, fails, err_mmse, err_final):
+    """Sweep rows one energy point at a time, each with its own count and interval."""
+    slots = slot_count(cfg.n, cfg.k, variant)
+    points = []
+    for i, db in enumerate(cfg.et_db):
+        trials = fails.shape[1]
+        failures = int(fails[i].sum())
+        ci_low, ci_high = _wilson_reference(failures, trials)
+        success = ~fails[i]
+        n_success = trials - failures
+
+        def conditional_mean(errors):
+            if n_success == 0:
+                return math.nan
+            return math.fsum(errors[success].tolist()) / n_success
+
+        points.append(SweepPoint(
+            et_db=db, pcef=failures / trials, ci_low=ci_low, ci_high=ci_high,
+            low_count=failures < 5 or n_success < 5,
+            relerr_mmse_all=math.fsum(err_mmse[i].tolist()) / trials,
+            relerr_mmse_success=conditional_mean(err_mmse[i]),
+            relerr_final_all=math.fsum(err_final[i].tolist()) / trials,
+            relerr_final_success=conditional_mean(err_final[i]),
+            trials=trials, failures=failures, slots=slots))
+    return points
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+def test_aggregate_matches_per_point_rows(preset):
+    # the preset's geometry, grid and seed at a smaller trial budget
+    _, raw = cli.load_config(preset)
+    cfg = ExperimentConfig(n=raw["n"], k=raw["k"], et_db=cli._energy_grid(raw, "sweep"),
+                           trials=1000, master_seed=raw["seed"])
+    chunk = _sweep_chunk(cfg, 0, cfg.trials)
+    for variant in cfg.variants:
+        got = _aggregate(cfg, variant, *chunk[variant]).points
+        expected = _aggregate_reference(cfg, variant, *chunk[variant])
+        assert [repr(p) for p in got] == [repr(p) for p in expected]
+
+
 class TestWilsonInterval:
     Z = 1.959963984540054
+
+    def test_arrays_match_scalar_calls(self):
+        cases = [(trials, range(trials + 1)) for trials in range(1, 61)]
+        cases += [(trials, (0, 1, 5, trials // 2, trials - 1, trials))
+                  for trials in (10_000, 2**32)]
+        for trials, counts in cases:
+            lows, highs = wilson_interval(np.array(counts), trials)
+            for count, low, high in zip(counts, lows.tolist(), highs.tolist()):
+                scalar = wilson_interval(count, trials)
+                assert tuple(map(type, scalar)) == (float, float)
+                assert repr((low, high)) == repr(scalar)
+                assert repr(scalar) == repr(_wilson_reference(count, trials))
 
     def _textbook(self, failures, trials):
         # centre and half-width form: (p + z^2/2n) / (1 + z^2/n) +- ...
@@ -415,7 +487,42 @@ class TestWilsonInterval:
         assert point.ci_high > 0.0
 
 
+def _bound_point_reference(n, k, db):
+    """One grid point on its own ``(k^2, k^2)`` term matrix, summed whole."""
+    p_t = power_for_energy(energy_from_db(db), n, k)
+    terms = np.zeros((k * k, k * k))
+    terms[~np.eye(k * k, dtype=bool)] = _rayleigh_terms(
+        pattern_matrix(k, OVERLAPPED).pair_correlations, p_t, 1.0, float(n * n))
+    per_stage = float(terms.sum() / (k * k))
+    raw_total = stage_count(n, k) * per_stage
+    return BoundPoint(et_db=float(db), per_stage=per_stage, raw_total=raw_total,
+                      bound=min(raw_total, 1.0), clamped=raw_total > 1.0)
+
+
 class TestBoundTable:
+    @pytest.mark.parametrize("n, k", [(27, 3), (343, 7), (2401, 7)])
+    @pytest.mark.parametrize("entries", [None, 7 * 81, 1 << 16],
+                             ids=["default-blocks", "small-blocks", "large-blocks"])
+    def test_grid_equals_per_point_evaluation(self, monkeypatch, n, k, entries):
+        if entries:
+            monkeypatch.setattr(analysis, "_BOUND_ENTRIES", entries)
+        grid = (float("-inf"),) + tuple(-20.0 + 0.5 * i for i in range(100))
+        expected = [_bound_point_reference(n, k, db) for db in grid]
+        assert [repr(p) for p in bound_table(n, k, grid)] == [repr(p) for p in expected]
+
+    def test_grid_memory_bounded(self):
+        # a (points, k^4) array of all terms at once would take 960 MB here
+        grid = tuple(-20.0 + 0.001 * i for i in range(50_000))
+        bound_table(49, 7, grid[:2])  # warm the caches
+        tracemalloc.start()
+        try:
+            points = bound_table(49, 7, grid)
+            output, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == len(grid)
+        assert peak < 2 * output, (output, peak)
+
     def test_rows_and_clamping(self):
         points = bound_table(27, 3, et_db=(float("-inf"), 0.0, 30.0))
         assert points[0].bound == 1.0 and points[0].clamped
