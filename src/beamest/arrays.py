@@ -9,14 +9,19 @@ relies on that orthogonality.
 Random streams are keyed ``(master seed, key...)`` through
 :func:`substream`.  :func:`substream_states` computes the PCG64 start states
 of a whole block of ``(trial, key)`` streams in one vectorised pass, bit for
-bit equal to seeding each one through ``SeedSequence``; sweeps reseat one
-generator with them instead of building a generator per stream, and fill each
-stream's draws straight into a block buffer.
+bit equal to seeding each one through ``SeedSequence``, as one ``uint64``
+array of 64-bit state and increment words.  Sweeps reseat one generator with
+its rows through :func:`reseater` instead of building a generator per stream,
+and fill each stream's draws straight into a block buffer.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +34,7 @@ __all__ = [
     "steering_vector",
     "build_channel",
     "measure_block",
+    "reseater",
     "substream",
     "substream_states",
 ]
@@ -147,6 +153,8 @@ class MeasurementNoise:
     seed: int | np.random.SeedSequence | np.random.Generator = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.n0):
+            raise ValueError(f"n0 is NaN or infinite: {self.n0!r}")
         if self.n0 < 0:
             raise ValueError(f"noise variance must be nonnegative, got {self.n0}")
         self._rng = np.random.default_rng(self.seed)
@@ -228,8 +236,10 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG64_MULT_HI, _PCG64_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+# uint64 scalars only: a Python int would let numpy < 2 promote the limbs to float64
+_LOW32 = np.uint64(_MASK32)
+_ONE, _SHIFT32, _SHIFT63 = np.uint64(1), np.uint64(32), np.uint64(63)
 
 
 def _hash_constants(init: int, mult: int):
@@ -267,16 +277,18 @@ def _words32(values, name: str) -> np.ndarray:
     return array.astype(np.uint32)
 
 
-def substream_states(master_seed: int, trials, keys) -> list[list[dict]]:
+def substream_states(master_seed: int, trials, keys) -> np.ndarray:
     """PCG64 start states of ``substream(master_seed, trial, key)`` for every key and trial.
 
-    ``result[j][i] == np.random.PCG64(substream(master_seed, trials[i],
-    keys[j])).state`` bit for bit, and assigning it to a PCG64's ``state``
-    reseats that generator onto the stream.  It follows SeedSequence's pool
-    mixing and ``generate_state`` hashing: the master-seed words are hashed
-    once, as scalars, and the two spawn-key words of every stream in
-    ``uint32`` arithmetic over all trials, keys and pool words at once.
-    Trial indices and keys must each fit one 32-bit word.
+    Returns a ``(len(keys), len(trials), 4)`` ``uint64`` array whose row
+    ``[j, i]`` holds the words ``[state_lo, state_hi, inc_lo, inc_hi]`` of
+    ``np.random.PCG64(substream(master_seed, trials[i], keys[j])).state``,
+    bit for bit.  It follows SeedSequence's pool mixing and
+    ``generate_state`` hashing: the master-seed words are hashed once, as
+    scalars, and the two spawn-key words of every stream in ``uint32``
+    arithmetic over all trials, keys and pool words at once; PCG64's seeding
+    then runs on 64-bit limbs.  Trial indices and keys must each fit one
+    32-bit word.
     """
     master_seed = operator.index(master_seed)
     if master_seed < 0:
@@ -305,13 +317,98 @@ def substream_states(master_seed: int, trials, keys) -> list[list[dict]]:
     out = _hash(np.concatenate([pool, pool]),
                 *_constant_arrays(_hash_constants(_INIT_B, _MULT_B), 2 * _POOL_SIZE))
     out = out.astype(np.uint64)
-    seed = (out[0::2] | (out[1::2] << 32)).tolist()
-    return [[_pcg64_state(*words) for words in zip(*rows)] for rows in zip(*seed)]
+    state_hi, state_lo, seq_hi, seq_lo = out[0::2] | (out[1::2] << _SHIFT32)
+    # PCG64 seeding: inc = 2 initseq + 1, state = (inc + initstate) MULT + inc
+    inc_lo = (seq_lo << _ONE) | _ONE
+    inc_hi = (seq_hi << _ONE) | (seq_lo >> _SHIFT63)
+    lo, hi = _add128(inc_lo, inc_hi, state_lo, state_hi)
+    lo, hi = _mul128(lo, hi, _PCG64_MULT_LO, _PCG64_MULT_HI)
+    lo, hi = _add128(lo, hi, inc_lo, inc_hi)
+    return np.stack([lo, hi, inc_lo, inc_hi], axis=-1)
 
 
-def _pcg64_state(hi_state: int, lo_state: int, hi_seq: int, lo_seq: int) -> dict:
-    """PCG64's ``state`` after seeding with ``initstate`` and ``initseq`` words."""
-    inc = ((((hi_seq << 64) | lo_seq) << 1) | 1) & _MASK128
-    state = ((inc + ((hi_state << 64) | lo_state)) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+def _add128(a_lo, a_hi, b_lo, b_hi):
+    """``a + b mod 2**128`` on ``uint64`` limbs."""
+    lo = a_lo + b_lo
+    return lo, a_hi + b_hi + (lo < a_lo).astype(np.uint64)
+
+
+def _mul128(a_lo, a_hi, b_lo, b_hi):
+    """``a * b mod 2**128`` on ``uint64`` limbs, carrying through 32-bit partial products."""
+    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _SHIFT32, b_lo & _LOW32, b_lo >> _SHIFT32
+    middle = (a0 * b0 >> _SHIFT32) + (a0 * b1 & _LOW32) + (a1 * b0 & _LOW32)
+    carry = a1 * b1 + (a0 * b1 >> _SHIFT32) + (a1 * b0 >> _SHIFT32) + (middle >> _SHIFT32)
+    return a_lo * b_lo, carry + a_lo * b_hi + a_hi * b_lo
+
+
+def _state_views(bit_generator: np.random.PCG64) -> tuple[np.ndarray, np.ndarray]:
+    """``uint64`` views of a PCG64's ``[state_lo, state_hi, inc_lo, inc_hi]``
+    words and of its buffered half-word.
+
+    ``ctypes.state_address`` points at numpy's ``pcg64_state``: a pointer to
+    the 128-bit state and increment, then the ``has_uint32`` flag and the
+    ``uinteger`` half-word, which one ``uint64`` covers.  The views do not
+    keep ``bit_generator`` alive.
+    """
+    head = np.ctypeslib.as_array(
+        (ctypes.c_uint64 * 2).from_address(bit_generator.ctypes.state_address))
+    pointer = int(head[0])
+    # the words are a member of the bit generator object itself; follow no
+    # first word that points elsewhere
+    if not id(bit_generator) <= pointer <= id(bit_generator) + sys.getsizeof(bit_generator) - 32:
+        raise ValueError("PCG64 state does not point into the bit generator")
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(pointer)), head[1:]
+
+
+def _setter_state(row: np.ndarray) -> dict:
+    """The PCG64 ``state`` dict of one row of :func:`substream_states`."""
+    state_lo, state_hi, inc_lo, inc_hi = row.tolist()
+    return {"bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
             "has_uint32": 0, "uinteger": 0}
+
+
+@functools.cache
+def _direct_reseat_works() -> bool:
+    """Whether :func:`_state_views` reads and writes PCG64 states in this process.
+
+    The layout is numpy's, so it is probed once: a state set through the
+    ``state`` setter must read back through the views, and one written
+    through the views must read back through ``state``.  Where ``pcg128_t``
+    is an emulated ``{high, low}`` struct the words come out swapped.
+    """
+    probe = np.random.PCG64()
+    try:
+        words, buffered = _state_views(probe)
+    except (AttributeError, TypeError, ValueError):
+        return False
+    known = np.array([0xFEDCBA9876543210, 0x0123456789ABCDEF,
+                      0xECA86420FDB97531, 0x13579BDF02468ACE], dtype=np.uint64)
+    probe.state = {**_setter_state(known), "has_uint32": 1, "uinteger": 7}
+    if words.tolist() != known.tolist() or buffered.tolist() != [7 << 32 | 1]:
+        return False
+    words[:] = known[::-1]
+    buffered[0] = 0
+    return probe.state == _setter_state(known[::-1])
+
+
+def reseater(bit_generator: np.random.PCG64):
+    """Function that reseats ``bit_generator`` onto one row of :func:`substream_states`.
+
+    It writes the row straight into the generator's state where the
+    once-per-process probe :func:`_direct_reseat_works` passes, and goes
+    through the ``state`` setter where it fails.  Either way it clears the
+    buffered half-word, as the setter does: a bounded ``integers`` draw may
+    leave one behind.
+    """
+    if _direct_reseat_works():
+        words, buffered = _state_views(bit_generator)
+
+        def reseat(row):
+            words[:] = row
+            buffered[0] = 0
+        reseat.bit_generator = bit_generator  # the views alone do not keep it alive
+    else:
+        def reseat(row):
+            bit_generator.state = _setter_state(row)
+    return reseat

@@ -335,8 +335,7 @@ def estimate_alpha_mmse(
     values = np.asarray(values, dtype=complex)
     if values.ndim == 0 or values.shape[-1] == 0:
         raise ValueError("need at least one selected measurement")
-    if (np.asarray(p_t) <= 0).any():
-        raise ValueError(f"power constant must be positive, got {p_t}")
+    _check_powers(p_t)
     denominator = values.shape[-1] * var_alpha * p_t + n0
     if (np.asarray(denominator) <= 0).any():
         raise ValueError("prior variance and noise variance cannot both be zero")

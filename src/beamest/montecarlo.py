@@ -7,14 +7,17 @@ energy points: one draw of all ``S`` stages' ``m x m`` slot noise per
 ``(trial, variant)`` yields exactly the numbers ``S`` per-stage draws would,
 and every energy point sees the same noise.  A sweep block computes the
 start states of all its streams in one vectorised pass
-(:func:`~beamest.arrays.substream_states`) and reseats one generator per
-stream, filling each straight into its row of a block buffer (the angles from
-one raw word by numpy's bounded-integer rule, with an exact fallback), so it
-draws exactly what :func:`sample_channel` and :func:`noise_stream` give trial
-by trial.  The trials then run through
-:func:`~beamest.estimator.search_batch`, which needs no ``n``-element beam:
-the power rule makes every stage's noiseless block the same rank-one product
-of pattern columns, and the stage gains have a closed form
+(:func:`~beamest.arrays.substream_states`, a ``uint64`` array) and reseats one
+generator per stream by writing a row's words into the generator's state
+(:func:`~beamest.arrays.reseater`; through the ``state`` setter where a
+once-per-process probe finds numpy's layout differs), filling each stream
+straight into its row of a block buffer (the angles from one raw word by
+numpy's bounded-integer rule, with an exact fallback), so it draws exactly
+what :func:`sample_channel` and :func:`noise_stream` give trial by trial.
+The trials then run through :func:`~beamest.estimator.search_batch`, which
+needs no ``n``-element beam: the power rule makes every stage's noiseless
+block the same rank-one product of pattern columns, and the stage gains have
+a closed form
 (:func:`~beamest.estimator.stage_gains`), so neither sweeps nor the bound
 synthesize a beam.  Trials go through in blocks of bounded size.  The energy
 grid is one array throughout: each variant's powers come from one division
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import pcef_upper_bound
-from .arrays import ChannelRealization, MeasurementNoise, substream, substream_states
+from .arrays import ChannelRealization, MeasurementNoise, reseater, substream, substream_states
 from .estimator import (
     ALPHA_MMSE_ALL,
     NON_OVERLAPPED,
@@ -110,6 +113,8 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "et_db", tuple(float(x) for x in self.et_db))
         object.__setattr__(self, "variants", tuple(self.variants))
+        for key in ("trials", "master_seed"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if self.trials < 1:
             raise ValueError(f"trial count must be at least 1, got {self.trials}")
         if self.trials > _MAX_TRIALS:
@@ -120,12 +125,7 @@ class ExperimentConfig:
             raise ValueError("energy sweep is empty")
         if any(b <= a for a, b in zip(self.et_db, self.et_db[1:])):
             raise ValueError("energy sweep must be strictly increasing")
-        if not math.isfinite(self.n0):
-            raise ValueError(f"n0 is NaN or infinite: {self.n0!r}")
-        if self.n0 <= 0:
-            raise ValueError(f"noise variance must be positive, got {self.n0}")
-        if self.var_alpha is not None and not math.isfinite(self.var_alpha):
-            raise ValueError(f"var_alpha is NaN or infinite: {self.var_alpha!r}")
+        _check_noise_and_prior(self.n0, self.var_alpha)
         if not self.variants:
             raise ValueError("no variants selected")
         for variant in self.variants:
@@ -137,6 +137,27 @@ class ExperimentConfig:
     @property
     def alpha_variance(self) -> float:
         return float(self.n * self.n) if self.var_alpha is None else float(self.var_alpha)
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an ``int``; ``ValueError`` for a bool or a non-integer."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _check_noise_and_prior(n0: float, var_alpha: float | None) -> None:
+    """``ValueError`` unless ``n0`` is finite and positive and ``var_alpha`` is
+    ``None`` (the default prior) or finite and nonnegative."""
+    if not math.isfinite(n0):
+        raise ValueError(f"n0 is NaN or infinite: {n0!r}")
+    if n0 <= 0:
+        raise ValueError(f"noise variance must be positive, got {n0}")
+    if var_alpha is not None:
+        if not math.isfinite(var_alpha):
+            raise ValueError(f"var_alpha is NaN or infinite: {var_alpha!r}")
+        if var_alpha < 0:
+            raise ValueError(f"gain prior variance must be nonnegative, got {var_alpha}")
 
 
 def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealization:
@@ -253,6 +274,7 @@ def _draw_block(cfg: ExperimentConfig, trials: range, source: MeasurementNoise, 
     channel_states, *noise_states = substream_states(cfg.master_seed, trials, keys)
     rng = source.generator
     bit_generator = rng.bit_generator
+    reseat = reseater(bit_generator)
     n, count = cfg.n, len(trials)
     # Each stream is reseated and filled straight into its row of a block
     # buffer; scaling and the complex combine then run once per block, as the
@@ -260,7 +282,7 @@ def _draw_block(cfg: ExperimentConfig, trials: range, source: MeasurementNoise, 
     words = np.empty(count, dtype=np.uint64)
     gains = np.empty((count, 2))
     for i, state in enumerate(channel_states):
-        bit_generator.state = state
+        reseat(state)
         words[i] = bit_generator.random_raw()
         rng.standard_normal(out=gains[i])
     # integers(n, size=2) with n <= 2**32 - 1 maps the low, then the high
@@ -275,7 +297,7 @@ def _draw_block(cfg: ExperimentConfig, trials: range, source: MeasurementNoise, 
         angles = np.empty((count, 2), dtype=np.int64)
         redraw = range(count)
     for i in redraw:
-        bit_generator.state = channel_states[i]
+        reseat(channel_states[i])
         angles[i] = rng.integers(n, size=2)
         rng.standard_normal(out=gains[i])
     theta, phi = angles.T
@@ -288,7 +310,7 @@ def _draw_block(cfg: ExperimentConfig, trials: range, source: MeasurementNoise, 
         # parts, then its imaginary parts
         parts = np.zeros((count, stages, 2, m, m))
         for state, row in zip(states, parts):
-            bit_generator.state = state
+            reseat(state)
             if source.n0:  # draw_blocks draws nothing when n0 == 0
                 rng.standard_normal(out=row)
         parts *= np.sqrt(source.n0 / 2)
@@ -457,6 +479,7 @@ def bound_table(n: int, k: int, et_db, n0: float = 1.0,
     :func:`~beamest.analysis.pcef_upper_bound` call, which evaluates them in
     blocks of bounded memory.
     """
+    _check_noise_and_prior(n0, var_alpha)
     patterns = pattern_matrix(k, OVERLAPPED)
     stages = stage_count(n, k)
     variance = float(n * n) if var_alpha is None else float(var_alpha)

@@ -345,6 +345,16 @@ class TestBoundCommand:
         assert run_cli("bound", "--config", path, "--out", tmp_path / "r", "--quiet") == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("n0 = 0", "noise variance must be positive, got 0.0"),
+        ("var_alpha = -4", "gain prior variance must be nonnegative, got -4.0")])
+    def test_impossible_noise_or_prior_exits_2(self, tmp_path, capsys, line, message):
+        path = write_cfg(tmp_path, f"n = 27\nk = 3\net_db = 10, 20\n{line}\n")
+        out = tmp_path / "bad"
+        assert run_cli("bound", "--config", path, "--out", out, "--quiet") == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "bound.csv").exists()
+
     def test_mismatched_pairs_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "n = 27, 343\nk = 3\net_db = 10\n")
         assert run_cli("bound", "--config", path, "--out", tmp_path) == 2

@@ -177,6 +177,11 @@ class TestAlphaEstimators:
         with pytest.raises(ValueError):
             estimate_alpha_mmse([1.0], p_t=1.0, pilot=1.0, n0=0.0, var_alpha=0.0)
 
+    @pytest.mark.parametrize("p_t", [np.nan, np.inf])
+    def test_non_finite_power_rejected(self, p_t):
+        with pytest.raises(ValueError, match="power constant is NaN or infinite"):
+            estimate_alpha_mmse([1.0], p_t=p_t, pilot=1.0, n0=1.0, var_alpha=2.0)
+
     def test_final_stage_is_single_value_mmse(self):
         value = 0.3 + 2.0j
         a = estimate_alpha_final_stage(value, 1.5, 1.0, 0.4, 2.0)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from beamest import analysis, cli, montecarlo
+from beamest import analysis, arrays, cli, montecarlo
 from beamest.analysis import _rayleigh_terms
 from beamest.arrays import MeasurementNoise, substream
 from beamest.estimator import (
@@ -155,7 +155,7 @@ class TestBlockDraws:
                                    master_seed=seed, n0=n0)
             trials = range(start, start + count)
             stages = stage_count(cfg.n, cfg.k)
-            _, (theta, phi, alpha, noises) = self._draw(cfg, trials, n0)
+            source, (theta, phi, alpha, noises) = self._draw(cfg, trials, n0)
             channels = [sample_channel(cfg, trial) for trial in trials]
             for drawn, expected in ((theta, [c.theta for c in channels]),
                                     (phi, [c.phi for c in channels]),
@@ -169,6 +169,10 @@ class TestBlockDraws:
                                      .draw_blocks(stages, (m, m)) for trial in trials])
                 assert (noise.dtype, noise.shape) == (expected.dtype, expected.shape)
                 assert noise.tobytes() == expected.tobytes()
+            # the generator ends where the last noise stream's own draw ends
+            last = MeasurementNoise(n0, noise_stream(cfg, trials[-1], cfg.variants[-1]))
+            last.draw_blocks(stages, noises[cfg.variants[-1]].shape[-2:])
+            assert source.generator.bit_generator.state == last.generator.bit_generator.state
             fallbacks.append(sum(_may_reject(cfg, trial) for trial in trials))
 
         check()
@@ -196,6 +200,15 @@ class TestBlockDraws:
                 expected = MeasurementNoise(cfg.n0, noise_stream(cfg, trial, variant))
                 np.testing.assert_array_equal(
                     noise[i], expected.draw_blocks(stage_count(cfg.n, cfg.k), (m, m)))
+
+
+class TestBlockDrawsThroughSetter(TestBlockDraws):
+    """The same checks with the layout probe failed, so every stream is
+    reseated through the PCG64 ``state`` setter."""
+
+    @pytest.fixture(autouse=True)
+    def _setter_path(self, monkeypatch):
+        monkeypatch.setattr(arrays, "_direct_reseat_works", lambda: False)
 
 
 class TestFailureIndicator:
@@ -361,6 +374,20 @@ class TestRunSweep:
             for value in (np.nan, np.inf):
                 with pytest.raises(ValueError, match=f"{key} is NaN or infinite"):
                     _cfg(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [("master_seed", 1.5), ("trials", 2.5),
+                                            ("master_seed", True), ("trials", "8")])
+    def test_non_integer_count_or_seed_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            _cfg(**{key: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = _cfg(trials=np.int64(8), master_seed=np.uint32(3))
+        assert (type(cfg.trials), type(cfg.master_seed)) == (int, int)
+
+    def test_negative_prior_rejected(self):
+        with pytest.raises(ValueError, match="gain prior variance must be nonnegative"):
+            _cfg(var_alpha=-4.0)
 
     def test_trial_and_seed_limits(self):
         # trial indices must fit one 32-bit word of the stream hash
