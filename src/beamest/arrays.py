@@ -10,7 +10,8 @@ Random streams are keyed ``(master seed, key...)`` through
 :func:`substream`.  :func:`substream_states` computes the PCG64 start states
 of a whole block of ``(trial, key)`` streams in one vectorised pass, bit for
 bit equal to seeding each one through ``SeedSequence``, as one ``uint64``
-array of 64-bit state and increment words.  Sweeps reseat one generator with
+array of 64-bit state and increment words; the master seed's share of that
+hashing is done once per seed.  Sweeps reseat one generator with
 its rows through :func:`reseater` instead of building a generator per stream,
 and fill each stream's draws straight into a block buffer.
 """
@@ -257,6 +258,10 @@ def _constant_arrays(constants, count: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0, None, None], pairs[:, 1, None, None]
 
 
+# generate_state's hash constants, the same for every stream
+_OUTPUT_CONSTANTS = _constant_arrays(_hash_constants(_INIT_B, _MULT_B), 2 * _POOL_SIZE)
+
+
 def _hash(value, xor, mul):
     """SeedSequence's ``hashmix``; Python ints and ``uint32`` arrays alike."""
     value = ((value ^ xor) * mul) & _MASK32
@@ -277,26 +282,22 @@ def _words32(values, name: str) -> np.ndarray:
     return array.astype(np.uint32)
 
 
-def substream_states(master_seed: int, trials, keys) -> np.ndarray:
-    """PCG64 start states of ``substream(master_seed, trial, key)`` for every key and trial.
+# SeedSequence pools kept by :func:`_seed_pool`, one per master seed
+_SEED_POOLS = 64
 
-    Returns a ``(len(keys), len(trials), 4)`` ``uint64`` array whose row
-    ``[j, i]`` holds the words ``[state_lo, state_hi, inc_lo, inc_hi]`` of
-    ``np.random.PCG64(substream(master_seed, trials[i], keys[j])).state``,
-    bit for bit.  It follows SeedSequence's pool mixing and
-    ``generate_state`` hashing: the master-seed words are hashed once, as
-    scalars, and the two spawn-key words of every stream in ``uint32``
-    arithmetic over all trials, keys and pool words at once; PCG64's seeding
-    then runs on 64-bit limbs.  Trial indices and keys must each fit one
-    32-bit word.
+
+@functools.lru_cache(maxsize=_SEED_POOLS)
+def _seed_pool(master_seed: int) -> tuple[np.ndarray, ...]:
+    """SeedSequence's pool after the words of ``master_seed``, and the hash
+    constants the trial word and the key word then take.
+
+    Returns read-only ``uint32`` arrays ``(pool, trial xor, trial mul, key
+    xor, key mul)``, each ``(4, 1, 1)``.  They depend on the master seed
+    alone, so they are computed once per seed; the memo keeps the last
+    ``_SEED_POOLS`` seeds.
     """
-    master_seed = operator.index(master_seed)
-    if master_seed < 0:
-        raise ValueError(f"master seed must be nonnegative, got {master_seed}")
-    trial_words = _words32(trials, "trial indices")
-    key_words = _words32(keys, "stream keys")[:, None]
     # entropy: the master seed's 32-bit words, zero-padded to the pool size
-    # because a spawn key follows, then one trial word and one key word
+    # because a spawn key follows
     words = [(master_seed >> shift) & _MASK32
              for shift in range(0, max(master_seed.bit_length(), 1), 32)]
     words += [0] * (_POOL_SIZE - len(words))
@@ -310,12 +311,36 @@ def substream_states(master_seed: int, trials, keys) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hash(word, *next(constants)))
     # each spawn-key word enters all pool words, each with its own constant
-    pool = np.array(pool, dtype=np.uint32)[:, None, None]
-    for word in (trial_words, key_words):
-        pool = _mix(pool, _hash(word, *_constant_arrays(constants, _POOL_SIZE)))
+    result = (np.array(pool, dtype=np.uint32)[:, None, None],
+              *_constant_arrays(constants, _POOL_SIZE), *_constant_arrays(constants, _POOL_SIZE))
+    for array in result:
+        array.setflags(write=False)
+    return result
+
+
+def substream_states(master_seed: int, trials, keys) -> np.ndarray:
+    """PCG64 start states of ``substream(master_seed, trial, key)`` for every key and trial.
+
+    Returns a ``(len(keys), len(trials), 4)`` ``uint64`` array whose row
+    ``[j, i]`` holds the words ``[state_lo, state_hi, inc_lo, inc_hi]`` of
+    ``np.random.PCG64(substream(master_seed, trials[i], keys[j])).state``,
+    bit for bit.  It follows SeedSequence's pool mixing and
+    ``generate_state`` hashing: the master-seed words are hashed as scalars,
+    once per seed (:func:`_seed_pool`), and the two spawn-key words of every
+    stream in ``uint32`` arithmetic over all trials, keys and pool words at
+    once; PCG64's seeding then runs on 64-bit limbs.  Trial indices and keys
+    must each fit one 32-bit word.
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be nonnegative, got {master_seed}")
+    trial_words = _words32(trials, "trial indices")
+    key_words = _words32(keys, "stream keys")[:, None]
+    pool, *constants = _seed_pool(master_seed)
+    pool = _mix(pool, _hash(trial_words, *constants[:2]))
+    pool = _mix(pool, _hash(key_words, *constants[2:]))
     # generate_state(4, uint64): eight hashed pool words, paired little-endian
-    out = _hash(np.concatenate([pool, pool]),
-                *_constant_arrays(_hash_constants(_INIT_B, _MULT_B), 2 * _POOL_SIZE))
+    out = _hash(np.concatenate([pool, pool]), *_OUTPUT_CONSTANTS)
     out = out.astype(np.uint64)
     state_hi, state_lo, seq_hi, seq_lo = out[0::2] | (out[1::2] << _SHIFT32)
     # PCG64 seeding: inc = 2 initseq + 1, state = (inc + initstate) MULT + inc

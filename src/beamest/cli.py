@@ -21,6 +21,7 @@ as ``re<+/->imj``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import platform
@@ -146,8 +147,11 @@ def _require(cfg: dict, key: str, kind, command: str, default=None):
             raise ConfigError(f"{command}: config key {key!r} is required")
         return default
     value = cfg[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{command}: key {key!r} is too large, got {value!r}") from None
     if not isinstance(value, kind) or isinstance(value, bool):
         names = "/".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise ConfigError(f"{command}: key {key!r} must be {names}, got {value!r}")
@@ -156,6 +160,15 @@ def _require(cfg: dict, key: str, kind, command: str, default=None):
 
 def _as_list(value) -> list:
     return list(value) if isinstance(value, list) else [value]
+
+
+def _int_list(cfg: dict, key: str, command: str) -> list[int]:
+    """``cfg[key]`` as a list of ints; ``ConfigError`` naming the key for any other entry."""
+    values = _as_list(_require(cfg, key, (int, list), command))
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{command}: key {key!r} must list integers, got {value!r}")
+    return values
 
 
 def _energy_grid(cfg: dict, command: str) -> tuple[float, ...]:
@@ -284,13 +297,12 @@ def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
 
 
 def _slot_table_csv(cfg: dict) -> str:
-    k_values = [int(k) for k in _as_list(_require(cfg, "k_values", (int, list), "sweep"))]
     lines = ["k,n,overlapped,non_overlapped"]
-    for k in k_values:
+    for k in _int_list(cfg, "k_values", "sweep"):
         key = f"n_values_k{k}"
         if key not in cfg:
             raise ConfigError(f"sweep: slot table needs key {key!r}")
-        for n in _as_list(cfg[key]):
+        for n in _int_list(cfg, key, "sweep"):
             lines.append(",".join([str(k), str(n),
                                    str(slot_count(n, k, OVERLAPPED)),
                                    str(slot_count(n, k, NON_OVERLAPPED))]))
@@ -318,7 +330,7 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
         n=n, k=k, et_db=_energy_grid(cfg, "sweep"),
         trials=_require(cfg, "trials", int, "sweep"),
         master_seed=_require(cfg, "seed", int, "sweep", default=0),
-        n0=float(cfg.get("n0", 1.0)),
+        n0=_require(cfg, "n0", float, "sweep", default=1.0),
         var_alpha=_alpha_variance(cfg), variants=_variants(cfg))
     started = time.perf_counter()
     tables = run_sweep(experiment, workers=args.workers)
@@ -351,12 +363,12 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
 def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_values = [int(v) for v in _as_list(_require(cfg, "n", (int, list), "bound"))]
-    k_values = [int(v) for v in _as_list(_require(cfg, "k", (int, list), "bound"))]
+    n_values = _int_list(cfg, "n", "bound")
+    k_values = _int_list(cfg, "k", "bound")
     if len(n_values) != len(k_values):
         raise ConfigError("bound: 'n' and 'k' lists must pair up one-to-one")
     grid = _energy_grid(cfg, "bound")
-    n0 = float(cfg.get("n0", 1.0))
+    n0 = _require(cfg, "n0", float, "bound", default=1.0)
     var_alpha = _alpha_variance(cfg)
     outputs = []
     single = len(n_values) == 1
@@ -377,7 +389,7 @@ def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
     if not isinstance(et_db, (int, float)) or isinstance(et_db, bool):
         raise ConfigError("trace: 'et_db' must be a single energy value in dB")
     seed = _require(cfg, "seed", int, "trace", default=0)
-    n0 = float(cfg.get("n0", 1.0))
+    n0 = _require(cfg, "n0", float, "trace", default=1.0)
     experiment = ExperimentConfig(n=n, k=k, et_db=(float(et_db),), trials=trials,
                                   master_seed=seed, n0=n0,
                                   var_alpha=_alpha_variance(cfg),
@@ -411,7 +423,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process, since it holds no run state."""
     parser = argparse.ArgumentParser(
         prog="beamest",
         description="Hierarchical beam-search channel estimation experiments.")
@@ -432,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.workers < 1:
         print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
         return 2

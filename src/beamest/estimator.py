@@ -29,7 +29,13 @@ noise, where the signal rows come from ``G (x) G``
 (:attr:`~beamest.codebook.BeamPatternMatrix.pair_gram`).  Each row of ``k^2``
 scores is picked by one ``abs`` and ``argmax`` pass, and the picked values
 are gathered through the flat index.  One check that the largest magnitude
-is finite rejects a NaN or infinite score anywhere, picked or not.
+is finite rejects a NaN or infinite score anywhere, picked or not.  Only the
+nonzero entries of a row of ``G (x) G``
+(:attr:`~beamest.codebook.BeamPatternMatrix.touched`) carry signal; the rest
+of the row is fused noise, the same at every power point.  With several
+points the engine scores the touched entries per point and picks the best of
+the rest once, which for the non-overlapped design (``G = I``) leaves one
+score per point instead of ``k^2``.
 """
 
 from __future__ import annotations
@@ -258,19 +264,62 @@ def fuse_measurements(y: np.ndarray, patterns: BeamPatternMatrix) -> np.ndarray:
     return fused.reshape(k, -1, k).swapaxes(0, 1).reshape(*y.shape[:-2], k, k)
 
 
-def _pick(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_starts(a: np.ndarray) -> np.ndarray:
+    """Flat index of the first entry of each row of ``a``, shaped ``(..., 1)``."""
+    return np.arange(0, a.size, a.shape[-1]).reshape(*a.shape[:-1], 1)
+
+
+def _along_last(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Entry ``index[..., j]`` of each row ``a[...]``; ``index`` may add a last axis."""
+    return a.reshape(-1)[index + _row_starts(a)]
+
+
+def _pick(r: np.ndarray, magnitudes: np.ndarray | None = None):
     """First index of the largest ``|r|`` along the last axis, and the entry there.
 
-    Any NaN or infinite entry, picked or not, makes the largest magnitude
-    non-finite (NaN propagates through ``max``, an infinite entry has infinite
-    magnitude), so one reduction checks every entry.
+    ``magnitudes`` defaults to ``|r|``; a caller sets entries to -1 there to
+    leave them out.  Any NaN or infinite magnitude raises ``ValueError``, picked
+    or not: NaN propagates through ``max``, and an infinite entry has infinite
+    magnitude, so one reduction checks every entry.
     """
-    magnitudes = np.abs(r)
+    if magnitudes is None:
+        magnitudes = np.abs(r)
     if not np.isfinite(magnitudes.max(initial=0.0)):
         raise ValueError("fused measurements contain NaN or infinite entries")
     index = magnitudes.argmax(axis=-1)
-    offsets = np.arange(0, r.size, r.shape[-1]).reshape(index.shape)
-    return index, r.reshape(-1)[index + offsets]
+    return index, r.reshape(-1)[index + _row_starts(r)[..., 0]]
+
+
+def _split_pick(patterns: BeamPatternMatrix, amplitude: np.ndarray, truth: np.ndarray,
+                fused: np.ndarray, magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """On-track picks at every point from the touched scores and one noise-only pick.
+
+    ``amplitude`` is ``(T, Q)``, ``truth`` ``(T, S)`` and ``fused`` the
+    ``(T, S, k^2)`` fused noise; ``magnitudes`` is ``|fused|`` and is
+    overwritten.  Only the entries of :attr:`BeamPatternMatrix.touched` carry
+    signal, so only they are scored at each point; the best of the rest is
+    fused noise, picked once per ``(trial, stage)``.  The two are merged by
+    :func:`_pick`'s rule, so the flat index and entry are what one pick over
+    the whole row gives.  Both come back ``(T, Q, S)``, as views of
+    ``(T, S, Q)`` arrays: the point axis stays contiguous.
+    """
+    touched = patterns.touched[truth]                                       # (T, S, W)
+    signal = patterns.pair_gram[truth[..., None], touched]                  # (T, S, W)
+    scores = amplitude[:, None, :, None] * signal[:, :, None]
+    scores += _along_last(fused, touched)[:, :, None]                       # (T, S, Q, W)
+    score_magnitudes = np.abs(scores)
+    index, value = _pick(scores, score_magnitudes)
+    index = _along_last(touched, index)                                     # (T, S, Q)
+    magnitudes.put(touched + _row_starts(fused), -1.0)          # leave the touched out
+    noise_index, noise_value = _pick(fused, magnitudes)                     # (T, S)
+    # the larger magnitude wins, the smaller flat index on a tie
+    noise_magnitude = magnitudes.max(axis=-1)[..., None]
+    magnitude = score_magnitudes.max(axis=-1)
+    wins = (noise_magnitude > magnitude) | ((noise_magnitude == magnitude)
+                                            & (noise_index[..., None] < index))
+    index = np.where(wins, noise_index[..., None], index)
+    value = np.where(wins, noise_value[..., None], value)
+    return index.transpose(0, 2, 1), value.transpose(0, 2, 1)
 
 
 def select_path(r: np.ndarray):
@@ -402,9 +451,16 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
     ``amplitude (T, Q, 1) * signal (T, 1, S k^2)`` plus the fused noise, one
     row of ``k^2`` scores per ``(trial, point, stage)``.  Each row's pick is
     one ``abs`` and ``argmax`` over ``(rows, k^2)``, and its value is gathered
-    through the flat index.  A NaN or infinite score anywhere raises
-    ``ValueError``, because the largest magnitude of all rows is checked to be
-    finite.
+    through the flat index.  Where a row's signal touches fewer than ``k^2``
+    entries and there are several points, only the touched entries are scored
+    per point (:func:`_split_pick`): the rest are fused noise, whose best entry
+    is picked once per ``(trial, stage)`` and merged with each point's touched
+    best under the same rule.  A picked noise-only value is then the fused
+    noise itself rather than ``amplitude * 0 + noise``; they differ only for a
+    noise entry of ``-0.0``.  The overlapped design's widest row is the whole
+    row, so it, and any single point, score whole rows.  A NaN or infinite
+    score anywhere raises ``ValueError``, because the largest magnitude of
+    every set of scores picked from is checked to be finite.
     """
     k, m, stages = cfg.k, cfg.patterns, cfg.stages
     patterns = pattern_matrix(k, cfg.variant)
@@ -427,30 +483,39 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
     # it cancels the beams' gains, so every stage's signal is sqrt(p_t) alpha
     # pilot times the pattern columns picked by the stage's digits of theta, phi
     powers = p_t[:, None] * (k * places / m) ** 2                           # (Q, S)
-    amplitude = (alpha[:, None] * PILOT * np.sqrt(p_t))[..., None]          # (T, Q, 1)
+    amplitude = alpha[:, None] * PILOT * np.sqrt(p_t)                       # (T, Q)
     dr, dt = angles[..., None] // places % k                                # (T, S) each
     truth = dr * k + dt                                  # flat index of the true pair
-    fused_noise = fuse_measurements(noise, patterns).reshape(trials, 1, -1)  # (T, 1, S k^2)
-    r_on = amplitude * patterns.pair_gram[truth].reshape(trials, 1, -1)     # (T, Q, S k^2)
-    r_on += fused_noise
-    # one row of k^2 scores per (trial, point, stage)
-    r_on = r_on.reshape(trials, points, stages, -1)
-    fused_noise = fused_noise.reshape(trials, 1, stages, -1)
-    pick_on, value_on = _pick(r_on)
-    pick_off, value_off = _pick(fused_noise)
-    correct = np.logical_and.accumulate(pick_on == truth[:, None], axis=-1)
+    fused = fuse_measurements(noise, patterns).reshape(trials, stages, -1)  # (T, S, k^2)
+    magnitudes = np.abs(fused)
+    # off track, a stage sees this fused noise alone, the same at every point
+    pick_off, value_off = _pick(fused, magnitudes)                          # (T, S)
+    # scoring only the touched entries pays when several points share the
+    # one noise-only pick
+    whole_rows = points == 1 or patterns.touched.shape[1] == k * k
+    if whole_rows or keep_blocks:
+        r_on = amplitude[..., None] * patterns.pair_gram[truth].reshape(trials, 1, -1)
+        r_on += fused.reshape(trials, 1, -1)                                # (T, Q, S k^2)
+        # one row of k^2 scores per (trial, point, stage)
+        r_on = r_on.reshape(trials, points, stages, -1)
+    if whole_rows:
+        pick_on, value_on = _pick(r_on)
+    else:
+        pick_on, value_on = _split_pick(patterns, amplitude, truth, fused, magnitudes)
+    correct = np.logical_and.accumulate(pick_on == truth[:, None], axis=-1)  # (T, Q, S)
     on = np.ones(correct.shape, dtype=bool)
     on[..., 1:] = correct[..., :-1]
     # off track, a stage sees the same noise at every point
-    receive, transmit = np.divmod(np.where(on, pick_on, pick_off), k)
-    values = np.where(on, value_on, value_off)
+    receive, transmit = np.divmod(np.where(on, pick_on, pick_off[:, None]), k)
+    # C order, in which the estimators sum the stages
+    values = np.ascontiguousarray(np.where(on, value_on, value_off[:, None]))
     y = r = None
     if keep_blocks:
         on = on[..., None]
         signal = patterns.signatures[truth][:, None]                       # (T, 1, S, m^2)
-        y = np.where(on, amplitude[..., None] * signal, 0) + noise.reshape(trials, 1, stages, -1)
-        y = y.reshape(trials, points, stages, m, m)
-        r = np.where(on, r_on, fused_noise).reshape(trials, points, stages, k, k)
+        y = np.where(on, amplitude[..., None, None] * signal, 0)
+        y = (y + noise.reshape(trials, 1, stages, -1)).reshape(trials, points, stages, m, m)
+        r = np.where(on, r_on, fused[:, None]).reshape(trials, points, stages, k, k)
     return SearchBatch(receive=receive, transmit=transmit, values=values,
                        on_track=correct[..., -1], stage_powers=powers,
                        places=places, y=y, r=r)

@@ -7,7 +7,8 @@ energy points: one draw of all ``S`` stages' ``m x m`` slot noise per
 ``(trial, variant)`` yields exactly the numbers ``S`` per-stage draws would,
 and every energy point sees the same noise.  A sweep block computes the
 start states of all its streams in one vectorised pass
-(:func:`~beamest.arrays.substream_states`, a ``uint64`` array) and reseats one
+(:func:`~beamest.arrays.substream_states`, a ``uint64`` array, which hashes
+the master seed's words once per seed) and reseats one
 generator per stream by writing a row's words into the generator's state
 (:func:`~beamest.arrays.reseater`; through the ``state`` setter where a
 once-per-process probe finds numpy's layout differs), filling each stream
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,6 +431,17 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes.
+
+    ``concurrent.futures`` is imported here, not with the package: it pulls in
+    ``multiprocessing``, ``socket`` and ``logging``, which only a parallel
+    sweep needs.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> dict[str, ResultTable]:
     """Run the full paired sweep; returns one table per variant.
 
@@ -447,7 +458,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> dict[str, ResultTable]
     else:
         size = -(-cfg.trials // (workers * 4))
         bounds = [(lo, min(lo + size, cfg.trials)) for lo in range(0, cfg.trials, size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             chunks = list(pool.map(_sweep_chunk, [cfg] * len(bounds),
                                    [b[0] for b in bounds], [b[1] for b in bounds]))
     tables = {}

@@ -270,6 +270,47 @@ class TestSubstreamStates:
             substream_states(3, trials, keys)
 
 
+class TestSeedPool:
+    """The master seed's pool, hashed once per seed and kept in a bounded memo."""
+
+    # one, two, four and five 32-bit words
+    SEEDS = [7, 2**32 + 5, 2**128 - 3, 2**130 - 1]
+
+    @pytest.mark.parametrize("master_seed", SEEDS)
+    def test_hit_and_miss_give_the_seed_sequence_rows(self, master_seed):
+        trials, keys = [0, 5, 2**32 - 1], [0, 1, 2]
+        expected = [[_state_words(np.random.PCG64(substream(master_seed, trial, key)).state)
+                     for trial in trials] for key in keys]
+        arrays._seed_pool.cache_clear()
+        miss = substream_states(master_seed, trials, keys)
+        hit = substream_states(master_seed, trials, keys)
+        info = arrays._seed_pool.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert miss.tolist() == hit.tolist() == expected
+
+    def test_memo_arrays_are_read_only(self):
+        for array in arrays._seed_pool(self.SEEDS[-1]):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # a caller's result is its own
+        states = substream_states(self.SEEDS[-1], [1], [0])
+        states[...] = 0
+        assert substream_states(self.SEEDS[-1], [1], [0]).any()
+
+    def test_memo_stays_bounded(self):
+        arrays._seed_pool.cache_clear()
+        seeds = range(1000, 1000 + 3 * arrays._SEED_POOLS)
+        for seed in seeds:
+            substream_states(seed, [0], [0])
+        info = arrays._seed_pool.cache_info()
+        assert info.maxsize == arrays._SEED_POOLS
+        assert info.currsize == arrays._SEED_POOLS
+        # an evicted seed is hashed again, to the same rows
+        assert substream_states(seeds[0], [3], [1]).tolist() == [
+            [_state_words(np.random.PCG64(substream(seeds[0], 3, 1)).state)]]
+
+
 def _require_direct_path():
     if not arrays._direct_reseat_works():
         pytest.skip("numpy's PCG64 layout here is not the native 128-bit one")

@@ -132,6 +132,41 @@ class TestExitCodes:
         assert run_cli(command, "--config", path, "--out", tmp_path / "x", "--quiet") == 2
         assert f"{key} is NaN or infinite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "bound", "trace"])
+    @pytest.mark.parametrize("value, message", [
+        ("1, 2", "key 'n0' must be float, got [1, 2]"),
+        ("true", "key 'n0' must be float, got True"),
+        ("abc", "key 'n0' must be float, got 'abc'"),
+        ("1" + "0" * 400, "key 'n0' is too large")],
+        ids=["list", "bool", "text", "huge-integer"])
+    def test_non_number_noise_exits_2(self, tmp_path, capsys, command, value, message):
+        # float() of a list raised a TypeError traceback and of a huge integer
+        # an OverflowError one, of true gave 1.0, and of abc named no key
+        path = write_cfg(tmp_path, f"n = 9\nk = 3\ntrials = 2\net_db = 6\nn0 = {value}\n")
+        out = tmp_path / "n0"
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert f"{command}: {message}" in capsys.readouterr().err
+        assert not (out / f"{command}_manifest.json").exists()
+
+    @pytest.mark.parametrize("command, text, key, shown", [
+        ("bound", "n = 27.5, 81\nk = 3, 3\net_db = 10\n", "n", "27.5"),
+        ("bound", "n = 27, 81\nk = 3, 3.0\net_db = 10\n", "k", "3.0"),
+        ("bound", "n = 27, true\nk = 3, 3\net_db = 10\n", "n", "True"),
+        ("sweep", "outputs = slots\nk_values = 3.7, 7\nn_values_k3 = 9\n", "k_values", "3.7"),
+        ("sweep", "outputs = slots\nk_values = 3\nn_values_k3 = 9, 27.0\n", "n_values_k3",
+         "27.0"),
+        ("sweep", "outputs = slots\nk_values = 3\nn_values_k3 = 9, false\n", "n_values_k3",
+         "False")],
+        ids=["bound-n-float", "bound-k-float", "bound-n-bool", "k-values-float",
+             "n-values-float", "n-values-bool"])
+    def test_non_integer_list_entry_exits_2(self, tmp_path, capsys, command, text, key, shown):
+        # int() truncated 27.5 and 3.7, and the slot table wrote a 27.0 row
+        out = tmp_path / "lists"
+        assert run_cli(command, "--config", write_cfg(tmp_path, text), "--out", out,
+                       "--quiet") == 2
+        assert f"{command}: key {key!r} must list integers, got {shown}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.glob("*.csv"))
+
     def test_unknown_command_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("paint", "--config", "fig3")
@@ -297,6 +332,23 @@ class TestSweepCommand:
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 5\n" + range_keys(grid))
         assert run_cli("sweep", "--config", path, "--out", tmp_path / "r", "--quiet") == 2
         assert message in capsys.readouterr().err
+
+    def test_successive_calls_write_their_own_manifests(self, tmp_path):
+        # one parser serves every call in a process; no parsed value may
+        # carry over from one call into the next
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 3\net_db = 0, 10\nseed = 4\n")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli("sweep", "--config", path, "--out", first, "--seed", 11, "--quiet") == 0
+        assert run_cli("sweep", "--config", path, "--out", second) == 0
+        manifests = [json.loads((out / "sweep_manifest.json").read_text())
+                     for out in (first, second)]
+        assert [m["seed_override"] for m in manifests] == [11, None]
+        assert [m["config"]["seed"] for m in manifests] == [11, 4]
+        assert [m["outputs"] for m in manifests] == [["overlapped_pcef.csv",
+                                                      "non_overlapped_pcef.csv"]] * 2
+        assert (first / "overlapped_pcef.csv").read_text() != \
+            (second / "overlapped_pcef.csv").read_text()
+        assert cli._parser.cache_info().currsize == 1
 
     def test_manifest_echo_reproduces_run(self, tmp_path):
         path = write_cfg(tmp_path, SWEEP_CFG)

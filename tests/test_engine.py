@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamest import cli, codebook, montecarlo
+from beamest import cli, codebook, estimator, montecarlo
 from beamest.arrays import (AngleGrid, ChannelRealization, MeasurementNoise, build_channel,
                             measure_block)
-from beamest.codebook import IndexRange
+from beamest.codebook import BeamPatternMatrix, IndexRange
 from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
@@ -28,6 +28,7 @@ from beamest.estimator import (
     EstimatorConfig,
     codebook_bank,
     fuse_measurements,
+    pattern_matrix,
     run_estimation,
     search_batch,
     select_path,
@@ -209,6 +210,162 @@ class TestSearchBatch:
         np.testing.assert_array_equal(batch.theta_hat, 0)
 
 
+def full_row_search(cfg, patterns, p_t, theta, phi, alpha, noise, fused):
+    """``(receive, transmit, values, on_track, y, r)`` with every row of
+    ``k^2`` scores picked whole: the first flat index of the largest
+    magnitude, and ``ValueError`` for a NaN or infinite score anywhere."""
+    k, stages = cfg.k, cfg.stages
+    trials, points = len(alpha), len(p_t)
+    places = k ** np.arange(stages - 1, -1, -1)
+    truth = (np.asarray(theta)[:, None] // places % k * k
+             + np.asarray(phi)[:, None] // places % k)                      # (T, S)
+    amplitude = (np.asarray(alpha, dtype=complex)[:, None] * PILOT
+                 * np.sqrt(np.asarray(p_t, dtype=float)))                    # (T, Q)
+    fused = fused.reshape(trials, 1, stages, k * k)
+    r_on = amplitude[:, :, None, None] * patterns.pair_gram[truth][:, None] + fused
+    for scores in (r_on, fused):
+        if not np.isfinite(np.abs(scores)).all():
+            raise ValueError("NaN or infinite")
+    picks = [np.abs(scores).argmax(axis=-1) for scores in (r_on, fused)]
+    values = [np.take_along_axis(scores, pick[..., None], axis=-1)[..., 0]
+              for scores, pick in zip((r_on, fused), picks)]
+    correct = np.logical_and.accumulate(picks[0] == truth[:, None], axis=-1)
+    on = np.concatenate([np.ones((trials, points, 1), dtype=bool), correct[..., :-1]], axis=-1)
+    receive, transmit = np.divmod(np.where(on, *picks), k)
+    signal = amplitude[:, :, None, None] * patterns.signatures[truth][:, None]
+    y = np.where(on[..., None], signal, 0) + noise.reshape(trials, 1, stages, -1)
+    r = np.where(on[..., None], r_on, fused)
+    m = patterns.m
+    return (receive, transmit, np.where(on, *values), correct[..., -1],
+            y.reshape(trials, points, stages, m, m), r.reshape(trials, points, stages, k, k))
+
+
+class TestSplitPick:
+    """Non-overlapped rows score only the true pair at each point and pick the
+    rest of the row, fused noise, once; that must select exactly what one
+    pick over the whole row selects."""
+
+    GEOMETRIES = [(27, 3), (49, 7), (343, 7)]
+
+    def _compare(self, cfg, p_t, theta, phi, alpha, noise, monkeypatch=None, fused=None):
+        patterns = estimator.pattern_matrix(cfg.k, cfg.variant)
+        if fused is None:
+            fused = fuse_measurements(noise, patterns)
+        else:
+            monkeypatch.setattr(estimator, "fuse_measurements", lambda *args: fused)
+        expected = full_row_search(cfg, patterns, p_t, theta, phi, alpha, noise, fused)
+        for keep_blocks in (False, True):
+            batch = search_batch(cfg, p_t, theta, phi, alpha, noise, keep_blocks=keep_blocks)
+            got = (batch.receive, batch.transmit, batch.values, batch.on_track, batch.y, batch.r)
+            for name, a, b in zip(("receive", "transmit", "values", "on_track", "y", "r"),
+                                  got, expected):
+                if a is None:
+                    assert not keep_blocks and name in ("y", "r")
+                    continue
+                assert a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+        return batch
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n0", [0.0, 1.0])
+    def test_equals_full_row_pick(self, geometry, variant, n0):
+        n, k = geometry
+        cfg = EstimatorConfig(n=n, k=k, p_t=1.0, n0=n0, var_alpha=1.0, variant=variant)
+        rng = np.random.default_rng(n + k + int(n0))
+        trials = 60
+        theta, phi = rng.integers(n, size=trials), rng.integers(n, size=trials)
+        alpha = rng.normal(size=trials) + 1j * rng.normal(size=trials)
+        noise = _noise(cfg, range(n, n + trials))
+        for p_t in ([0.5], [0.01, 0.3, 2.0, 40.0]):
+            batch = self._compare(cfg, p_t, theta, phi, alpha, noise)
+            if n0 and len(p_t) > 1:  # the grid spans failing and succeeding trials
+                assert 0 < batch.on_track.sum() < batch.on_track.size
+
+    @staticmethod
+    def _tie_geometry(cfg):
+        """A true pair with noise-only pairs on both sides, and angles whose
+        digits put the path in that pair at every stage."""
+        patterns = estimator.pattern_matrix(cfg.k, cfg.variant)
+        k2 = cfg.k ** 2
+        for pair in range(k2):
+            zero = np.flatnonzero(patterns.pair_gram[pair] == 0)
+            if zero.size and zero.min() < pair < zero.max():
+                repunit = sum(cfg.k ** s for s in range(cfg.stages))  # digit 1 everywhere
+                angle = [digit * repunit for digit in divmod(pair, cfg.k)]
+                return pair, zero.min(), zero.max(), angle
+        raise AssertionError("no such pair")
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_exact_ties_pick_the_first_flat_index(self, monkeypatch, geometry, variant):
+        n, k = geometry
+        cfg = EstimatorConfig(n=n, k=k, p_t=1.0, n0=1.0, var_alpha=1.0, variant=variant)
+        pair, below, above, (theta, phi) = self._tie_geometry(cfg)
+        # unit gain: the true score is 1, 2 and 0.5 at the three points, and a
+        # noise-only entry of magnitude 1 ties it at the first point, below
+        # the true index in trial 0 and above it in trial 1
+        fused = np.zeros((2, cfg.stages, k * k), complex)
+        fused[0, :, below] = -1.0
+        fused[1, :, above] = 1j
+        noise = np.zeros((2, cfg.stages, cfg.patterns, cfg.patterns), complex)
+        batch = self._compare(cfg, [1.0, 4.0, 0.25], [theta] * 2, [phi] * 2, [1.0, 1.0],
+                              noise, monkeypatch, fused.reshape(2, cfg.stages, k, k))
+        picks = batch.receive * k + batch.transmit
+        assert picks[0, 0, 0] == below and picks[1, 0].tolist() == [pair] * cfg.stages
+        assert picks[0, 1].tolist() == picks[1, 1].tolist() == [pair] * cfg.stages
+        assert picks[0, 2, 0] == below and picks[1, 2, 0] == above
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("where", ["touched", "noise-only", "gain"])
+    def test_non_finite_score_rejected(self, monkeypatch, geometry, variant, bad, where):
+        # a non-finite fused noise entry, or a gain that makes the true score
+        # non-finite while the fused noise is finite
+        n, k = geometry
+        cfg = EstimatorConfig(n=n, k=k, p_t=1.0, n0=1.0, var_alpha=1.0, variant=variant)
+        pair, below, above, (theta, phi) = self._tie_geometry(cfg)
+        fused = np.ones((3, cfg.stages, k * k), complex)
+        alpha = np.ones(3, complex)
+        if where == "gain":
+            alpha[1] = bad
+        else:
+            fused[1, -1, pair if where == "touched" else above] = bad
+        noise = np.zeros((3, cfg.stages, cfg.patterns, cfg.patterns), complex)
+        monkeypatch.setattr(estimator, "fuse_measurements",
+                            lambda *args: fused.reshape(3, cfg.stages, k, k))
+        with np.errstate(invalid="ignore"):
+            for p_t in ([1.0], [1.0, 3.0]):
+                with pytest.raises(ValueError, match="NaN or infinite"):
+                    search_batch(cfg, p_t, [theta] * 3, [phi] * 3, alpha, noise)
+
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_touched_entries_of_the_designs(self, k):
+        # non-overlapped: the true pair alone; overlapped: the column with
+        # every beam on overlaps every column, so every row is whole
+        identity = pattern_matrix(k, NON_OVERLAPPED)
+        assert identity.touched.tolist() == [[pair] for pair in range(k * k)]
+        overlapped = pattern_matrix(k, OVERLAPPED)
+        assert overlapped.touched.tolist() == [list(range(k * k))] * (k * k)
+
+    def test_partially_touched_rows(self, monkeypatch):
+        # columns 1 and 2 overlap and column 0 overlaps neither: rows of
+        # pair_gram touch 1, 2 or 4 entries, padded to 4 with noise-only ones
+        patterns = BeamPatternMatrix(np.array([[1.0, 0.0, 0.0],
+                                               [0.0, np.sqrt(0.5), 0.0],
+                                               [0.0, np.sqrt(0.5), 1.0]]))
+        assert patterns.touched.shape == (9, 4)
+        assert patterns.touched[0].tolist() == [0, 1, 2, 3]
+        assert patterns.touched[4].tolist() == [4, 5, 7, 8]
+        monkeypatch.setattr(estimator, "pattern_matrix", lambda k, variant: patterns)
+        cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=1.0, variant=NON_OVERLAPPED)
+        rng = np.random.default_rng(2)
+        theta, phi = rng.integers(27, size=80), rng.integers(27, size=80)
+        alpha = rng.normal(size=80) + 1j * rng.normal(size=80)
+        self._compare(cfg, [0.1, 1.0, 10.0], theta, phi, alpha, _noise(cfg, range(80)))
+
+
 def _concatenate(chunks):
     return {variant: tuple(np.concatenate([c[variant][i] for c in chunks], axis=1)
                            for i in range(3))
@@ -283,6 +440,26 @@ cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
 search_batch(cfg, [1.0], [4], [5], [1.0], np.zeros((1, 3, 2, 2), complex))
 assert "scipy.special" not in sys.modules, "scipy.special was loaded"
 """
+    _run_fresh(code)
+
+
+def test_package_import_leaves_process_pool_unloaded():
+    # concurrent.futures pulls in multiprocessing, socket and logging; only a
+    # sweep that starts a pool may import it
+    code = """
+import sys
+import beamest, beamest.cli
+from beamest.montecarlo import ExperimentConfig, run_sweep
+run_sweep(ExperimentConfig(n=9, k=3, et_db=(0.0,), trials=4), workers=1)
+loaded = [name for name in ("concurrent.futures", "multiprocessing", "socket", "logging")
+          if name in sys.modules]
+assert not loaded, loaded
+"""
+    _run_fresh(code)
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)

@@ -331,7 +331,7 @@ class TestRunSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "_process_pool", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         cfg = _cfg(n=9, et_db=(4.0,), trials=40)
