@@ -40,7 +40,6 @@ from .codebook import (
     target_profile,
 )
 from .estimator import (
-    ALPHA_ESTIMATORS,
     ALPHA_FINAL,
     ALPHA_MMSE_ALL,
     NON_OVERLAPPED,

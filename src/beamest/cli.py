@@ -146,13 +146,18 @@ def _require(cfg: dict, key: str, kind, command: str, default=None):
         if default is None:
             raise ConfigError(f"{command}: config key {key!r} is required")
         return default
-    value = cfg[key]
+    return _checked(cfg[key], key, kind, command)
+
+
+def _checked(value, key: str, kind, command: str):
+    """``value`` of ``key`` checked to be of ``kind``, an int taken as a float
+    where ``kind`` is ``float``; never a bool, unless ``kind`` is ``bool``."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         try:
             value = float(value)
         except OverflowError:
             raise ConfigError(f"{command}: key {key!r} is too large, got {value!r}") from None
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         names = "/".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise ConfigError(f"{command}: key {key!r} must be {names}, got {value!r}")
     return value
@@ -173,7 +178,7 @@ def _int_list(cfg: dict, key: str, command: str) -> list[int]:
 
 def _energy_grid(cfg: dict, command: str) -> tuple[float, ...]:
     if "et_db" in cfg:
-        return tuple(float(x) for x in _as_list(cfg["et_db"]))
+        return tuple(_checked(x, "et_db", float, command) for x in _as_list(cfg["et_db"]))
     keys = ("et_db_min", "et_db_max", "et_db_step")
     if any(key not in cfg for key in keys):
         raise ConfigError(f"{command}: need either 'et_db' or "
@@ -332,6 +337,7 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
         master_seed=_require(cfg, "seed", int, "sweep", default=0),
         n0=_require(cfg, "n0", float, "sweep", default=1.0),
         var_alpha=_alpha_variance(cfg), variants=_variants(cfg))
+    bound = _require(cfg, "bound", bool, "sweep", default=False)
     started = time.perf_counter()
     tables = run_sweep(experiment, workers=args.workers)
     runs = experiment.trials * len(experiment.et_db) * len(experiment.variants)
@@ -353,7 +359,7 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
                                            repr(getattr(p, ok_col))]))
                 outputs.append(_write(out_dir / f"{variant}_{estimator}_error.csv",
                                       "\n".join(lines) + "\n", args.quiet))
-    if cfg.get("bound", False):
+    if bound:
         points = bound_table(n, k, experiment.et_db, n0=experiment.n0,
                              var_alpha=experiment.var_alpha)
         outputs.append(_write(out_dir / "bound.csv", bound_csv(points), args.quiet))
@@ -379,6 +385,19 @@ def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
     return outputs
 
 
+def _trace_records(experiment: ExperimentConfig, ecfg: EstimatorConfig, variant: str):
+    """One variant's trace records, each made when it is written.
+
+    Every variant draws each trial's channel from the same stream, so all
+    see the same channels, and memory does not grow with the trial count.
+    """
+    for trial in range(experiment.trials):
+        channel = sample_channel(experiment, trial)
+        rng = np.random.default_rng(noise_stream(experiment, trial, variant))
+        yield trace_record(run_estimation(channel, ecfg, rng), channel, trial=trial,
+                           seed=experiment.master_seed)
+
+
 def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -395,20 +414,13 @@ def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
                                   var_alpha=_alpha_variance(cfg),
                                   variants=_variants(cfg))
     energy = energy_from_db(et_db, n0)
-    # both variants see the same channel draws
-    channels = [sample_channel(experiment, trial) for trial in range(trials)]
     outputs = []
     for variant in experiment.variants:
         ecfg = EstimatorConfig(
             n=n, k=k, p_t=power_for_energy(energy, n, k, variant), n0=n0,
             var_alpha=experiment.alpha_variance, variant=variant)
-        records = []
-        for trial, channel in enumerate(channels):
-            rng = np.random.default_rng(noise_stream(experiment, trial, variant))
-            trace = run_estimation(channel, ecfg, rng)
-            records.append(trace_record(trace, channel, trial=trial, seed=seed))
         path = out_dir / f"traces_{variant}.jsonl"
-        write_trace_records(path, records)
+        write_trace_records(path, _trace_records(experiment, ecfg, variant))
         if not args.quiet:
             print(f"wrote {path}")
         outputs.append(path)

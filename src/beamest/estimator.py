@@ -3,8 +3,8 @@
 Each stage sounds the current candidate ranges with a beam bank, fuses the raw
 outputs against every sub-range hypothesis pair, keeps the strongest pair and
 refines.  After the final stage the angles are known to grid resolution and
-the fading coefficient is estimated from the per-stage selected measurements,
-either Bayes-optimally across all stages or from the last stage alone.
+the fading coefficient is estimated Bayes-optimally from all selected
+measurements; sweeps also report the estimate from the last stage alone.
 
 Every row of a pattern matrix ``P`` has squared norm ``k/m``, so every exact
 beam (``U^H v = C p``) of stage ``s`` has the same gain constant
@@ -63,7 +63,6 @@ from .codebook import (
 )
 
 __all__ = [
-    "ALPHA_ESTIMATORS",
     "ALPHA_FINAL",
     "ALPHA_MMSE_ALL",
     "EstimationTrace",
@@ -72,7 +71,6 @@ __all__ = [
     "OVERLAPPED",
     "PILOT",
     "SearchBatch",
-    "StageMeasurement",
     "VARIANTS",
     "codebook_bank",
     "estimate_alpha_final_stage",
@@ -96,9 +94,9 @@ OVERLAPPED = "overlapped"
 NON_OVERLAPPED = "non_overlapped"
 VARIANTS = (OVERLAPPED, NON_OVERLAPPED)
 
+# Labels of the two gain estimates in the sweep's alpha-error file names.
 ALPHA_MMSE_ALL = "mmse_all_stages"
 ALPHA_FINAL = "final_stage_only"
-ALPHA_ESTIMATORS = (ALPHA_MMSE_ALL, ALPHA_FINAL)
 
 # Unit-power pilot; any unit-modulus symbol behaves identically.
 PILOT = 1.0 + 0.0j
@@ -186,13 +184,9 @@ class EstimatorConfig:
     n0: float
     var_alpha: float
     variant: str = OVERLAPPED
-    alpha_estimator: str = ALPHA_MMSE_ALL
 
     def __post_init__(self):
         _check_variant(self.variant)
-        if self.alpha_estimator not in ALPHA_ESTIMATORS:
-            raise ValueError(f"unknown alpha estimator {self.alpha_estimator!r}; "
-                             f"expected one of {ALPHA_ESTIMATORS}")
         # computing the cached geometry validates the variant, k and n
         _ = self.patterns, self.stages
         for key, value in (("n0", self.n0), ("var_alpha", self.var_alpha)):
@@ -337,32 +331,21 @@ def select_path(r: np.ndarray):
 
 
 @dataclass(frozen=True, eq=False)
-class StageMeasurement:
-    """Raw outputs, fused hypothesis scores and the pick of one stage."""
-
-    y: np.ndarray
-    r: np.ndarray
-    selected_receive: int
-    selected_transmit: int
-    value: complex
-
-
-@dataclass(frozen=True, eq=False)
 class EstimationTrace:
-    """Everything one estimation run produced."""
+    """The outcome of one estimation run.
 
-    stages: tuple[StageMeasurement, ...]
+    ``selections`` holds each stage's picked ``(receive, transmit)`` sub-range
+    pair and ``selected_values`` the fused value there, one entry per stage.
+    ``alpha_hat`` is :func:`estimate_alpha_mmse` of all the selected values.
+    """
+
+    selections: tuple[tuple[int, int], ...]
+    selected_values: tuple[complex, ...]
     theta_hat: int
     phi_hat: int
     alpha_hat: complex
     stage_powers: tuple[float, ...]
     total_energy: float
-    final_receive_range: IndexRange
-    final_transmit_range: IndexRange
-
-    @property
-    def selected_values(self) -> tuple[complex, ...]:
-        return tuple(stage.value for stage in self.stages)
 
 
 def estimate_alpha_mmse(
@@ -409,8 +392,7 @@ class SearchBatch:
     Per-stage arrays have shape ``(T, Q, S)``: the selected receive and
     transmit sub-ranges and the fused value of each pick.  ``on_track`` is
     ``(T, Q)``, true where every stage picked the true pair, i.e. where the
-    angles were estimated exactly.  ``y`` and ``r`` hold the raw and fused
-    blocks, ``(T, Q, S, m, m)`` and ``(T, Q, S, k, k)``, when kept.
+    angles were estimated exactly.
     """
 
     receive: np.ndarray
@@ -419,8 +401,6 @@ class SearchBatch:
     on_track: np.ndarray
     stage_powers: np.ndarray      # (Q, S)
     places: np.ndarray            # (S,) grid step of each stage's sub-ranges
-    y: np.ndarray | None = None
-    r: np.ndarray | None = None
 
     @property
     def theta_hat(self) -> np.ndarray:
@@ -431,8 +411,7 @@ class SearchBatch:
         return self.transmit @ self.places
 
 
-def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray,
-                 keep_blocks: bool = False) -> SearchBatch:
+def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray) -> SearchBatch:
     """Run every stage for ``T`` trials times ``Q`` power points at once.
 
     ``cfg`` fixes the geometry (``n``, ``k`` and the variant); ``p_t`` lists
@@ -444,7 +423,7 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
     block is the rank-one signal plus noise while every earlier stage picked
     the true pair, and noise alone after that, so all stages are evaluated on
     track at once and the on-track mask, a running AND of the correct picks,
-    chooses between the two.  ``keep_blocks`` also returns ``y`` and ``r``.
+    chooses between the two.
 
     The engine works on flat blocks.  :func:`fuse_measurements` fuses the
     whole noise stack in two products.  The on-track scores are
@@ -492,14 +471,11 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
     pick_off, value_off = _pick(fused, magnitudes)                          # (T, S)
     # scoring only the touched entries pays when several points share the
     # one noise-only pick
-    whole_rows = points == 1 or patterns.touched.shape[1] == k * k
-    if whole_rows or keep_blocks:
+    if points == 1 or patterns.touched.shape[1] == k * k:
         r_on = amplitude[..., None] * patterns.pair_gram[truth].reshape(trials, 1, -1)
         r_on += fused.reshape(trials, 1, -1)                                # (T, Q, S k^2)
         # one row of k^2 scores per (trial, point, stage)
-        r_on = r_on.reshape(trials, points, stages, -1)
-    if whole_rows:
-        pick_on, value_on = _pick(r_on)
+        pick_on, value_on = _pick(r_on.reshape(trials, points, stages, -1))
     else:
         pick_on, value_on = _split_pick(patterns, amplitude, truth, fused, magnitudes)
     correct = np.logical_and.accumulate(pick_on == truth[:, None], axis=-1)  # (T, Q, S)
@@ -509,16 +485,8 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
     receive, transmit = np.divmod(np.where(on, pick_on, pick_off[:, None]), k)
     # C order, in which the estimators sum the stages
     values = np.ascontiguousarray(np.where(on, value_on, value_off[:, None]))
-    y = r = None
-    if keep_blocks:
-        on = on[..., None]
-        signal = patterns.signatures[truth][:, None]                       # (T, 1, S, m^2)
-        y = np.where(on, amplitude[..., None, None] * signal, 0)
-        y = (y + noise.reshape(trials, 1, stages, -1)).reshape(trials, points, stages, m, m)
-        r = np.where(on, r_on, fused[:, None]).reshape(trials, points, stages, k, k)
     return SearchBatch(receive=receive, transmit=transmit, values=values,
-                       on_track=correct[..., -1], stage_powers=powers,
-                       places=places, y=y, r=r)
+                       on_track=correct[..., -1], stage_powers=powers, places=places)
 
 
 def run_estimation(
@@ -539,29 +507,20 @@ def run_estimation(
     m = cfg.patterns
     noise = MeasurementNoise(cfg.n0, rng).draw_blocks(cfg.stages, (m, m))
     batch = search_batch(cfg, [cfg.p_t], [channel.theta], [channel.phi], [channel.alpha],
-                         noise[None], keep_blocks=True)
-    receive, transmit = batch.receive[0, 0].tolist(), batch.transmit[0, 0].tolist()
+                         noise[None])
     values = batch.values[0, 0]
-    stages = tuple(
-        StageMeasurement(y=y, r=r, selected_receive=kr, selected_transmit=kt,
-                         value=complex(value))
-        for y, r, kr, kt, value in zip(batch.y[0, 0], batch.r[0, 0], receive, transmit, values))
-    theta_hat, phi_hat = int(batch.theta_hat[0, 0]), int(batch.phi_hat[0, 0])
-    if cfg.alpha_estimator == ALPHA_MMSE_ALL:
-        alpha_hat = estimate_alpha_mmse(values, cfg.p_t, PILOT, cfg.n0, cfg.var_alpha)
-    else:
-        alpha_hat = estimate_alpha_final_stage(values[-1], cfg.p_t, PILOT,
-                                               cfg.n0, cfg.var_alpha)
     powers = tuple(batch.stage_powers[0].tolist())
+    # via a list: tuple() of an iterator resizes its result, and CPython keeps
+    # each freed resized tuple on a free list, so memory crept up per trial
+    selections = list(zip(batch.receive[0, 0].tolist(), batch.transmit[0, 0].tolist()))
     return EstimationTrace(
-        stages=stages,
-        theta_hat=theta_hat,
-        phi_hat=phi_hat,
-        alpha_hat=complex(alpha_hat),
+        selections=tuple(selections),
+        selected_values=tuple(values.tolist()),
+        theta_hat=int(batch.theta_hat[0, 0]),
+        phi_hat=int(batch.phi_hat[0, 0]),
+        alpha_hat=complex(estimate_alpha_mmse(values, cfg.p_t, PILOT, cfg.n0, cfg.var_alpha)),
         stage_powers=powers,
         total_energy=m ** 2 * sum(powers),
-        final_receive_range=IndexRange(theta_hat, theta_hat + 1),
-        final_transmit_range=IndexRange(phi_hat, phi_hat + 1),
     )
 
 
@@ -583,7 +542,7 @@ def trace_record(trace: EstimationTrace, truth: ChannelRealization,
         "theta": truth.theta,
         "phi": truth.phi,
         "alpha": format_complex(truth.alpha),
-        "selections": [[s.selected_receive, s.selected_transmit] for s in trace.stages],
+        "selections": [list(pair) for pair in trace.selections],
         "theta_hat": trace.theta_hat,
         "phi_hat": trace.phi_hat,
         "alpha_hat": format_complex(trace.alpha_hat),

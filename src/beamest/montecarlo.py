@@ -40,7 +40,6 @@ import numpy as np
 from .analysis import pcef_upper_bound
 from .arrays import ChannelRealization, MeasurementNoise, reseater, substream, substream_states
 from .estimator import (
-    ALPHA_MMSE_ALL,
     NON_OVERLAPPED,
     OVERLAPPED,
     PILOT,
@@ -128,6 +127,8 @@ class ExperimentConfig:
         _check_noise_and_prior(self.n0, self.var_alpha)
         if not self.variants:
             raise ValueError("no variants selected")
+        if len(set(self.variants)) < len(self.variants):
+            raise ValueError(f"variants must not repeat, got {self.variants}")
         for variant in self.variants:
             if variant not in _VARIANT_KEYS:
                 raise ValueError(f"unknown variant {variant!r}")
@@ -180,9 +181,8 @@ def noise_stream(cfg: ExperimentConfig, trial_index: int, variant: str) -> np.ra
 
 
 def failure_indicator(trace: EstimationTrace, truth: ChannelRealization) -> bool:
-    """True when either true angle index escaped its finally selected sub-range."""
-    return (truth.phi not in trace.final_transmit_range
-            or truth.theta not in trace.final_receive_range)
+    """True when either estimated angle index differs from the true one."""
+    return trace.theta_hat != truth.theta or trace.phi_hat != truth.phi
 
 
 def energy_from_db(db: float, n0: float = 1.0) -> float:
@@ -328,8 +328,7 @@ def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
     # one config per variant validates the geometry and the prior, at the
     # grid's lowest power; the engine takes every point's power as one array
     configs = {variant: EstimatorConfig(n=cfg.n, k=cfg.k, p_t=float(powers[variant][0]),
-                                        n0=cfg.n0, var_alpha=cfg.alpha_variance,
-                                        variant=variant, alpha_estimator=ALPHA_MMSE_ALL)
+                                        n0=cfg.n0, var_alpha=cfg.alpha_variance, variant=variant)
                for variant in cfg.variants}
     n_points = len(cfg.et_db)
     stages = stage_count(cfg.n, cfg.k)

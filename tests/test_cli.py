@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,27 @@ class TestExitCodes:
         out = tmp_path / "n0"
         assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
         assert f"{command}: {message}" in capsys.readouterr().err
+        assert not (out / f"{command}_manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "bound"])
+    @pytest.mark.parametrize("value, shown", [("true", "True"), ("3, abc", "'abc'")],
+                             ids=["bool", "text"])
+    def test_non_number_energy_exits_2(self, tmp_path, capsys, command, value, shown):
+        # float() of true swept 1.0 dB, and of abc named no key
+        path = write_cfg(tmp_path, f"n = 9\nk = 3\ntrials = 2\net_db = {value}\n")
+        out = tmp_path / "et"
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert f"{command}: key 'et_db' must be float, got {shown}" in capsys.readouterr().err
+        assert not (out / f"{command}_manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "trace"])
+    def test_duplicate_variants_exit_2(self, tmp_path, capsys, command):
+        # the variant ran twice into one file, and the manifest counted both runs
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 6\n"
+                                   "variants = overlapped, overlapped\n")
+        out = tmp_path / "dup"
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert "variants must not repeat" in capsys.readouterr().err
         assert not (out / f"{command}_manifest.json").exists()
 
     @pytest.mark.parametrize("command, text, key, shown", [
@@ -333,6 +355,15 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", path, "--out", tmp_path / "r", "--quiet") == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, shown", [("no", "'no'"), ("1", "1")], ids=["no", "one"])
+    def test_non_boolean_bound_exits_2(self, tmp_path, capsys, value, shown):
+        # any non-empty value was truthy, so bound = no wrote bound.csv
+        path = write_cfg(tmp_path, f"n = 9\nk = 3\ntrials = 2\net_db = 6\nbound = {value}\n")
+        out = tmp_path / "b"
+        assert run_cli("sweep", "--config", path, "--out", out, "--quiet") == 2
+        assert f"sweep: key 'bound' must be bool, got {shown}" in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
+
     def test_successive_calls_write_their_own_manifests(self, tmp_path):
         # one parser serves every call in a process; no parsed value may
         # carry over from one call into the next
@@ -427,8 +458,9 @@ class TestTraceCommand:
             complex(record["alpha"])  # parses back
             assert isinstance(record["correct"], bool)
 
-    def test_each_channel_drawn_once(self, tmp_path, monkeypatch):
-        # both variants trace the same channels, drawn once per trial
+    def test_each_variant_draws_each_channel_once(self, tmp_path, monkeypatch):
+        # both variants trace the same channels, each variant drawing every
+        # trial's channel once, so no channel is held from one variant to the next
         trials = []
         draw = cli.sample_channel
 
@@ -439,7 +471,25 @@ class TestTraceCommand:
         monkeypatch.setattr(cli, "sample_channel", counting)
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 5\net_db = 20\n")
         assert run_cli("trace", "--config", path, "--out", tmp_path / "t", "--quiet") == 0
-        assert trials == list(range(5))
+        assert trials == list(range(5)) * 2
+
+    def test_memory_does_not_grow_with_trials(self, tmp_path):
+        # each record is written as it is made; one variant at the fig3
+        # geometry, since every variant streams through the same generator
+        def peak(trials):
+            path = write_cfg(tmp_path, f"n = 27\nk = 3\ntrials = {trials}\net_db = 20\n"
+                                       "variants = overlapped\n", name=f"t{trials}.cfg")
+            tracemalloc.start()
+            try:
+                assert run_cli("trace", "--config", path, "--out", tmp_path / str(trials),
+                               "--quiet") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(50)  # warm the caches so neither measurement pays for them
+        small, large = peak(500), peak(5000)
+        assert large < 1.2 * small, (small, large)
 
     def test_manifest_records_environment_only(self, tmp_path):
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 20\n")

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import reference_search
 
 from beamest import cli, codebook, estimator, montecarlo
-from beamest.arrays import (AngleGrid, ChannelRealization, MeasurementNoise, build_channel,
-                            measure_block)
-from beamest.codebook import BeamPatternMatrix, IndexRange
+from beamest.arrays import AngleGrid, ChannelRealization, MeasurementNoise
+from beamest.codebook import BeamPatternMatrix
 from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
@@ -39,34 +39,18 @@ FIG3 = ExperimentConfig(n=27, k=3, et_db=tuple(range(-4, 33, 2)), trials=2000,
                         master_seed=8151372)
 
 
-def reference_search(channel, cfg, rng):
-    """Per-stage ``(y, r, kr, kt)`` of the search sounded with the explicit beams."""
-    bank = codebook_bank(cfg.n, cfg.k, cfg.variant)
-    h = build_channel(channel)
-    noise = MeasurementNoise(cfg.n0, rng)
-    parent_t = parent_r = IndexRange(0, cfg.n)
-    stages = []
-    for s in range(1, cfg.stages + 1):
-        partition, cb = bank.refine(parent_t, parent_r, cfg.k, stage=s)
-        y = measure_block(h, cb.f, cb.w, cfg.p_t / cb.gain ** 4, PILOT, noise)
-        r = fuse_measurements(y, bank.patterns)
-        kr, kt = select_path(r)
-        stages.append((y, r, kr, kt))
-        parent_t, parent_r = partition.transmit[kt], partition.receive[kr]
-    return stages
-
-
 def _noise(cfg, seeds):
     m = cfg.patterns
     return np.stack([MeasurementNoise(cfg.n0, seed).draw_blocks(cfg.stages, (m, m))
                      for seed in seeds])
 
 
-def _assert_matches_reference(reference, y, receive, transmit):
-    scale = max(float(np.abs(ref_y).max()) for ref_y, *_ in reference)
-    for s, (ref_y, _, kr, kt) in enumerate(reference):
+def _assert_matches_reference(reference, receive, transmit, values):
+    """The same pick at every stage, and the picked value that of the reference."""
+    scale = max(float(np.abs(ref_r).max()) for _, ref_r, *_ in reference)
+    for s, (_, ref_r, kr, kt) in enumerate(reference):
         assert (receive[s], transmit[s]) == (kr, kt)
-        assert np.abs(y[s] - ref_y).max() <= 1e-12 * scale
+        assert abs(values[s] - ref_r[kr, kt]) <= 1e-12 * scale
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -89,16 +73,15 @@ def test_engine_matches_explicit_beam_reference(data, geometry, variant, gain, l
 
     # a batch of one
     trace = run_estimation(channel, cfg, seed)
-    _assert_matches_reference(reference, [st_.y for st_ in trace.stages],
-                              [st_.selected_receive for st_ in trace.stages],
-                              [st_.selected_transmit for st_ in trace.stages])
+    receive, transmit = zip(*trace.selections)
+    _assert_matches_reference(reference, receive, transmit, trace.selected_values)
 
     # the same trial inside a batch: other trials around it, another power point
     thetas, phis = [(theta + 5) % n, theta, 0], [phi, phi, n - 1]
     batch = search_batch(cfg, [4.0 * cfg.p_t, cfg.p_t], thetas, phis, [1j, alpha, -2.0],
-                         _noise(cfg, [seed + 1, seed, seed + 2]), keep_blocks=True)
-    _assert_matches_reference(reference, batch.y[1, 1], batch.receive[1, 1],
-                              batch.transmit[1, 1])
+                         _noise(cfg, [seed + 1, seed, seed + 2]))
+    _assert_matches_reference(reference, batch.receive[1, 1], batch.transmit[1, 1],
+                              batch.values[1, 1])
     assert bool(batch.on_track[1, 1]) == ((trace.theta_hat, trace.phi_hat) == (theta, phi))
 
 
@@ -117,12 +100,12 @@ class TestNoise:
 
 
 class TestSearchBatch:
-    def _batch(self, cfg, p_t, trials=40, seed=3, keep_blocks=False):
+    def _batch(self, cfg, p_t, trials=40, seed=3):
         rng = np.random.default_rng(seed)
         theta, phi = rng.integers(cfg.n, size=trials), rng.integers(cfg.n, size=trials)
         alpha = rng.normal(size=trials) + 1j * rng.normal(size=trials)
         noise = _noise(cfg, [seed * 1000 + t for t in range(trials)])
-        return theta, phi, search_batch(cfg, p_t, theta, phi, alpha, noise, keep_blocks)
+        return theta, phi, search_batch(cfg, p_t, theta, phi, alpha, noise)
 
     def test_failure_is_wrong_final_pair(self):
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
@@ -134,8 +117,8 @@ class TestSearchBatch:
     def test_blocks_are_noise_alone_after_leaving_the_true_range(self):
         cfg = EstimatorConfig(n=27, k=3, p_t=0.01, n0=1.0, var_alpha=729.0)
         rng_seeds = [3000 + t for t in range(40)]
-        theta, phi, batch = self._batch(cfg, [cfg.p_t], keep_blocks=True)
-        noise = _noise(cfg, rng_seeds)
+        theta, phi, batch = self._batch(cfg, [cfg.p_t])
+        fused = fuse_measurements(_noise(cfg, rng_seeds), pattern_matrix(cfg.k, cfg.variant))
         left = 0
         for t in range(40):
             for s in range(1, cfg.stages):
@@ -143,8 +126,11 @@ class TestSearchBatch:
                           for j in range(s)]
                 picks = list(zip(batch.receive[t, 0, :s], batch.transmit[t, 0, :s]))
                 if picks != digits:
+                    # the pick and value of the stage's fused noise alone
                     left += 1
-                    np.testing.assert_array_equal(batch.y[t, 0, s], noise[t, s])
+                    kr, kt = select_path(fused[t, s])
+                    assert (batch.receive[t, 0, s], batch.transmit[t, 0, s]) == (kr, kt)
+                    assert batch.values[t, 0, s] == fused[t, s, kr, kt]
         assert left > 0
 
     @pytest.mark.parametrize("bad, message", [
@@ -210,8 +196,8 @@ class TestSearchBatch:
         np.testing.assert_array_equal(batch.theta_hat, 0)
 
 
-def full_row_search(cfg, patterns, p_t, theta, phi, alpha, noise, fused):
-    """``(receive, transmit, values, on_track, y, r)`` with every row of
+def full_row_search(cfg, patterns, p_t, theta, phi, alpha, fused):
+    """``(receive, transmit, values, on_track)`` with every row of
     ``k^2`` scores picked whole: the first flat index of the largest
     magnitude, and ``ValueError`` for a NaN or infinite score anywhere."""
     k, stages = cfg.k, cfg.stages
@@ -232,12 +218,7 @@ def full_row_search(cfg, patterns, p_t, theta, phi, alpha, noise, fused):
     correct = np.logical_and.accumulate(picks[0] == truth[:, None], axis=-1)
     on = np.concatenate([np.ones((trials, points, 1), dtype=bool), correct[..., :-1]], axis=-1)
     receive, transmit = np.divmod(np.where(on, *picks), k)
-    signal = amplitude[:, :, None, None] * patterns.signatures[truth][:, None]
-    y = np.where(on[..., None], signal, 0) + noise.reshape(trials, 1, stages, -1)
-    r = np.where(on[..., None], r_on, fused)
-    m = patterns.m
-    return (receive, transmit, np.where(on, *values), correct[..., -1],
-            y.reshape(trials, points, stages, m, m), r.reshape(trials, points, stages, k, k))
+    return receive, transmit, np.where(on, *values), correct[..., -1]
 
 
 class TestSplitPick:
@@ -253,17 +234,12 @@ class TestSplitPick:
             fused = fuse_measurements(noise, patterns)
         else:
             monkeypatch.setattr(estimator, "fuse_measurements", lambda *args: fused)
-        expected = full_row_search(cfg, patterns, p_t, theta, phi, alpha, noise, fused)
-        for keep_blocks in (False, True):
-            batch = search_batch(cfg, p_t, theta, phi, alpha, noise, keep_blocks=keep_blocks)
-            got = (batch.receive, batch.transmit, batch.values, batch.on_track, batch.y, batch.r)
-            for name, a, b in zip(("receive", "transmit", "values", "on_track", "y", "r"),
-                                  got, expected):
-                if a is None:
-                    assert not keep_blocks and name in ("y", "r")
-                    continue
-                assert a.shape == b.shape, name
-                assert a.tobytes() == b.tobytes(), name
+        expected = full_row_search(cfg, patterns, p_t, theta, phi, alpha, fused)
+        batch = search_batch(cfg, p_t, theta, phi, alpha, noise)
+        got = (batch.receive, batch.transmit, batch.values, batch.on_track)
+        for name, a, b in zip(("receive", "transmit", "values", "on_track"), got, expected):
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
         return batch
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)

@@ -2,12 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from reference import reference_search
 
 from beamest import estimator
 from beamest.arrays import ChannelRealization, substream
 from beamest.codebook import identity_pattern_matrix, overlapped_pattern_matrix
 from beamest.estimator import (
-    ALPHA_FINAL,
     NON_OVERLAPPED,
     OVERLAPPED,
     PILOT,
@@ -223,10 +223,9 @@ class TestRunEstimation:
     def test_trace_structure(self):
         ch = ChannelRealization(theta=4, phi=22, alpha=1.0 + 1j, n=27)
         trace = run_estimation(ch, _config())
-        assert len(trace.stages) == 3
-        for stage in trace.stages:
-            assert stage.y.shape == (2, 2)
-            assert stage.r.shape == (3, 3)
+        assert len(trace.selections) == len(trace.selected_values) == 3
+        for kr, kt in trace.selections:
+            assert 0 <= kr < 3 and 0 <= kt < 3
         assert slot_count(27, 3, OVERLAPPED) == 12
 
     def test_stage_structure_large_grid(self):
@@ -261,11 +260,10 @@ class TestRunEstimation:
             ch = ChannelRealization(theta=int(rng.integers(27)), phi=int(rng.integers(27)),
                                     alpha=complex(rng.normal(), rng.normal()), n=27)
             trace = run_estimation(ch, cfg, substream(5, trial))
-            phi = sum(st.selected_transmit * 3 ** (3 - s)
-                      for s, st in enumerate(trace.stages, start=1))
-            assert phi == trace.phi_hat
-            assert trace.final_transmit_range.start == trace.phi_hat
-            assert len(trace.final_transmit_range) == 1
+            places = [3 ** (3 - s) for s in range(1, 4)]
+            receive, transmit = zip(*trace.selections)
+            assert np.dot(receive, places) == trace.theta_hat
+            assert np.dot(transmit, places) == trace.phi_hat
 
     def test_correct_value_matches_link_budget(self):
         # noiseless fused value of the true pair: alpha sqrt(p_s) C_s^2 = alpha sqrt(p_t)
@@ -282,11 +280,10 @@ class TestRunEstimation:
         for _ in range(20):
             ch = ChannelRealization(theta=int(rng.integers(27)), phi=int(rng.integers(27)),
                                     alpha=complex(rng.normal(), rng.normal()), n=27)
-            trace = run_estimation(ch, cfg)
-            for stage in trace.stages:
-                magnitudes = np.abs(stage.r)
-                correct = magnitudes[stage.selected_receive, stage.selected_transmit]
-                magnitudes[stage.selected_receive, stage.selected_transmit] = 0.0
+            for _, r, kr, kt in reference_search(ch, cfg, 0):
+                magnitudes = np.abs(r)
+                correct = magnitudes[kr, kt]
+                magnitudes[kr, kt] = 0.0
                 assert magnitudes.max() <= correct * (SQ2 + 1e-9)
 
     def test_noiseless_fused_magnitudes_follow_correlation_products(self):
@@ -297,20 +294,18 @@ class TestRunEstimation:
         for _ in range(10):
             ch = ChannelRealization(theta=int(rng.integers(27)), phi=int(rng.integers(27)),
                                     alpha=complex(rng.normal(), rng.normal()), n=27)
-            trace = run_estimation(ch, cfg)
             scale = abs(ch.alpha) * np.sqrt(2.0)
-            for stage in trace.stages:
-                kr_true, kt_true = stage.selected_receive, stage.selected_transmit
+            for _, r, kr_true, kt_true in reference_search(ch, cfg, 0):
                 expected = scale * np.outer(gram[:, kr_true], gram[kt_true, :])
-                np.testing.assert_allclose(np.abs(stage.r), expected, atol=1e-9)
+                np.testing.assert_allclose(np.abs(r), expected, atol=1e-9)
 
     def test_noise_seed_reproducibility(self):
         ch = ChannelRealization(theta=3, phi=18, alpha=0.5 + 0.5j, n=27)
         cfg = _config(n0=1.0, p_t=0.1)
         a = run_estimation(ch, cfg, substream(7, 0))
         b = run_estimation(ch, cfg, substream(7, 0))
+        assert a.selections == b.selections
         assert a.selected_values == b.selected_values
-        np.testing.assert_array_equal(a.stages[0].y, b.stages[0].y)
 
     def test_channel_config_size_mismatch(self):
         ch = ChannelRealization(theta=0, phi=0, alpha=1.0, n=9)
@@ -331,22 +326,24 @@ class TestRunBaseline:
     def test_uses_k_squared_slots(self):
         ch = ChannelRealization(theta=1, phi=2, alpha=1.0, n=27)
         trace = run_baseline(ch, _config())
-        assert trace.stages[0].y.shape == (3, 3)
+        assert trace.total_energy == 9 * sum(trace.stage_powers)
         assert slot_count(27, 3, NON_OVERLAPPED) == 27
 
     def test_fused_equals_raw_block(self):
         ch = ChannelRealization(theta=7, phi=16, alpha=1.0 - 2.0j, n=27)
+        cfg = _config(n0=0.3, variant=NON_OVERLAPPED)
+        reference = reference_search(ch, cfg, substream(9))
+        for y, r, _, _ in reference:
+            np.testing.assert_allclose(r, y, atol=1e-13)
         trace = run_baseline(ch, _config(n0=0.3), substream(9))
-        for stage in trace.stages:
-            np.testing.assert_allclose(stage.r, stage.y, atol=1e-13)
+        assert list(trace.selections) == [(kr, kt) for _, _, kr, kt in reference]
 
     def test_off_path_entries_vanish_noiseless(self):
         ch = ChannelRealization(theta=7, phi=16, alpha=1.0 - 2.0j, n=27)
-        trace = run_baseline(ch, _config())
-        for stage in trace.stages:
-            magnitudes = np.abs(stage.r)
-            correct = magnitudes[stage.selected_receive, stage.selected_transmit]
-            magnitudes[stage.selected_receive, stage.selected_transmit] = 0.0
+        for _, r, kr, kt in reference_search(ch, _config(variant=NON_OVERLAPPED), 0):
+            magnitudes = np.abs(r)
+            correct = magnitudes[kr, kt]
+            magnitudes[kr, kt] = 0.0
             assert magnitudes.max() < 1e-9 * correct
 
 
@@ -372,8 +369,6 @@ class TestConfigValidation:
     def test_bad_variant_names(self):
         with pytest.raises(ValueError):
             _config(variant="diagonal")
-        with pytest.raises(ValueError):
-            _config(alpha_estimator="oracle")
 
     def test_geometry_computed_once(self, monkeypatch):
         calls = []
@@ -405,11 +400,11 @@ class TestTraceRecords:
         loaded = [json.loads(line) for line in path.read_text().splitlines()]
         assert loaded == [json.loads(json.dumps(record))]
 
-    def test_final_stage_estimator_selected_by_config(self):
+    def test_gain_estimate_is_all_stage_mmse(self):
         ch = ChannelRealization(theta=2, phi=3, alpha=0.7 + 0.1j, n=9)
-        cfg = _config(n=9, var_alpha=81.0, n0=1.0, p_t=0.5,
-                      alpha_estimator=ALPHA_FINAL)
+        cfg = _config(n=9, var_alpha=81.0, n0=1.0, p_t=0.5)
         trace = run_estimation(ch, cfg, substream(1))
-        expected = estimate_alpha_final_stage(trace.selected_values[-1], 0.5, PILOT,
-                                              1.0, 81.0)
+        expected = estimate_alpha_mmse(trace.selected_values, 0.5, PILOT, 1.0, 81.0)
         assert trace.alpha_hat == expected
+        assert trace.alpha_hat != estimate_alpha_final_stage(trace.selected_values[-1], 0.5,
+                                                             PILOT, 1.0, 81.0)

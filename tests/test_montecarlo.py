@@ -212,23 +212,6 @@ class TestBlockDrawsThroughSetter(TestBlockDraws):
 
 
 class TestFailureIndicator:
-    def test_equivalence_with_index_match(self):
-        # containment in the final singleton sub-range must agree with exact
-        # index recovery, trial by trial
-        cfg = _cfg(n=9, trials=1, et_db=(6.0,))
-        ecfg = EstimatorConfig(n=9, k=3, p_t=power_for_energy(10 ** 0.6, 9, 3),
-                               n0=1.0, var_alpha=81.0)
-        mismatches = 0
-        for trial in range(10_000):
-            channel = sample_channel(cfg, trial)
-            trace = run_estimation(channel, ecfg,
-                                   np.random.default_rng(noise_stream(cfg, trial, OVERLAPPED)))
-            failed = failure_indicator(trace, channel)
-            index_failed = (trace.theta_hat != channel.theta
-                            or trace.phi_hat != channel.phi)
-            mismatches += failed != index_failed
-        assert mismatches == 0
-
     def test_perfect_and_broken_traces(self):
         cfg = _cfg(n=9)
         ecfg = EstimatorConfig(n=9, k=3, p_t=1.0, n0=0.0, var_alpha=81.0)
@@ -241,6 +224,10 @@ class TestFailureIndicator:
                                   phi=(channel.phi + 1) % 9,
                                   alpha=channel.alpha, n=9)
         assert failure_indicator(trace, wrong_phi) is True
+        # and so must the wrong receive side alone
+        wrong_theta = type(channel)(theta=(channel.theta + 1) % 9, phi=channel.phi,
+                                    alpha=channel.alpha, n=9)
+        assert failure_indicator(trace, wrong_theta) is True
 
 
 class TestEnergyAccounting:
@@ -368,6 +355,10 @@ class TestRunSweep:
             _cfg(trials=0)
         with pytest.raises(ValueError):
             _cfg(variants=("sideways",))
+        # a repeated variant ran twice into one table and doubled the run count
+        for variants in ((OVERLAPPED, OVERLAPPED), (NON_OVERLAPPED, OVERLAPPED, NON_OVERLAPPED)):
+            with pytest.raises(ValueError, match="variants must not repeat"):
+                _cfg(variants=variants)
         with pytest.raises(ValueError):
             _cfg(n=10)
         for key in ("n0", "var_alpha"):
