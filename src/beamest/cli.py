@@ -21,6 +21,7 @@ as ``re<+/->imj``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -34,6 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._output import output_file
 from .codebook import realized_gains, write_beam_matrix
 from .estimator import (
     ALPHA_FINAL,
@@ -47,8 +49,9 @@ from .estimator import (
     run_estimation,
     slot_count,
     stage_count,  # noqa: F401 -- benchmarks/workloads.py wraps cli.stage_count
+    trace_line,
     trace_record,
-    write_trace_records,
+    write_trace_records,  # noqa: F401 -- benchmarks/workloads.py wraps cli.write_trace_records
 )
 from .montecarlo import (
     ExperimentConfig,
@@ -214,7 +217,8 @@ def _variants(cfg: dict) -> tuple[str, ...]:
 
 
 def _write(path: Path, text: str, quiet: bool) -> Path:
-    path.write_text(text, encoding="ascii")
+    with output_file(path) as fh:
+        fh.write(text)
     if not quiet:
         print(f"wrote {path}")
     return path
@@ -243,12 +247,8 @@ def _write_manifest(out_dir: Path, command: str, config_name: str, cfg: dict,
         "outputs": [p.name for p in outputs],
         **run_info,
     }
-    path = out_dir / f"{command}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="ascii")
-    if not args.quiet:
-        print(f"wrote {path}")
-    return path
+    return _write(out_dir / f"{command}_manifest.json",
+                  json.dumps(manifest, indent=2, sort_keys=True) + "\n", args.quiet)
 
 
 def _gain_flatness_rows(n: int, k: int, variant: str) -> list[str]:
@@ -278,7 +278,6 @@ def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
     if variant not in VARIANTS:
         raise ConfigError(f"codebook: unknown variant {variant!r}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bank = codebook_bank(n, k, variant)
     outputs = []
 
@@ -316,7 +315,6 @@ def _slot_table_csv(cfg: dict) -> str:
 
 def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs_wanted = [str(o) for o in _as_list(cfg.get("outputs", "pcef"))]
     for name in outputs_wanted:
         if name not in ("pcef", "alpha_error", "slots"):
@@ -368,7 +366,6 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
 
 def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_values = _int_list(cfg, "n", "bound")
     k_values = _int_list(cfg, "k", "bound")
     if len(n_values) != len(k_values):
@@ -385,22 +382,8 @@ def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
     return outputs
 
 
-def _trace_records(experiment: ExperimentConfig, ecfg: EstimatorConfig, variant: str):
-    """One variant's trace records, each made when it is written.
-
-    Every variant draws each trial's channel from the same stream, so all
-    see the same channels, and memory does not grow with the trial count.
-    """
-    for trial in range(experiment.trials):
-        channel = sample_channel(experiment, trial)
-        rng = np.random.default_rng(noise_stream(experiment, trial, variant))
-        yield trace_record(run_estimation(channel, ecfg, rng), channel, trial=trial,
-                           seed=experiment.master_seed)
-
-
 def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n = _require(cfg, "n", int, "trace")
     k = _require(cfg, "k", int, "trace")
     trials = _require(cfg, "trials", int, "trace")
@@ -414,16 +397,24 @@ def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
                                   var_alpha=_alpha_variance(cfg),
                                   variants=_variants(cfg))
     energy = energy_from_db(et_db, n0)
-    outputs = []
-    for variant in experiment.variants:
-        ecfg = EstimatorConfig(
-            n=n, k=k, p_t=power_for_energy(energy, n, k, variant), n0=n0,
-            var_alpha=experiment.alpha_variance, variant=variant)
-        path = out_dir / f"traces_{variant}.jsonl"
-        write_trace_records(path, _trace_records(experiment, ecfg, variant))
-        if not args.quiet:
+    configs = {variant: EstimatorConfig(
+        n=n, k=k, p_t=power_for_energy(energy, n, k, variant), n0=n0,
+        var_alpha=experiment.alpha_variance, variant=variant)
+        for variant in experiment.variants}
+    outputs = [out_dir / f"traces_{variant}.jsonl" for variant in configs]
+    # each trial's channel is drawn once and traced by every variant, its
+    # record written as it is made, so memory does not grow with the trials
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(output_file(path)) for path in outputs]
+        for trial in range(trials):
+            channel = sample_channel(experiment, trial)
+            for (variant, ecfg), fh in zip(configs.items(), files):
+                rng = np.random.default_rng(noise_stream(experiment, trial, variant))
+                fh.write(trace_line(trace_record(run_estimation(channel, ecfg, rng), channel,
+                                                 trial=trial, seed=seed)))
+    if not args.quiet:
+        for path in outputs:
             print(f"wrote {path}")
-        outputs.append(path)
     return outputs
 
 
@@ -463,6 +454,13 @@ def main(argv=None) -> int:
         print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
         return 2
     started = time.perf_counter()
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {args.out!r}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     try:
         config_name, cfg = load_config(args.config)
         if args.seed is not None:
@@ -475,8 +473,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    _write_manifest(Path(args.out), args.command, config_name, cfg, args,
-                    elapsed, outputs, run_info)
+    _write_manifest(out_dir, args.command, config_name, cfg, args, elapsed, outputs,
+                    run_info)
     return 0
 
 

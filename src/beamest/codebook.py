@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._output import output_file
 from .arrays import AngleGrid
 
 __all__ = [
@@ -79,6 +80,11 @@ class BeamPatternMatrix:
 
     def column(self, index: int) -> np.ndarray:
         return self.values[:, index]
+
+    @cached_property
+    def is_identity(self) -> bool:
+        """Whether the matrix is ``I``: each beam covers one sub-range alone."""
+        return self.m == self.k and bool(np.array_equal(self.values, np.eye(self.k)))
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -383,7 +389,7 @@ def write_beam_matrix(path, matrix: np.ndarray, stage: int, gain: float) -> None
     parts = np.ascontiguousarray(matrix, dtype=complex).view(float).tolist()
     lines = [f"{n} {m} {stage} {gain!r}"]
     lines += [row_format(*row) for row in parts]
-    with open(path, "w", encoding="ascii") as fh:
+    with output_file(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -48,6 +48,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._output import output_file
 from .arrays import AngleGrid, ChannelRealization, MeasurementNoise
 # Not used here: the benchmark's traced run looks these names up on this module.
 from .arrays import build_channel, measure_block  # noqa: F401
@@ -86,6 +87,7 @@ __all__ = [
     "slot_count",
     "stage_count",
     "stage_gains",
+    "trace_line",
     "trace_record",
     "write_trace_records",
 ]
@@ -246,12 +248,17 @@ def fuse_measurements(y: np.ndarray, patterns: BeamPatternMatrix) -> np.ndarray:
     the unit-norm Kronecker signature of the pair.  A stack of blocks
     ``(..., m, m)`` is fused as ``(P^T y) P`` with two 2-D products over the
     whole stack, the blocks side by side, so every block gets the sums a
-    block-by-block product gives.
+    block-by-block product gives.  The non-overlapped design has ``P = I``,
+    so its blocks are returned as a copy; that differs from the product only
+    where a block holds ``-0.0`` (kept, where the product gives ``0.0``) or a
+    NaN or infinity (kept in its entry, where the product spreads NaN).
     """
     m, k = patterns.m, patterns.k
     if y.shape[-2:] != (m, m):
         raise ValueError(f"expected {m}x{m} measurement blocks, got {y.shape}")
     values = patterns.values
+    if patterns.is_identity:
+        return np.array(y, dtype=np.result_type(y, values))
     # rows l of every block side by side: P^T y_b lands at [:, b*m:(b+1)*m]
     left = values.T @ y.reshape(-1, m, m).swapaxes(0, 1).reshape(m, -1)
     fused = left.reshape(-1, m) @ values                        # rows (i, b)
@@ -551,8 +558,13 @@ def trace_record(trace: EstimationTrace, truth: ChannelRealization,
     return record
 
 
+def trace_line(record: dict) -> str:
+    """One trace record as a JSON line, keys sorted."""
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
 def write_trace_records(path, records) -> None:
     """One JSON object per line."""
-    with open(path, "w", encoding="ascii") as fh:
+    with output_file(path) as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(trace_line(record))

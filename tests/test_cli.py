@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from beamest import cli
 from beamest.cli import ConfigError, load_config, main, parse_config
-from beamest.codebook import read_beam_matrix
+from beamest.codebook import read_beam_matrix, write_beam_matrix
+from beamest.estimator import write_trace_records
 
 
 def run_cli(*args):
@@ -188,6 +190,16 @@ class TestExitCodes:
                        "--quiet") == 2
         assert f"{command}: key {key!r} must list integers, got {shown}" in capsys.readouterr().err
         assert not out.exists() or not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["codebook", "sweep", "bound", "trace"])
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, command):
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 6\n")
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n")
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text() == "a file, not a directory\n"
 
     def test_unknown_command_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -459,8 +471,8 @@ class TestTraceCommand:
             assert isinstance(record["correct"], bool)
 
     def test_each_variant_draws_each_channel_once(self, tmp_path, monkeypatch):
-        # both variants trace the same channels, each variant drawing every
-        # trial's channel once, so no channel is held from one variant to the next
+        # both variants trace the same channels: each trial's channel is drawn
+        # once and traced by every variant before the next trial's is drawn
         trials = []
         draw = cli.sample_channel
 
@@ -471,7 +483,7 @@ class TestTraceCommand:
         monkeypatch.setattr(cli, "sample_channel", counting)
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 5\net_db = 20\n")
         assert run_cli("trace", "--config", path, "--out", tmp_path / "t", "--quiet") == 0
-        assert trials == list(range(5)) * 2
+        assert trials == list(range(5))
 
     def test_memory_does_not_grow_with_trials(self, tmp_path):
         # each record is written as it is made; one variant at the fig3
@@ -517,3 +529,84 @@ class TestTraceCommand:
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 6\nseed = -3\n")
         assert run_cli("trace", "--config", path, "--out", tmp_path / "n", "--quiet") == 2
         assert "master seed must be nonnegative, got -3" in capsys.readouterr().err
+
+
+# Small runs of every command, each writing every kind of file it can.
+WRITER_RUNS = {
+    "sweep": "n = 9\nk = 3\ntrials = 3\net_db = 0, 10\nseed = 4\nbound = true\n"
+             "outputs = pcef, alpha_error, slots\nk_values = 3\nn_values_k3 = 3, 9\n",
+    "bound": "n = 9, 27\nk = 3, 3\net_db = 0, 10\n",
+    "trace": "n = 9\nk = 3\ntrials = 4\net_db = 6\n",
+    "codebook": "n = 9\nk = 3\n",
+}
+
+
+class TestOutputFiles:
+    """Every file the package writes replaces whatever was at its path."""
+
+    def _run(self, tmp_path, command, out):
+        path = write_cfg(tmp_path, WRITER_RUNS[command], name=f"{command}.cfg")
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 0
+        manifest = json.loads((out / f"{command}_manifest.json").read_text())
+        return {name: (out / name).read_bytes() for name in manifest["outputs"]}
+
+    @pytest.mark.parametrize("command", sorted(WRITER_RUNS))
+    def test_shorter_output_over_longer_files(self, tmp_path, command):
+        fresh = self._run(tmp_path, command, tmp_path / "fresh")
+        out = tmp_path / "over"
+        out.mkdir()
+        stale = "stale line\n" * 10_000
+        for name in [*fresh, f"{command}_manifest.json"]:
+            (out / name).write_text(stale)
+            os.chmod(out / name, 0o640)
+        before = {name: os.stat(out / name).st_ino for name in fresh}
+        assert self._run(tmp_path, command, out) == fresh  # the manifest parsed whole
+        for name in fresh:
+            info = os.stat(out / name)
+            assert (info.st_ino, info.st_mode & 0o777) == (before[name], 0o640)
+
+    def test_trace_records_over_longer_file(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        path.write_text("stale line\n" * 10_000)
+        write_trace_records(path, [{"trial": 1, "correct": True}])
+        assert path.read_text() == '{"correct": true, "trial": 1}\n'
+
+    def test_beam_matrix_over_longer_file(self, tmp_path):
+        matrix = np.array([[1.0 + 0.5j], [-0.0 - 2.0j]])
+        fresh, over = tmp_path / "fresh.txt", tmp_path / "over.txt"
+        over.write_text("stale line\n" * 10_000)
+        for path in (fresh, over):
+            write_beam_matrix(path, matrix, stage=2, gain=0.25)
+        assert over.read_bytes() == fresh.read_bytes()
+
+    def test_records_cut_short_leave_what_was_written(self, tmp_path):
+        path = tmp_path / "traces.jsonl"
+        path.write_text("stale line\n" * 10_000)
+
+        def records():
+            yield {"trial": 0}
+            yield {"trial": 1}
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_trace_records(path, records())
+        assert path.read_text() == '{"trial": 0}\n{"trial": 1}\n'
+
+    def test_symlinked_output_is_written_through(self, tmp_path):
+        fresh = self._run(tmp_path, "sweep", tmp_path / "fresh")
+        target = tmp_path / "elsewhere" / "kept.csv"
+        target.parent.mkdir()
+        target.write_text("stale line\n" * 10_000)
+        out = tmp_path / "linked"
+        out.mkdir()
+        (out / "bound.csv").symlink_to(target)
+        (out / "slot_counts.csv").symlink_to(os.devnull)
+        assert self._run(tmp_path, "sweep", out) == {**fresh, "slot_counts.csv": b""}
+        assert (out / "bound.csv").is_symlink()
+        assert target.read_bytes() == fresh["bound.csv"]
+
+    def test_second_sweep_into_one_out_matches_a_fresh_one(self, tmp_path):
+        out = tmp_path / "twice"
+        first = self._run(tmp_path, "sweep", out)
+        assert self._run(tmp_path, "sweep", out) == first
+        assert self._run(tmp_path, "sweep", tmp_path / "fresh") == first

@@ -5,7 +5,7 @@ import pytest
 from reference import reference_search
 
 from beamest import estimator
-from beamest.arrays import ChannelRealization, substream
+from beamest.arrays import ChannelRealization, MeasurementNoise, substream
 from beamest.codebook import identity_pattern_matrix, overlapped_pattern_matrix
 from beamest.estimator import (
     NON_OVERLAPPED,
@@ -89,6 +89,23 @@ class TestFuseMeasurements:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fuse_measurements(np.zeros((3, 3), dtype=complex), overlapped_pattern_matrix(2))
+
+    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("n0", [0.7, 0.0])
+    def test_identity_patterns_match_product(self, k, n0):
+        # P = I fuses to a copy of the blocks, which must carry exactly the
+        # bytes of the generic (P^T y) P at every stack shape
+        patterns = identity_pattern_matrix(k)
+        p = patterns.values
+        source = MeasurementNoise(n0, k)
+        for shape in [(50, 3), (1, 4), ()]:
+            y = source.draw_blocks(1, (*shape, k, k))[0]
+            fused = fuse_measurements(y, patterns)
+            expected = np.array([p.T @ block @ p for block in y.reshape(-1, k, k)])
+            assert fused.shape == y.shape
+            assert fused.dtype == expected.dtype
+            assert fused.tobytes() == expected.tobytes()
+            assert not np.shares_memory(fused, y)
 
     @pytest.mark.parametrize("k", [3, 7])
     @pytest.mark.parametrize("variant", [OVERLAPPED, NON_OVERLAPPED])
