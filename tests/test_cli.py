@@ -7,7 +7,7 @@ import pytest
 
 from beamest import cli
 from beamest.cli import ConfigError, load_config, main, parse_config
-from beamest.codebook import read_beam_matrix, write_beam_matrix
+from beamest.codebook import read_beam_matrix
 from beamest.estimator import write_trace_records
 
 
@@ -570,14 +570,6 @@ class TestOutputFiles:
         path.write_text("stale line\n" * 10_000)
         write_trace_records(path, [{"trial": 1, "correct": True}])
         assert path.read_text() == '{"correct": true, "trial": 1}\n'
-
-    def test_beam_matrix_over_longer_file(self, tmp_path):
-        matrix = np.array([[1.0 + 0.5j], [-0.0 - 2.0j]])
-        fresh, over = tmp_path / "fresh.txt", tmp_path / "over.txt"
-        over.write_text("stale line\n" * 10_000)
-        for path in (fresh, over):
-            write_beam_matrix(path, matrix, stage=2, gain=0.25)
-        assert over.read_bytes() == fresh.read_bytes()
 
     def test_records_cut_short_leave_what_was_written(self, tmp_path):
         path = tmp_path / "traces.jsonl"
