@@ -18,14 +18,22 @@ def output_file(path):
     ends, normally or by an exception.  So an early stop leaves exactly what
     was written, as ``open(path, "w")`` does.  Truncating to zero and then
     refilling makes ext4 (default ``auto_da_alloc``) send the new blocks to
-    storage at close; a rewrite in place does not.  No fsync is added.
+    storage at close; a rewrite in place does not.  No fsync is added.  An
+    ``OSError`` raised in the block names ``path`` as its ``filename``, a
+    failed write or flush too.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="ascii") as fh:
-        try:
-            yield fh
-        finally:
-            fh.flush()
-            # only a regular file has an old tail to cut (not a device or a pipe)
-            info = os.fstat(fh.fileno())
-            if stat.S_ISREG(info.st_mode) and info.st_size > fh.tell():
-                fh.truncate()
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  encoding="ascii") as fh:
+            try:
+                yield fh
+            finally:
+                fh.flush()
+                # only a regular file has an old tail to cut (not a device or a pipe)
+                info = os.fstat(fh.fileno())
+                if stat.S_ISREG(info.st_mode) and info.st_size > fh.tell():
+                    fh.truncate()
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise

@@ -106,12 +106,20 @@ class AngleGrid:
             raise ValueError(f"grid index {index} outside [0, {self.n})")
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an ``int``; ``ValueError`` for a bool or a non-integer."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """Ground truth for one link: grid indices of the path angles plus the fading gain.
 
     ``theta`` indexes the angle of arrival (receive side) and ``phi`` the angle
-    of departure (transmit side).
+    of departure (transmit side).  Both must be integers on the grid (stored
+    as ``int``), since the search takes their base-``k`` digits unchecked.
     """
 
     theta: int
@@ -120,6 +128,8 @@ class ChannelRealization:
     n: int
 
     def __post_init__(self):
+        for key in ("theta", "phi"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
         grid = AngleGrid(self.n)
         grid._check_index(self.theta)
         grid._check_index(self.phi)

@@ -469,12 +469,16 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         run_info: dict = {}
         outputs = _COMMANDS[args.command](cfg, args, run_info)
+        _write_manifest(out_dir, args.command, config_name, cfg, args,
+                        time.perf_counter() - started, outputs, run_info)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - started
-    _write_manifest(out_dir, args.command, config_name, cfg, args, elapsed, outputs,
-                    run_info)
+    except OSError as exc:
+        # reading the config raises ConfigError, so this is an output file,
+        # which output_file names
+        print(f"error: cannot write '{exc.filename}': {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

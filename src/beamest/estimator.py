@@ -16,8 +16,8 @@ fused ``sqrt(p_t) * alpha * pilot * G[:, dr] G[dt, :]`` with ``G = P^T P``
 and ``dr``, ``dt`` the base-``k`` digits of ``theta``, ``phi`` at that stage;
 once the search has left the true range it is zero.  :func:`search_batch` runs
 every stage on that signal for arrays of trials and power points at once, and
-:func:`run_estimation` is a batch of one, so neither builds a beam or the
-``n x n`` response matrix.  Sounding with the explicit beams
+:func:`run_estimation` runs the same engine on one trial, so neither builds a
+beam or the ``n x n`` response matrix.  Sounding with the explicit beams
 (``measure_block`` on ``h``, ``f``, ``w``, from :func:`codebook_bank`) gives
 the same blocks up to beam leakage of about 1e-15.
 
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -49,7 +50,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._output import output_file
-from .arrays import AngleGrid, ChannelRealization, MeasurementNoise
+from .arrays import AngleGrid, ChannelRealization, MeasurementNoise, _integer
 # Not used here: the benchmark's traced run looks these names up on this module.
 from .arrays import build_channel, measure_block  # noqa: F401
 from .codebook import (
@@ -178,7 +179,23 @@ def _check_powers(p_t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Static description of one estimation run."""
+    """One estimation run's geometry, power, noise and prior, and the engine's plan.
+
+    Construction is the gate: it checks that ``n`` and ``k`` are integers
+    (stored as ``int``) and ``p_t``, ``n0`` and ``var_alpha`` real scalars
+    (none a bool, a string or an array), the variant, that ``n`` is a power
+    of a ``k`` the design supports, that ``p_t`` is finite and positive, and
+    that ``n0`` and ``var_alpha`` are finite and nonnegative.  Each
+    ``ValueError`` names the field.
+
+    The constants the search and the gain estimate read are computed at first
+    use and cached on the config, arrays read-only: the design's
+    :attr:`pattern_matrix`, each stage's grid step :attr:`places`, the power
+    rule's :attr:`power_scale`, :attr:`stage_powers`, :attr:`total_energy`
+    and the MMSE :attr:`mmse_weight` and :attr:`mmse_denominator`.  None of
+    them grows with ``n``.  So repeated :func:`run_estimation` calls on one
+    config pay for them once.
+    """
 
     n: int
     k: int
@@ -188,6 +205,12 @@ class EstimatorConfig:
     variant: str = OVERLAPPED
 
     def __post_init__(self):
+        for key in ("n", "k"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        for key in ("p_t", "n0", "var_alpha"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
         _check_variant(self.variant)
         # computing the cached geometry validates the variant, k and n
         _ = self.patterns, self.stages
@@ -211,6 +234,56 @@ class EstimatorConfig:
     @property
     def slots(self) -> int:
         return self.stages * self.patterns ** 2
+
+    @cached_property
+    def pattern_matrix(self) -> BeamPatternMatrix:
+        """The design's :func:`pattern_matrix`, looked up once."""
+        return pattern_matrix(self.k, self.variant)
+
+    @cached_property
+    def places(self) -> np.ndarray:
+        """``(S,)`` grid step of each stage's sub-ranges, ``k^(S-1), ..., k, 1``."""
+        return _read_only(self.k ** np.arange(self.stages - 1, -1, -1))
+
+    @cached_property
+    def power_scale(self) -> np.ndarray:
+        """``(S,)`` ratios ``p_s / p_t = C_s^-4 = (k * places / m)^2``.
+
+        ``C_s^2 = m k^(s-1) / n = m / (k * places)`` (:func:`stage_gains`).
+        The power rule cancels the beams' gains, so every stage's signal is
+        ``sqrt(p_t) alpha pilot`` times the pattern columns the stage's digits
+        of ``theta`` and ``phi`` pick.
+        """
+        return _read_only((self.k * self.places / self.patterns) ** 2)
+
+    @cached_property
+    def stage_powers(self) -> tuple[float, ...]:
+        """Transmit power of each stage at ``p_t``."""
+        return tuple((float(self.p_t) * self.power_scale).tolist())
+
+    @cached_property
+    def total_energy(self) -> float:
+        """Pilot energy of a full run: ``m^2`` slots times each stage's power."""
+        return self.patterns ** 2 * sum(self.stage_powers)
+
+    @cached_property
+    def mmse_weight(self) -> complex:
+        """``var_alpha * sqrt(p_t) * conj(pilot)``, the factor
+        :func:`estimate_alpha_mmse` applies before the sum of the values."""
+        return self.var_alpha * np.sqrt(self.p_t) * np.conj(PILOT)
+
+    @cached_property
+    def mmse_denominator(self) -> float:
+        """``S * var_alpha * p_t + n0``, the divisor of :func:`estimate_alpha_mmse`."""
+        denominator = self.stages * self.var_alpha * self.p_t + self.n0
+        if denominator <= 0:
+            raise ValueError("prior variance and noise variance cannot both be zero")
+        return denominator
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @lru_cache(maxsize=None)
@@ -266,8 +339,15 @@ def fuse_measurements(y: np.ndarray, patterns: BeamPatternMatrix) -> np.ndarray:
 
 
 def _row_starts(a: np.ndarray) -> np.ndarray:
-    """Flat index of the first entry of each row of ``a``, shaped ``(..., 1)``."""
-    return np.arange(0, a.size, a.shape[-1]).reshape(*a.shape[:-1], 1)
+    """Flat index of the first entry of each row of ``a``, shaped ``(..., 1)``; read-only."""
+    return _row_start_table(a.shape)
+
+
+@lru_cache(maxsize=16)
+def _row_start_table(shape: tuple[int, ...]) -> np.ndarray:
+    # memoized by shape: a single-trial search asks for the same few shapes
+    # on every call
+    return _read_only(np.arange(0, math.prod(shape), shape[-1]).reshape(*shape[:-1], 1))
 
 
 def _along_last(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -425,12 +505,17 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
     the ``Q`` power points, each finite and positive (``cfg.p_t`` is not
     read).  ``theta``, ``phi`` and ``alpha`` give the ``T`` true channels and
     ``noise`` their ``(T, S, m, m)`` slot noise, shared by every point (see
-    :meth:`MeasurementNoise.draw_blocks`).  A stage fuses its block with
-    ``P^T y P`` and keeps the largest ``|r|`` (first flat index on ties).  Its
-    block is the rank-one signal plus noise while every earlier stage picked
-    the true pair, and noise alone after that, so all stages are evaluated on
-    track at once and the on-track mask, a running AND of the correct picks,
-    chooses between the two.
+    :meth:`MeasurementNoise.draw_blocks`).  These are raw caller arrays, so
+    their powers, shapes and angle range are checked here on every call; the
+    geometry's constants come from ``cfg``, built and checked once.
+    :func:`run_estimation` runs the same engine on one trial without these
+    checks, since its config and channel were checked when they were built.
+
+    A stage fuses its block with ``P^T y P`` and keeps the largest ``|r|``
+    (first flat index on ties).  Its block is the rank-one signal plus noise
+    while every earlier stage picked the true pair, and noise alone after
+    that, so all stages are evaluated on track at once and the on-track mask,
+    a running AND of the correct picks, chooses between the two.
 
     The engine works on flat blocks.  :func:`fuse_measurements` fuses the
     whole noise stack in two products.  The on-track scores are
@@ -448,14 +533,12 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
     score anywhere raises ``ValueError``, because the largest magnitude of
     every set of scores picked from is checked to be finite.
     """
-    k, m, stages = cfg.k, cfg.patterns, cfg.stages
-    patterns = pattern_matrix(k, cfg.variant)
     p_t = _check_powers(p_t)
     if p_t.ndim != 1:
         raise ValueError(f"expected a 1-D array of power points, got shape {p_t.shape}")
     alpha = np.asarray(alpha, dtype=complex)
     theta, phi = np.asarray(theta), np.asarray(phi)
-    trials, points = len(alpha), len(p_t)
+    trials, m, stages = len(alpha), cfg.patterns, cfg.stages
     if theta.shape != (trials,) or phi.shape != (trials,):
         raise ValueError(f"expected {trials} angle indices per end, "
                          f"got {theta.shape} and {phi.shape}")
@@ -464,13 +547,25 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
         raise ValueError(f"angle indices must lie in [0, {cfg.n})")
     if noise.shape != (trials, stages, m, m):
         raise ValueError(f"expected noise of shape {(trials, stages, m, m)}, got {noise.shape}")
-    places = k ** np.arange(stages - 1, -1, -1)
-    # p_s = p_t / C_s^4 with C_s^2 = m k^(s-1) / n = m / (k * places) (stage_gains);
-    # it cancels the beams' gains, so every stage's signal is sqrt(p_t) alpha
-    # pilot times the pattern columns picked by the stage's digits of theta, phi
-    powers = p_t[:, None] * (k * places / m) ** 2                           # (Q, S)
+    receive, transmit, values, on_track = _search(cfg, p_t, angles, alpha, noise)
+    return SearchBatch(receive=receive, transmit=transmit, values=values, on_track=on_track,
+                       stage_powers=p_t[:, None] * cfg.power_scale, places=cfg.places)
+
+
+def _search(cfg: EstimatorConfig, p_t: np.ndarray, angles: np.ndarray, alpha: np.ndarray,
+            noise: np.ndarray):
+    """The staged search of :func:`search_batch` on checked inputs.
+
+    ``p_t`` is ``(Q,)`` float, ``angles`` the ``(2, T)`` indices of
+    ``theta`` and ``phi``, ``alpha`` ``(T,)`` complex and ``noise``
+    ``(T, S, m, m)``.  Returns the picked receive and transmit sub-ranges and
+    values, ``(T, Q, S)`` each, and the ``(T, Q)`` on-track mask.
+    """
+    k, stages = cfg.k, cfg.stages
+    patterns = cfg.pattern_matrix
+    trials, points = len(alpha), len(p_t)
     amplitude = alpha[:, None] * PILOT * np.sqrt(p_t)                       # (T, Q)
-    dr, dt = angles[..., None] // places % k                                # (T, S) each
+    dr, dt = angles[..., None] // cfg.places % k                            # (T, S) each
     truth = dr * k + dt                                  # flat index of the true pair
     fused = fuse_measurements(noise, patterns).reshape(trials, stages, -1)  # (T, S, k^2)
     magnitudes = np.abs(fused)
@@ -492,8 +587,7 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
     receive, transmit = np.divmod(np.where(on, pick_on, pick_off[:, None]), k)
     # C order, in which the estimators sum the stages
     values = np.ascontiguousarray(np.where(on, value_on, value_off[:, None]))
-    return SearchBatch(receive=receive, transmit=transmit, values=values,
-                       on_track=correct[..., -1], stage_powers=powers, places=places)
+    return receive, transmit, values, correct[..., -1]
 
 
 def run_estimation(
@@ -506,28 +600,32 @@ def run_estimation(
     ``rng`` seeds the measurement noise; pass distinct substreams to make
     repeated trials independent.  With ``cfg.n0 == 0`` the run is fully
     deterministic.  Per-stage transmit power follows ``p_s = p_t / C_s^4`` so
-    every stage sees the same matched-filter SNR.  This is
-    :func:`search_batch` on one trial and one power point.
+    every stage sees the same matched-filter SNR.  This is the engine of
+    :func:`search_batch` on one trial and one power point.  The config and
+    the channel were checked when they were built, so only their antenna
+    counts are compared here; the stage powers, the energy and the MMSE factors are the
+    config's cached constants, and ``alpha_hat`` is what
+    :func:`estimate_alpha_mmse` gives for the selected values.
     """
     if channel.n != cfg.n:
         raise ValueError(f"channel has {channel.n} antennas but config expects {cfg.n}")
     m = cfg.patterns
     noise = MeasurementNoise(cfg.n0, rng).draw_blocks(cfg.stages, (m, m))
-    batch = search_batch(cfg, [cfg.p_t], [channel.theta], [channel.phi], [channel.alpha],
-                         noise[None])
-    values = batch.values[0, 0]
-    powers = tuple(batch.stage_powers[0].tolist())
+    receive, transmit, values, _ = _search(
+        cfg, np.array([cfg.p_t], dtype=float), np.array([[channel.theta], [channel.phi]]),
+        np.array([channel.alpha], dtype=complex), noise[None])
+    receive, transmit, values = receive[0, 0], transmit[0, 0], values[0, 0]
     # via a list: tuple() of an iterator resizes its result, and CPython keeps
     # each freed resized tuple on a free list, so memory crept up per trial
-    selections = list(zip(batch.receive[0, 0].tolist(), batch.transmit[0, 0].tolist()))
+    selections = list(zip(receive.tolist(), transmit.tolist()))
     return EstimationTrace(
         selections=tuple(selections),
         selected_values=tuple(values.tolist()),
-        theta_hat=int(batch.theta_hat[0, 0]),
-        phi_hat=int(batch.phi_hat[0, 0]),
-        alpha_hat=complex(estimate_alpha_mmse(values, cfg.p_t, PILOT, cfg.n0, cfg.var_alpha)),
-        stage_powers=powers,
-        total_energy=m ** 2 * sum(powers),
+        theta_hat=int(receive @ cfg.places),
+        phi_hat=int(transmit @ cfg.places),
+        alpha_hat=complex(cfg.mmse_weight * values.sum() / cfg.mmse_denominator),
+        stage_powers=cfg.stage_powers,
+        total_energy=cfg.total_energy,
     )
 
 

@@ -38,7 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import pcef_upper_bound
-from .arrays import ChannelRealization, MeasurementNoise, reseater, substream, substream_states
+from .arrays import (
+    ChannelRealization,
+    MeasurementNoise,
+    _integer,
+    reseater,
+    substream,
+    substream_states,
+)
 from .estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
@@ -140,13 +147,6 @@ class ExperimentConfig:
         return float(self.n * self.n) if self.var_alpha is None else float(self.var_alpha)
 
 
-def _integer(key: str, value) -> int:
-    """``value`` as an ``int``; ``ValueError`` for a bool or a non-integer."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{key} must be an integer, got {value!r}")
-
-
 def _check_noise_and_prior(n0: float, var_alpha: float | None) -> None:
     """``ValueError`` unless ``n0`` is finite and positive and ``var_alpha`` is
     ``None`` (the default prior) or finite and nonnegative."""
@@ -165,14 +165,15 @@ def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealizatio
     """Draw one channel: angles uniform on the grid, gain complex Gaussian.
 
     Fully determined by ``(master_seed, trial_index)``, so trials can run in
-    any order.
+    any order.  Both gain parts come from one ``normal(size=2)`` call, the
+    numbers two scalar calls give.
     """
     rng = np.random.default_rng(substream(cfg.master_seed, trial_index, _CHANNEL_KEY))
-    theta = int(rng.integers(cfg.n))
-    phi = int(rng.integers(cfg.n))
-    scale = math.sqrt(cfg.alpha_variance / 2.0)
-    alpha = complex(rng.normal(scale=scale), rng.normal(scale=scale))
-    return ChannelRealization(theta=theta, phi=phi, alpha=alpha, n=cfg.n)
+    # two scalar draws: integers(n, size=2) gives the same numbers but takes
+    # longer, through its array path
+    theta, phi = int(rng.integers(cfg.n)), int(rng.integers(cfg.n))
+    real, imag = rng.normal(scale=math.sqrt(cfg.alpha_variance / 2.0), size=2).tolist()
+    return ChannelRealization(theta=theta, phi=phi, alpha=complex(real, imag), n=cfg.n)
 
 
 def noise_stream(cfg: ExperimentConfig, trial_index: int, variant: str) -> np.random.SeedSequence:

@@ -114,6 +114,16 @@ class TestBuildChannel:
         with pytest.raises(ValueError):
             ChannelRealization(theta=0, phi=-1, alpha=1.0, n=4)
 
+    @pytest.mark.parametrize("key, value", [("theta", True), ("theta", 2.5), ("phi", "1")])
+    def test_non_integer_index_rejected(self, key, value):
+        # the search takes the indices' digits unchecked
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got "):
+            ChannelRealization(**{"theta": 1, "phi": 2, key: value}, alpha=1.0, n=4)
+
+    def test_numpy_integer_index_stored_as_int(self):
+        channel = ChannelRealization(theta=np.int64(3), phi=np.uint8(1), alpha=1.0, n=4)
+        assert type(channel.theta) is int and type(channel.phi) is int
+
 
 def _unit_columns(rng, n, m):
     mat = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import tracemalloc
@@ -602,3 +603,48 @@ class TestOutputFiles:
         first = self._run(tmp_path, "sweep", out)
         assert self._run(tmp_path, "sweep", out) == first
         assert self._run(tmp_path, "sweep", tmp_path / "fresh") == first
+
+
+# A small run of each command and the first data file it writes.
+FIRST_OUTPUTS = {
+    "bound": ("n = 9\nk = 3\net_db = 0, 10\n", "bound.csv"),
+    "sweep": ("n = 9\nk = 3\ntrials = 2\net_db = 0, 10\n", "overlapped_pcef.csv"),
+    "trace": ("n = 9\nk = 3\ntrials = 2\net_db = 6\n", "traces_overlapped.jsonl"),
+    "codebook": ("n = 9\nk = 3\n", "pattern_matrix.csv"),
+}
+
+
+class TestUnwritableOutputs:
+    """An output path inside ``--out`` that cannot be written exits 2 and names it."""
+
+    def _run(self, tmp_path, command, out):
+        path = write_cfg(tmp_path, FIRST_OUTPUTS[command][0])
+        return run_cli(command, "--config", path, "--out", out, "--quiet")
+
+    @pytest.mark.parametrize("command", sorted(FIRST_OUTPUTS))
+    def test_directory_at_a_data_file_exits_2(self, tmp_path, capsys, command):
+        blocked = tmp_path / "out" / FIRST_OUTPUTS[command][1]
+        blocked.mkdir(parents=True)
+        assert self._run(tmp_path, command, blocked.parent) == 2
+        assert capsys.readouterr().err == (f"error: cannot write '{blocked}': "
+                                           f"{os.strerror(errno.EISDIR)}\n")
+
+    @pytest.mark.parametrize("command", sorted(FIRST_OUTPUTS))
+    def test_directory_at_the_manifest_exits_2(self, tmp_path, capsys, command):
+        blocked = tmp_path / "out" / f"{command}_manifest.json"
+        blocked.mkdir(parents=True)
+        assert self._run(tmp_path, command, blocked.parent) == 2
+        assert capsys.readouterr().err == (f"error: cannot write '{blocked}': "
+                                           f"{os.strerror(errno.EISDIR)}\n")
+        assert (blocked.parent / FIRST_OUTPUTS[command][1]).is_file()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_names_the_file(self, tmp_path, capsys):
+        # opening succeeds and the flush fails, so the error carries no path
+        # of its own
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "bound.csv").symlink_to("/dev/full")
+        assert self._run(tmp_path, "bound", out) == 2
+        assert capsys.readouterr().err == (f"error: cannot write '{out / 'bound.csv'}': "
+                                           f"{os.strerror(errno.ENOSPC)}\n")

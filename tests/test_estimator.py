@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from reference import reference_search
 
-from beamest import estimator
+from beamest import estimator, montecarlo
 from beamest.arrays import ChannelRealization, MeasurementNoise, substream
 from beamest.codebook import identity_pattern_matrix, overlapped_pattern_matrix
 from beamest.estimator import (
@@ -19,6 +19,7 @@ from beamest.estimator import (
     patterns_per_end,
     run_baseline,
     run_estimation,
+    search_batch,
     select_path,
     slot_count,
     stage_count,
@@ -330,6 +331,56 @@ class TestRunEstimation:
             run_estimation(ch, _config(n=27))
 
 
+class TestSingleTrialEntry:
+    """``run_estimation`` skips the checks ``search_batch`` makes on raw
+    arrays; it must still pick and estimate exactly what ``search_batch``
+    does on one trial and one power point."""
+
+    @pytest.mark.parametrize("geometry", [(27, 3), (343, 7)])
+    @pytest.mark.parametrize("variant", [OVERLAPPED, NON_OVERLAPPED])
+    @pytest.mark.parametrize("n0", [0.0, 1.0])
+    def test_equals_search_batch(self, geometry, variant, n0):
+        n, k = geometry
+        # 10 dB: some trials find the true pair and some leave it
+        p_t = montecarlo.power_for_energy(montecarlo.energy_from_db(10.0), n, k, variant)
+        cfg = _config(n=n, k=k, p_t=p_t, n0=n0, var_alpha=float(n * n), variant=variant)
+        m = cfg.patterns
+        rng = np.random.default_rng(n + k)
+        found = 0
+        for trial in range(40):
+            ch = ChannelRealization(theta=int(rng.integers(n)), phi=int(rng.integers(n)),
+                                    alpha=complex(*rng.normal(scale=n / np.sqrt(2), size=2)),
+                                    n=n)
+            trace = run_estimation(ch, cfg, substream(11, trial))
+            noise = MeasurementNoise(n0, substream(11, trial)).draw_blocks(cfg.stages, (m, m))
+            batch = search_batch(cfg, [p_t], [ch.theta], [ch.phi], [ch.alpha], noise[None])
+            assert trace.selections == tuple(zip(batch.receive[0, 0].tolist(),
+                                                 batch.transmit[0, 0].tolist()))
+            assert (trace.theta_hat, trace.phi_hat) == (batch.theta_hat[0, 0],
+                                                        batch.phi_hat[0, 0])
+            values = batch.values[0, 0]
+            assert np.array(trace.selected_values).tobytes() == values.tobytes()
+            expected = estimate_alpha_mmse(values, p_t, PILOT, n0, cfg.var_alpha)
+            assert np.array(trace.alpha_hat).tobytes() == np.array(expected).tobytes()
+            powers = batch.stage_powers[0].tolist()
+            assert np.array(trace.stage_powers).tobytes() == np.array(powers).tobytes()
+            energy = m ** 2 * sum(powers)
+            assert np.array(trace.total_energy).tobytes() == np.array(energy).tobytes()
+            found += bool(batch.on_track[0, 0])
+        assert 0 < found < 40 if n0 else found == 40
+
+    def test_cached_arrays_are_read_only(self):
+        cfg = _config()
+        ch = ChannelRealization(theta=4, phi=20, alpha=3 - 2j, n=27)
+        run_estimation(ch, cfg)
+        batch = search_batch(cfg, [1.0], [4], [20], [3 - 2j], np.zeros((1, 3, 2, 2), complex))
+        assert batch.places is cfg.places
+        for array in (cfg.places, cfg.power_scale, cfg.pattern_matrix.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
 class TestRunBaseline:
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(51)
@@ -386,6 +437,20 @@ class TestConfigValidation:
     def test_bad_variant_names(self):
         with pytest.raises(ValueError):
             _config(variant="diagonal")
+
+    @pytest.mark.parametrize("key, value", [
+        ("p_t", [1.0, 2.0]), ("p_t", np.array([2.0])), ("p_t", "3"), ("p_t", True),
+        ("n0", True), ("var_alpha", True), ("n", 27.0), ("k", 3.0), ("k", True)])
+    def test_non_scalar_or_bool_numbers_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be (a real number|an integer), got "):
+            _config(**{key: value})
+
+    def test_numpy_scalars_accepted(self):
+        ch = ChannelRealization(theta=4, phi=20, alpha=3 - 2j, n=27)
+        plain = _config(k=3, p_t=2.0, n0=0.5, var_alpha=9.0)
+        scalars = _config(k=np.int64(3), p_t=np.float64(2.0), n0=np.float64(0.5),
+                          var_alpha=np.float64(9.0))
+        assert vars(run_estimation(ch, plain, 3)) == vars(run_estimation(ch, scalars, 3))
 
     def test_geometry_computed_once(self, monkeypatch):
         calls = []
