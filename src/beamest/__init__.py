@@ -32,10 +32,8 @@ from .codebook import (
     IndexRange,
     StageCodebook,
     SubrangePartition,
-    build_stage_codebook,
     identity_pattern_matrix,
     overlapped_pattern_matrix,
-    partition_subranges,
     synthesize_vector,
     target_profile,
 )
@@ -47,26 +45,23 @@ from .estimator import (
     VARIANTS,
     EstimationTrace,
     EstimatorConfig,
-    estimate_alpha_final_stage,
     estimate_alpha_mmse,
     fuse_measurements,
-    run_baseline,
     run_estimation,
     search_batch,
     select_path,
     slot_count,
     stage_count,
+    stage_gains,
 )
 from .montecarlo import (
     ExperimentConfig,
     ResultTable,
     SweepPoint,
     bound_table,
-    failure_indicator,
     power_for_energy,
     run_sweep,
     sample_channel,
-    stage_gains,
     wilson_interval,
 )
 

@@ -13,10 +13,12 @@ stages upper-bounds the end-to-end failure probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import _integer, _real
 from .codebook import BeamPatternMatrix
 
 __all__ = [
@@ -196,6 +198,25 @@ def pairwise_error_rayleigh(ctx: PairwiseContext) -> float:
     return float(_rayleigh_terms(ctx.rho, ctx.p_t, ctx.n0, ctx.var_alpha))
 
 
+def _noise_and_prior(n0, var_alpha) -> tuple[float, float | None]:
+    """``n0`` and ``var_alpha`` as floats; ``ValueError`` naming the field unless
+    ``n0`` is finite and positive and ``var_alpha`` is ``None`` (the default
+    prior, kept) or finite and nonnegative."""
+    n0 = _real("n0", n0)
+    if not math.isfinite(n0):
+        raise ValueError(f"n0 is NaN or infinite: {n0!r}")
+    if n0 <= 0:
+        raise ValueError(f"n0: noise variance must be positive, got {n0}")
+    if var_alpha is not None:
+        var_alpha = _real("var_alpha", var_alpha)
+        if not math.isfinite(var_alpha):
+            raise ValueError(f"var_alpha is NaN or infinite: {var_alpha!r}")
+        if var_alpha < 0:
+            raise ValueError("var_alpha: gain prior variance must be nonnegative, "
+                             f"got {var_alpha}")
+    return n0, var_alpha
+
+
 # Cap on the pairwise terms held at once, (grid points, k^2 * k^2), so the bound
 # over any energy grid evaluates in blocks of bounded memory (2 MB of terms).
 _BOUND_ENTRIES = 1 << 18
@@ -243,11 +264,17 @@ def pcef_upper_bound(
     grid.  A term depends on its pair's ``rho`` alone, so each block
     evaluates the distinct ``rho`` values and gathers them into the rows;
     each row is then summed as before.  One power is a grid of one point.
+    Inputs that would make a term NaN raise ``ValueError`` naming the field;
+    a zero power is valid and gives the clamped bound.
     """
+    stages = _integer("stages", stages)
     if stages < 1:
         raise ValueError(f"stage count must be at least 1, got {stages}")
+    n0, var_alpha = _noise_and_prior(n0, _real("var_alpha", var_alpha))
     k2 = patterns.k ** 2
     powers = np.asarray(p_t, dtype=float)
+    if not (np.isfinite(powers) & (powers >= 0)).all():
+        raise ValueError(f"p_t must be finite and nonnegative, got {p_t!r}")
     grid = powers.reshape(-1, 1)
     # a term depends on rho alone, which takes few distinct values (21 of the
     # 2352 pairs at k = 7): each is evaluated once per point, then gathered

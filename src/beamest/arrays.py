@@ -21,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -111,6 +112,13 @@ def _integer(key: str, value) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _real(key: str, value) -> float:
+    """``value`` as a ``float``; ``ValueError`` for a bool or a non-real."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{key} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

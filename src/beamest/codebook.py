@@ -32,12 +32,9 @@ __all__ = [
     "StageCodebookCache",
     "SubrangePartition",
     "SynthesizedBeam",
-    "build_stage_codebook",
     "format_complex",
     "identity_pattern_matrix",
     "overlapped_pattern_matrix",
-    "parse_complex",
-    "partition_subranges",
     "read_beam_matrix",
     "realized_gains",
     "synthesize_vector",
@@ -78,9 +75,6 @@ class BeamPatternMatrix:
     def k(self) -> int:
         return self.values.shape[1]
 
-    def column(self, index: int) -> np.ndarray:
-        return self.values[:, index]
-
     @cached_property
     def is_identity(self) -> bool:
         """Whether the matrix is ``I``: each beam covers one sub-range alone."""
@@ -94,22 +88,12 @@ class BeamPatternMatrix:
         return g
 
     @cached_property
-    def signatures(self) -> np.ndarray:
-        """``k^2``-by-``m^2`` Kronecker signatures of the hypotheses, one per row.
-
-        Hypothesis ``i = kr * k + kt`` is receive sub-range ``kr`` with
-        transmit sub-range ``kt``; row ``i`` is the flattened noiseless block
-        ``P[:, kr] P[:, kt]^T`` of a path in that pair.
-        """
-        s = np.kron(self.values.T, self.values.T)
-        s.setflags(write=False)
-        return s
-
-    @cached_property
     def pair_gram(self) -> np.ndarray:
         """``gram (x) gram``; row ``i`` is the flattened fused block ``G[:, kr] G[kt, :]``.
 
-        That is ``P^T`` applied on both sides of row ``i`` of :attr:`signatures`.
+        Hypothesis ``i = kr * k + kt`` pairs receive sub-range ``kr`` with
+        transmit sub-range ``kt``; its row is ``P^T`` applied on both sides of
+        the noiseless block ``P[:, kr] P[:, kt]^T``.
         """
         g = np.kron(self.gram, self.gram)
         g.setflags(write=False)
@@ -190,13 +174,6 @@ class IndexRange:
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def __contains__(self, index: int) -> bool:
-        return self.start <= index < self.stop
-
-    @property
-    def indices(self) -> range:
-        return range(self.start, self.stop)
-
     def split(self, k: int) -> tuple["IndexRange", ...]:
         """``k`` equal contiguous children in ascending order."""
         size, rem = divmod(len(self), k)
@@ -213,16 +190,6 @@ class SubrangePartition:
     stage: int
     transmit: tuple[IndexRange, ...]
     receive: tuple[IndexRange, ...]
-
-
-def partition_subranges(
-    parent_transmit: IndexRange,
-    parent_receive: IndexRange,
-    k: int,
-    stage: int = 1,
-) -> SubrangePartition:
-    """Split both parent ranges into ``k`` equal contiguous children."""
-    return SubrangePartition(stage, parent_transmit.split(k), parent_receive.split(k))
 
 
 def target_profile(
@@ -332,14 +299,6 @@ class StageCodebookCache:
             self._banks[parent] = bank
         return bank
 
-    def stage_codebook(self, partition: SubrangePartition) -> StageCodebook:
-        parents = [IndexRange(blocks[0].start, blocks[-1].stop)
-                   for blocks in (partition.transmit, partition.receive)]
-        paired, codebook = self.refine(*parents, self.patterns.k, partition.stage)
-        if paired != partition:
-            raise ValueError("sub-ranges must split their parent ranges evenly")
-        return codebook
-
     def refine(self, parent_transmit: IndexRange, parent_receive: IndexRange,
                k: int, stage: int) -> tuple[SubrangePartition, StageCodebook]:
         """Partition both parents and return the matching codebook, memoized."""
@@ -357,15 +316,6 @@ class StageCodebookCache:
         return hit
 
 
-def build_stage_codebook(
-    patterns: BeamPatternMatrix,
-    partition: SubrangePartition,
-    grid: AngleGrid,
-) -> StageCodebook:
-    """Synthesize the beamforming and combining banks for one stage."""
-    return StageCodebookCache(grid, patterns).stage_codebook(partition)
-
-
 # "+" shows the sign of -0.0, which FFT beams carry
 _COMPLEX_FORMAT = "{!r}{:+}j"
 
@@ -374,10 +324,6 @@ def format_complex(z: complex) -> str:
     """Serialize a complex number as ``re<+/->imj``, e.g. ``1.5+0.25j``."""
     z = complex(z)
     return _COMPLEX_FORMAT.format(z.real, z.imag)
-
-
-def parse_complex(text: str) -> complex:
-    return complex(text)
 
 
 def write_beam_matrix(path, matrix: np.ndarray, stage: int, gain: float) -> None:
@@ -399,7 +345,7 @@ def read_beam_matrix(path) -> tuple[np.ndarray, int, float]:
         header = fh.readline().split()
         n, m, stage = int(header[0]), int(header[1]), int(header[2])
         gain = float(header[3])
-        rows = [[parse_complex(cell) for cell in fh.readline().split()] for _ in range(n)]
+        rows = [[complex(cell) for cell in fh.readline().split()] for _ in range(n)]
     matrix = np.array(rows, dtype=complex)
     if matrix.shape != (n, m):
         raise ValueError(f"beam matrix file is inconsistent: header {n}x{m}, "

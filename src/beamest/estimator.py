@@ -42,15 +42,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._output import output_file
-from .arrays import AngleGrid, ChannelRealization, MeasurementNoise, _integer
+from .arrays import AngleGrid, ChannelRealization, MeasurementNoise, _integer, _real
 # Not used here: the benchmark's traced run looks these names up on this module.
 from .arrays import build_channel, measure_block  # noqa: F401
 from .codebook import (
@@ -75,13 +74,11 @@ __all__ = [
     "SearchBatch",
     "VARIANTS",
     "codebook_bank",
-    "estimate_alpha_final_stage",
     "estimate_alpha_mmse",
     "fuse_measurements",
     "leftmost_path",
     "pattern_matrix",
     "patterns_per_end",
-    "run_baseline",
     "run_estimation",
     "search_batch",
     "select_path",
@@ -127,7 +124,8 @@ def stage_count(n: int, k: int) -> int:
 
 def patterns_per_end(k: int, variant: str = OVERLAPPED) -> int:
     """Beams each end uses per stage: ``log2(k + 1)`` overlapped, ``k`` otherwise."""
-    _check_variant(variant)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if variant == NON_OVERLAPPED:
         return k
     m = (k + 1).bit_length() - 1
@@ -161,11 +159,6 @@ def pattern_matrix(k: int, variant: str = OVERLAPPED) -> BeamPatternMatrix:
     return overlapped_pattern_matrix(m)
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
 def _check_powers(p_t) -> np.ndarray:
     """``p_t`` as a float array; ``ValueError`` unless every entry is finite and positive."""
     powers = np.asarray(p_t, dtype=float)
@@ -183,17 +176,16 @@ class EstimatorConfig:
 
     Construction is the gate: it checks that ``n`` and ``k`` are integers
     (stored as ``int``) and ``p_t``, ``n0`` and ``var_alpha`` real scalars
-    (none a bool, a string or an array), the variant, that ``n`` is a power
-    of a ``k`` the design supports, that ``p_t`` is finite and positive, and
-    that ``n0`` and ``var_alpha`` are finite and nonnegative.  Each
-    ``ValueError`` names the field.
+    (stored as ``float``; none a bool, a string or an array), the variant,
+    that ``n`` is a power of a ``k`` the design supports, that ``p_t`` is
+    finite and positive, and that ``n0`` and ``var_alpha`` are finite and
+    nonnegative.  Each ``ValueError`` names the field.
 
     The constants the search and the gain estimate read are computed at first
     use and cached on the config, arrays read-only: the design's
-    :attr:`pattern_matrix`, each stage's grid step :attr:`places`, the power
-    rule's :attr:`power_scale`, :attr:`stage_powers`, :attr:`total_energy`
-    and the MMSE :attr:`mmse_weight` and :attr:`mmse_denominator`.  None of
-    them grows with ``n``.  So repeated :func:`run_estimation` calls on one
+    :attr:`pattern_matrix`, each stage's grid step :attr:`places` and the
+    MMSE :attr:`mmse_weight` and :attr:`mmse_denominator`.  None of them
+    grows with ``n``.  So repeated :func:`run_estimation` calls on one
     config pay for them once.
     """
 
@@ -208,10 +200,7 @@ class EstimatorConfig:
         for key in ("n", "k"):
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
         for key in ("p_t", "n0", "var_alpha"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{key} must be a real number, got {value!r}")
-        _check_variant(self.variant)
+            object.__setattr__(self, key, _real(key, getattr(self, key)))
         # computing the cached geometry validates the variant, k and n
         _ = self.patterns, self.stages
         for key, value in (("n0", self.n0), ("var_alpha", self.var_alpha)):
@@ -231,10 +220,6 @@ class EstimatorConfig:
     def patterns(self) -> int:
         return patterns_per_end(self.k, self.variant)
 
-    @property
-    def slots(self) -> int:
-        return self.stages * self.patterns ** 2
-
     @cached_property
     def pattern_matrix(self) -> BeamPatternMatrix:
         """The design's :func:`pattern_matrix`, looked up once."""
@@ -244,27 +229,6 @@ class EstimatorConfig:
     def places(self) -> np.ndarray:
         """``(S,)`` grid step of each stage's sub-ranges, ``k^(S-1), ..., k, 1``."""
         return _read_only(self.k ** np.arange(self.stages - 1, -1, -1))
-
-    @cached_property
-    def power_scale(self) -> np.ndarray:
-        """``(S,)`` ratios ``p_s / p_t = C_s^-4 = (k * places / m)^2``.
-
-        ``C_s^2 = m k^(s-1) / n = m / (k * places)`` (:func:`stage_gains`).
-        The power rule cancels the beams' gains, so every stage's signal is
-        ``sqrt(p_t) alpha pilot`` times the pattern columns the stage's digits
-        of ``theta`` and ``phi`` pick.
-        """
-        return _read_only((self.k * self.places / self.patterns) ** 2)
-
-    @cached_property
-    def stage_powers(self) -> tuple[float, ...]:
-        """Transmit power of each stage at ``p_t``."""
-        return tuple((float(self.p_t) * self.power_scale).tolist())
-
-    @cached_property
-    def total_energy(self) -> float:
-        """Pilot energy of a full run: ``m^2`` slots times each stage's power."""
-        return self.patterns ** 2 * sum(self.stage_powers)
 
     @cached_property
     def mmse_weight(self) -> complex:
@@ -431,8 +395,6 @@ class EstimationTrace:
     theta_hat: int
     phi_hat: int
     alpha_hat: complex
-    stage_powers: tuple[float, ...]
-    total_energy: float
 
 
 def estimate_alpha_mmse(
@@ -461,17 +423,6 @@ def estimate_alpha_mmse(
     return var_alpha * np.sqrt(p_t) * np.conj(pilot) * values.sum(axis=-1) / denominator
 
 
-def estimate_alpha_final_stage(
-    final_value: complex,
-    p_t: float,
-    pilot: complex,
-    n0: float,
-    var_alpha: float,
-) -> complex:
-    """Single-measurement variant of :func:`estimate_alpha_mmse` (last stage only)."""
-    return estimate_alpha_mmse(np.asarray(final_value)[..., None], p_t, pilot, n0, var_alpha)
-
-
 @dataclass(frozen=True, eq=False)
 class SearchBatch:
     """Staged-search outcome for ``T`` trials at ``Q`` power points.
@@ -486,7 +437,6 @@ class SearchBatch:
     transmit: np.ndarray
     values: np.ndarray
     on_track: np.ndarray
-    stage_powers: np.ndarray      # (Q, S)
     places: np.ndarray            # (S,) grid step of each stage's sub-ranges
 
     @property
@@ -549,7 +499,7 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
         raise ValueError(f"expected noise of shape {(trials, stages, m, m)}, got {noise.shape}")
     receive, transmit, values, on_track = _search(cfg, p_t, angles, alpha, noise)
     return SearchBatch(receive=receive, transmit=transmit, values=values, on_track=on_track,
-                       stage_powers=p_t[:, None] * cfg.power_scale, places=cfg.places)
+                       places=cfg.places)
 
 
 def _search(cfg: EstimatorConfig, p_t: np.ndarray, angles: np.ndarray, alpha: np.ndarray,
@@ -603,8 +553,8 @@ def run_estimation(
     every stage sees the same matched-filter SNR.  This is the engine of
     :func:`search_batch` on one trial and one power point.  The config and
     the channel were checked when they were built, so only their antenna
-    counts are compared here; the stage powers, the energy and the MMSE factors are the
-    config's cached constants, and ``alpha_hat`` is what
+    counts are compared here; the MMSE factors are the config's cached
+    constants, and ``alpha_hat`` is what
     :func:`estimate_alpha_mmse` gives for the selected values.
     """
     if channel.n != cfg.n:
@@ -624,18 +574,7 @@ def run_estimation(
         theta_hat=int(receive @ cfg.places),
         phi_hat=int(transmit @ cfg.places),
         alpha_hat=complex(cfg.mmse_weight * values.sum() / cfg.mmse_denominator),
-        stage_powers=cfg.stage_powers,
-        total_energy=cfg.total_energy,
     )
-
-
-def run_baseline(
-    channel: ChannelRealization,
-    cfg: EstimatorConfig,
-    rng: int | np.random.SeedSequence | np.random.Generator = 0,
-) -> EstimationTrace:
-    """Non-overlapped reference search: one beam per sub-range, k^2 slots a stage."""
-    return run_estimation(channel, replace(cfg, variant=NON_OVERLAPPED), rng)
 
 
 def trace_record(trace: EstimationTrace, truth: ChannelRealization,

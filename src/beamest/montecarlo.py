@@ -37,11 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import pcef_upper_bound
+from .analysis import _noise_and_prior, pcef_upper_bound
 from .arrays import (
     ChannelRealization,
     MeasurementNoise,
     _integer,
+    _real,
     reseater,
     substream,
     substream_states,
@@ -50,9 +51,7 @@ from .estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
     PILOT,
-    EstimationTrace,
     EstimatorConfig,
-    estimate_alpha_final_stage,
     estimate_alpha_mmse,
     pattern_matrix,
     patterns_per_end,
@@ -73,11 +72,9 @@ __all__ = [
     "bound_csv",
     "bound_table",
     "energy_from_db",
-    "failure_indicator",
     "power_for_energy",
     "run_sweep",
     "sample_channel",
-    "stage_gains",
     "usable_cpus",
     "wilson_interval",
 ]
@@ -104,7 +101,8 @@ class ExperimentConfig:
 
     ``et_db`` lists total pilot energy relative to ``n0`` in dB, strictly
     increasing.  ``var_alpha = None`` selects the default gain prior variance
-    of ``n**2``.
+    of ``n**2``.  Construction checks every field, integers stored as ``int``
+    and reals as ``float``; each ``ValueError`` names the field.
     """
 
     n: int
@@ -117,9 +115,11 @@ class ExperimentConfig:
     variants: tuple[str, ...] = (OVERLAPPED, NON_OVERLAPPED)
 
     def __post_init__(self):
-        object.__setattr__(self, "et_db", tuple(float(x) for x in self.et_db))
+        object.__setattr__(self, "et_db", tuple(_real("et_db", x) for x in self.et_db))
+        if isinstance(self.variants, str):
+            raise ValueError(f"variants must list variant names, got {self.variants!r}")
         object.__setattr__(self, "variants", tuple(self.variants))
-        for key in ("trials", "master_seed"):
+        for key in ("n", "k", "trials", "master_seed"):
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if self.trials < 1:
             raise ValueError(f"trial count must be at least 1, got {self.trials}")
@@ -131,34 +131,20 @@ class ExperimentConfig:
             raise ValueError("energy sweep is empty")
         if any(b <= a for a, b in zip(self.et_db, self.et_db[1:])):
             raise ValueError("energy sweep must be strictly increasing")
-        _check_noise_and_prior(self.n0, self.var_alpha)
+        n0, var_alpha = _noise_and_prior(self.n0, self.var_alpha)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "var_alpha", var_alpha)
         if not self.variants:
             raise ValueError("no variants selected")
         if len(set(self.variants)) < len(self.variants):
             raise ValueError(f"variants must not repeat, got {self.variants}")
         for variant in self.variants:
-            if variant not in _VARIANT_KEYS:
-                raise ValueError(f"unknown variant {variant!r}")
             patterns_per_end(self.k, variant)
         stage_count(self.n, self.k)
 
     @property
     def alpha_variance(self) -> float:
         return float(self.n * self.n) if self.var_alpha is None else float(self.var_alpha)
-
-
-def _check_noise_and_prior(n0: float, var_alpha: float | None) -> None:
-    """``ValueError`` unless ``n0`` is finite and positive and ``var_alpha`` is
-    ``None`` (the default prior) or finite and nonnegative."""
-    if not math.isfinite(n0):
-        raise ValueError(f"n0 is NaN or infinite: {n0!r}")
-    if n0 <= 0:
-        raise ValueError(f"noise variance must be positive, got {n0}")
-    if var_alpha is not None:
-        if not math.isfinite(var_alpha):
-            raise ValueError(f"var_alpha is NaN or infinite: {var_alpha!r}")
-        if var_alpha < 0:
-            raise ValueError(f"gain prior variance must be nonnegative, got {var_alpha}")
 
 
 def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealization:
@@ -179,11 +165,6 @@ def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealizatio
 def noise_stream(cfg: ExperimentConfig, trial_index: int, variant: str) -> np.random.SeedSequence:
     """Noise substream for one (trial, variant); shared across energy points."""
     return substream(cfg.master_seed, trial_index, _VARIANT_KEYS[variant])
-
-
-def failure_indicator(trace: EstimationTrace, truth: ChannelRealization) -> bool:
-    """True when either estimated angle index differs from the true one."""
-    return trace.theta_hat != truth.theta or trace.phi_hat != truth.phi
 
 
 def energy_from_db(db: float, n0: float = 1.0) -> float:
@@ -352,8 +333,8 @@ def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
             batch = search_batch(configs[variant], p_t, theta, phi, alpha, noises[variant])
             mmse_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
                                            cfg.alpha_variance)
-            final_hat = estimate_alpha_final_stage(batch.values[..., -1], p_t, PILOT,
-                                                   cfg.n0, cfg.alpha_variance)
+            final_hat = estimate_alpha_mmse(batch.values[..., -1:], p_t, PILOT, cfg.n0,
+                                            cfg.alpha_variance)
             fails, err_mmse, err_final = out[variant]
             fails[:, columns] = ~batch.on_track.T
             err_mmse[:, columns] = (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T
@@ -490,11 +471,12 @@ def bound_table(n: int, k: int, et_db, n0: float = 1.0,
     :func:`~beamest.analysis.pcef_upper_bound` call, which evaluates them in
     blocks of bounded memory.
     """
-    _check_noise_and_prior(n0, var_alpha)
+    n, k = _integer("n", n), _integer("k", k)
+    n0, var_alpha = _noise_and_prior(n0, var_alpha)
     patterns = pattern_matrix(k, OVERLAPPED)
     stages = stage_count(n, k)
-    variance = float(n * n) if var_alpha is None else float(var_alpha)
-    grid = [float(db) for db in et_db]
+    variance = float(n * n) if var_alpha is None else var_alpha
+    grid = [_real("et_db", db) for db in et_db]
     energies = np.fromiter((energy_from_db(db, n0) for db in grid), float, len(grid))
     result = pcef_upper_bound(patterns, stages, power_for_energy(energies, n, k, OVERLAPPED),
                               n0, variance)

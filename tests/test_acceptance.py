@@ -18,7 +18,7 @@ from scipy import integrate
 from beamest.analysis import PairwiseContext, pairwise_error_fixed_alpha, pairwise_error_rayleigh
 from beamest.arrays import AngleGrid, ChannelRealization
 from beamest.cli import main as cli_main
-from beamest.codebook import IndexRange, partition_subranges
+from beamest.codebook import IndexRange
 from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
@@ -99,8 +99,7 @@ def test_criterion_2_codebook_fidelity():
         for parent in parents:
             blocks = parent.split(k)
             next_parents.extend(blocks)
-            partition = partition_subranges(parent, parent, k)
-            cb = bank.stage_codebook(partition)
+            _, cb = bank.refine(parent, parent, k, stage=1)
             worst_residual = max(worst_residual, cb.residual)
             realized = np.abs(grid.response_matrix.conj().T @ cb.f)
             covered = np.zeros(n, dtype=bool)

@@ -310,3 +310,14 @@ class TestPcefUpperBound:
         with pytest.raises(ValueError):
             pcef_upper_bound(overlapped_pattern_matrix(2), stages=0, p_t=1.0,
                              n0=1.0, var_alpha=1.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n0", 0.0), ("n0", -1.0), ("n0", np.nan), ("p_t", np.nan), ("p_t", np.inf),
+        ("p_t", -1.0), ("p_t", np.array([1.0, np.nan])), ("var_alpha", -5.0),
+        ("var_alpha", np.inf), ("stages", 2.5), ("stages", True)])
+    def test_inputs_that_make_the_bound_nan_rejected(self, key, value):
+        # each once gave a NaN total, a clamped 1.0 or a silently used stage count
+        inputs = dict(stages=3, p_t=1.0, n0=1.0, var_alpha=4.0)
+        inputs[key] = value
+        with pytest.raises(ValueError, match=key):
+            pcef_upper_bound(overlapped_pattern_matrix(2), **inputs)

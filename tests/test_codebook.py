@@ -9,13 +9,9 @@ from beamest.codebook import (
     BeamPatternMatrix,
     IndexRange,
     StageCodebookCache,
-    SubrangePartition,
-    build_stage_codebook,
     format_complex,
     identity_pattern_matrix,
     overlapped_pattern_matrix,
-    parse_complex,
-    partition_subranges,
     read_beam_matrix,
     synthesize_vector,
     target_profile,
@@ -83,7 +79,7 @@ class TestOverlappedPatternMatrix:
     def test_kron_signatures_unit_norm(self, m):
         b = overlapped_pattern_matrix(m)
         for kt, kr in product(range(b.k), repeat=2):
-            sig = np.kron(b.column(kt), b.column(kr))
+            sig = np.kron(b.values[:, kt], b.values[:, kr])
             assert abs(np.linalg.norm(sig) - 1.0) < 1e-12
 
 
@@ -105,30 +101,35 @@ class TestPatternMatrixValidation:
 
 
 class TestPartition:
+    """The partition ``StageCodebookCache.refine`` returns with each codebook."""
+
+    BANK = StageCodebookCache(AngleGrid(27), overlapped_pattern_matrix(2))
+
     def test_full_grid_thirds(self):
-        part = partition_subranges(IndexRange(0, 27), IndexRange(0, 27), 3)
+        part, _ = self.BANK.refine(IndexRange(0, 27), IndexRange(0, 27), 3, stage=1)
         assert part.transmit == (IndexRange(0, 9), IndexRange(9, 18), IndexRange(18, 27))
         assert part.receive == part.transmit
 
     def test_nested_block(self):
-        part = partition_subranges(IndexRange(0, 9), IndexRange(9, 18), 3, stage=2)
+        part, _ = self.BANK.refine(IndexRange(0, 9), IndexRange(9, 18), 3, stage=2)
         assert part.transmit == (IndexRange(0, 3), IndexRange(3, 6), IndexRange(6, 9))
         assert part.receive == (IndexRange(9, 12), IndexRange(12, 15), IndexRange(15, 18))
         assert part.stage == 2
 
     def test_singleton_resolution(self):
-        part = partition_subranges(IndexRange(0, 3), IndexRange(0, 3), 3)
+        part, _ = self.BANK.refine(IndexRange(0, 3), IndexRange(0, 3), 3, stage=1)
         assert all(len(block) == 1 for block in part.transmit)
 
     def test_indivisible_parent_rejected(self):
         with pytest.raises(ValueError):
-            partition_subranges(IndexRange(0, 8), IndexRange(0, 8), 3)
+            self.BANK.refine(IndexRange(0, 8), IndexRange(0, 8), 3, stage=1)
 
     def test_blocks_disjoint_cover_parent(self):
-        part = partition_subranges(IndexRange(5, 17), IndexRange(5, 17), 4)
+        cache = StageCodebookCache(AngleGrid(17), identity_pattern_matrix(4))
+        part, _ = cache.refine(IndexRange(5, 17), IndexRange(5, 17), 4, stage=1)
         seen = []
         for block in part.transmit:
-            seen.extend(block.indices)
+            seen.extend(range(block.start, block.stop))
         assert seen == list(range(5, 17))
 
 
@@ -273,27 +274,23 @@ class TestFFTSynthesis:
 
 class TestStageCodebook:
     def test_small_stage_shape_and_norms(self):
-        grid = AngleGrid(3)
-        part = partition_subranges(IndexRange(0, 3), IndexRange(0, 3), 3)
-        cb = build_stage_codebook(overlapped_pattern_matrix(2), part, grid)
+        cache = StageCodebookCache(AngleGrid(3), overlapped_pattern_matrix(2))
+        _, cb = cache.refine(IndexRange(0, 3), IndexRange(0, 3), 3, stage=1)
         assert cb.f.shape == (3, 2)
         np.testing.assert_allclose(np.linalg.norm(cb.f, axis=0), np.ones(2), atol=1e-9)
         np.testing.assert_allclose(np.linalg.norm(cb.w, axis=0), np.ones(2), atol=1e-9)
 
     def test_symmetric_ends_identical_banks(self):
-        grid = AngleGrid(9)
-        part = partition_subranges(IndexRange(0, 9), IndexRange(0, 9), 3)
-        cb = build_stage_codebook(overlapped_pattern_matrix(2), part, grid)
+        cache = StageCodebookCache(AngleGrid(9), overlapped_pattern_matrix(2))
+        _, cb = cache.refine(IndexRange(0, 9), IndexRange(0, 9), 3, stage=1)
         np.testing.assert_array_equal(cb.f, cb.w)
 
     def test_gain_grows_with_stage_depth(self):
-        grid = AngleGrid(27)
-        b = overlapped_pattern_matrix(2)
+        cache = StageCodebookCache(AngleGrid(27), overlapped_pattern_matrix(2))
         gains = []
         parent = IndexRange(0, 27)
         for stage in (1, 2, 3):
-            part = partition_subranges(parent, parent, 3, stage=stage)
-            cb = build_stage_codebook(b, part, grid)
+            part, cb = cache.refine(parent, parent, 3, stage=stage)
             gains.append(cb.gain)
             expected = stage_gains(27, 3, OVERLAPPED)[stage - 1]
             assert abs(cb.gain - expected) <= 1e-14 * expected
@@ -306,8 +303,7 @@ class TestStageCodebook:
         # and leaks nothing outside them
         grid = AngleGrid(27)
         b = overlapped_pattern_matrix(2)
-        part = partition_subranges(transmit, receive, 3, stage=2)
-        cb = build_stage_codebook(b, part, grid)
+        part, cb = StageCodebookCache(grid, b).refine(transmit, receive, 3, stage=2)
         for bank, blocks in ((cb.f, part.transmit), (cb.w, part.receive)):
             realized = np.abs(grid.response_matrix.conj().T @ bank)
             covered = np.zeros(27, dtype=bool)
@@ -327,9 +323,8 @@ class TestStageCodebook:
 
     def test_cache_reuses_end_banks(self):
         cache = StageCodebookCache(AngleGrid(9), overlapped_pattern_matrix(2))
-        part = partition_subranges(IndexRange(0, 9), IndexRange(0, 9), 3)
-        a = cache.stage_codebook(part)
-        c = cache.stage_codebook(part)
+        _, a = cache.refine(IndexRange(0, 9), IndexRange(0, 9), 3, stage=1)
+        _, c = cache.refine(IndexRange(0, 9), IndexRange(0, 9), 3, stage=1)
         assert a.f is c.f
 
     def test_rejects_partitions_without_one_stage_gain(self):
@@ -339,33 +334,21 @@ class TestStageCodebook:
             cache.refine(IndexRange(0, 9), IndexRange(0, 3), 3, stage=1)
         with pytest.raises(ValueError):
             cache.refine(IndexRange(0, 8), IndexRange(0, 8), 4, stage=1)
-        uneven = SubrangePartition(1, (IndexRange(0, 2), IndexRange(2, 3), IndexRange(3, 9)),
-                                   IndexRange(0, 9).split(3))
-        with pytest.raises(ValueError):
-            cache.stage_codebook(uneven)
-
-    def test_refine_matches_direct_build(self):
-        cache = StageCodebookCache(AngleGrid(9), overlapped_pattern_matrix(2))
-        partition, cb = cache.refine(IndexRange(0, 9), IndexRange(0, 9), 3, stage=1)
-        direct = build_stage_codebook(cache.patterns, partition, cache.grid)
-        np.testing.assert_array_equal(cb.f, direct.f)
-        assert cb.gain == direct.gain
 
 
 class TestComplexFormat:
     @pytest.mark.parametrize("z", [1.5 + 0.25j, -2.0 - 3.5j, 0.0 + 0j, 1e-17 - 1e3j,
                                    complex(3e-17, -0.0)])
     def test_roundtrip(self, z):
-        assert parse_complex(format_complex(z)) == z
+        assert complex(format_complex(z)) == z
 
     def test_shape(self):
         assert format_complex(1.5 + 0.25j) == "1.5+0.25j"
         assert format_complex(1.5 - 0.25j) == "1.5-0.25j"
 
     def test_beam_matrix_file_roundtrip(self, tmp_path):
-        grid = AngleGrid(9)
-        part = partition_subranges(IndexRange(0, 9), IndexRange(0, 9), 3)
-        cb = build_stage_codebook(overlapped_pattern_matrix(2), part, grid)
+        cache = StageCodebookCache(AngleGrid(9), overlapped_pattern_matrix(2))
+        _, cb = cache.refine(IndexRange(0, 9), IndexRange(0, 9), 3, stage=1)
         path = tmp_path / "stage.txt"
         write_beam_matrix(path, cb.f, stage=1, gain=cb.gain)
         matrix, stage, gain = read_beam_matrix(path)

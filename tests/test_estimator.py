@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,10 @@ from beamest.estimator import (
     OVERLAPPED,
     PILOT,
     EstimatorConfig,
-    estimate_alpha_final_stage,
     estimate_alpha_mmse,
     fuse_measurements,
     pattern_matrix,
     patterns_per_end,
-    run_baseline,
     run_estimation,
     search_batch,
     select_path,
@@ -78,7 +77,7 @@ class TestFuseMeasurements:
         vec_y = y.reshape(-1, order="F")
         for kr in range(7):
             for kt in range(7):
-                sig = np.kron(b.column(kt), b.column(kr))
+                sig = np.kron(b.values[:, kt], b.values[:, kr])
                 assert abs(r[kr, kt] - sig @ vec_y) < 1e-12
 
     def test_identity_patterns_pass_block_through(self):
@@ -201,14 +200,15 @@ class TestAlphaEstimators:
             estimate_alpha_mmse([1.0], p_t=p_t, pilot=1.0, n0=1.0, var_alpha=2.0)
 
     def test_final_stage_is_single_value_mmse(self):
+        # the sweeps' last-stage estimate is the MMSE estimate of the last value alone
         value = 0.3 + 2.0j
-        a = estimate_alpha_final_stage(value, 1.5, 1.0, 0.4, 2.0)
+        a = estimate_alpha_mmse(np.array([1.0 - 1.0j, value])[..., -1:], 1.5, 1.0, 0.4, 2.0)
         b = estimate_alpha_mmse([value], 1.5, 1.0, 0.4, 2.0)
         assert a == b
 
     def test_shrinkage_bound(self):
         value, p_t = 4.0 - 3.0j, 2.0
-        est = estimate_alpha_final_stage(value, p_t, 1.0, 0.8, 6.0)
+        est = estimate_alpha_mmse([value], p_t, 1.0, 0.8, 6.0)
         assert abs(est) <= abs(value) / np.sqrt(p_t) + 1e-12
 
     def test_mmse_beats_final_stage_on_average(self):
@@ -222,7 +222,7 @@ class TestAlphaEstimators:
         err_final = np.empty(trials)
         for t in range(trials):
             mm = estimate_alpha_mmse(values[t], p_t, 1.0, n0, var)
-            fi = estimate_alpha_final_stage(values[t, -1], p_t, 1.0, n0, var)
+            fi = estimate_alpha_mmse(values[t, -1:], p_t, 1.0, n0, var)
             err_mmse[t] = abs(mm - alpha[t]) / abs(alpha[t])
             err_final[t] = abs(fi - alpha[t]) / abs(alpha[t])
         assert err_mmse.mean() < err_final.mean()
@@ -255,21 +255,6 @@ class TestRunEstimation:
         ch = ChannelRealization(theta=9, phi=13, alpha=2.0 - 1.0j, n=27)
         trace = run_estimation(ch, _config())
         assert abs(trace.alpha_hat - ch.alpha) < 1e-9
-
-    def test_power_rule_constant_product(self):
-        ch = ChannelRealization(theta=0, phi=0, alpha=1.0, n=27)
-        cfg = _config(p_t=2.5)
-        trace = run_estimation(ch, cfg)
-        bank_gains = []
-        from beamest.montecarlo import stage_gains
-        bank_gains = stage_gains(27, 3, OVERLAPPED)
-        products = [p * c ** 4 for p, c in zip(trace.stage_powers, bank_gains)]
-        np.testing.assert_allclose(products, 2.5 * np.ones(3), rtol=1e-12)
-
-    def test_total_energy_is_slots_times_powers(self):
-        ch = ChannelRealization(theta=0, phi=0, alpha=1.0, n=27)
-        trace = run_estimation(ch, _config(p_t=3.0))
-        assert abs(trace.total_energy - 4 * sum(trace.stage_powers)) < 1e-9
 
     def test_index_reconstruction_matches_selected_path(self):
         rng = np.random.default_rng(43)
@@ -362,10 +347,6 @@ class TestSingleTrialEntry:
             assert np.array(trace.selected_values).tobytes() == values.tobytes()
             expected = estimate_alpha_mmse(values, p_t, PILOT, n0, cfg.var_alpha)
             assert np.array(trace.alpha_hat).tobytes() == np.array(expected).tobytes()
-            powers = batch.stage_powers[0].tolist()
-            assert np.array(trace.stage_powers).tobytes() == np.array(powers).tobytes()
-            energy = m ** 2 * sum(powers)
-            assert np.array(trace.total_energy).tobytes() == np.array(energy).tobytes()
             found += bool(batch.on_track[0, 0])
         assert 0 < found < 40 if n0 else found == 40
 
@@ -375,7 +356,7 @@ class TestSingleTrialEntry:
         run_estimation(ch, cfg)
         batch = search_batch(cfg, [1.0], [4], [20], [3 - 2j], np.zeros((1, 3, 2, 2), complex))
         assert batch.places is cfg.places
-        for array in (cfg.places, cfg.power_scale, cfg.pattern_matrix.values):
+        for array in (cfg.places, cfg.pattern_matrix.values):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -384,17 +365,19 @@ class TestSingleTrialEntry:
 class TestRunBaseline:
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(51)
-        cfg = _config()
+        cfg = replace(_config(), variant=NON_OVERLAPPED)
         for _ in range(100):
             ch = ChannelRealization(theta=int(rng.integers(27)), phi=int(rng.integers(27)),
                                     alpha=complex(rng.normal(), rng.normal()), n=27)
-            trace = run_baseline(ch, cfg)
+            trace = run_estimation(ch, cfg)
             assert (trace.theta_hat, trace.phi_hat) == (ch.theta, ch.phi)
 
     def test_uses_k_squared_slots(self):
         ch = ChannelRealization(theta=1, phi=2, alpha=1.0, n=27)
-        trace = run_baseline(ch, _config())
-        assert trace.total_energy == 9 * sum(trace.stage_powers)
+        baseline = replace(_config(), variant=NON_OVERLAPPED)
+        trace = run_estimation(ch, baseline)
+        assert len(trace.selections) == baseline.stages == 3
+        assert baseline.patterns ** 2 == 9
         assert slot_count(27, 3, NON_OVERLAPPED) == 27
 
     def test_fused_equals_raw_block(self):
@@ -403,7 +386,7 @@ class TestRunBaseline:
         reference = reference_search(ch, cfg, substream(9))
         for y, r, _, _ in reference:
             np.testing.assert_allclose(r, y, atol=1e-13)
-        trace = run_baseline(ch, _config(n0=0.3), substream(9))
+        trace = run_estimation(ch, replace(_config(n0=0.3), variant=NON_OVERLAPPED), substream(9))
         assert list(trace.selections) == [(kr, kt) for _, _, kr, kt in reference]
 
     def test_off_path_entries_vanish_noiseless(self):
@@ -464,7 +447,7 @@ class TestConfigValidation:
         channel = ChannelRealization(theta=4, phi=20, alpha=3 - 2j, n=27)
         for seed in range(3):
             run_estimation(channel, cfg, seed)
-        assert cfg.slots == 12
+        assert cfg.stages * cfg.patterns ** 2 == 12
         assert calls == [(27, 3)]
 
 
@@ -488,5 +471,5 @@ class TestTraceRecords:
         trace = run_estimation(ch, cfg, substream(1))
         expected = estimate_alpha_mmse(trace.selected_values, 0.5, PILOT, 1.0, 81.0)
         assert trace.alpha_hat == expected
-        assert trace.alpha_hat != estimate_alpha_final_stage(trace.selected_values[-1], 0.5,
-                                                             PILOT, 1.0, 81.0)
+        assert trace.alpha_hat != estimate_alpha_mmse(trace.selected_values[-1:], 0.5,
+                                                      PILOT, 1.0, 81.0)

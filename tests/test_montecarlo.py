@@ -19,6 +19,8 @@ from beamest.estimator import (
     run_estimation,
     slot_count,
     stage_count,
+    stage_gains,
+    trace_record,
 )
 from beamest.montecarlo import (
     BoundPoint,
@@ -30,12 +32,10 @@ from beamest.montecarlo import (
     energy_from_db,
     bound_csv,
     bound_table,
-    failure_indicator,
     noise_stream,
     power_for_energy,
     run_sweep,
     sample_channel,
-    stage_gains,
     wilson_interval,
 )
 
@@ -217,17 +217,16 @@ class TestFailureIndicator:
         ecfg = EstimatorConfig(n=9, k=3, p_t=1.0, n0=0.0, var_alpha=81.0)
         channel = sample_channel(cfg, 0)
         trace = run_estimation(channel, ecfg)
-        assert failure_indicator(trace, channel) is False
+        assert trace_record(trace, channel)["correct"] is True
         # wrong transmit side alone must flag failure
-        other = sample_channel(cfg, 1)
         wrong_phi = type(channel)(theta=channel.theta,
                                   phi=(channel.phi + 1) % 9,
                                   alpha=channel.alpha, n=9)
-        assert failure_indicator(trace, wrong_phi) is True
+        assert trace_record(trace, wrong_phi)["correct"] is False
         # and so must the wrong receive side alone
         wrong_theta = type(channel)(theta=(channel.theta + 1) % 9, phi=channel.phi,
                                     alpha=channel.alpha, n=9)
-        assert failure_indicator(trace, wrong_theta) is True
+        assert trace_record(trace, wrong_theta)["correct"] is False
 
 
 class TestEnergyAccounting:
@@ -375,6 +374,25 @@ class TestRunSweep:
     def test_numpy_integers_become_ints(self):
         cfg = _cfg(trials=np.int64(8), master_seed=np.uint32(3))
         assert (type(cfg.trials), type(cfg.master_seed)) == (int, int)
+
+    def test_numpy_scalars_become_python_numbers(self):
+        cfg = _cfg(n=np.int64(9), k=np.int64(3), n0=np.float64(0.5),
+                   var_alpha=np.float64(4.0), et_db=(np.float64(5.0), 15))
+        assert (type(cfg.n), type(cfg.k), type(cfg.n0), type(cfg.var_alpha)) == (
+            int, int, float, float)
+        assert [type(db) for db in cfg.et_db] == [float, float]
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 27.0), ("k", 3.0), ("n0", True), ("n0", "1"), ("var_alpha", "2"),
+        ("var_alpha", True), ("et_db", (True,))])
+    def test_non_number_fields_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be (a real number|an integer), got "):
+            _cfg(**{key: value})
+
+    def test_variant_name_alone_rejected(self):
+        # a bare string once split into its letters
+        with pytest.raises(ValueError, match="variants must list variant names, got 'overlapped'"):
+            _cfg(variants=OVERLAPPED)
 
     def test_negative_prior_rejected(self):
         with pytest.raises(ValueError, match="gain prior variance must be nonnegative"):
@@ -552,6 +570,15 @@ class TestBoundTable:
     def test_monotone_tail(self):
         values = [p.bound for p in bound_table(27, 3, et_db=tuple(range(10, 42, 4)))]
         assert all(x >= y for x, y in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 27.0), ("k", 3.0), ("n0", True), ("var_alpha", "2"), ("var_alpha", True),
+        ("et_db", (True,))])
+    def test_non_number_inputs_rejected(self, key, value):
+        inputs = dict(n=27, k=3, et_db=(10.0,))
+        inputs[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be (a real number|an integer), got "):
+            bound_table(**inputs)
 
     def test_csv_format(self):
         text = bound_csv(bound_table(27, 3, et_db=(10.0, 20.0)))
