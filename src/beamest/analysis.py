@@ -13,12 +13,11 @@ stages upper-bounds the end-to-end failure probability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import _integer, _real
+from .arrays import _integer, _nonnegative, _real
 from .codebook import BeamPatternMatrix
 
 __all__ = [
@@ -203,17 +202,12 @@ def _noise_and_prior(n0, var_alpha) -> tuple[float, float | None]:
     ``n0`` is finite and positive and ``var_alpha`` is ``None`` (the default
     prior, kept) or finite and nonnegative."""
     n0 = _real("n0", n0)
-    if not math.isfinite(n0):
-        raise ValueError(f"n0 is NaN or infinite: {n0!r}")
     if n0 <= 0:
         raise ValueError(f"n0: noise variance must be positive, got {n0}")
+    n0 = _nonnegative("n0", n0, "noise variance")
     if var_alpha is not None:
-        var_alpha = _real("var_alpha", var_alpha)
-        if not math.isfinite(var_alpha):
-            raise ValueError(f"var_alpha is NaN or infinite: {var_alpha!r}")
-        if var_alpha < 0:
-            raise ValueError("var_alpha: gain prior variance must be nonnegative, "
-                             f"got {var_alpha}")
+        var_alpha = _nonnegative("var_alpha", _real("var_alpha", var_alpha),
+                                 "gain prior variance")
     return n0, var_alpha
 
 

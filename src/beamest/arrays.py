@@ -115,10 +115,23 @@ def _integer(key: str, value) -> int:
 
 
 def _real(key: str, value) -> float:
-    """``value`` as a ``float``; ``ValueError`` for a bool or a non-real."""
+    """``value`` as a ``float``; ``ValueError`` for a bool, a non-real or a
+    number beyond the float range."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{key} is beyond the float range") from None
     raise ValueError(f"{key} must be a real number, got {value!r}")
+
+
+def _nonnegative(key: str, value: float, what: str) -> float:
+    """``value``; ``ValueError`` naming ``key`` if it is NaN, infinite or negative."""
+    if not math.isfinite(value):
+        raise ValueError(f"{key} is NaN or infinite: {value!r}")
+    if value < 0:
+        raise ValueError(f"{key}: {what} must be nonnegative, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -172,16 +185,8 @@ class MeasurementNoise:
     seed: int | np.random.SeedSequence | np.random.Generator = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.n0):
-            raise ValueError(f"n0 is NaN or infinite: {self.n0!r}")
-        if self.n0 < 0:
-            raise ValueError(f"noise variance must be nonnegative, got {self.n0}")
+        _nonnegative("n0", self.n0, "noise variance")
         self._rng = np.random.default_rng(self.seed)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The generator every draw comes from."""
-        return self._rng
 
     def draw(self, shape) -> np.ndarray:
         return self.draw_blocks(1, shape)[0]

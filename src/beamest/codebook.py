@@ -100,25 +100,6 @@ class BeamPatternMatrix:
         return g
 
     @cached_property
-    def touched(self) -> np.ndarray:
-        """Flat indices of the nonzero entries of each row of :attr:`pair_gram`.
-
-        Row ``i`` lists the hypotheses whose fused signal is nonzero when the
-        path sits in pair ``i``; the other entries of that fused block are
-        noise alone.  Rows are padded to the widest one with their first zero
-        entries and sorted, so a geometry whose widest row is the whole row
-        (the overlapped design: its all-beams column overlaps every column)
-        lists every entry for every pair.
-        """
-        nonzero = self.pair_gram != 0
-        width = nonzero.sum(axis=1).max()
-        t = np.array([np.sort(np.concatenate([np.flatnonzero(row),
-                                              np.flatnonzero(~row)[:width - row.sum()]]))
-                      for row in nonzero])
-        t.setflags(write=False)
-        return t
-
-    @cached_property
     def pair_correlations(self) -> np.ndarray:
         """Correlation factor ``rho`` of every ordered pair of distinct hypotheses.
 

@@ -29,13 +29,13 @@ noise, where the signal rows come from ``G (x) G``
 (:attr:`~beamest.codebook.BeamPatternMatrix.pair_gram`).  Each row of ``k^2``
 scores is picked by one ``abs`` and ``argmax`` pass, and the picked values
 are gathered through the flat index.  One check that the largest magnitude
-is finite rejects a NaN or infinite score anywhere, picked or not.  Only the
-nonzero entries of a row of ``G (x) G``
-(:attr:`~beamest.codebook.BeamPatternMatrix.touched`) carry signal; the rest
-of the row is fused noise, the same at every power point.  With several
-points the engine scores the touched entries per point and picks the best of
-the rest once, which for the non-overlapped design (``G = I``) leaves one
-score per point instead of ``k^2``.
+is finite rejects a NaN or infinite score anywhere, picked or not.  The
+search branches on the paper's two designs.  The overlapped design's
+all-beams column overlaps every column, so it scores whole rows.  The
+non-overlapped design has ``G = I``: only the true pair's entry carries
+signal and the rest of the row is fused noise, the same at every power
+point, so with several points it scores the true pair per point and picks
+the best of the rest once.  A single point scores whole rows in both.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ._output import output_file
-from .arrays import AngleGrid, ChannelRealization, MeasurementNoise, _integer, _real
+from .arrays import AngleGrid, ChannelRealization, MeasurementNoise, _integer, _nonnegative, _real
 # Not used here: the benchmark's traced run looks these names up on this module.
 from .arrays import build_channel, measure_block  # noqa: F401
 from .codebook import (
@@ -203,14 +203,9 @@ class EstimatorConfig:
             object.__setattr__(self, key, _real(key, getattr(self, key)))
         # computing the cached geometry validates the variant, k and n
         _ = self.patterns, self.stages
-        for key, value in (("n0", self.n0), ("var_alpha", self.var_alpha)):
-            if not math.isfinite(value):
-                raise ValueError(f"{key} is NaN or infinite: {value!r}")
+        _nonnegative("n0", self.n0, "noise variance")
+        _nonnegative("var_alpha", self.var_alpha, "gain prior variance")
         _check_powers(self.p_t)
-        if self.n0 < 0:
-            raise ValueError(f"noise variance must be nonnegative, got {self.n0}")
-        if self.var_alpha < 0:
-            raise ValueError(f"gain prior variance must be nonnegative, got {self.var_alpha}")
 
     @cached_property
     def stages(self) -> int:
@@ -302,21 +297,12 @@ def fuse_measurements(y: np.ndarray, patterns: BeamPatternMatrix) -> np.ndarray:
     return fused.reshape(k, -1, k).swapaxes(0, 1).reshape(*y.shape[:-2], k, k)
 
 
-def _row_starts(a: np.ndarray) -> np.ndarray:
-    """Flat index of the first entry of each row of ``a``, shaped ``(..., 1)``; read-only."""
-    return _row_start_table(a.shape)
-
-
 @lru_cache(maxsize=16)
-def _row_start_table(shape: tuple[int, ...]) -> np.ndarray:
-    # memoized by shape: a single-trial search asks for the same few shapes
-    # on every call
-    return _read_only(np.arange(0, math.prod(shape), shape[-1]).reshape(*shape[:-1], 1))
-
-
-def _along_last(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Entry ``index[..., j]`` of each row ``a[...]``; ``index`` may add a last axis."""
-    return a.reshape(-1)[index + _row_starts(a)]
+def _row_starts(shape: tuple[int, ...]) -> np.ndarray:
+    """Flat index of the first entry of each row of an array of ``shape``,
+    shaped ``shape[:-1]``; read-only.  Memoized by shape: a single-trial
+    search asks for the same few shapes on every call."""
+    return _read_only(np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1]))
 
 
 def _pick(r: np.ndarray, magnitudes: np.ndarray | None = None):
@@ -332,38 +318,33 @@ def _pick(r: np.ndarray, magnitudes: np.ndarray | None = None):
     if not np.isfinite(magnitudes.max(initial=0.0)):
         raise ValueError("fused measurements contain NaN or infinite entries")
     index = magnitudes.argmax(axis=-1)
-    return index, r.reshape(-1)[index + _row_starts(r)[..., 0]]
+    return index, r.reshape(-1)[index + _row_starts(r.shape)]
 
 
-def _split_pick(patterns: BeamPatternMatrix, amplitude: np.ndarray, truth: np.ndarray,
-                fused: np.ndarray, magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """On-track picks at every point from the touched scores and one noise-only pick.
+def _true_pair_pick(pair_gram: np.ndarray, amplitude: np.ndarray, truth: np.ndarray,
+                    fused: np.ndarray, magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The identity design's on-track picks, ``(T, Q, S)`` views of ``(T, S, Q)`` arrays.
 
-    ``amplitude`` is ``(T, Q)``, ``truth`` ``(T, S)`` and ``fused`` the
-    ``(T, S, k^2)`` fused noise; ``magnitudes`` is ``|fused|`` and is
-    overwritten.  Only the entries of :attr:`BeamPatternMatrix.touched` carry
-    signal, so only they are scored at each point; the best of the rest is
-    fused noise, picked once per ``(trial, stage)``.  The two are merged by
-    :func:`_pick`'s rule, so the flat index and entry are what one pick over
-    the whole row gives.  Both come back ``(T, Q, S)``, as views of
-    ``(T, S, Q)`` arrays: the point axis stays contiguous.
+    ``amplitude`` is ``(T, Q)``, ``truth`` ``(T, S)``, ``fused`` ``(T, S, k^2)``
+    and ``magnitudes``, overwritten, ``|fused|``.  Only the true pair carries
+    signal, so it alone is scored per point; the product by the diagonal's 1.0
+    keeps a whole-row score's bytes.  The rest is picked once and merged by
+    :func:`_pick`'s rule, so the result is one whole-row pick's.
     """
-    touched = patterns.touched[truth]                                       # (T, S, W)
-    signal = patterns.pair_gram[truth[..., None], touched]                  # (T, S, W)
-    scores = amplitude[:, None, :, None] * signal[:, :, None]
-    scores += _along_last(fused, touched)[:, :, None]                       # (T, S, Q, W)
-    score_magnitudes = np.abs(scores)
-    index, value = _pick(scores, score_magnitudes)
-    index = _along_last(touched, index)                                     # (T, S, Q)
-    magnitudes.put(touched + _row_starts(fused), -1.0)          # leave the touched out
+    flat = truth + _row_starts(fused.shape)                                 # (T, S)
+    scores = amplitude[:, None, :] * pair_gram.diagonal()[truth][..., None]
+    scores += fused.reshape(-1)[flat][..., None]                            # (T, S, Q)
+    magnitude = np.abs(scores)
+    if not np.isfinite(magnitude.max(initial=0.0)):
+        raise ValueError("fused measurements contain NaN or infinite entries")
+    magnitudes.put(flat, -1.0)                                  # leave the true pair out
     noise_index, noise_value = _pick(fused, magnitudes)                     # (T, S)
+    noise_magnitude = magnitudes.reshape(-1)[noise_index + _row_starts(fused.shape)][..., None]
     # the larger magnitude wins, the smaller flat index on a tie
-    noise_magnitude = magnitudes.max(axis=-1)[..., None]
-    magnitude = score_magnitudes.max(axis=-1)
     wins = (noise_magnitude > magnitude) | ((noise_magnitude == magnitude)
-                                            & (noise_index[..., None] < index))
-    index = np.where(wins, noise_index[..., None], index)
-    value = np.where(wins, noise_value[..., None], value)
+                                            & (noise_index < truth)[..., None])
+    index = np.where(wins, noise_index[..., None], truth[..., None])
+    value = np.where(wins, noise_value[..., None], scores)
     return index.transpose(0, 2, 1), value.transpose(0, 2, 1)
 
 
@@ -472,14 +453,14 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
     ``amplitude (T, Q, 1) * signal (T, 1, S k^2)`` plus the fused noise, one
     row of ``k^2`` scores per ``(trial, point, stage)``.  Each row's pick is
     one ``abs`` and ``argmax`` over ``(rows, k^2)``, and its value is gathered
-    through the flat index.  Where a row's signal touches fewer than ``k^2``
-    entries and there are several points, only the touched entries are scored
-    per point (:func:`_split_pick`): the rest are fused noise, whose best entry
-    is picked once per ``(trial, stage)`` and merged with each point's touched
-    best under the same rule.  A picked noise-only value is then the fused
-    noise itself rather than ``amplitude * 0 + noise``; they differ only for a
-    noise entry of ``-0.0``.  The overlapped design's widest row is the whole
-    row, so it, and any single point, score whole rows.  A NaN or infinite
+    through the flat index.  The non-overlapped design (``P = I``) with
+    several points scores only the true pair per point
+    (:func:`_true_pair_pick`): the rest of its row is fused noise, whose best
+    entry is picked once per ``(trial, stage)`` and merged with each point's
+    true score under the same rule.  A picked noise-only value is then the
+    fused noise itself rather than ``amplitude * 0 + noise``; they differ only
+    for a noise entry of ``-0.0``.  The overlapped design, and any single
+    point, score whole rows.  A NaN or infinite
     score anywhere raises ``ValueError``, because the largest magnitude of
     every set of scores picked from is checked to be finite.
     """
@@ -521,15 +502,18 @@ def _search(cfg: EstimatorConfig, p_t: np.ndarray, angles: np.ndarray, alpha: np
     magnitudes = np.abs(fused)
     # off track, a stage sees this fused noise alone, the same at every point
     pick_off, value_off = _pick(fused, magnitudes)                          # (T, S)
-    # scoring only the touched entries pays when several points share the
-    # one noise-only pick
-    if points == 1 or patterns.touched.shape[1] == k * k:
+    # the identity's signal touches the true pair alone, so with several
+    # points the rest of each row is picked once; the overlapped design's
+    # all-beams column overlaps every column, so its widest row is whole, and
+    # one point has nothing to share: both score whole rows
+    if points == 1 or not patterns.is_identity:
         r_on = amplitude[..., None] * patterns.pair_gram[truth].reshape(trials, 1, -1)
         r_on += fused.reshape(trials, 1, -1)                                # (T, Q, S k^2)
         # one row of k^2 scores per (trial, point, stage)
         pick_on, value_on = _pick(r_on.reshape(trials, points, stages, -1))
     else:
-        pick_on, value_on = _split_pick(patterns, amplitude, truth, fused, magnitudes)
+        pick_on, value_on = _true_pair_pick(patterns.pair_gram, amplitude, truth, fused,
+                                            magnitudes)
     correct = np.logical_and.accumulate(pick_on == truth[:, None], axis=-1)  # (T, Q, S)
     on = np.ones(correct.shape, dtype=bool)
     on[..., 1:] = correct[..., :-1]

@@ -40,7 +40,6 @@ import numpy as np
 from .analysis import _noise_and_prior, pcef_upper_bound
 from .arrays import (
     ChannelRealization,
-    MeasurementNoise,
     _integer,
     _real,
     reseater,
@@ -244,17 +243,16 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
-def _draw_block(cfg: ExperimentConfig, trials: range, source: MeasurementNoise, stages: int):
+def _draw_block(cfg: ExperimentConfig, trials: range, rng: np.random.Generator):
     """Engine inputs of ``trials``: ``(theta, phi, alpha, {variant: noise})``.
 
     Trial for trial the same numbers as :func:`sample_channel` and
-    ``MeasurementNoise(n0, noise_stream(...)).draw_blocks``: the PCG64 behind
-    ``source`` is reseated onto each stream in turn, and ``source.n0`` sets
-    the noise variance.
+    ``MeasurementNoise(cfg.n0, noise_stream(...)).draw_blocks``: the PCG64
+    behind ``rng`` is reseated onto each stream in turn.
     """
     keys = (_CHANNEL_KEY, *(_VARIANT_KEYS[variant] for variant in cfg.variants))
     channel_states, *noise_states = substream_states(cfg.master_seed, trials, keys)
-    rng = source.generator
+    stages = stage_count(cfg.n, cfg.k)
     bit_generator = rng.bit_generator
     reseat = reseater(bit_generator)
     n, count = cfg.n, len(trials)
@@ -290,12 +288,11 @@ def _draw_block(cfg: ExperimentConfig, trials: range, source: MeasurementNoise, 
         m = patterns_per_end(cfg.k, variant)
         # C order matches normal(size=(stages, 2, m, m)): each stage's real
         # parts, then its imaginary parts
-        parts = np.zeros((count, stages, 2, m, m))
+        parts = np.empty((count, stages, 2, m, m))
         for state, row in zip(states, parts):
             reseat(state)
-            if source.n0:  # draw_blocks draws nothing when n0 == 0
-                rng.standard_normal(out=row)
-        parts *= np.sqrt(source.n0 / 2)
+            rng.standard_normal(out=row)
+        parts *= np.sqrt(cfg.n0 / 2)
         parts += 0.0  # normal's loc + scale * z: a -0.0 product becomes 0.0
         noises[variant] = parts[:, :, 0] + 1j * parts[:, :, 1]
     return theta, phi, alpha, noises
@@ -322,11 +319,11 @@ def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
                      np.zeros((n_points, width)))
            for variant in cfg.variants}
     # seed 0's stream is never drawn from: every trial stream reseats it
-    source = MeasurementNoise(cfg.n0)
+    rng = np.random.default_rng(0)
     for start in range(lo, hi, block):
         trials = range(start, min(start + block, hi))
         columns = slice(start - lo, start - lo + len(trials))
-        theta, phi, alpha, noises = _draw_block(cfg, trials, source, stages)
+        theta, phi, alpha, noises = _draw_block(cfg, trials, rng)
         alpha_mag = np.abs(alpha)[:, None]
         for variant in cfg.variants:
             p_t = powers[variant]

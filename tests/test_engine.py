@@ -222,9 +222,10 @@ def full_row_search(cfg, patterns, p_t, theta, phi, alpha, fused):
 
 
 class TestSplitPick:
-    """Non-overlapped rows score only the true pair at each point and pick the
-    rest of the row, fused noise, once; that must select exactly what one
-    pick over the whole row selects."""
+    """With several points the non-overlapped design splits each row: the
+    true pair is scored at each point and the rest of the row, fused noise,
+    is picked once (``estimator._true_pair_pick``); that must select exactly
+    what one pick over the whole row selects."""
 
     GEOMETRIES = [(27, 3), (49, 7), (343, 7)]
 
@@ -317,23 +318,26 @@ class TestSplitPick:
                     search_batch(cfg, p_t, [theta] * 3, [phi] * 3, alpha, noise)
 
     @pytest.mark.parametrize("k", [3, 7])
-    def test_touched_entries_of_the_designs(self, k):
-        # non-overlapped: the true pair alone; overlapped: the column with
-        # every beam on overlaps every column, so every row is whole
-        identity = pattern_matrix(k, NON_OVERLAPPED)
-        assert identity.touched.tolist() == [[pair] for pair in range(k * k)]
+    def test_designs_take_their_branch(self, k):
+        # overlapped: the column with every beam on overlaps every column, so
+        # the signal of that pair fills its whole row of pair_gram and whole
+        # rows are the widest split; non-overlapped: the identity, whose
+        # signal is the true pair alone
         overlapped = pattern_matrix(k, OVERLAPPED)
-        assert overlapped.touched.tolist() == [list(range(k * k))] * (k * k)
+        assert (overlapped.gram > 0).all(axis=1).any()
+        assert (overlapped.pair_gram > 0).all(axis=1).any()
+        assert not overlapped.is_identity
+        identity = pattern_matrix(k, NON_OVERLAPPED)
+        assert identity.is_identity
+        assert ((identity.pair_gram != 0) == np.eye(k * k, dtype=bool)).all()
 
     def test_partially_touched_rows(self, monkeypatch):
         # columns 1 and 2 overlap and column 0 overlaps neither: rows of
-        # pair_gram touch 1, 2 or 4 entries, padded to 4 with noise-only ones
+        # pair_gram have 1, 2 or 4 nonzero entries, and a matrix that is not
+        # the identity is scored in whole rows
         patterns = BeamPatternMatrix(np.array([[1.0, 0.0, 0.0],
                                                [0.0, np.sqrt(0.5), 0.0],
                                                [0.0, np.sqrt(0.5), 1.0]]))
-        assert patterns.touched.shape == (9, 4)
-        assert patterns.touched[0].tolist() == [0, 1, 2, 3]
-        assert patterns.touched[4].tolist() == [4, 5, 7, 8]
         monkeypatch.setattr(estimator, "pattern_matrix", lambda k, variant: patterns)
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=1.0, variant=NON_OVERLAPPED)
         rng = np.random.default_rng(2)

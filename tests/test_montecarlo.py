@@ -107,23 +107,23 @@ def _may_reject(cfg, trial):
 class TestBlockDraws:
     """A sweep block's seeding against the per-trial reference streams."""
 
-    def _draw(self, cfg, trials, n0):
-        source = MeasurementNoise(n0, np.random.default_rng(123))
-        return source, _draw_block(cfg, trials, source, stage_count(cfg.n, cfg.k))
+    def _draw(self, cfg, trials):
+        rng = np.random.default_rng(123)
+        return rng, _draw_block(cfg, trials, rng)
 
     def test_channels_equal_sample_channel(self):
         cfg = _cfg(n=27, var_alpha=3.5)
-        _, (theta, phi, alpha, _) = self._draw(cfg, range(37, 101), cfg.n0)
+        _, (theta, phi, alpha, _) = self._draw(cfg, range(37, 101))
         for i, trial in enumerate(range(37, 101)):
             channel = sample_channel(cfg, trial)
             assert (theta[i], phi[i]) == (channel.theta, channel.phi)
             assert np.array(alpha[i]).tobytes() == np.array(channel.alpha).tobytes()
 
-    @pytest.mark.parametrize("n0", [0.7, 0.0])
+    @pytest.mark.parametrize("n0", [0.7])
     def test_noise_equals_per_trial_streams(self, n0):
-        cfg = _cfg(n=27, k=3)
+        cfg = _cfg(n=27, k=3, n0=n0)
         stages = stage_count(cfg.n, cfg.k)
-        source, (*_, noises) = self._draw(cfg, range(5, 25), n0)
+        rng, (*_, noises) = self._draw(cfg, range(5, 25))
         assert set(noises) == set(cfg.variants)
         for variant, noise in noises.items():
             m = patterns_per_end(cfg.k, variant)
@@ -132,12 +132,11 @@ class TestBlockDraws:
                 expected = MeasurementNoise(n0, noise_stream(cfg, trial, variant))
                 # bytes, not values: the sign of a zero must match too
                 assert noise[i].tobytes() == expected.draw_blocks(stages, (m, m)).tobytes()
-        last = np.random.PCG64(noise_stream(cfg, 24, cfg.variants[-1]))
-        if n0 == 0:
-            # nothing drawn: the generator still sits at the last stream's start
-            assert source.generator.bit_generator.state == last.state
-        else:
-            assert not (noises[OVERLAPPED] == 0).any()
+        assert not (noises[OVERLAPPED] == 0).any()
+        # the generator ends where the last noise stream's own draw ends
+        last = np.random.default_rng(noise_stream(cfg, 24, cfg.variants[-1]))
+        MeasurementNoise(n0, last).draw_blocks(stages, noises[cfg.variants[-1]].shape[-2:])
+        assert rng.bit_generator.state == last.bit_generator.state
 
     def test_block_draws_are_the_per_trial_draws(self):
         """Byte for byte, over master seeds, trial windows, both variants and
@@ -155,7 +154,7 @@ class TestBlockDraws:
                                    master_seed=seed, n0=n0)
             trials = range(start, start + count)
             stages = stage_count(cfg.n, cfg.k)
-            source, (theta, phi, alpha, noises) = self._draw(cfg, trials, n0)
+            rng, (theta, phi, alpha, noises) = self._draw(cfg, trials)
             channels = [sample_channel(cfg, trial) for trial in trials]
             for drawn, expected in ((theta, [c.theta for c in channels]),
                                     (phi, [c.phi for c in channels]),
@@ -170,9 +169,9 @@ class TestBlockDraws:
                 assert (noise.dtype, noise.shape) == (expected.dtype, expected.shape)
                 assert noise.tobytes() == expected.tobytes()
             # the generator ends where the last noise stream's own draw ends
-            last = MeasurementNoise(n0, noise_stream(cfg, trials[-1], cfg.variants[-1]))
-            last.draw_blocks(stages, noises[cfg.variants[-1]].shape[-2:])
-            assert source.generator.bit_generator.state == last.generator.bit_generator.state
+            last = np.random.default_rng(noise_stream(cfg, trials[-1], cfg.variants[-1]))
+            MeasurementNoise(n0, last).draw_blocks(stages, noises[cfg.variants[-1]].shape[-2:])
+            assert rng.bit_generator.state == last.bit_generator.state
             fallbacks.append(sum(_may_reject(cfg, trial) for trial in trials))
 
         check()
@@ -381,6 +380,16 @@ class TestRunSweep:
         assert (type(cfg.n), type(cfg.k), type(cfg.n0), type(cfg.var_alpha)) == (
             int, int, float, float)
         assert [type(db) for db in cfg.et_db] == [float, float]
+
+    @pytest.mark.parametrize("key, value", [
+        ("n0", 10**400), ("var_alpha", 10**400), ("et_db", (10**400,))],
+        ids=["n0", "var_alpha", "et_db"])
+    def test_integer_beyond_float_range_rejected(self, key, value):
+        # float() of such an int raised OverflowError, naming no field
+        fields = dict(n=9, k=3, et_db=(1.0,))
+        fields[key] = value
+        with pytest.raises(ValueError, match=f"{key} is beyond the float range"):
+            ExperimentConfig(**fields)
 
     @pytest.mark.parametrize("key, value", [
         ("n", 27.0), ("k", 3.0), ("n0", True), ("n0", "1"), ("var_alpha", "2"),
