@@ -32,7 +32,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._output import output_file
@@ -225,10 +224,13 @@ def _write(path: Path, text: str, quiet: bool) -> Path:
 
 
 def _environment() -> dict:
+    # scipy is recorded only if the run loaded it: no command needs it, and
+    # importing it just for its version would slow every start
+    scipy = sys.modules.get("scipy")
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy.__version__ if scipy else None,
         "usable_cpus": usable_cpus(),
     }
 

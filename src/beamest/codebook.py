@@ -12,6 +12,11 @@ copy of the target gain profile ``p`` has the exact solution
 ``U[a, i] = (-1)^a exp(2 pi j a i / n) / sqrt(n)``, a signed unitary DFT, so
 ``v = (-1)^a sqrt(n) ifft(p / ||p||)`` and the realized gains ``U^H v`` are
 ``fft((-1)^a v) / sqrt(n)``: O(n log n) per beam, and ``U`` is never built.
+
+Every parent range of a stage has the same length and the same pattern, so by
+the DFT shift theorem the beams of the parent starting at grid index ``o`` are
+those of the parent starting at 0 times the phase ramp ``exp(2 pi j a o / n)``
+on antenna ``a``: each stage is synthesized once and shifted onto its parents.
 """
 
 from __future__ import annotations
@@ -255,42 +260,55 @@ class StageCodebook:
 
 
 class StageCodebookCache:
-    """Builds stage codebooks against one grid/pattern pair, memoizing per parent.
+    """Builds stage codebooks against one grid/pattern pair: one synthesis per
+    stage, shifted.
 
-    Each parent range is split and its bank of beams synthesized once; every
-    stage that refines it, on either end, reuses that bank.
+    The bank of the parent starting at grid index 0 is synthesized beam by
+    beam; the bank of any other parent of that length is the same bank times
+    the phase ramp ``exp(2 pi j a o / n)`` for a parent starting at ``o``, and
+    shares its gain and residual.  Banks and stage codebooks are memoized by
+    the parents' integer bounds.
     """
 
     def __init__(self, grid: AngleGrid, patterns: BeamPatternMatrix):
         self.grid = grid
         self.patterns = patterns
-        # parent -> (its children, their beams as columns, shared gain, worst residual)
-        self._banks: dict[IndexRange, tuple] = {}
+        # (start, stop) -> (its children, their beams as columns, shared gain, worst residual)
+        self._banks: dict[tuple[int, int], tuple] = {}
         self._stages: dict[tuple, tuple[SubrangePartition, StageCodebook]] = {}
 
-    def _end_bank(self, parent: IndexRange) -> tuple:
-        bank = self._banks.get(parent)
+    def _end_bank(self, start: int, stop: int) -> tuple:
+        bank = self._banks.get((start, stop))
         if bank is None:
-            blocks = parent.split(self.patterns.k)
-            beams = [synthesize_vector(
-                target_profile(self.patterns, m, blocks, self.grid.n), self.grid)
-                for m in range(self.patterns.m)]
-            bank = (blocks, np.stack([b.vector for b in beams], axis=1), beams[0].gain,
-                    max(b.residual for b in beams))
-            self._banks[parent] = bank
+            n = self.grid.n
+            if stop > n:  # a shift would wrap such a parent around the grid
+                raise ValueError(f"parent range [{start}, {stop}) exceeds grid size {n}")
+            blocks = IndexRange(start, stop).split(self.patterns.k)
+            if start == 0:
+                beams = [synthesize_vector(target_profile(self.patterns, m, blocks, n), self.grid)
+                         for m in range(self.patterns.m)]
+                bank = (blocks, np.stack([b.vector for b in beams], axis=1), beams[0].gain,
+                        max(b.residual for b in beams))
+            else:
+                _, vectors, gain, residual = self._end_bank(0, stop - start)
+                # the phase from the integer (a * start) mod n keeps it exact to ~1e-15
+                ramp = np.exp(2j * np.pi * (np.arange(n) * start % n) / n)
+                bank = (blocks, vectors * ramp[:, None], gain, residual)
+            self._banks[(start, stop)] = bank
         return bank
 
     def refine(self, parent_transmit: IndexRange, parent_receive: IndexRange,
                k: int, stage: int) -> tuple[SubrangePartition, StageCodebook]:
         """Partition both parents and return the matching codebook, memoized."""
-        key = (parent_transmit, parent_receive, stage)
+        key = (parent_transmit.start, parent_transmit.stop,
+               parent_receive.start, parent_receive.stop, stage)
         hit = self._stages.get(key)
         if hit is None:
             if k != self.patterns.k or len(parent_transmit) != len(parent_receive):
                 raise ValueError(f"expected equal parents split {self.patterns.k} ways, got "
                                  f"{parent_transmit} and {parent_receive} split {k} ways")
-            transmit, f, gain, res_t = self._end_bank(parent_transmit)
-            receive, w, _, res_r = self._end_bank(parent_receive)
+            transmit, f, gain, res_t = self._end_bank(parent_transmit.start, parent_transmit.stop)
+            receive, w, _, res_r = self._end_bank(parent_receive.start, parent_receive.stop)
             hit = (SubrangePartition(stage, transmit, receive),
                    StageCodebook(stage=stage, f=f, w=w, gain=gain, residual=max(res_t, res_r)))
             self._stages[key] = hit

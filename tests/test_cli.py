@@ -1,7 +1,10 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +336,21 @@ class TestSweepCommand:
         assert manifest["estimation_runs"] == 240
         assert manifest["runs_per_s"] > 0
         assert "sweep_manifest.json" not in manifest["outputs"]
+
+    def test_manifest_records_scipy_as_null_when_not_loaded(self, tmp_path):
+        # no command loads scipy, so a fresh interpreter's run records none;
+        # this test process has loaded it for the tests' own oracles
+        path = write_cfg(tmp_path, SWEEP_CFG)
+        out = tmp_path / "fresh"
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "beamest.cli", "sweep", "--config", str(path),
+             "--out", str(out), "--quiet"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        env = json.loads((out / "sweep_manifest.json").read_text())["environment"]
+        assert env["scipy"] is None
 
     def test_non_finite_gains_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 4\net_db = 10\nvar_alpha = inf\n")

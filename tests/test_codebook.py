@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from reference import reference_bank
 
 from beamest.arrays import AngleGrid
 from beamest.cli import _gain_flatness_rows
@@ -17,7 +18,15 @@ from beamest.codebook import (
     target_profile,
     write_beam_matrix,
 )
-from beamest.estimator import OVERLAPPED, VARIANTS, codebook_bank, leftmost_path, stage_gains
+from beamest.estimator import (
+    NON_OVERLAPPED,
+    OVERLAPPED,
+    VARIANTS,
+    codebook_bank,
+    leftmost_path,
+    pattern_matrix,
+    stage_gains,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -131,6 +140,12 @@ class TestPartition:
         for block in part.transmit:
             seen.extend(range(block.start, block.stop))
         assert seen == list(range(5, 17))
+
+    def test_parent_outside_grid_rejected(self):
+        # splits evenly, but a shifted bank would wrap it around the grid
+        cache = StageCodebookCache(AngleGrid(17), identity_pattern_matrix(4))
+        with pytest.raises(ValueError, match="grid size 17"):
+            cache.refine(IndexRange(10, 22), IndexRange(10, 22), 4, stage=1)
 
 
 class TestTargetProfile:
@@ -334,6 +349,38 @@ class TestStageCodebook:
             cache.refine(IndexRange(0, 9), IndexRange(0, 3), 3, stage=1)
         with pytest.raises(ValueError):
             cache.refine(IndexRange(0, 8), IndexRange(0, 8), 4, stage=1)
+
+
+class TestShiftedBanks:
+    """Banks shifted from each stage's one synthesis against every parent's own."""
+
+    @pytest.mark.parametrize("n, k, variant", [
+        (27, 3, OVERLAPPED), (27, 3, NON_OVERLAPPED), (343, 7, OVERLAPPED),
+        (343, 7, NON_OVERLAPPED), (2401, 7, OVERLAPPED)])
+    def test_match_per_parent_synthesis(self, n, k, variant):
+        grid = AngleGrid(n)
+        patterns = pattern_matrix(k, variant)
+        cache = StageCodebookCache(grid, patterns)
+        size = n
+        for stage in (1, 2, 3):
+            parents = [IndexRange(start, start + size) for start in range(0, n, size)]
+            # reversed on the receive end, so each end takes every parent,
+            # the last one included, mostly against another parent
+            for transmit, receive in zip(parents, parents[::-1]):
+                part, cb = cache.refine(transmit, receive, k, stage)
+                for parent, children, beams in ((transmit, part.transmit, cb.f),
+                                                (receive, part.receive, cb.w)):
+                    blocks, oracle, gain, residual = reference_bank(grid, patterns, parent)
+                    assert children == blocks
+                    assert residual <= 1e-14 and cb.residual <= 1e-14
+                    if parent.start == 0:
+                        # the synthesis itself, signed zeros included
+                        assert beams.tobytes() == oracle.tobytes()
+                        assert cb.gain == gain
+                    else:
+                        assert np.abs(beams - oracle).max() <= 1e-14
+                        assert abs(cb.gain - gain) <= 1e-15 * gain
+            size //= k
 
 
 class TestComplexFormat:

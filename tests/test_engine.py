@@ -404,11 +404,14 @@ def test_sweep_bound_and_trace_build_no_beam(monkeypatch, tmp_path):
 
 
 def test_package_import_leaves_scipy_special_unloaded():
-    # importing beamest and running a sweep, the bound and the engine must not
-    # load scipy.special (about 0.3 s of a cold start); a fresh interpreter,
-    # since this test process imports it for the fixed-gain functions
+    # importing beamest and running a sweep, the bound, a trace and the engine
+    # must not load scipy.special (about 0.3 s of a cold start), nor scipy
+    # itself; a fresh interpreter, since this test process imports it for the
+    # fixed-gain functions
     code = """
 import sys
+import tempfile
+from pathlib import Path
 import numpy as np
 import beamest, beamest.cli
 from beamest.estimator import EstimatorConfig, search_batch
@@ -418,7 +421,14 @@ run_sweep(ExperimentConfig(n=27, k=3, et_db=grid, trials=5, master_seed=8151372)
 bound_table(27, 3, grid)
 cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
 search_batch(cfg, [1.0], [4], [5], [1.0], np.zeros((1, 3, 2, 2), complex))
+with tempfile.TemporaryDirectory() as out:
+    config = Path(out) / "run.cfg"
+    config.write_text("n = 27\\nk = 3\\ntrials = 5\\net_db = 14\\nbound = true\\n")
+    for command in ("sweep", "bound", "trace"):
+        assert beamest.cli.main([command, "--config", str(config), "--out", out,
+                                 "--quiet"]) == 0
 assert "scipy.special" not in sys.modules, "scipy.special was loaded"
+assert "scipy" not in sys.modules, "scipy was loaded"
 """
     _run_fresh(code)
 
