@@ -8,16 +8,7 @@ probability in closed form and benchmarks everything with a reproducible
 Monte Carlo harness.
 """
 
-from .analysis import (
-    BoundResult,
-    PairwiseContext,
-    SelfTermError,
-    bessel_i0,
-    marcum_q1,
-    pairwise_error_fixed_alpha,
-    pairwise_error_rayleigh,
-    pcef_upper_bound,
-)
+from .analysis import BoundResult, pcef_upper_bound
 from .arrays import (
     AngleGrid,
     ChannelRealization,

@@ -5,10 +5,12 @@ joint statistics are Gaussian: the measurement of the true sub-range pair has
 mean ``alpha * sqrt(p_t)``, a mismatched pair has that mean attenuated by the
 correlation factor ``rho`` (the product of the two pattern-column inner
 products), and the noise terms share covariance ``n0 * rho``.  The chance that
-a mismatched magnitude beats the true one has a Marcum-Q closed form at fixed
+a mismatched magnitude beats the true one has a Marcum-Q form at fixed
 ``|alpha|`` and a purely algebraic form once ``alpha`` is averaged over a
-zero-mean complex Gaussian prior.  A union over all hypothesis pairs and
-stages upper-bounds the end-to-end failure probability.
+zero-mean complex Gaussian prior; only the averaged form is computed here (the
+fixed-gain form is the tests' oracle for it, in ``tests/reference.py``).  A
+union over all hypothesis pairs and stages upper-bounds the end-to-end failure
+probability.
 """
 
 from __future__ import annotations
@@ -20,154 +22,7 @@ import numpy as np
 from .arrays import _integer, _nonnegative, _real
 from .codebook import BeamPatternMatrix
 
-__all__ = [
-    "BoundResult",
-    "PairwiseContext",
-    "SelfTermError",
-    "bessel_i0",
-    "marcum_q1",
-    "pairwise_error_fixed_alpha",
-    "pairwise_error_rayleigh",
-    "pcef_upper_bound",
-]
-
-BESSEL_OVERFLOW_LIMIT = 700.0
-
-
-class SelfTermError(ValueError):
-    """A hypothesis compared against itself: rho = 1, and the exceedance
-    probability is identically zero, so the closed forms do not apply."""
-
-
-def bessel_i0(z: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Guards ``|z| <= 700`` because exp-scaled growth overflows float64 shortly
-    beyond that.
-    """
-    z = float(z)
-    if np.isnan(z):
-        raise ValueError("bessel_i0 argument is NaN")
-    if abs(z) > BESSEL_OVERFLOW_LIMIT:
-        raise OverflowError(f"bessel_i0 overflows float64 for |z| = {abs(z)} > "
-                            f"{BESSEL_OVERFLOW_LIMIT}")
-    from scipy import special  # here and below, not at the top: keeps 0.3 s out of import
-    return float(special.i0(z))
-
-
-def _q1_series(a: float, b: float) -> float:
-    """Marcum Q1 for 0 <= a < b via the scaled-Bessel series.
-
-    Q1(a, b) = exp(-(a-b)^2/2) * sum_k (a/b)^k ive(k, a*b); every term is
-    nonnegative, so no cancellation occurs, and ive keeps all intermediates in
-    float64 range.
-    """
-    if a == 0.0:
-        return float(np.exp(-0.5 * b * b))
-    from scipy import special
-    ratio = a / b
-    x = a * b
-    scale = np.exp(-0.5 * (a - b) ** 2)
-    total = 0.0
-    start = 0
-    chunk = 256
-    # geometric tail bound: ive(k+1, x) <= ive(k, x), so remainder after the
-    # last term t is at most t * ratio / (1 - ratio)
-    while True:
-        ks = np.arange(start, start + chunk)
-        terms = ratio ** ks * special.ive(ks, x)
-        total += float(terms.sum())
-        last = float(terms[-1])
-        if last * ratio <= (1.0 - ratio) * total * 1e-17:
-            break
-        start += chunk
-        if start > x + 20 * np.sqrt(x + 1) + 200_000:
-            raise RuntimeError(f"Marcum series failed to converge for a={a}, b={b}")
-    return float(scale * total)
-
-
-def marcum_q1(a: float, b: float) -> float:
-    """First-order Marcum Q function.
-
-    ``Q1(a, b)`` is the probability that a Rician envelope with noncentrality
-    ``a`` and unit per-dimension variance exceeds ``b``.  The series above
-    covers ``a < b``; the complementary region uses the reflection identity
-    ``Q1(a, b) + Q1(b, a) = 1 + exp(-(a^2+b^2)/2) I0(ab)``.
-    """
-    a, b = float(a), float(b)
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError(f"marcum_q1 arguments must be finite, got ({a}, {b})")
-    if a < 0 or b < 0:
-        raise ValueError(f"marcum_q1 arguments must be nonnegative, got ({a}, {b})")
-    if b == 0.0:
-        return 1.0
-    from scipy import special
-    if a == b:
-        return 0.5 * (1.0 + float(special.i0e(a * b)))
-    if a < b:
-        return min(1.0, _q1_series(a, b))
-    cross = np.exp(-0.5 * (a - b) ** 2) * special.i0e(a * b)
-    return min(1.0, 1.0 - _q1_series(b, a) + float(cross))
-
-
-@dataclass(frozen=True)
-class PairwiseContext:
-    """Inputs of one two-hypothesis comparison.
-
-    ``rho`` is the correlation factor between the mismatched and the correct
-    fused measurement (product of the receive- and transmit-side pattern
-    column inner products); it also scales the mismatched mean and, through
-    ``sigma = n0 * rho``, the common noise covariance.
-    """
-
-    rho: float
-    n0: float
-    p_t: float
-    var_alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"correlation factor must lie in [0, 1], got {self.rho}")
-        if self.n0 <= 0:
-            raise ValueError(f"noise variance must be positive, got {self.n0}")
-        if self.p_t < 0:
-            raise ValueError(f"power constant must be nonnegative, got {self.p_t}")
-        if self.var_alpha < 0:
-            raise ValueError(f"gain prior variance must be nonnegative, got {self.var_alpha}")
-
-    @property
-    def sigma(self) -> float:
-        """Noise covariance between the two compared measurements."""
-        return self.n0 * self.rho
-
-
-def _rician_pair_params(mean_mag: float, rho: float, n0: float) -> tuple[float, float]:
-    # Decorrelating the pair (difference/sum of the two measurements) reduces
-    # |r_mis| > |r_cor| to a comparison of two independent unit-variance
-    # Rician envelopes with these noncentralities.
-    root_plus = np.sqrt(1.0 + rho)
-    root_minus = np.sqrt(1.0 - rho)
-    a = mean_mag * (root_plus - root_minus) / (2.0 * np.sqrt(n0))
-    b = mean_mag * (root_plus + root_minus) / (2.0 * np.sqrt(n0))
-    return float(a), float(b)
-
-
-def pairwise_error_fixed_alpha(ctx: PairwiseContext, alpha_mag: float) -> float:
-    """P(|mismatched measurement| > |correct measurement|) at fixed ``|alpha|``.
-
-    Equals ``Q1(A, B) - I0(AB) exp(-(A^2+B^2)/2) / 2`` with ``A, B =
-    (sqrt(1+rho) -/+ sqrt(1-rho)) |alpha| sqrt(p_t) / (2 sqrt(n0))``.
-    """
-    if ctx.rho == 1.0:
-        raise SelfTermError("fixed-gain exceedance is undefined for rho = 1 "
-                            "(identical hypothesis pair)")
-    if alpha_mag < 0:
-        raise ValueError(f"gain magnitude must be nonnegative, got {alpha_mag}")
-    a, b = _rician_pair_params(alpha_mag * np.sqrt(ctx.p_t), ctx.rho, ctx.n0)
-    from scipy import special
-    correction = 0.5 * float(special.i0e(a * b)) * np.exp(-0.5 * (a - b) ** 2)
-    value = marcum_q1(a, b) - correction
-    return float(min(max(value, 0.0), 1.0))
+__all__ = ["BoundResult", "pcef_upper_bound"]
 
 
 def _rayleigh_terms(rho, p_t, n0: float, var_alpha: float):
@@ -187,14 +42,6 @@ def _rayleigh_terms(rho, p_t, n0: float, var_alpha: float):
     b2 = u * (1.0 + root) / 2.0
     gap = b2 - a2
     return 0.5 - gap / (4.0 * np.sqrt(1.0 + a2 + b2 + (gap / 2.0) ** 2))
-
-
-def pairwise_error_rayleigh(ctx: PairwiseContext) -> float:
-    """Average of :func:`pairwise_error_fixed_alpha` over a Rayleigh-faded gain."""
-    if ctx.rho == 1.0:
-        raise SelfTermError("averaged exceedance is undefined for rho = 1 "
-                            "(identical hypothesis pair)")
-    return float(_rayleigh_terms(ctx.rho, ctx.p_t, ctx.n0, ctx.var_alpha))
 
 
 def _noise_and_prior(n0, var_alpha) -> tuple[float, float | None]:

@@ -125,6 +125,20 @@ def _real(key: str, value) -> float:
     raise ValueError(f"{key} must be a real number, got {value!r}")
 
 
+def _finite_complex(key: str, value) -> complex:
+    """``value`` as a ``complex``; ``ValueError`` for a bool, a non-number or a
+    NaN, infinite or out-of-range part."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        try:
+            z = complex(value)
+        except OverflowError:
+            raise ValueError(f"{key} is beyond the float range") from None
+        if math.isfinite(z.real) and math.isfinite(z.imag):
+            return z
+        raise ValueError(f"{key} is NaN or infinite: {value!r}")
+    raise ValueError(f"{key} must be a complex number, got {value!r}")
+
+
 def _nonnegative(key: str, value: float, what: str) -> float:
     """``value``; ``ValueError`` naming ``key`` if it is NaN, infinite or negative."""
     if not math.isfinite(value):
@@ -140,7 +154,8 @@ class ChannelRealization:
 
     ``theta`` indexes the angle of arrival (receive side) and ``phi`` the angle
     of departure (transmit side).  Both must be integers on the grid (stored
-    as ``int``), since the search takes their base-``k`` digits unchecked.
+    as ``int``), since the search takes their base-``k`` digits unchecked;
+    ``n`` is an ``int`` of at least 1 and ``alpha`` a finite ``complex``.
     """
 
     theta: int
@@ -149,11 +164,16 @@ class ChannelRealization:
     n: int
 
     def __post_init__(self):
+        n = _integer("n", self.n)
+        if n < 1:
+            raise ValueError(f"n: antenna count must be at least 1, got {n}")
+        object.__setattr__(self, "n", n)
         for key in ("theta", "phi"):
-            object.__setattr__(self, key, _integer(key, getattr(self, key)))
-        grid = AngleGrid(self.n)
-        grid._check_index(self.theta)
-        grid._check_index(self.phi)
+            index = _integer(key, getattr(self, key))
+            if not 0 <= index < n:
+                raise ValueError(f"{key}: grid index {index} outside [0, {n})")
+            object.__setattr__(self, key, index)
+        object.__setattr__(self, "alpha", _finite_complex("alpha", self.alpha))
 
     @cached_property
     def grid(self) -> AngleGrid:

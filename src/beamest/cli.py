@@ -224,13 +224,9 @@ def _write(path: Path, text: str, quiet: bool) -> Path:
 
 
 def _environment() -> dict:
-    # scipy is recorded only if the run loaded it: no command needs it, and
-    # importing it just for its version would slow every start
-    scipy = sys.modules.get("scipy")
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__ if scipy else None,
         "usable_cpus": usable_cpus(),
     }
 

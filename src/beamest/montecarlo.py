@@ -372,28 +372,25 @@ def _aggregate(cfg: ExperimentConfig, variant: str, fails: np.ndarray,
     trials = fails.shape[1]
     counts = fails.sum(axis=1)
     lows, highs = wilson_interval(counts, trials)
+    # fsum is exact before its one rounding, and a failed trial's +0.0 changes
+    # no exact sum, so a zeroed row sums to exactly what its successes do
+    sums = [[math.fsum(row) for row in err.tolist()]
+            for err in (err_mmse, err_final,
+                        np.where(fails, 0.0, err_mmse), np.where(fails, 0.0, err_final))]
     points = []
-    for i, (db, failures, ci_low, ci_high) in enumerate(
-            zip(cfg.et_db, counts.tolist(), lows.tolist(), highs.tolist())):
-        pcef = failures / trials
-        success = ~fails[i]
+    for db, failures, ci_low, ci_high, mmse, final, mmse_ok, final_ok in zip(
+            cfg.et_db, counts.tolist(), lows.tolist(), highs.tolist(), *sums):
         n_success = trials - failures
-
-        def conditional_mean(errors: np.ndarray) -> float:
-            if n_success == 0:
-                return math.nan
-            return math.fsum(errors[success].tolist()) / n_success
-
         points.append(SweepPoint(
             et_db=db,
-            pcef=pcef,
+            pcef=failures / trials,
             ci_low=ci_low,
             ci_high=ci_high,
             low_count=failures < 5 or n_success < 5,
-            relerr_mmse_all=math.fsum(err_mmse[i].tolist()) / trials,
-            relerr_mmse_success=conditional_mean(err_mmse[i]),
-            relerr_final_all=math.fsum(err_final[i].tolist()) / trials,
-            relerr_final_success=conditional_mean(err_final[i]),
+            relerr_mmse_all=mmse / trials,
+            relerr_mmse_success=mmse_ok / n_success if n_success else math.nan,
+            relerr_final_all=final / trials,
+            relerr_final_success=final_ok / n_success if n_success else math.nan,
             trials=trials,
             failures=failures,
             slots=slots,

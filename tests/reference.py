@@ -5,10 +5,16 @@ The engine replaces the search with the rank-one stage signal; the tests use
 it as the oracle for the engine's picks and values and as the source of the
 raw and fused blocks whose properties they check.  ``StageCodebookCache``
 replaces the per-parent synthesis with one synthesis per stage, shifted; the
-tests use :func:`reference_bank` as the oracle for its banks.
+tests use :func:`reference_bank` as the oracle for its banks.  The shipped
+bound averages the pairwise exceedance over the Rayleigh gain in closed form;
+:func:`pairwise_exceedance` is the fixed-gain form it averages, the oracle
+for that closed form.
 """
 
+import math
+
 import numpy as np
+from scipy import special, stats
 
 from beamest.arrays import MeasurementNoise, build_channel, measure_block
 from beamest.codebook import IndexRange, synthesize_vector, target_profile
@@ -40,3 +46,21 @@ def reference_bank(grid, patterns, parent):
              for m in range(patterns.m)]
     return (blocks, np.stack([b.vector for b in beams], axis=1), beams[0].gain,
             max(b.residual for b in beams))
+
+
+def pairwise_exceedance(rho, n0, p_t, alpha_mag):
+    """P(|mismatched measurement| > |correct measurement|) at fixed ``|alpha|``.
+
+    Decorrelating the pair reduces the comparison to two independent
+    unit-variance Rician envelopes, so it equals ``Q1(A, B) - I0(AB)
+    exp(-(A^2+B^2)/2) / 2`` with ``A, B = (sqrt(1+rho) -/+ sqrt(1-rho))
+    |alpha| sqrt(p_t) / (2 sqrt(n0))``, clamped to [0, 1].  ``Q1(a, b)`` is
+    the tail of a 2-dof noncentral chi^2, ``ncx2.sf(b^2, 2, a^2)``.
+    """
+    mean = alpha_mag * math.sqrt(p_t)
+    root_plus, root_minus = math.sqrt(1.0 + rho), math.sqrt(1.0 - rho)
+    a = mean * (root_plus - root_minus) / (2.0 * math.sqrt(n0))
+    b = mean * (root_plus + root_minus) / (2.0 * math.sqrt(n0))
+    q1 = float(stats.ncx2.sf(b * b, 2, a * a))
+    correction = 0.5 * float(special.i0e(a * b)) * math.exp(-0.5 * (a - b) ** 2)
+    return min(max(q1 - correction, 0.0), 1.0)

