@@ -7,13 +7,16 @@ makes the grid responses mutually orthonormal; beam synthesis downstream
 relies on that orthogonality.
 
 Random streams are keyed ``(master seed, key...)`` through
-:func:`substream`.  :func:`substream_states` computes the PCG64 start states
-of a whole block of ``(trial, key)`` streams in one vectorised pass, bit for
-bit equal to seeding each one through ``SeedSequence``, as one ``uint64``
-array of 64-bit state and increment words; the master seed's share of that
-hashing is done once per seed.  Sweeps reseat one generator with
-its rows through :func:`reseater` instead of building a generator per stream,
-and fill each stream's draws straight into a block buffer.
+:func:`substream`.  One vectorised hash, :func:`_seed_words`, computes the
+``SeedSequence`` seed words of a whole block of ``(trial, key)`` streams at
+once, bit for bit; the master seed's share of that hashing is done once per
+seed.  :func:`substream_states` turns them into PCG64 start states, one
+``uint64`` array of 64-bit state and increment words, and sweeps reseat one
+generator with its rows through :func:`reseater` instead of building a
+generator per stream, filling each stream's draws straight into a block
+buffer.  Trial-by-trial callers take a :class:`StreamSeed` from
+:func:`stream_seed` instead of a ``SeedSequence``: it seeds the same
+generator from words hashed for a block of consecutive trials at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 import numbers
 import operator
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,10 +37,12 @@ __all__ = [
     "AngleGrid",
     "ChannelRealization",
     "MeasurementNoise",
+    "StreamSeed",
     "steering_vector",
     "build_channel",
     "measure_block",
     "reseater",
+    "stream_seed",
     "substream",
     "substream_states",
 ]
@@ -202,7 +208,7 @@ class MeasurementNoise:
     """
 
     n0: float
-    seed: int | np.random.SeedSequence | np.random.Generator = 0
+    seed: int | np.random.SeedSequence | StreamSeed | np.random.Generator = 0
 
     def __post_init__(self):
         _nonnegative("n0", self.n0, "noise variance")
@@ -361,18 +367,15 @@ def _seed_pool(master_seed: int) -> tuple[np.ndarray, ...]:
     return result
 
 
-def substream_states(master_seed: int, trials, keys) -> np.ndarray:
-    """PCG64 start states of ``substream(master_seed, trial, key)`` for every key and trial.
+def _seed_words(master_seed: int, trials, keys) -> np.ndarray:
+    """``substream(master_seed, trial, key).generate_state(4, np.uint64)`` for
+    every key and trial, as a ``(4, len(keys), len(trials))`` ``uint64`` array.
 
-    Returns a ``(len(keys), len(trials), 4)`` ``uint64`` array whose row
-    ``[j, i]`` holds the words ``[state_lo, state_hi, inc_lo, inc_hi]`` of
-    ``np.random.PCG64(substream(master_seed, trials[i], keys[j])).state``,
-    bit for bit.  It follows SeedSequence's pool mixing and
-    ``generate_state`` hashing: the master-seed words are hashed as scalars,
-    once per seed (:func:`_seed_pool`), and the two spawn-key words of every
-    stream in ``uint32`` arithmetic over all trials, keys and pool words at
-    once; PCG64's seeding then runs on 64-bit limbs.  Trial indices and keys
-    must each fit one 32-bit word.
+    It follows SeedSequence's pool mixing and ``generate_state`` hashing: the
+    master-seed words are hashed as scalars, once per seed
+    (:func:`_seed_pool`), and the two spawn-key words of every stream in
+    ``uint32`` arithmetic over all trials, keys and pool words at once.
+    Trial indices and keys must each fit one 32-bit word.
     """
     master_seed = operator.index(master_seed)
     if master_seed < 0:
@@ -382,10 +385,22 @@ def substream_states(master_seed: int, trials, keys) -> np.ndarray:
     pool, *constants = _seed_pool(master_seed)
     pool = _mix(pool, _hash(trial_words, *constants[:2]))
     pool = _mix(pool, _hash(key_words, *constants[2:]))
-    # generate_state(4, uint64): eight hashed pool words, paired little-endian
+    # eight hashed pool words, paired little-endian
     out = _hash(np.concatenate([pool, pool]), *_OUTPUT_CONSTANTS)
     out = out.astype(np.uint64)
-    state_hi, state_lo, seq_hi, seq_lo = out[0::2] | (out[1::2] << _SHIFT32)
+    return out[0::2] | (out[1::2] << _SHIFT32)
+
+
+def substream_states(master_seed: int, trials, keys) -> np.ndarray:
+    """PCG64 start states of ``substream(master_seed, trial, key)`` for every key and trial.
+
+    Returns a ``(len(keys), len(trials), 4)`` ``uint64`` array whose row
+    ``[j, i]`` holds the words ``[state_lo, state_hi, inc_lo, inc_hi]`` of
+    ``np.random.PCG64(substream(master_seed, trials[i], keys[j])).state``,
+    bit for bit: the seed words of :func:`_seed_words`, then PCG64's seeding
+    on 64-bit limbs.  Trial indices and keys must each fit one 32-bit word.
+    """
+    state_hi, state_lo, seq_hi, seq_lo = _seed_words(master_seed, trials, keys)
     # PCG64 seeding: inc = 2 initseq + 1, state = (inc + initstate) MULT + inc
     inc_lo = (seq_lo << _ONE) | _ONE
     inc_hi = (seq_hi << _ONE) | (seq_lo >> _SHIFT63)
@@ -393,6 +408,99 @@ def substream_states(master_seed: int, trials, keys) -> np.ndarray:
     lo, hi = _mul128(lo, hi, _PCG64_MULT_LO, _PCG64_MULT_HI)
     lo, hi = _add128(lo, hi, inc_lo, inc_hi)
     return np.stack([lo, hi, inc_lo, inc_hi], axis=-1)
+
+
+class StreamSeed:
+    """``substream(master_seed, trial, key)`` with its generator seed already hashed.
+
+    A bit generator seeds itself with ``generate_state(4, np.uint64)``; that
+    request returns a copy of the words :func:`stream_seed` hashed.  Any
+    other request, and :meth:`spawn`, go to the equal ``SeedSequence``, made
+    at first need and kept, so spawned children follow numpy's child
+    counter.  Made by :func:`stream_seed`, which registers the class as
+    numpy's ``ISpawnableSeedSequence``; instances pickle.
+    """
+
+    __slots__ = ("master_seed", "trial", "key", "_words", "_sequence")
+
+    def __init__(self, master_seed: int, trial: int, key: int, words: np.ndarray):
+        self.master_seed, self.trial, self.key = master_seed, trial, key
+        self._words = words
+        self._sequence = None
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words == 4 and dtype is np.uint64:
+            return self._words.copy()
+        return self._seed_sequence().generate_state(n_words, dtype)
+
+    def spawn(self, n_children: int) -> list[np.random.SeedSequence]:
+        return self._seed_sequence().spawn(n_children)
+
+    def _seed_sequence(self) -> np.random.SeedSequence:
+        if self._sequence is None:
+            self._sequence = substream(self.master_seed, self.trial, self.key)
+        return self._sequence
+
+    def __reduce__(self):
+        spawned = 0 if self._sequence is None else self._sequence.n_children_spawned
+        return _restore_stream_seed, (self.master_seed, self.trial, self.key, self._words,
+                                      spawned)
+
+
+def _restore_stream_seed(master_seed, trial, key, words, spawned) -> StreamSeed:
+    _register_stream_seed()
+    seed = StreamSeed(master_seed, trial, key, words)
+    if spawned:
+        seed._sequence = np.random.SeedSequence(master_seed, spawn_key=(trial, key),
+                                                n_children_spawned=spawned)
+    return seed
+
+
+@functools.cache
+def _register_stream_seed() -> None:
+    """Register :class:`StreamSeed` as numpy's ``ISpawnableSeedSequence``,
+    which bit generators require of a seed object.  Done at first use, so
+    importing the package loads no ``numpy.random``."""
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+    ISpawnableSeedSequence.register(StreamSeed)
+
+
+# stream_seed hashes this many consecutive trials at once, and keeps the
+# latest such block of each of the last _STREAM_KEYS (master seed, key) pairs;
+# the lock orders the cache's evictions between threads
+_STREAM_BLOCK = 256
+_STREAM_KEYS = 8
+_stream_blocks: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+_stream_lock = threading.Lock()
+
+
+def stream_seed(master_seed: int, trial: int, key: int) -> StreamSeed:
+    """Seed of ``substream(master_seed, trial, key)``, hashed a block at a time.
+
+    The first trial asked for in an aligned block of ``_STREAM_BLOCK``
+    hashes the whole block's words through :func:`_seed_words`, the hash
+    :func:`substream_states` uses; its neighbours then cost a lookup.
+    Generators seeded with the result draw exactly what the ``SeedSequence``
+    gives.  ``ValueError`` for a trial index outside ``[0, 2**32)``.
+    """
+    trial = _integer("trial index", trial)
+    if not 0 <= trial <= _MASK32:
+        raise ValueError(f"trial index {trial} outside [0, 2**32)")
+    offset = trial % _STREAM_BLOCK
+    start = trial - offset
+    cached = _stream_blocks.get((master_seed, key))
+    if cached is None or cached[0] != start:
+        words = _seed_words(master_seed, range(start, start + _STREAM_BLOCK), [key])
+        words = words[:, 0].T.copy()
+        words.setflags(write=False)
+        _register_stream_seed()
+        cached = (start, words)
+        with _stream_lock:
+            _stream_blocks.pop((master_seed, key), None)
+            if len(_stream_blocks) >= _STREAM_KEYS:
+                del _stream_blocks[next(iter(_stream_blocks))]
+            _stream_blocks[master_seed, key] = cached
+    return StreamSeed(master_seed, trial, key, cached[1][offset])
 
 
 def _add128(a_lo, a_hi, b_lo, b_hi):

@@ -15,6 +15,9 @@ once-per-process probe finds numpy's layout differs), filling each stream
 straight into its row of a block buffer (the angles from one raw word by
 numpy's bounded-integer rule, with an exact fallback), so it draws exactly
 what :func:`sample_channel` and :func:`noise_stream` give trial by trial.
+Those two seed from :func:`~beamest.arrays.stream_seed`, the same hash run
+over a block of consecutive trials at a time, rather than building a
+``SeedSequence`` per stream.
 The trials then run through :func:`~beamest.estimator.search_batch`, which
 needs no ``n``-element beam: the power rule makes every stage's noiseless
 block the same rank-one product of pattern columns, and the stage gains have
@@ -40,10 +43,12 @@ import numpy as np
 from .analysis import _noise_and_prior, pcef_upper_bound
 from .arrays import (
     ChannelRealization,
+    StreamSeed,
     _integer,
     _real,
     reseater,
-    substream,
+    stream_seed,
+    substream,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.substream
     substream_states,
 )
 from .estimator import (
@@ -153,7 +158,7 @@ def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealizatio
     any order.  Both gain parts come from one ``normal(size=2)`` call, the
     numbers two scalar calls give.
     """
-    rng = np.random.default_rng(substream(cfg.master_seed, trial_index, _CHANNEL_KEY))
+    rng = np.random.default_rng(stream_seed(cfg.master_seed, trial_index, _CHANNEL_KEY))
     # two scalar draws: integers(n, size=2) gives the same numbers but takes
     # longer, through its array path
     theta, phi = int(rng.integers(cfg.n)), int(rng.integers(cfg.n))
@@ -161,9 +166,9 @@ def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealizatio
     return ChannelRealization(theta=theta, phi=phi, alpha=complex(real, imag), n=cfg.n)
 
 
-def noise_stream(cfg: ExperimentConfig, trial_index: int, variant: str) -> np.random.SeedSequence:
+def noise_stream(cfg: ExperimentConfig, trial_index: int, variant: str) -> StreamSeed:
     """Noise substream for one (trial, variant); shared across energy points."""
-    return substream(cfg.master_seed, trial_index, _VARIANT_KEYS[variant])
+    return stream_seed(cfg.master_seed, trial_index, _VARIANT_KEYS[variant])
 
 
 def energy_from_db(db: float, n0: float = 1.0) -> float:

@@ -47,19 +47,18 @@ def check(criterion: int, description: str, condition: bool, detail: str = ""):
 
 
 @pytest.fixture(scope="module")
-def fig3_runs(tmp_path_factory):
-    """The fig3 preset executed twice through the CLI (1 and 2 workers)."""
-    base = tmp_path_factory.mktemp("fig3")
-    dirs = {}
-    elapsed = {}
-    for workers in (1, 2):
-        out = base / f"workers{workers}"
-        started = time.perf_counter()
-        code = cli_main(["sweep", "--config", "fig3", "--out", str(out),
-                         "--workers", str(workers), "--quiet"])
-        elapsed[workers] = time.perf_counter() - started
-        assert code == 0
-        dirs[workers] = out
+def fig3_runs(tmp_path_factory, fig3_sweep):
+    """The fig3 preset executed twice through the CLI (1 and 2 workers); the
+    1-worker run is the session's shared ``fig3_sweep``."""
+    dirs = {1: fig3_sweep["dir"]}
+    elapsed = {1: fig3_sweep["elapsed"]}
+    out = tmp_path_factory.mktemp("fig3") / "workers2"
+    started = time.perf_counter()
+    code = cli_main(["sweep", "--config", "fig3", "--out", str(out),
+                     "--workers", "2", "--quiet"])
+    elapsed[2] = time.perf_counter() - started
+    assert code == 0
+    dirs[2] = out
     return {"dirs": dirs, "elapsed": elapsed}
 
 

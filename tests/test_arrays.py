@@ -1,6 +1,12 @@
 import gc
 import math
+import os
+import pickle
+import subprocess
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from beamest.arrays import (
     measure_block,
     reseater,
     steering_vector,
+    stream_seed,
     substream,
     substream_states,
 )
@@ -340,6 +347,99 @@ class TestSeedPool:
         # an evicted seed is hashed again, to the same rows
         assert substream_states(seeds[0], [3], [1]).tolist() == [
             [_state_words(np.random.PCG64(substream(seeds[0], 3, 1)).state)]]
+
+
+class TestStreamSeed:
+    """stream_seed against numpy's SeedSequence for the same (seed, trial, key)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(master_seed=st.integers(0, 2**128 - 1), trial=st.integers(0, 2**32 - 1),
+           key=st.integers(0, 2))
+    # either side of a block boundary, and the last trial a word holds
+    @example(master_seed=5, trial=255, key=1)
+    @example(master_seed=5, trial=256, key=2)
+    @example(master_seed=2**128 - 1, trial=2**32 - 1, key=0)
+    def test_equals_seed_sequence(self, master_seed, trial, key):
+        seed = stream_seed(master_seed, trial, key)
+        expected = substream(master_seed, trial, key)
+        for n_words, dtype in ((4, np.uint64), (2, np.uint64), (624, np.uint32)):
+            got = seed.generate_state(n_words, dtype)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, expected.generate_state(n_words, dtype))
+        assert (np.random.default_rng(seed).bit_generator.state
+                == np.random.default_rng(expected).bit_generator.state)
+        # successive spawns continue numpy's child counter
+        for _ in range(2):
+            children, numpy_children = seed.spawn(2), expected.spawn(2)
+            assert [c.spawn_key for c in children] == [c.spawn_key for c in numpy_children]
+            assert [c.generate_state(4, np.uint64).tolist() for c in children] == [
+                c.generate_state(4, np.uint64).tolist() for c in numpy_children]
+        rng = np.random.default_rng(stream_seed(master_seed, trial, key))
+        rng.normal(size=3)
+        copy = pickle.loads(pickle.dumps(rng))
+        np.testing.assert_array_equal(copy.normal(size=5), rng.normal(size=5))
+
+    def test_words_are_a_copy(self):
+        words = stream_seed(3, 7, 1).generate_state(4, np.uint64)
+        words[:] = 0
+        assert stream_seed(3, 7, 1).generate_state(4, np.uint64).tolist() == (
+            substream(3, 7, 1).generate_state(4, np.uint64).tolist())
+
+    def test_pickle_keeps_the_child_counter(self):
+        seed = stream_seed(9, 300, 2)
+        seed.spawn(3)
+        copy = pickle.loads(pickle.dumps(seed))
+        assert [c.spawn_key for c in copy.spawn(2)] == [(300, 2, 3), (300, 2, 4)]
+        assert (np.random.default_rng(copy).bit_generator.state
+                == np.random.default_rng(substream(9, 300, 2)).bit_generator.state)
+
+    def test_unpickles_in_a_fresh_interpreter(self):
+        # unpickling registers the class, so a generator takes the seed
+        # before any stream_seed call in that process
+        code = ("import pickle, sys, numpy; seed = pickle.loads(sys.stdin.buffer.read()); "
+                "print(numpy.random.default_rng(seed).integers(2**62))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", code],
+                              input=pickle.dumps(stream_seed(9, 300, 2)), capture_output=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        assert int(done.stdout) == np.random.default_rng(substream(9, 300, 2)).integers(2**62)
+
+    @pytest.mark.parametrize("trial", [-1, 2**32, 2**40])
+    def test_trial_outside_32_bits_rejected(self, trial):
+        with pytest.raises(ValueError, match=rf"trial index {trial} outside \[0, 2\*\*32\)"):
+            stream_seed(3, trial, 0)
+
+    def test_cache_stays_bounded(self):
+        for seed in range(3 * arrays._STREAM_KEYS):
+            for trial in (0, 1000):
+                stream_seed(seed, trial, 1)
+        assert len(arrays._stream_blocks) == arrays._STREAM_KEYS
+        for start, words in arrays._stream_blocks.values():
+            assert (start, words.shape) == (768, (arrays._STREAM_BLOCK, 4))
+            assert not words.flags.writeable
+
+    def test_threads_share_the_cache(self):
+        # more threads than cores, switching often, each missing and evicting
+        # blocks the others read
+        def work(worker):
+            rng = np.random.default_rng(worker)
+            for _ in range(200):
+                seed, trial = int(rng.integers(2 * arrays._STREAM_KEYS)), int(rng.integers(4096))
+                got = stream_seed(seed, trial, 1).generate_state(4, np.uint64)
+                if got.tolist() != substream(seed, trial, 1).generate_state(4, np.uint64).tolist():
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(work, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * 4
+        assert len(arrays._stream_blocks) <= arrays._STREAM_KEYS
 
 
 def _require_direct_path():

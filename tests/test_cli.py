@@ -356,6 +356,21 @@ class TestSweepCommand:
         assert env.get("scipy") is None
         assert set(env) == {"python", "numpy", "usable_cpus"}
 
+    def test_import_loads_no_random_module(self):
+        # numpy.random loads at the first seeded stream, not with the package,
+        # so commands that draw nothing start without it; numpy 1.x imports
+        # numpy.random with numpy itself, so only modules beyond those count
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, numpy\n"
+                "def loaded(): return {m for m in sys.modules if m.startswith('numpy.random')}\n"
+                "before = loaded()\n"
+                "import beamest, beamest.cli\n"
+                "print(sorted(loaded() - before))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_non_finite_gains_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 4\net_db = 10\nvar_alpha = inf\n")
         with np.errstate(invalid="ignore"):
