@@ -26,10 +26,12 @@ a closed form
 synthesize a beam.  Trials go through in blocks of bounded size.  The energy
 grid is one array throughout: each variant's powers come from one division
 and reach the engine together, :func:`bound_table` evaluates the grid in one
-call, and aggregation counts failures and forms Wilson intervals over all
-points at once.  Aggregation uses exact integer counts for failures and
-exactly-rounded summation for error means, so results are bit-identical for
-any worker split or execution order.
+call, and aggregation runs over all points of all variants at once: one
+count per row of failures, one Wilson interval call, one exact-sum pass over
+every error row (:func:`_exact_row_sums`) and one division per mean.
+Failure counts are exact integers and each error sum is the exactly rounded
+``math.fsum`` of its row, so results are bit-identical for any worker split
+or execution order.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -56,7 +59,6 @@ from .estimator import (
     OVERLAPPED,
     PILOT,
     EstimatorConfig,
-    estimate_alpha_mmse,
     pattern_matrix,
     patterns_per_end,
     run_estimation,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.run_estimation
@@ -97,6 +99,10 @@ _CONFIDENCE_Z = 1.959963984540054  # two-sided 95% normal quantile
 # stages, k, k), so its working memory stays bounded for any trial count,
 # energy grid and geometry; the fig3 grid gets about 1000 trials per block.
 _BLOCK_ENTRIES = 1 << 19
+
+# Cap on the entries of each of the two buffers the exact row sums reuse
+# (512 KB each); a block holds at least one row.
+_SUM_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -309,13 +315,19 @@ def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
                            len(cfg.et_db))
     powers = {variant: power_for_energy(energies, cfg.n, cfg.k, variant)
               for variant in cfg.variants}
+    stages = stage_count(cfg.n, cfg.k)
+    # estimate_alpha_mmse's weight and its denominators for all S stages and
+    # for the last stage alone, built once and applied in its expression order
+    estimators = {variant: (cfg.alpha_variance * np.sqrt(p_t) * np.conj(PILOT),
+                            stages * cfg.alpha_variance * p_t + cfg.n0,
+                            cfg.alpha_variance * p_t + cfg.n0)
+                  for variant, p_t in powers.items()}
     # one config per variant validates the geometry and the prior, at the
     # grid's lowest power; the engine takes every point's power as one array
     configs = {variant: EstimatorConfig(n=cfg.n, k=cfg.k, p_t=float(powers[variant][0]),
                                         n0=cfg.n0, var_alpha=cfg.alpha_variance, variant=variant)
                for variant in cfg.variants}
     n_points = len(cfg.et_db)
-    stages = stage_count(cfg.n, cfg.k)
     per_trial = n_points * stages * cfg.k * cfg.k
     block = max(1, _BLOCK_ENTRIES // per_trial)
     width = hi - lo
@@ -331,12 +343,11 @@ def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
         theta, phi, alpha, noises = _draw_block(cfg, trials, rng)
         alpha_mag = np.abs(alpha)[:, None]
         for variant in cfg.variants:
-            p_t = powers[variant]
-            batch = search_batch(configs[variant], p_t, theta, phi, alpha, noises[variant])
-            mmse_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
-                                           cfg.alpha_variance)
-            final_hat = estimate_alpha_mmse(batch.values[..., -1:], p_t, PILOT, cfg.n0,
-                                            cfg.alpha_variance)
+            batch = search_batch(configs[variant], powers[variant], theta, phi, alpha,
+                                 noises[variant])
+            weight, mmse_denominator, final_denominator = estimators[variant]
+            mmse_hat = weight * batch.values.sum(axis=-1) / mmse_denominator
+            final_hat = weight * batch.values[..., -1:].sum(axis=-1) / final_denominator
             fails, err_mmse, err_final = out[variant]
             fails[:, columns] = ~batch.on_track.T
             err_mmse[:, columns] = (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T
@@ -371,36 +382,108 @@ def wilson_interval(failures, trials: int):
     return low, high
 
 
-def _aggregate(cfg: ExperimentConfig, variant: str, fails: np.ndarray,
-               err_mmse: np.ndarray, err_final: np.ndarray) -> ResultTable:
-    slots = slot_count(cfg.n, cfg.k, variant)
-    trials = fails.shape[1]
-    counts = fails.sum(axis=1)
+def _exact_row_sums(parts, width: int) -> list[float]:
+    """``math.fsum`` of every row of ``parts``, in order, in whole-array passes.
+
+    ``parts`` lists ``(values, zeros)`` pairs: ``values`` is a 2-D float array
+    of ``width`` columns and ``zeros`` is ``None`` or a boolean array of its
+    shape whose true entries count as ``0.0``.  Rows go through in blocks of
+    at most ``_SUM_ENTRIES`` entries (at least one row), copied into two
+    buffers that every block reuses.
+
+    Each pass splits every remainder ``r`` of a block error-free against one
+    power of two (Rump, Ogita and Oishi, "Accurate floating-point summation
+    part I", SIAM J. Sci. Comput. 31(1), 2008): with ``2^M >= width + 2``,
+    ``2^e >= max |r|`` and ``sigma = 2^(M + e)``, ``q = (sigma + r) - sigma``
+    and ``r - q`` are exact, and so is any sum of ``q`` along a row.  The
+    passes end when every remainder is zero, so a row's exact sum is the sum
+    of its few partials, and one add (two partials) or ``fsum`` (more) rounds
+    it once: the float ``fsum`` returns.  Remainders can be negative, so each
+    ``sigma`` comes from the largest magnitude, not the largest value.  A
+    block with a non-finite entry, or whose ``sigma`` would overflow, goes
+    through ``fsum`` row by row, which keeps its inf, NaN and
+    ``OverflowError`` results.  Needs IEEE round-to-nearest adds with
+    subnormals kept (no flush-to-zero).
+    """
+    rows = sum(len(values) for values, _ in parts)
+    block = max(1, min(rows, _SUM_ENTRIES // width))
+    remainders = np.empty((block, width))
+    extracted = np.empty_like(remainders)
+    m = (width + 1).bit_length()  # ceil(log2(width + 2))
+    sums = []
+
+    def add_block(count):
+        r, q = remainders[:count], extracted[:count]
+        partials = []
+        while True:
+            largest, smallest = float(r.max()), float(r.min())
+            top = max(largest, -smallest)
+            if top == 0.0:
+                break
+            e = math.frexp(top)[1]
+            if not partials and not (math.isfinite(largest) and math.isfinite(smallest)
+                                     and m + e < 1024):
+                sums.extend(math.fsum(row) for row in r.tolist())
+                return
+            sigma = math.ldexp(1.0, m + e)
+            np.add(r, sigma, out=q)
+            q -= sigma
+            partials.append(q.sum(axis=1))
+            r -= q
+        if not partials:
+            sums.extend([0.0] * count)
+        elif len(partials) == 1:
+            sums.extend(partials[0].tolist())
+        elif len(partials) == 2:
+            sums.extend((partials[0] + partials[1]).tolist())
+        else:
+            sums.extend(map(math.fsum, zip(*(p.tolist() for p in partials))))
+
+    filled = 0
+    for values, zeros in parts:
+        start = 0
+        while start < len(values):
+            take = min(block - filled, len(values) - start)
+            dest = remainders[filled:filled + take]
+            np.copyto(dest, values[start:start + take])
+            if zeros is not None:
+                np.copyto(dest, 0.0, where=zeros[start:start + take])
+            filled += take
+            start += take
+            if filled == block:
+                add_block(filled)
+                filled = 0
+    if filled:
+        add_block(filled)
+    return sums
+
+
+def _aggregate(cfg: ExperimentConfig, outcomes: dict) -> dict[str, ResultTable]:
+    """One table per variant from its ``(fails, err_mmse, err_final)`` rows."""
+    trials = outcomes[cfg.variants[0]][0].shape[1]
+    parts = []
+    for variant in cfg.variants:
+        fails, err_mmse, err_final = outcomes[variant]
+        # a failed trial's +0.0 changes no exact sum, so a zeroed row sums to
+        # exactly what its successes do
+        parts += [(err_mmse, None), (err_final, None), (err_mmse, fails), (err_final, fails)]
+    sums = np.array(_exact_row_sums(parts, trials)).reshape(len(cfg.variants), 4, -1)
+    counts = np.stack([outcomes[variant][0].sum(axis=1) for variant in cfg.variants])
     lows, highs = wilson_interval(counts, trials)
-    # fsum is exact before its one rounding, and a failed trial's +0.0 changes
-    # no exact sum, so a zeroed row sums to exactly what its successes do
-    sums = [[math.fsum(row) for row in err.tolist()]
-            for err in (err_mmse, err_final,
-                        np.where(fails, 0.0, err_mmse), np.where(fails, 0.0, err_final))]
-    points = []
-    for db, failures, ci_low, ci_high, mmse, final, mmse_ok, final_ok in zip(
-            cfg.et_db, counts.tolist(), lows.tolist(), highs.tolist(), *sums):
-        n_success = trials - failures
-        points.append(SweepPoint(
-            et_db=db,
-            pcef=failures / trials,
-            ci_low=ci_low,
-            ci_high=ci_high,
-            low_count=failures < 5 or n_success < 5,
-            relerr_mmse_all=mmse / trials,
-            relerr_mmse_success=mmse_ok / n_success if n_success else math.nan,
-            relerr_final_all=final / trials,
-            relerr_final_success=final_ok / n_success if n_success else math.nan,
-            trials=trials,
-            failures=failures,
-            slots=slots,
-        ))
-    return ResultTable(variant=variant, n=cfg.n, k=cfg.k, points=tuple(points))
+    successes = trials - counts
+    means = sums[:, :2] / trials
+    with np.errstate(invalid="ignore"):  # no successes: a NaN mean, 0.0 / 0
+        success_means = sums[:, 2:] / successes[:, None]
+    low_counts = (counts < 5) | (successes < 5)
+    tables = {}
+    for i, variant in enumerate(cfg.variants):
+        points = map(SweepPoint, cfg.et_db, (counts[i] / trials).tolist(), lows[i].tolist(),
+                     highs[i].tolist(), low_counts[i].tolist(), means[i, 0].tolist(),
+                     success_means[i, 0].tolist(), means[i, 1].tolist(),
+                     success_means[i, 1].tolist(), repeat(trials), counts[i].tolist(),
+                     repeat(slot_count(cfg.n, cfg.k, variant)))
+        tables[variant] = ResultTable(variant=variant, n=cfg.n, k=cfg.k, points=tuple(points))
+    return tables
 
 
 def usable_cpus() -> int:
@@ -441,13 +524,11 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> dict[str, ResultTable]
         with _process_pool(workers) as pool:
             chunks = list(pool.map(_sweep_chunk, [cfg] * len(bounds),
                                    [b[0] for b in bounds], [b[1] for b in bounds]))
-    tables = {}
-    for variant in cfg.variants:
-        fails = np.concatenate([c[variant][0] for c in chunks], axis=1)
-        err_mmse = np.concatenate([c[variant][1] for c in chunks], axis=1)
-        err_final = np.concatenate([c[variant][2] for c in chunks], axis=1)
-        tables[variant] = _aggregate(cfg, variant, fails, err_mmse, err_final)
-    return tables
+    if len(chunks) == 1:
+        return _aggregate(cfg, chunks[0])
+    return _aggregate(cfg, {variant: tuple(np.concatenate([c[variant][i] for c in chunks], axis=1)
+                                           for i in range(3))
+                            for variant in cfg.variants})
 
 
 @dataclass(frozen=True)

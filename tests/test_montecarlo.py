@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +14,13 @@ from beamest.arrays import MeasurementNoise, substream
 from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
+    PILOT,
     EstimatorConfig,
+    estimate_alpha_mmse,
     pattern_matrix,
     patterns_per_end,
     run_estimation,
+    search_batch,
     slot_count,
     stage_count,
     stage_gains,
@@ -28,6 +32,7 @@ from beamest.montecarlo import (
     SweepPoint,
     _aggregate,
     _draw_block,
+    _exact_row_sums,
     _sweep_chunk,
     energy_from_db,
     bound_csv,
@@ -44,6 +49,22 @@ def _cfg(**kw):
     defaults = dict(n=9, k=3, et_db=(5.0, 15.0), trials=64, master_seed=77)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+class _InProcessPool:
+    """A pool that maps in this process and starts nothing."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestSampleChannel:
@@ -301,20 +322,11 @@ class TestRunSweep:
     def test_worker_pool_capped_at_usable_cpus(self, monkeypatch):
         pools = []
 
-        class RecordingPool:
-            """Records the requested size and maps in this process; starts nothing."""
+        class RecordingPool(_InProcessPool):
+            """Records the requested size."""
 
             def __init__(self, max_workers):
                 pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
 
         monkeypatch.setattr(montecarlo, "_process_pool", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2},
@@ -462,17 +474,198 @@ def _aggregate_reference(cfg, variant, fails, err_mmse, err_final):
     return points
 
 
-@pytest.mark.parametrize("preset", ["fig3", "fig4"])
-def test_aggregate_matches_per_point_rows(preset):
-    # the preset's geometry, grid and seed at a smaller trial budget
-    _, raw = cli.load_config(preset)
-    cfg = ExperimentConfig(n=raw["n"], k=raw["k"], et_db=cli._energy_grid(raw, "sweep"),
-                           trials=1000, master_seed=raw["seed"])
-    chunk = _sweep_chunk(cfg, 0, cfg.trials)
+def _assert_rows_match_reference(cfg, tables, outcomes):
     for variant in cfg.variants:
-        got = _aggregate(cfg, variant, *chunk[variant]).points
-        expected = _aggregate_reference(cfg, variant, *chunk[variant])
-        assert [repr(p) for p in got] == [repr(p) for p in expected]
+        expected = _aggregate_reference(cfg, variant, *outcomes[variant])
+        assert [repr(p) for p in tables[variant].points] == [repr(p) for p in expected]
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4", "k7"])
+def test_aggregate_matches_per_point_rows(preset):
+    if preset == "k7":  # the k7_n343_sweep geometry
+        cfg = ExperimentConfig(n=343, k=7, et_db=(15.0, 20.0, 25.0, 30.0), trials=200,
+                               master_seed=5)
+    else:  # the preset's geometry, grid and seed at a smaller trial budget
+        _, raw = cli.load_config(preset)
+        cfg = ExperimentConfig(n=raw["n"], k=raw["k"], et_db=cli._energy_grid(raw, "sweep"),
+                               trials=1000, master_seed=raw["seed"])
+    chunk = _sweep_chunk(cfg, 0, cfg.trials)
+    _assert_rows_match_reference(cfg, _aggregate(cfg, chunk), chunk)
+
+
+def _synthetic_outcomes(cfg, seed):
+    """Random outcomes whose first row fails every trial and second none."""
+    rng = np.random.default_rng(seed)
+    shape = (len(cfg.et_db), cfg.trials)
+    outcomes = {}
+    for variant in cfg.variants:
+        fails = rng.random(shape) < 0.4
+        fails[0], fails[1] = True, False
+        errors = rng.exponential(size=(2, *shape)) * 2.0 ** rng.integers(-40, 40, (2, *shape))
+        outcomes[variant] = (fails, errors[0], errors[1])
+    return outcomes
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 50, 1000])
+def test_aggregate_edge_rows_match_reference(trials):
+    # an all-failure row has NaN conditional means; a no-failure row none
+    cfg = _cfg(et_db=(1.0, 2.0, 3.0, 4.0), trials=trials)
+    outcomes = _synthetic_outcomes(cfg, trials)
+    tables = _aggregate(cfg, outcomes)
+    _assert_rows_match_reference(cfg, tables, outcomes)
+    for table in tables.values():
+        assert math.isnan(table.points[0].relerr_mmse_success)
+        assert not math.isnan(table.points[1].relerr_final_success)
+
+
+@pytest.mark.parametrize("trials", [2, 120])
+def test_split_sweep_rows_match_reference(monkeypatch, trials):
+    # two workers: two one-trial chunks at 2 trials, eight chunks at 120
+    monkeypatch.setattr(montecarlo, "_process_pool", _InProcessPool)
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+    calls = []
+    chunk = montecarlo._sweep_chunk
+    monkeypatch.setattr(montecarlo, "_sweep_chunk",
+                        lambda cfg, lo, hi: calls.append((lo, hi)) or chunk(cfg, lo, hi))
+    cfg = _cfg(n=27, et_db=(0.0, 8.0, 16.0), trials=trials)
+    tables = run_sweep(cfg, workers=2)
+    assert len(calls) == min(trials, 8)
+    _assert_rows_match_reference(cfg, tables, chunk(cfg, 0, trials))
+
+
+def test_sweep_chunk_estimates_are_estimate_alpha_mmse():
+    # one block: the errors _sweep_chunk stores are those of the validated
+    # estimate_alpha_mmse calls on the engine's picks, byte for byte
+    cfg = _cfg(n=27, et_db=(-4.0, 10.0, 30.0), trials=300, n0=0.7, var_alpha=50.0)
+    outcomes = _sweep_chunk(cfg, 0, cfg.trials)
+    theta, phi, alpha, noises = _draw_block(cfg, range(cfg.trials), np.random.default_rng(0))
+    energies = np.array([energy_from_db(db, cfg.n0) for db in cfg.et_db])
+    for variant in cfg.variants:
+        p_t = power_for_energy(energies, cfg.n, cfg.k, variant)
+        engine = EstimatorConfig(n=cfg.n, k=cfg.k, p_t=float(p_t[0]), n0=cfg.n0,
+                                 var_alpha=cfg.alpha_variance, variant=variant)
+        values = search_batch(engine, p_t, theta, phi, alpha, noises[variant]).values
+        for stored, used in zip(outcomes[variant][1:], (values, values[..., -1:])):
+            hat = estimate_alpha_mmse(used, p_t, PILOT, cfg.n0, cfg.alpha_variance)
+            expected = (np.abs(hat - alpha[:, None]) / np.abs(alpha)[:, None]).T
+            assert stored.tobytes() == expected.tobytes()
+
+
+def test_aggregate_memory_bounded():
+    # one variant at 10^5 trials; per-row float lists or masked copies of the
+    # error rows would take tens of MB
+    cfg = _cfg(n=27, et_db=tuple(range(19)), trials=100_000, variants=(OVERLAPPED,))
+    outcomes = _synthetic_outcomes(cfg, 9)
+    _aggregate(cfg, {OVERLAPPED: tuple(a[:, :10] for a in outcomes[OVERLAPPED])})
+    tracemalloc.start()
+    try:
+        table = _aggregate(cfg, outcomes)[OVERLAPPED]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.points) == 19
+    assert peak < 4 << 20, peak
+
+
+def _fsum_rows(parts):
+    """Each row's ``math.fsum`` by ``repr``, or the exception it raises."""
+    out = []
+    for values, zeros in parts:
+        for row in (values if zeros is None else np.where(zeros, 0.0, values)).tolist():
+            try:
+                out.append(repr(math.fsum(row)))
+            except (OverflowError, ValueError) as exc:
+                out.append((type(exc), str(exc)))
+    return out
+
+
+def _assert_fsum_bytes(parts, width):
+    expected = _fsum_rows(parts)
+    errors = [e for e in expected if not isinstance(e, str)]
+    if errors:
+        # blocks run in row order, so the first raising row's error surfaces
+        with pytest.raises(errors[0][0]) as raised:
+            _exact_row_sums(parts, width)
+        assert str(raised.value) == errors[0][1]
+    else:
+        assert [repr(x) for x in _exact_row_sums(parts, width)] == expected
+
+
+# ties, subnormals and extremes a random draw seldom gives
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+                   1e300, -1e300, 1.0, -1.0, 2.0**-53, -(2.0**-53), 2.0**-106, 3 * 2.0**-53,
+                   2.0**53, -(2.0**53), 2.0**1000, 1.7976931348623157e308,
+                   -1.7976931348623157e308)
+
+
+def _random_rows(rng, pool, rows, width):
+    out = np.empty((rows, width))
+    for row in out:
+        mode = rng.integers(3)
+        if mode == 0:  # values drawn from the pool, ties and repeats included
+            row[:] = rng.choice(pool, width)
+        elif mode == 1:  # the pool's magnitudes with random mantissas
+            row[:] = rng.choice(pool, width) * rng.random(width)
+        else:  # mixed signs over an exponent range from subnormal to near overflow
+            low = rng.integers(-1080, 1020)
+            exponents = rng.integers(low, min(1024, low + rng.integers(1, 1200)), width)
+            row[:] = np.ldexp(0.5 + rng.random(width) / 2, exponents) * rng.choice([-1, 1], width)
+    return out
+
+
+class TestExactRowSums:
+    """The vectorised kernel against ``math.fsum``, row by row, by ``repr``."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(width=st.one_of(st.integers(1, 6), st.sampled_from([50, 1000, 10_000])),
+           rows=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           pool=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.sampled_from(_SPECIAL_FLOATS)), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1), masked=st.lists(st.booleans(), min_size=3, max_size=3),
+           nonfinite=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+           block_rows=st.sampled_from([None, 1, 3]))
+    def test_rows_equal_fsum(self, width, rows, pool, seed, masked, nonfinite, block_rows):
+        rng = np.random.default_rng(seed)
+        parts = []
+        for count, mask in zip(rows, masked):
+            values = _random_rows(rng, np.array(pool), count, width)
+            if nonfinite is not None and rng.random() < 0.5:
+                values[rng.integers(count), rng.integers(width)] = nonfinite
+            parts.append((values, rng.random(values.shape) < 0.3 if mask else None))
+        entries = montecarlo._SUM_ENTRIES if block_rows is None else block_rows * width
+        with mock.patch.object(montecarlo, "_SUM_ENTRIES", entries):
+            _assert_fsum_bytes(parts, width)
+
+    @pytest.mark.parametrize("row", [
+        [1.0, 2.0**-53, 2.0**-106],          # three partials: plain adds tie to 1.0
+        [2.0**-53, 1.0, -(2.0**-106)],
+        [0.0, -0.0, 0.0], [-0.0], [0.0],     # all zero: fsum gives +0.0
+        [5e-324], [5e-324, -5e-324, 5e-324], [2.2250738585072014e-308, -5e-324],
+        [1e300, 1e-300, -1e300], [1e-300, 1e300, 1.0, -1e300],
+        [1.7976931348623157e308, -1.7976931348623157e308, 1.0],  # fallback, finite sum
+        [1.7976931348623157e308, 1.7976931348623157e308],         # OverflowError
+        [2.0**1021, 2.0**1021, 2.0**1022],                        # OverflowError
+        [math.inf, 1.0], [-math.inf, -math.inf], [math.inf, -math.inf],  # ValueError
+        [math.nan, 1.0], [1.0, math.nan, math.inf],
+        [-1.0, -2.0, -(2.0**-60)], [-(2.0**-60), 3.0, -4.0 * 2.0**-60],
+    ])
+    def test_edge_rows(self, row):
+        values = np.array([row])
+        _assert_fsum_bytes([(values, None)], values.shape[1])
+        # the same row behind a finite one in one block, and zeroed where odd
+        values = np.array([[1.0] * len(row), row])
+        zeros = np.zeros(values.shape, dtype=bool)
+        zeros[:, 1::2] = True
+        _assert_fsum_bytes([(values, None), (values, zeros)], values.shape[1])
+
+    def test_long_rows(self):
+        rng = np.random.default_rng(4)
+        width = 10_000
+        rows = np.vstack([rng.exponential(size=(3, width)),
+                          rng.standard_normal((3, width)) * 2.0 ** rng.integers(-80, 80, (3, width)),
+                          np.full((1, width), 0.1), np.zeros((1, width))])
+        rows[-2, ::2] = -0.1
+        _assert_fsum_bytes([(rows, None), (rows, rng.random(rows.shape) < 0.5)], width)
 
 
 class TestWilsonInterval:
