@@ -59,6 +59,7 @@ from .estimator import (
     OVERLAPPED,
     PILOT,
     EstimatorConfig,
+    estimate_alpha_mmse,
     pattern_matrix,
     patterns_per_end,
     run_estimation,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.run_estimation
@@ -315,19 +316,13 @@ def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
                            len(cfg.et_db))
     powers = {variant: power_for_energy(energies, cfg.n, cfg.k, variant)
               for variant in cfg.variants}
-    stages = stage_count(cfg.n, cfg.k)
-    # estimate_alpha_mmse's weight and its denominators for all S stages and
-    # for the last stage alone, built once and applied in its expression order
-    estimators = {variant: (cfg.alpha_variance * np.sqrt(p_t) * np.conj(PILOT),
-                            stages * cfg.alpha_variance * p_t + cfg.n0,
-                            cfg.alpha_variance * p_t + cfg.n0)
-                  for variant, p_t in powers.items()}
     # one config per variant validates the geometry and the prior, at the
     # grid's lowest power; the engine takes every point's power as one array
     configs = {variant: EstimatorConfig(n=cfg.n, k=cfg.k, p_t=float(powers[variant][0]),
                                         n0=cfg.n0, var_alpha=cfg.alpha_variance, variant=variant)
                for variant in cfg.variants}
     n_points = len(cfg.et_db)
+    stages = stage_count(cfg.n, cfg.k)
     per_trial = n_points * stages * cfg.k * cfg.k
     block = max(1, _BLOCK_ENTRIES // per_trial)
     width = hi - lo
@@ -343,11 +338,12 @@ def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
         theta, phi, alpha, noises = _draw_block(cfg, trials, rng)
         alpha_mag = np.abs(alpha)[:, None]
         for variant in cfg.variants:
-            batch = search_batch(configs[variant], powers[variant], theta, phi, alpha,
-                                 noises[variant])
-            weight, mmse_denominator, final_denominator = estimators[variant]
-            mmse_hat = weight * batch.values.sum(axis=-1) / mmse_denominator
-            final_hat = weight * batch.values[..., -1:].sum(axis=-1) / final_denominator
+            p_t = powers[variant]
+            batch = search_batch(configs[variant], p_t, theta, phi, alpha, noises[variant])
+            mmse_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
+                                           cfg.alpha_variance)
+            final_hat = estimate_alpha_mmse(batch.values[..., -1:], p_t, PILOT, cfg.n0,
+                                            cfg.alpha_variance)
             fails, err_mmse, err_final = out[variant]
             fails[:, columns] = ~batch.on_track.T
             err_mmse[:, columns] = (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T

@@ -14,13 +14,10 @@ from beamest.arrays import MeasurementNoise, substream
 from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
-    PILOT,
     EstimatorConfig,
-    estimate_alpha_mmse,
     pattern_matrix,
     patterns_per_end,
     run_estimation,
-    search_batch,
     slot_count,
     stage_count,
     stage_gains,
@@ -531,24 +528,6 @@ def test_split_sweep_rows_match_reference(monkeypatch, trials):
     tables = run_sweep(cfg, workers=2)
     assert len(calls) == min(trials, 8)
     _assert_rows_match_reference(cfg, tables, chunk(cfg, 0, trials))
-
-
-def test_sweep_chunk_estimates_are_estimate_alpha_mmse():
-    # one block: the errors _sweep_chunk stores are those of the validated
-    # estimate_alpha_mmse calls on the engine's picks, byte for byte
-    cfg = _cfg(n=27, et_db=(-4.0, 10.0, 30.0), trials=300, n0=0.7, var_alpha=50.0)
-    outcomes = _sweep_chunk(cfg, 0, cfg.trials)
-    theta, phi, alpha, noises = _draw_block(cfg, range(cfg.trials), np.random.default_rng(0))
-    energies = np.array([energy_from_db(db, cfg.n0) for db in cfg.et_db])
-    for variant in cfg.variants:
-        p_t = power_for_energy(energies, cfg.n, cfg.k, variant)
-        engine = EstimatorConfig(n=cfg.n, k=cfg.k, p_t=float(p_t[0]), n0=cfg.n0,
-                                 var_alpha=cfg.alpha_variance, variant=variant)
-        values = search_batch(engine, p_t, theta, phi, alpha, noises[variant]).values
-        for stored, used in zip(outcomes[variant][1:], (values, values[..., -1:])):
-            hat = estimate_alpha_mmse(used, p_t, PILOT, cfg.n0, cfg.alpha_variance)
-            expected = (np.abs(hat - alpha[:, None]) / np.abs(alpha)[:, None]).T
-            assert stored.tobytes() == expected.tobytes()
 
 
 def test_aggregate_memory_bounded():
