@@ -181,12 +181,10 @@ class EstimatorConfig:
     finite and positive, and that ``n0`` and ``var_alpha`` are finite and
     nonnegative.  Each ``ValueError`` names the field.
 
-    The constants the search and the gain estimate read are computed at first
-    use and cached on the config, arrays read-only: the design's
-    :attr:`pattern_matrix`, each stage's grid step :attr:`places` and the
-    MMSE :attr:`mmse_weight` and :attr:`mmse_denominator`.  None of them
-    grows with ``n``.  So repeated :func:`run_estimation` calls on one
-    config pay for them once.
+    The constants the search reads are computed at first use and cached on
+    the config, arrays read-only: the design's :attr:`pattern_matrix` and
+    each stage's grid step :attr:`places`.  Neither grows with ``n``.  So
+    repeated :func:`run_estimation` calls on one config pay for them once.
     """
 
     n: int
@@ -224,20 +222,6 @@ class EstimatorConfig:
     def places(self) -> np.ndarray:
         """``(S,)`` grid step of each stage's sub-ranges, ``k^(S-1), ..., k, 1``."""
         return _read_only(self.k ** np.arange(self.stages - 1, -1, -1))
-
-    @cached_property
-    def mmse_weight(self) -> complex:
-        """``var_alpha * sqrt(p_t) * conj(pilot)``, the factor
-        :func:`estimate_alpha_mmse` applies before the sum of the values."""
-        return self.var_alpha * np.sqrt(self.p_t) * np.conj(PILOT)
-
-    @cached_property
-    def mmse_denominator(self) -> float:
-        """``S * var_alpha * p_t + n0``, the divisor of :func:`estimate_alpha_mmse`."""
-        denominator = self.stages * self.var_alpha * self.p_t + self.n0
-        if denominator <= 0:
-            raise ValueError("prior variance and noise variance cannot both be zero")
-        return denominator
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -399,7 +383,7 @@ def estimate_alpha_mmse(
         raise ValueError("need at least one selected measurement")
     _check_powers(p_t)
     denominator = values.shape[-1] * var_alpha * p_t + n0
-    if (np.asarray(denominator) <= 0).any():
+    if np.count_nonzero(denominator <= 0):  # a scalar or an array of powers
         raise ValueError("prior variance and noise variance cannot both be zero")
     return var_alpha * np.sqrt(p_t) * np.conj(pilot) * values.sum(axis=-1) / denominator
 
@@ -537,9 +521,8 @@ def run_estimation(
     every stage sees the same matched-filter SNR.  This is the engine of
     :func:`search_batch` on one trial and one power point.  The config and
     the channel were checked when they were built, so only their antenna
-    counts are compared here; the MMSE factors are the config's cached
-    constants, and ``alpha_hat`` is what
-    :func:`estimate_alpha_mmse` gives for the selected values.
+    counts are compared here; ``alpha_hat`` is
+    :func:`estimate_alpha_mmse` of the selected values.
     """
     if channel.n != cfg.n:
         raise ValueError(f"channel has {channel.n} antennas but config expects {cfg.n}")
@@ -557,7 +540,7 @@ def run_estimation(
         selected_values=tuple(values.tolist()),
         theta_hat=int(receive @ cfg.places),
         phi_hat=int(transmit @ cfg.places),
-        alpha_hat=complex(cfg.mmse_weight * values.sum() / cfg.mmse_denominator),
+        alpha_hat=complex(estimate_alpha_mmse(values, cfg.p_t, PILOT, cfg.n0, cfg.var_alpha)),
     )
 
 

@@ -23,15 +23,14 @@ needs no ``n``-element beam: the power rule makes every stage's noiseless
 block the same rank-one product of pattern columns, and the stage gains have
 a closed form
 (:func:`~beamest.estimator.stage_gains`), so neither sweeps nor the bound
-synthesize a beam.  Trials go through in blocks of bounded size.  The energy
-grid is one array throughout: each variant's powers come from one division
-and reach the engine together, :func:`bound_table` evaluates the grid in one
-call, and aggregation runs over all points of all variants at once: one
-count per row of failures, one Wilson interval call, one exact-sum pass over
-every error row (:func:`_exact_row_sums`) and one division per mean.
-Failure counts are exact integers and each error sum is the exactly rounded
-``math.fsum`` of its row, so results are bit-identical for any worker split
-or execution order.
+synthesize a beam.  Trials go through in blocks of bounded size, each
+reduced where it is made, for all variants at once: failures add to one
+count per grid point, and one exact-sum pass (:func:`_exact_partials`)
+merges the error rows into a few running partials per row, so memory does
+not grow with the trial count.  Worker chunks' partials sit side by side
+until each row's are rounded once.  Failure counts are exact integers and
+each error sum is the exactly rounded ``math.fsum`` of its row, so results
+are bit-identical for any worker split or execution order.
 """
 
 from __future__ import annotations
@@ -97,13 +96,9 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _CONFIDENCE_Z = 1.959963984540054  # two-sided 95% normal quantile
 
 # Cap on the entries of the engine's largest arrays, shaped (trials, points,
-# stages, k, k), so its working memory stays bounded for any trial count,
-# energy grid and geometry; the fig3 grid gets about 1000 trials per block.
+# stages, k, k), met by blocks of trials or, if one trial exceeds it, of grid
+# points; the fig3 grid gets about 1000 trials per block.
 _BLOCK_ENTRIES = 1 << 19
-
-# Cap on the entries of each of the two buffers the exact row sums reuse
-# (512 KB each); a block holds at least one row.
-_SUM_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -310,45 +305,71 @@ def _draw_block(cfg: ExperimentConfig, trials: range, rng: np.random.Generator):
     return theta, phi, alpha, noises
 
 
-def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> dict:
-    """Raw per-trial outcomes for trials [lo, hi) across all points and variants."""
+def _sweep_blocks(cfg: ExperimentConfig, lo: int, hi: int):
+    """Per-trial outcomes of trials [lo, hi), one engine block at a time.
+
+    Yields ``(trials, points, {variant: (fails, err_mmse, err_final)})``: a
+    range of trials, a slice of the energy grid, arrays ``(points, trials)``.
+    """
     energies = np.fromiter((energy_from_db(db, cfg.n0) for db in cfg.et_db), float,
                            len(cfg.et_db))
     powers = {variant: power_for_energy(energies, cfg.n, cfg.k, variant)
               for variant in cfg.variants}
     # one config per variant validates the geometry and the prior, at the
-    # grid's lowest power; the engine takes every point's power as one array
+    # grid's lowest power; the engine takes a slice's powers as one array
     configs = {variant: EstimatorConfig(n=cfg.n, k=cfg.k, p_t=float(powers[variant][0]),
                                         n0=cfg.n0, var_alpha=cfg.alpha_variance, variant=variant)
                for variant in cfg.variants}
     n_points = len(cfg.et_db)
-    stages = stage_count(cfg.n, cfg.k)
-    per_trial = n_points * stages * cfg.k * cfg.k
-    block = max(1, _BLOCK_ENTRIES // per_trial)
-    width = hi - lo
-    out = {variant: (np.zeros((n_points, width), dtype=bool),
-                     np.zeros((n_points, width)),
-                     np.zeros((n_points, width)))
-           for variant in cfg.variants}
+    per_point = stage_count(cfg.n, cfg.k) * cfg.k * cfg.k
+    width = max(1, min(n_points, _BLOCK_ENTRIES // per_point))
+    block = max(1, _BLOCK_ENTRIES // (width * per_point))
     # seed 0's stream is never drawn from: every trial stream reseats it
     rng = np.random.default_rng(0)
     for start in range(lo, hi, block):
         trials = range(start, min(start + block, hi))
-        columns = slice(start - lo, start - lo + len(trials))
         theta, phi, alpha, noises = _draw_block(cfg, trials, rng)
         alpha_mag = np.abs(alpha)[:, None]
-        for variant in cfg.variants:
-            p_t = powers[variant]
-            batch = search_batch(configs[variant], p_t, theta, phi, alpha, noises[variant])
-            mmse_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
-                                           cfg.alpha_variance)
-            final_hat = estimate_alpha_mmse(batch.values[..., -1:], p_t, PILOT, cfg.n0,
-                                            cfg.alpha_variance)
-            fails, err_mmse, err_final = out[variant]
-            fails[:, columns] = ~batch.on_track.T
-            err_mmse[:, columns] = (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T
-            err_final[:, columns] = (np.abs(final_hat - alpha[:, None]) / alpha_mag).T
-    return out
+        for first in range(0, n_points, width):
+            points = slice(first, min(first + width, n_points))
+            outcomes = {}
+            for variant in cfg.variants:
+                p_t = powers[variant][points]
+                batch = search_batch(configs[variant], p_t, theta, phi, alpha, noises[variant])
+                mmse_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
+                                               cfg.alpha_variance)
+                final_hat = estimate_alpha_mmse(batch.values[..., -1:], p_t, PILOT, cfg.n0,
+                                                cfg.alpha_variance)
+                outcomes[variant] = (~batch.on_track.T,
+                                     (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T,
+                                     (np.abs(final_hat - alpha[:, None]) / alpha_mag).T)
+            yield trials, points, outcomes
+
+
+def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int):
+    """``(counts, partials)`` of trials [lo, hi): failures ``(variants,
+    points)`` and the exact partials ``(variants, 4, points, P)`` of the MMSE
+    and final estimates' relative errors, over all trials, then successes.
+    """
+    counts = np.zeros((len(cfg.variants), len(cfg.et_db)), dtype=np.int64)
+    partials = np.zeros((len(cfg.variants), 4, len(cfg.et_db), 0))
+    for trials, points, outcomes in _sweep_blocks(cfg, lo, hi):
+        held = partials[:, :, points]
+        rows = np.empty(held.shape[:-1] + (held.shape[-1] + len(trials),))
+        rows[..., :held.shape[-1]] = held
+        for i, (fails, err_mmse, err_final) in enumerate(outcomes.values()):
+            counts[i, points] += fails.sum(axis=1)
+            errors = rows[i, ..., held.shape[-1]:]
+            errors[0], errors[1] = err_mmse, err_final
+            errors[2:] = errors[:2]
+            np.copyto(errors[2:], 0.0, where=fails)  # a +0.0 changes no exact sum
+        merged = _exact_partials(rows)
+        if merged.shape[-1] > partials.shape[-1]:
+            grown = partials.shape[:-1] + (merged.shape[-1] - partials.shape[-1],)
+            partials = np.concatenate([partials, np.zeros(grown)], axis=-1)
+        partials[:, :, points] = 0.0
+        partials[:, :, points, :merged.shape[-1]] = merged
+    return counts, partials
 
 
 def wilson_interval(failures, trials: int):
@@ -378,93 +399,91 @@ def wilson_interval(failures, trials: int):
     return low, high
 
 
-def _exact_row_sums(parts, width: int) -> list[float]:
-    """``math.fsum`` of every row of ``parts``, in order, in whole-array passes.
+def _exact_partials(rows: np.ndarray) -> np.ndarray:
+    """A few floats per row whose exact sum is the row's, along the last axis
+    of ``rows`` (overwritten); partials merge entries by being concatenated
+    with them and reduced again.
 
-    ``parts`` lists ``(values, zeros)`` pairs: ``values`` is a 2-D float array
-    of ``width`` columns and ``zeros`` is ``None`` or a boolean array of its
-    shape whose true entries count as ``0.0``.  Rows go through in blocks of
-    at most ``_SUM_ENTRIES`` entries (at least one row), copied into two
-    buffers that every block reuses.
-
-    Each pass splits every remainder ``r`` of a block error-free against one
-    power of two (Rump, Ogita and Oishi, "Accurate floating-point summation
-    part I", SIAM J. Sci. Comput. 31(1), 2008): with ``2^M >= width + 2``,
-    ``2^e >= max |r|`` and ``sigma = 2^(M + e)``, ``q = (sigma + r) - sigma``
-    and ``r - q`` are exact, and so is any sum of ``q`` along a row.  The
-    passes end when every remainder is zero, so a row's exact sum is the sum
-    of its few partials, and one add (two partials) or ``fsum`` (more) rounds
-    it once: the float ``fsum`` returns.  Remainders can be negative, so each
-    ``sigma`` comes from the largest magnitude, not the largest value.  A
-    block with a non-finite entry, or whose ``sigma`` would overflow, goes
-    through ``fsum`` row by row, which keeps its inf, NaN and
-    ``OverflowError`` results.  Needs IEEE round-to-nearest adds with
-    subnormals kept (no flush-to-zero).
+    Each pass splits every remainder ``r`` error-free against one power of
+    two (Rump, Ogita and Oishi, "Accurate floating-point summation part I",
+    SIAM J. Sci. Comput. 31(1), 2008): with ``2^M >= width + 2``,
+    ``2^e >= max |r|`` (a magnitude: remainders can be negative) and
+    ``sigma = 2^(M + e)``, ``q = (sigma + r) - sigma``, ``r - q`` and any
+    row sum of ``q`` are exact.  One partial per pass until every remainder
+    is zero: their count follows the range of the entries' bits, not their
+    number.  A non-finite entry, or a ``sigma`` that would overflow, sends
+    every row through :func:`_fsum_floats`.  Needs IEEE round-to-nearest
+    adds with subnormals kept (no flush-to-zero).
     """
-    rows = sum(len(values) for values, _ in parts)
-    block = max(1, min(rows, _SUM_ENTRIES // width))
-    remainders = np.empty((block, width))
-    extracted = np.empty_like(remainders)
-    m = (width + 1).bit_length()  # ceil(log2(width + 2))
-    sums = []
-
-    def add_block(count):
-        r, q = remainders[:count], extracted[:count]
-        partials = []
-        while True:
-            largest, smallest = float(r.max()), float(r.min())
-            top = max(largest, -smallest)
-            if top == 0.0:
-                break
-            e = math.frexp(top)[1]
-            if not partials and not (math.isfinite(largest) and math.isfinite(smallest)
-                                     and m + e < 1024):
-                sums.extend(math.fsum(row) for row in r.tolist())
-                return
-            sigma = math.ldexp(1.0, m + e)
-            np.add(r, sigma, out=q)
-            q -= sigma
-            partials.append(q.sum(axis=1))
-            r -= q
-        if not partials:
-            sums.extend([0.0] * count)
-        elif len(partials) == 1:
-            sums.extend(partials[0].tolist())
-        elif len(partials) == 2:
-            sums.extend((partials[0] + partials[1]).tolist())
-        else:
-            sums.extend(map(math.fsum, zip(*(p.tolist() for p in partials))))
-
-    filled = 0
-    for values, zeros in parts:
-        start = 0
-        while start < len(values):
-            take = min(block - filled, len(values) - start)
-            dest = remainders[filled:filled + take]
-            np.copyto(dest, values[start:start + take])
-            if zeros is not None:
-                np.copyto(dest, 0.0, where=zeros[start:start + take])
-            filled += take
-            start += take
-            if filled == block:
-                add_block(filled)
-                filled = 0
-    if filled:
-        add_block(filled)
-    return sums
+    r = rows.reshape(math.prod(rows.shape[:-1]), rows.shape[-1])
+    m = (r.shape[1] + 1).bit_length()  # ceil(log2(width + 2))
+    q = np.empty_like(r)
+    partials = []
+    while True:
+        top = max(float(r.max(initial=0.0)), -float(r.min(initial=0.0)))  # NaN if any
+        if top == 0.0:
+            break
+        e = math.frexp(top)[1]
+        if not partials and not (math.isfinite(top) and m + e < 1024):
+            floats = [_fsum_floats(row) for row in r.tolist()]
+            width = max(map(len, floats))
+            return np.array([f + [0.0] * (width - len(f)) for f in floats]
+                            ).reshape(*rows.shape[:-1], width)
+        sigma = math.ldexp(1.0, m + e)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        partials.append(q.sum(axis=1))
+        r -= q
+    return np.array(partials).T.reshape(*rows.shape[:-1], len(partials))
 
 
-def _aggregate(cfg: ExperimentConfig, outcomes: dict) -> dict[str, ResultTable]:
-    """One table per variant from its ``(fails, err_mmse, err_final)`` rows."""
-    trials = outcomes[cfg.variants[0]][0].shape[1]
-    parts = []
-    for variant in cfg.variants:
-        fails, err_mmse, err_final = outcomes[variant]
-        # a failed trial's +0.0 changes no exact sum, so a zeroed row sums to
-        # exactly what its successes do
-        parts += [(err_mmse, None), (err_final, None), (err_mmse, fails), (err_final, fails)]
-    sums = np.array(_exact_row_sums(parts, trials)).reshape(len(cfg.variants), 4, -1)
-    counts = np.stack([outcomes[variant][0].sum(axis=1) for variant in cfg.variants])
+def _units(x: float) -> int:
+    """``x`` exactly, in units of ``2^-1074``."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def _fsum_floats(row: list) -> list:
+    """A few floats that ``math.fsum`` treats as ``row``, whatever follows.
+
+    An intermediate overflow stays raised: two largest floats.  Otherwise
+    fsum's result depends only on the kinds of infinity and NaN it saw, one
+    entry each, and on the exact sum of the finite entries after the last of
+    them, in floats from Python's integers; so fsum's overflow check sees
+    earlier blocks through their exact sum.
+    """
+    try:
+        try:
+            math.fsum(row)
+        except ValueError:  # -inf + inf, which fsum reports after the last entry
+            pass
+        last = max((i for i, x in enumerate(row) if not math.isfinite(x)), default=-1)
+        floats, total = [], sum(map(_units, row[last + 1:]))
+        while total:
+            floats.append(total / (1 << 1074))  # rounded to nearest
+            total -= _units(floats[-1])
+    except OverflowError:
+        return [float(np.finfo(float).max)] * 2
+    kinds = sorted({repr(x) for x in row[:last + 1] if not math.isfinite(x)})
+    return [float(kind) for kind in kinds] + floats
+
+
+def _rounded_sums(partials: np.ndarray) -> np.ndarray:
+    """Each row's partials rounded once, to the float ``math.fsum`` gives: one
+    add rounds two below ``2^1022``; more, larger or non-finite ones go
+    through ``fsum``, which also raises its ``OverflowError`` and ``ValueError``.
+    """
+    if partials.shape[-1] <= 2 and (np.abs(partials) < 2.0 ** 1022).all():
+        return partials.sum(axis=-1)
+    rows = partials.reshape(-1, partials.shape[-1]).tolist()
+    return np.array(list(map(math.fsum, rows))).reshape(partials.shape[:-1])
+
+
+def _aggregate(cfg: ExperimentConfig, counts: np.ndarray,
+               partials: np.ndarray) -> dict[str, ResultTable]:
+    """One table per variant from the whole sweep's counts and partials."""
+    trials = cfg.trials
+    sums = _rounded_sums(partials)
     lows, highs = wilson_interval(counts, trials)
     successes = trials - counts
     means = sums[:, :2] / trials
@@ -505,9 +524,9 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> dict[str, ResultTable]
     """Run the full paired sweep; returns one table per variant.
 
     ``workers > 1`` splits trials across processes, at most one per usable
-    CPU.  Per-trial streams are keyed by trial index, and chunks are
-    reassembled in trial order before aggregation, so the result does not
-    depend on the split.
+    CPU.  Per-trial streams are keyed by trial index, failure counts add up
+    exactly and each chunk's partials hold its error rows' exact sums, so
+    the result does not depend on the split.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
@@ -520,11 +539,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> dict[str, ResultTable]
         with _process_pool(workers) as pool:
             chunks = list(pool.map(_sweep_chunk, [cfg] * len(bounds),
                                    [b[0] for b in bounds], [b[1] for b in bounds]))
-    if len(chunks) == 1:
-        return _aggregate(cfg, chunks[0])
-    return _aggregate(cfg, {variant: tuple(np.concatenate([c[variant][i] for c in chunks], axis=1)
-                                           for i in range(3))
-                            for variant in cfg.variants})
+    return _aggregate(cfg, sum(counts for counts, _ in chunks),
+                      np.concatenate([partials for _, partials in chunks], axis=-1))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ replaces the per-parent synthesis with one synthesis per stage, shifted; the
 tests use :func:`reference_bank` as the oracle for its banks.  The shipped
 bound averages the pairwise exceedance over the Rayleigh gain in closed form;
 :func:`pairwise_exceedance` is the fixed-gain form it averages, the oracle
-for that closed form.
+for that closed form.  Sweeps reduce each block of trials to counts and
+exact partials as it is made; :func:`sweep_outcomes` keeps the per-trial
+outcomes instead, for the tests that pin or sum them row by row.
 """
 
 import math
@@ -19,6 +21,7 @@ from scipy import special, stats
 from beamest.arrays import MeasurementNoise, build_channel, measure_block
 from beamest.codebook import IndexRange, synthesize_vector, target_profile
 from beamest.estimator import PILOT, codebook_bank, fuse_measurements, select_path
+from beamest.montecarlo import _sweep_blocks
 
 
 def reference_search(channel, cfg, rng):
@@ -64,3 +67,17 @@ def pairwise_exceedance(rho, n0, p_t, alpha_mag):
     q1 = float(stats.ncx2.sf(b * b, 2, a * a))
     correction = 0.5 * float(special.i0e(a * b)) * math.exp(-0.5 * (a - b) ** 2)
     return min(max(q1 - correction, 0.0), 1.0)
+
+
+def sweep_outcomes(cfg, lo, hi):
+    """``{variant: (fails, err_mmse, err_final)}`` of trials [lo, hi), each
+    ``(points, trials)``, assembled from the sweep's engine blocks."""
+    shape = (len(cfg.et_db), hi - lo)
+    out = {variant: (np.zeros(shape, dtype=bool), np.zeros(shape), np.zeros(shape))
+           for variant in cfg.variants}
+    for trials, points, outcomes in _sweep_blocks(cfg, lo, hi):
+        columns = slice(trials.start - lo, trials.stop - lo)
+        for variant, arrays in outcomes.items():
+            for whole, part in zip(out[variant], arrays):
+                whole[points, columns] = part
+    return out

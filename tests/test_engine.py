@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_search
+from reference import reference_search, sweep_outcomes
 
 from beamest import cli, codebook, estimator, montecarlo
 from beamest.arrays import AngleGrid, ChannelRealization, MeasurementNoise
@@ -346,44 +346,65 @@ class TestSplitPick:
         self._compare(cfg, [0.1, 1.0, 10.0], theta, phi, alpha, _noise(cfg, range(80)))
 
 
-def _concatenate(chunks):
-    return {variant: tuple(np.concatenate([c[variant][i] for c in chunks], axis=1)
-                           for i in range(3))
-            for variant in chunks[0]}
+def _assert_same_sweep(cfg, chunks, whole):
+    """Chunk states that merge to ``whole``'s counts and rounded error sums."""
+    counts = sum(c for c, _ in chunks)
+    partials = montecarlo._exact_partials(np.concatenate([p for _, p in chunks], axis=-1))
+    np.testing.assert_array_equal(counts, whole[0])
+    assert (montecarlo._rounded_sums(partials).tobytes()
+            == montecarlo._rounded_sums(whole[1]).tobytes())
 
 
 def test_sweep_chunk_split_invariant():
-    whole = _sweep_chunk(FIG3, 0, 2000)
-    split = _concatenate([_sweep_chunk(FIG3, lo, hi) for lo, hi in
-                          ((0, 37), (37, 38), (38, 1001), (1001, 2000))])
+    splits = ((0, 37), (37, 38), (38, 1001), (1001, 2000))
+    whole = sweep_outcomes(FIG3, 0, 2000)
+    parts = [sweep_outcomes(FIG3, lo, hi) for lo, hi in splits]
     for variant in (OVERLAPPED, NON_OVERLAPPED):
-        for got, expected in zip(split[variant], whole[variant]):
+        for i, expected in enumerate(whole[variant]):
+            got = np.concatenate([part[variant][i] for part in parts], axis=1)
             np.testing.assert_array_equal(got, expected)
+    _assert_same_sweep(FIG3, [_sweep_chunk(FIG3, lo, hi) for lo, hi in splits],
+                       _sweep_chunk(FIG3, 0, 2000))
+
+
+def _chunk_peak(cfg, trials):
+    tracemalloc.start()
+    try:
+        _sweep_chunk(cfg, 0, trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_sweep_chunk_memory_bounded():
-    def peak(trials):
-        tracemalloc.start()
-        try:
-            _sweep_chunk(FIG3, 0, trials)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak(64)  # warm the caches so neither measurement pays for them
-    small, large = peak(1024), peak(8192)
+    _chunk_peak(FIG3, 64)  # warm the caches so neither measurement pays for them
+    small, large = _chunk_peak(FIG3, 1024), _chunk_peak(FIG3, 8192)
     assert large < 2 * small, (small, large)
 
 
+def test_sweep_chunk_memory_bounded_along_the_grid():
+    # one trial's engine arrays over the whole grid would take about 70 MiB:
+    # the engine takes the grid a slice at a time
+    grid = tuple(-20.0 + 0.0025 * i for i in range(20_000))
+    cfg = ExperimentConfig(n=343, k=7, et_db=grid, trials=2, master_seed=3)
+    _chunk_peak(ExperimentConfig(n=343, k=7, et_db=grid[:2], trials=2), 2)
+    peak = _chunk_peak(cfg, 2)
+    assert peak < 24 << 20, peak
+
+
 def test_block_size_bounds_large_geometries(monkeypatch):
-    # a tiny entry budget forces one-trial blocks; results must not change
+    # a tiny entry budget forces one-trial blocks over one grid point at a
+    # time; no outcome and no result may change
     cfg = ExperimentConfig(n=9, k=3, et_db=(0.0, 10.0), trials=30, master_seed=4)
-    expected = _sweep_chunk(cfg, 0, 30)
+    expected, whole = sweep_outcomes(cfg, 0, 30), _sweep_chunk(cfg, 0, 30)
     monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 1)
-    got = _sweep_chunk(cfg, 0, 30)
+    assert [(len(trials), points) for trials, points, _ in montecarlo._sweep_blocks(cfg, 0, 2)
+            ] == [(1, slice(0, 1)), (1, slice(1, 2))] * 2
+    got = sweep_outcomes(cfg, 0, 30)
     for variant in cfg.variants:
         for a, b in zip(got[variant], expected[variant]):
             np.testing.assert_array_equal(a, b)
+    _assert_same_sweep(cfg, [_sweep_chunk(cfg, 0, 30)], whole)
 
 
 def test_sweep_bound_and_trace_build_no_beam(monkeypatch, tmp_path):

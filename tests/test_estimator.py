@@ -191,8 +191,9 @@ class TestAlphaEstimators:
         assert est == 0
 
     def test_degenerate_prior_and_noise_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_alpha_mmse([1.0], p_t=1.0, pilot=1.0, n0=0.0, var_alpha=0.0)
+        for p_t in (1.0, np.array([1.0, 2.0])):  # one power, and a batch of them
+            with pytest.raises(ValueError, match="cannot both be zero"):
+                estimate_alpha_mmse([1.0], p_t=p_t, pilot=1.0, n0=0.0, var_alpha=0.0)
 
     @pytest.mark.parametrize("p_t", [np.nan, np.inf])
     def test_non_finite_power_rejected(self, p_t):

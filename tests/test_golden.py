@@ -13,9 +13,10 @@ elapsed time) is pinned in ``golden.json`` two ways:
   the machine equal the recorded ``environment``.
 
 The sweep engine's raw per-trial outcomes are pinned too: the ``tobytes()``
-SHA-256 of ``_sweep_chunk``'s failure indicators on every environment, and
-of its two gain-error arrays on the recording one, for each run in
-``CHUNKS``.  The fig3 sweep reuses the session's shared ``fig3_sweep`` run.
+SHA-256 of the failure indicators on every environment, and of the two
+gain-error arrays on the recording one, assembled from the sweep's engine
+blocks (``reference.sweep_outcomes``) for each run in ``CHUNKS``.  The fig3
+sweep reuses the session's shared ``fig3_sweep`` run.
 
 A change that alters a data file on purpose regenerates the digests with
 ``PYTHONPATH=src python tests/test_golden.py --regen`` and names every changed
@@ -32,9 +33,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import sweep_outcomes
 
 from beamest import cli
-from beamest.montecarlo import ExperimentConfig, _sweep_chunk
+from beamest.montecarlo import ExperimentConfig
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -62,7 +64,7 @@ RUNS = {
        for n, k in ((27, 3), (343, 7)) for variant in ("overlapped", "non_overlapped")},
 }
 
-# name -> (config, trial splits) of each _sweep_chunk run: the fig3 and fig4
+# name -> (config, trial splits) of each sweep_outcomes run: the fig3 and fig4
 # presets' geometry, grids and seeds at 2,000 trials, whole and as an
 # unaligned part, and the k7_n343 sweep at 200 trials
 CHUNKS = {
@@ -124,7 +126,7 @@ def record_chunks() -> dict:
             digests[f"{name}_{lo}_{hi}"] = {
                 variant: {key: hashlib.sha256(array.tobytes()).hexdigest()
                           for key, array in zip(_CHUNK_ARRAYS, arrays)}
-                for variant, arrays in _sweep_chunk(cfg, lo, hi).items()}
+                for variant, arrays in sweep_outcomes(cfg, lo, hi).items()}
     return digests
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import sweep_outcomes
 from scipy import stats
 
 from beamest import analysis, arrays, cli, montecarlo
@@ -29,7 +30,8 @@ from beamest.montecarlo import (
     SweepPoint,
     _aggregate,
     _draw_block,
-    _exact_row_sums,
+    _exact_partials,
+    _rounded_sums,
     _sweep_chunk,
     energy_from_db,
     bound_csv,
@@ -444,50 +446,68 @@ def _wilson_reference(failures, trials):
     return max(0.0, min(low, pcef)), min(1.0, max(high, pcef))
 
 
-def _aggregate_reference(cfg, variant, fails, err_mmse, err_final):
-    """Sweep rows one energy point at a time, each with its own count and interval."""
+def _aggregate_reference(cfg, variant, counts, sums):
+    """Sweep rows one energy point at a time from its failure count and its
+    four error sums, each with its own interval."""
     slots = slot_count(cfg.n, cfg.k, variant)
+    trials = cfg.trials
+    mmse_all, final_all, mmse_success, final_success = sums
     points = []
     for i, db in enumerate(cfg.et_db):
-        trials = fails.shape[1]
-        failures = int(fails[i].sum())
+        failures = int(counts[i])
         ci_low, ci_high = _wilson_reference(failures, trials)
-        success = ~fails[i]
         n_success = trials - failures
 
-        def conditional_mean(errors):
-            if n_success == 0:
-                return math.nan
-            return math.fsum(errors[success].tolist()) / n_success
+        def conditional_mean(total):
+            return math.nan if n_success == 0 else total / n_success
 
         points.append(SweepPoint(
             et_db=db, pcef=failures / trials, ci_low=ci_low, ci_high=ci_high,
             low_count=failures < 5 or n_success < 5,
-            relerr_mmse_all=math.fsum(err_mmse[i].tolist()) / trials,
-            relerr_mmse_success=conditional_mean(err_mmse[i]),
-            relerr_final_all=math.fsum(err_final[i].tolist()) / trials,
-            relerr_final_success=conditional_mean(err_final[i]),
+            relerr_mmse_all=mmse_all[i] / trials,
+            relerr_mmse_success=conditional_mean(mmse_success[i]),
+            relerr_final_all=final_all[i] / trials,
+            relerr_final_success=conditional_mean(final_success[i]),
             trials=trials, failures=failures, slots=slots))
     return points
 
 
+def _fsum_outcomes(fails, err_mmse, err_final):
+    """Failure counts and ``math.fsum`` of every error row, from per-trial outcomes."""
+    success = ~fails
+    sums = [[math.fsum(row.tolist()) for row in err_mmse],
+            [math.fsum(row.tolist()) for row in err_final],
+            [math.fsum(row[ok].tolist()) for row, ok in zip(err_mmse, success)],
+            [math.fsum(row[ok].tolist()) for row, ok in zip(err_final, success)]]
+    return fails.sum(axis=1), sums
+
+
 def _assert_rows_match_reference(cfg, tables, outcomes):
     for variant in cfg.variants:
-        expected = _aggregate_reference(cfg, variant, *outcomes[variant])
+        expected = _aggregate_reference(cfg, variant, *_fsum_outcomes(*outcomes[variant]))
         assert [repr(p) for p in tables[variant].points] == [repr(p) for p in expected]
 
 
 @pytest.mark.parametrize("preset", ["fig3", "fig4", "k7"])
 def test_aggregate_matches_per_point_rows(preset):
+    # the sweep's counts and block-by-block partials against math.fsum of the
+    # whole per-trial rows
     if preset == "k7":  # the k7_n343_sweep geometry
         cfg = ExperimentConfig(n=343, k=7, et_db=(15.0, 20.0, 25.0, 30.0), trials=200,
                                master_seed=5)
     else:  # the preset's geometry, grid and seed at a smaller trial budget
         _, raw = cli.load_config(preset)
         cfg = ExperimentConfig(n=raw["n"], k=raw["k"], et_db=cli._energy_grid(raw, "sweep"),
-                               trials=1000, master_seed=raw["seed"])
-    chunk = _sweep_chunk(cfg, 0, cfg.trials)
-    _assert_rows_match_reference(cfg, _aggregate(cfg, chunk), chunk)
+                               trials=3000, master_seed=raw["seed"])
+    counts, partials = _sweep_chunk(cfg, 0, cfg.trials)
+    _assert_rows_match_reference(cfg, _aggregate(cfg, counts, partials),
+                                 sweep_outcomes(cfg, 0, cfg.trials))
+    # the reference also takes the counts and the partials' own fsums
+    for i, variant in enumerate(cfg.variants):
+        sums = [[math.fsum(row) for row in rows] for rows in partials[i].tolist()]
+        expected = _aggregate_reference(cfg, variant, counts[i], sums)
+        assert ([repr(p) for p in _aggregate(cfg, counts, partials)[variant].points]
+                == [repr(p) for p in expected])
 
 
 def _synthetic_outcomes(cfg, seed):
@@ -503,16 +523,30 @@ def _synthetic_outcomes(cfg, seed):
     return outcomes
 
 
+def _chunk_of(cfg, outcomes, block):
+    """``_sweep_chunk``'s counts and partials of given outcomes, ``block`` trials at a time."""
+    def blocks(cfg, lo, hi):
+        for start in range(lo, hi, block):
+            stop = min(start + block, hi)
+            yield range(start, stop), slice(0, len(cfg.et_db)), {
+                variant: tuple(a[:, start:stop] for a in arrays)
+                for variant, arrays in outcomes.items()}
+
+    with mock.patch.object(montecarlo, "_sweep_blocks", blocks):
+        return _sweep_chunk(cfg, 0, cfg.trials)
+
+
 @pytest.mark.parametrize("trials", [1, 2, 3, 50, 1000])
 def test_aggregate_edge_rows_match_reference(trials):
     # an all-failure row has NaN conditional means; a no-failure row none
     cfg = _cfg(et_db=(1.0, 2.0, 3.0, 4.0), trials=trials)
     outcomes = _synthetic_outcomes(cfg, trials)
-    tables = _aggregate(cfg, outcomes)
-    _assert_rows_match_reference(cfg, tables, outcomes)
-    for table in tables.values():
-        assert math.isnan(table.points[0].relerr_mmse_success)
-        assert not math.isnan(table.points[1].relerr_final_success)
+    for block in {1, 7, trials}:
+        tables = _aggregate(cfg, *_chunk_of(cfg, outcomes, block))
+        _assert_rows_match_reference(cfg, tables, outcomes)
+        for table in tables.values():
+            assert math.isnan(table.points[0].relerr_mmse_success)
+            assert not math.isnan(table.points[1].relerr_final_success)
 
 
 @pytest.mark.parametrize("trials", [2, 120])
@@ -527,47 +561,124 @@ def test_split_sweep_rows_match_reference(monkeypatch, trials):
     cfg = _cfg(n=27, et_db=(0.0, 8.0, 16.0), trials=trials)
     tables = run_sweep(cfg, workers=2)
     assert len(calls) == min(trials, 8)
-    _assert_rows_match_reference(cfg, tables, chunk(cfg, 0, trials))
+    _assert_rows_match_reference(cfg, tables, sweep_outcomes(cfg, 0, trials))
 
 
 def test_aggregate_memory_bounded():
-    # one variant at 10^5 trials; per-row float lists or masked copies of the
-    # error rows would take tens of MB
+    # one variant's (19, 10^5) outcomes reduced in blocks of 1000 trials:
+    # per-row float lists or masked copies of whole error rows would take
+    # tens of MB
     cfg = _cfg(n=27, et_db=tuple(range(19)), trials=100_000, variants=(OVERLAPPED,))
     outcomes = _synthetic_outcomes(cfg, 9)
-    _aggregate(cfg, {OVERLAPPED: tuple(a[:, :10] for a in outcomes[OVERLAPPED])})
+    warm = _cfg(n=27, et_db=cfg.et_db, trials=10, variants=(OVERLAPPED,))
+    _aggregate(warm, *_chunk_of(warm, {OVERLAPPED: tuple(a[:, :10] for a in outcomes[OVERLAPPED])},
+                                1000))
     tracemalloc.start()
     try:
-        table = _aggregate(cfg, outcomes)[OVERLAPPED]
+        counts, partials = _chunk_of(cfg, outcomes, 1000)
+        table = _aggregate(cfg, counts, partials)[OVERLAPPED]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(table.points) == 19
     assert peak < 4 << 20, peak
+    # 100 merges leave no more partials per row than one block of all trials
+    assert partials.shape[-1] <= _chunk_of(cfg, outcomes, cfg.trials)[1].shape[-1]
 
 
-def _fsum_rows(parts):
+def test_sweep_memory_does_not_grow_with_trials():
+    # the per-trial outcomes of 15,000 trials would add about 4 MB
+    def peak(trials):
+        cfg = _cfg(et_db=tuple(range(19)), trials=trials, variants=(OVERLAPPED,))
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # warm the caches so neither measurement pays for them
+    few, many = peak(3000), peak(15_000)
+    assert many <= few + (1 << 19), (few, many)
+
+
+# the gain estimates themselves overflow at this noise level
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_fallback_rows_match_across_splits(monkeypatch):
+    # n0 = 1e-320 makes every gain error inf, so every block takes the
+    # kernel's fsum fallback; one worker, two and one-trial one-point blocks
+    # must write the same rows
+    cfg = _cfg(n=27, et_db=(0.0, 10.0, 20.0), trials=60, n0=1e-320)
+    one = run_sweep(cfg)
+    assert all(math.isinf(p.relerr_mmse_all) and math.isinf(p.relerr_final_all)
+               for table in one.values() for p in table.points)
+    monkeypatch.setattr(montecarlo, "_process_pool", _InProcessPool)
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
+    two = run_sweep(cfg, workers=2)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 1)
+    small = run_sweep(cfg)
+    for variant in cfg.variants:
+        assert one[variant].to_csv() == two[variant].to_csv() == small[variant].to_csv()
+    _assert_rows_match_reference(cfg, one, sweep_outcomes(cfg, 0, cfg.trials))
+
+
+def _fsum_rows(rows):
     """Each row's ``math.fsum`` by ``repr``, or the exception it raises."""
     out = []
-    for values, zeros in parts:
-        for row in (values if zeros is None else np.where(zeros, 0.0, values)).tolist():
-            try:
-                out.append(repr(math.fsum(row)))
-            except (OverflowError, ValueError) as exc:
-                out.append((type(exc), str(exc)))
+    for row in rows.tolist():
+        try:
+            out.append(repr(math.fsum(row)))
+        except (OverflowError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
     return out
 
 
-def _assert_fsum_bytes(parts, width):
-    expected = _fsum_rows(parts)
+def _merged(rows, cuts, chunk=None):
+    """Running partials of ``rows`` merged block by block at the columns
+    ``cuts``, and the partial count after each merge.  With ``chunk``, the
+    blocks before and from that cut merge on their own, as two workers'
+    chunks do, and their partials merge last."""
+    if chunk is not None:
+        (head, head_counts), (tail, tail_counts) = (
+            _merged(rows[:, :cuts[chunk]], cuts[:chunk]),
+            _merged(rows[:, cuts[chunk]:], [c - cuts[chunk] for c in cuts[chunk + 1:]]))
+        partials = _exact_partials(np.concatenate([head, tail], axis=1))
+        return partials, head_counts + tail_counts + [partials.shape[1]]
+    partials, counts = np.zeros((len(rows), 0)), []
+    for block in np.split(rows, cuts, axis=1):
+        partials = _exact_partials(np.concatenate([partials, block], axis=1))
+        counts.append(partials.shape[1])
+    return partials, counts
+
+
+def _count_bound(rows):
+    """A partial count no merge exceeds, whatever the cuts: one per pass,
+    and a pass takes at least ``52 - M`` of the bits between the largest
+    running sum and the lowest bit set, or up to three markers for
+    infinities and NaN and the exact floats of the rest."""
+    values = rows[np.isfinite(rows) & (rows != 0)]
+    if not values.size:
+        return 3
+    mantissas, exponents = np.frexp(values)
+    whole = np.abs(np.ldexp(mantissas, 53)).astype(np.int64)
+    lowest = int((exponents - 53 + np.log2(whole & -whole).astype(int)).min())
+    m = (rows.shape[1] + 64).bit_length()
+    span = int(exponents.max()) + rows.shape[1].bit_length() + 1 - lowest
+    return 3 + -(-span // (52 - m)) + 1
+
+
+def _assert_fsum_bytes(rows, cuts=(), chunk=None):
+    expected = _fsum_rows(rows)
+    partials, counts = _merged(rows, list(cuts), chunk)
+    assert max(counts) <= _count_bound(rows), counts
     errors = [e for e in expected if not isinstance(e, str)]
     if errors:
-        # blocks run in row order, so the first raising row's error surfaces
+        # rows round in order, so the first raising row's error surfaces
         with pytest.raises(errors[0][0]) as raised:
-            _exact_row_sums(parts, width)
+            _rounded_sums(partials)
         assert str(raised.value) == errors[0][1]
     else:
-        assert [repr(x) for x in _exact_row_sums(parts, width)] == expected
+        assert [repr(x) for x in _rounded_sums(partials).tolist()] == expected
 
 
 # ties, subnormals and extremes a random draw seldom gives
@@ -593,7 +704,8 @@ def _random_rows(rng, pool, rows, width):
 
 
 class TestExactRowSums:
-    """The vectorised kernel against ``math.fsum``, row by row, by ``repr``."""
+    """Rows cut into blocks and merged through the running partials, against
+    ``math.fsum`` of the whole row, by ``repr``."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(width=st.one_of(st.integers(1, 6), st.sampled_from([50, 1000, 10_000])),
@@ -601,19 +713,22 @@ class TestExactRowSums:
            pool=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                                    st.sampled_from(_SPECIAL_FLOATS)), min_size=1, max_size=12),
            seed=st.integers(0, 2**32 - 1), masked=st.lists(st.booleans(), min_size=3, max_size=3),
-           nonfinite=st.sampled_from([None, math.inf, -math.inf, math.nan]),
-           block_rows=st.sampled_from([None, 1, 3]))
-    def test_rows_equal_fsum(self, width, rows, pool, seed, masked, nonfinite, block_rows):
+           nonfinite=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3),
+           blocks=st.integers(1, 12), chunked=st.booleans())
+    def test_rows_equal_fsum(self, width, rows, pool, seed, masked, nonfinite, blocks, chunked):
         rng = np.random.default_rng(seed)
         parts = []
         for count, mask in zip(rows, masked):
             values = _random_rows(rng, np.array(pool), count, width)
-            if nonfinite is not None and rng.random() < 0.5:
-                values[rng.integers(count), rng.integers(width)] = nonfinite
-            parts.append((values, rng.random(values.shape) < 0.3 if mask else None))
-        entries = montecarlo._SUM_ENTRIES if block_rows is None else block_rows * width
-        with mock.patch.object(montecarlo, "_SUM_ENTRIES", entries):
-            _assert_fsum_bytes(parts, width)
+            for value in nonfinite:
+                if rng.random() < 0.5:
+                    values[rng.integers(count), rng.integers(width)] = value
+            if mask:  # zeroed entries, as a failed trial's in a success row
+                values[rng.random(values.shape) < 0.3] = 0.0
+            parts.append(values)
+        cuts = sorted(rng.integers(0, width + 1, blocks - 1).tolist())
+        chunk = int(rng.integers(len(cuts))) if chunked and cuts else None
+        _assert_fsum_bytes(np.vstack(parts), cuts, chunk)
 
     @pytest.mark.parametrize("row", [
         [1.0, 2.0**-53, 2.0**-106],          # three partials: plain adds tie to 1.0
@@ -625,17 +740,29 @@ class TestExactRowSums:
         [1.7976931348623157e308, 1.7976931348623157e308],         # OverflowError
         [2.0**1021, 2.0**1021, 2.0**1022],                        # OverflowError
         [math.inf, 1.0], [-math.inf, -math.inf], [math.inf, -math.inf],  # ValueError
-        [math.nan, 1.0], [1.0, math.nan, math.inf],
+        [math.nan, 1.0], [1.0, math.nan, math.inf], [math.nan, math.inf, 1.0, -math.inf],
         [-1.0, -2.0, -(2.0**-60)], [-(2.0**-60), 3.0, -4.0 * 2.0**-60],
     ])
     def test_edge_rows(self, row):
-        values = np.array([row])
-        _assert_fsum_bytes([(values, None)], values.shape[1])
-        # the same row behind a finite one in one block, and zeroed where odd
-        values = np.array([[1.0] * len(row), row])
-        zeros = np.zeros(values.shape, dtype=bool)
-        zeros[:, 1::2] = True
-        _assert_fsum_bytes([(values, None), (values, zeros)], values.shape[1])
+        width = len(row)
+        # whole, and cut at every column (every entry a block of its own)
+        for cuts in ([], range(1, width)):
+            _assert_fsum_bytes(np.array([row]), cuts)
+            # the same row behind a finite one, and zeroed where odd
+            rows = np.array([[1.0] * width, row, row])
+            rows[2, 1::2] = 0.0
+            _assert_fsum_bytes(rows, cuts)
+
+    def test_near_overflow_blocks_stay_exact(self):
+        # each fallback block keeps its exact sum, not its rounded one: the
+        # small entries outlive a block whose fsum rounds them away
+        rows = np.array([[1e308, 1e-300, -1e308, 2.0**-1074],
+                         [1.7976931348623157e308, 1.0, -1.7976931348623157e308, 2.0**-60],
+                         [1e308, 1e308, -1e308, -1e308]])  # OverflowError
+        for cuts in ([1], [2], [1, 2, 3], [3]):
+            _assert_fsum_bytes(rows, cuts)
+        assert [repr(x) for x in _rounded_sums(_merged(rows[:2], [2])[0]).tolist()] == [
+            repr(1e-300), repr(1.0)]
 
     def test_long_rows(self):
         rng = np.random.default_rng(4)
@@ -644,7 +771,21 @@ class TestExactRowSums:
                           rng.standard_normal((3, width)) * 2.0 ** rng.integers(-80, 80, (3, width)),
                           np.full((1, width), 0.1), np.zeros((1, width))])
         rows[-2, ::2] = -0.1
-        _assert_fsum_bytes([(rows, None), (rows, rng.random(rows.shape) < 0.5)], width)
+        zeroed = np.where(rng.random(rows.shape) < 0.5, 0.0, rows)
+        for cuts in ([], sorted(rng.integers(0, width, 30).tolist())):
+            _assert_fsum_bytes(rows, cuts)
+            _assert_fsum_bytes(zeroed, cuts)
+
+    def test_partial_count_does_not_grow_with_blocks(self):
+        # 10^4 relative errors in one block, then in 1,000 blocks of 10
+        rng = np.random.default_rng(5)
+        rows = rng.exponential(size=(8, 10_000)) * 2.0 ** rng.integers(-20, 4, (8, 10_000))
+        one = _merged(rows, [])[1]
+        many = _merged(rows, list(range(10, 10_000, 10)))[1]
+        assert len(many) == 1000
+        assert max(many) <= max(one) <= 3, (one, max(many))
+        assert (_rounded_sums(_merged(rows, list(range(10, 10_000, 10)))[0]).tobytes()
+                == np.array([math.fsum(row) for row in rows.tolist()]).tobytes())
 
 
 class TestWilsonInterval:
