@@ -48,7 +48,6 @@ from .estimator import (
 from .montecarlo import (
     ExperimentConfig,
     ResultTable,
-    SweepPoint,
     bound_table,
     power_for_energy,
     run_sweep,

@@ -1,10 +1,12 @@
-"""The one way the package writes a file."""
+"""The one way the package writes a file, and formats a table with a header."""
 
 from __future__ import annotations
 
 import contextlib
 import os
 import stat
+
+import numpy as np
 
 
 @contextlib.contextmanager
@@ -37,3 +39,18 @@ def output_file(path):
         if exc.filename is None:
             exc.filename = os.fspath(path)
         raise
+
+
+def csv_text(header: str, columns) -> str:
+    """``header``, then one line per row of ``columns``, arrays or sequences
+    of one length: a float by ``repr``, an int by ``str``, a bool as 0 or 1,
+    and a numpy value as the Python number it holds."""
+    fields = (map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype.kind in "fiu"
+              else map(_field, c) for c in columns)
+    return "\n".join([header, *map(",".join, zip(*fields, strict=True))]) + "\n"
+
+
+def _field(value) -> str:
+    if isinstance(value, np.generic):  # numpy 2's repr would write np.float64(...)
+        value = value.item()
+    return str(int(value)) if isinstance(value, bool) else repr(value)

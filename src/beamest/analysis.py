@@ -105,8 +105,8 @@ def pcef_upper_bound(
     grid.  A term depends on its pair's ``rho`` alone, so each block
     evaluates the distinct ``rho`` values and gathers them into the rows;
     each row is then summed as before.  One power is a grid of one point.
-    Inputs that would make a term NaN raise ``ValueError`` naming the field;
-    a zero power is valid and gives the clamped bound.
+    Inputs that would make a term NaN or overflow raise ``ValueError``
+    naming the field; a zero power is valid and gives the clamped bound.
     """
     stages = _integer("stages", stages)
     if stages < 1:
@@ -116,6 +116,11 @@ def pcef_upper_bound(
     powers = np.asarray(p_t, dtype=float)
     if not (np.isfinite(powers) & (powers >= 0)).all():
         raise ValueError(f"p_t must be finite and nonnegative, got {p_t!r}")
+    # _rayleigh_terms squares up to half this ratio; an overflow reads 1/2 per term
+    ratio = float(powers.max(initial=0.0)) * var_alpha / n0
+    if not ratio / 2.0 <= np.sqrt(np.finfo(float).max):
+        raise ValueError(f"var_alpha: gain prior variance {var_alpha!r} is too large for the "
+                         f"closed-form bound: p_t * var_alpha / n0 reaches {ratio!r}")
     grid = powers.reshape(-1, 1)
     # a term depends on rho alone, which takes few distinct values (21 of the
     # 2352 pairs at k = 7): each is evaluated once per point, then gathered

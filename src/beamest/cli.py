@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._output import output_file
+from ._output import csv_text, output_file
 from .codebook import realized_gains, write_beam_matrix
 from .estimator import (
     ALPHA_FINAL,
@@ -249,24 +249,24 @@ def _write_manifest(out_dir: Path, command: str, config_name: str, cfg: dict,
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n", args.quiet)
 
 
-def _gain_flatness_rows(n: int, k: int, variant: str) -> list[str]:
+def _gain_flatness_csv(n: int, k: int, variant: str) -> str:
     """Realized-gain audit along the leftmost refinement path.
 
     For each stage and beam: worst deviation of |u_i^H f| from gain * amplitude
     inside the covered sub-ranges, and worst leakage outside them.
     """
     patterns = codebook_bank(n, k, variant).patterns
-    rows = ["stage,beam,gain,residual,max_in_range_error,max_out_of_range_gain"]
+    rows = []
     for s, partition, cb in leftmost_path(n, k, variant):
         realized = np.abs(realized_gains(cb.f))
         # on the leftmost path the sub-ranges tile [0, len(target))
         target = cb.gain * np.repeat(patterns.values.T, len(partition.transmit[0]), axis=0)
         in_err = np.abs(realized[:len(target)] - target).max(axis=0)
         out_gain = realized[len(target):].max(axis=0, initial=0.0)
-        for m in range(patterns.m):
-            rows.append(",".join([str(s), str(m), repr(cb.gain), repr(cb.residual),
-                                  repr(float(in_err[m])), repr(float(out_gain[m]))]))
-    return rows
+        rows += [(s, m, cb.gain, cb.residual, err, gain)
+                 for m, (err, gain) in enumerate(zip(in_err.tolist(), out_gain.tolist()))]
+    return csv_text("stage,beam,gain,residual,max_in_range_error,max_out_of_range_gain",
+                    zip(*rows))
 
 
 def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
@@ -292,23 +292,20 @@ def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
             print(f"wrote {path}")
         outputs.append(path)
 
-    outputs.append(_write(out_dir / "gain_flatness.csv",
-                          "\n".join(_gain_flatness_rows(n, k, variant)) + "\n",
+    outputs.append(_write(out_dir / "gain_flatness.csv", _gain_flatness_csv(n, k, variant),
                           args.quiet))
     return outputs
 
 
 def _slot_table_csv(cfg: dict) -> str:
-    lines = ["k,n,overlapped,non_overlapped"]
+    rows = []
     for k in _int_list(cfg, "k_values", "sweep"):
         key = f"n_values_k{k}"
         if key not in cfg:
             raise ConfigError(f"sweep: slot table needs key {key!r}")
-        for n in _int_list(cfg, key, "sweep"):
-            lines.append(",".join([str(k), str(n),
-                                   str(slot_count(n, k, OVERLAPPED)),
-                                   str(slot_count(n, k, NON_OVERLAPPED))]))
-    return "\n".join(lines) + "\n"
+        rows += [(k, n, slot_count(n, k, OVERLAPPED), slot_count(n, k, NON_OVERLAPPED))
+                 for n in _int_list(cfg, key, "sweep")]
+    return csv_text("k,n,overlapped,non_overlapped", zip(*rows))
 
 
 def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
@@ -317,13 +314,8 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
     for name in outputs_wanted:
         if name not in ("pcef", "alpha_error", "slots"):
             raise ConfigError(f"sweep: unknown output family {name!r}")
-    outputs: list[Path] = []
-
-    if "slots" in outputs_wanted:
-        outputs.append(_write(out_dir / "slot_counts.csv", _slot_table_csv(cfg),
-                              args.quiet))
-        if len(outputs_wanted) == 1:
-            return outputs
+    if outputs_wanted == ["slots"]:
+        return [_write(out_dir / "slot_counts.csv", _slot_table_csv(cfg), args.quiet)]
 
     n = _require(cfg, "n", int, "sweep")
     k = _require(cfg, "k", int, "sweep")
@@ -333,7 +325,13 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
         master_seed=_require(cfg, "seed", int, "sweep", default=0),
         n0=_require(cfg, "n0", float, "sweep", default=1.0),
         var_alpha=_alpha_variance(cfg), variants=_variants(cfg))
-    bound = _require(cfg, "bound", bool, "sweep", default=False)
+    # the bound first: a prior it rejects stops the run before any file is written
+    bound = (bound_table(n, k, experiment.et_db, n0=experiment.n0, var_alpha=experiment.var_alpha)
+             if _require(cfg, "bound", bool, "sweep", default=False) else None)
+    outputs: list[Path] = []
+    if "slots" in outputs_wanted:
+        outputs.append(_write(out_dir / "slot_counts.csv", _slot_table_csv(cfg),
+                              args.quiet))
     started = time.perf_counter()
     tables = run_sweep(experiment, workers=args.workers)
     runs = experiment.trials * len(experiment.et_db) * len(experiment.variants)
@@ -346,19 +344,15 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
                                   args.quiet))
     if "alpha_error" in outputs_wanted:
         for variant, table in tables.items():
-            for estimator, all_col, ok_col in (
-                    (ALPHA_MMSE_ALL, "relerr_mmse_all", "relerr_mmse_success"),
-                    (ALPHA_FINAL, "relerr_final_all", "relerr_final_success")):
-                lines = ["et_db,relerr_all_trials,relerr_successes"]
-                for p in table.points:
-                    lines.append(",".join([repr(p.et_db), repr(getattr(p, all_col)),
-                                           repr(getattr(p, ok_col))]))
-                outputs.append(_write(out_dir / f"{variant}_{estimator}_error.csv",
-                                      "\n".join(lines) + "\n", args.quiet))
-    if bound:
-        points = bound_table(n, k, experiment.et_db, n0=experiment.n0,
-                             var_alpha=experiment.var_alpha)
-        outputs.append(_write(out_dir / "bound.csv", bound_csv(points), args.quiet))
+            for estimator, errors in (
+                    (ALPHA_MMSE_ALL, (table.relerr_mmse_all, table.relerr_mmse_success)),
+                    (ALPHA_FINAL, (table.relerr_final_all, table.relerr_final_success))):
+                text = csv_text("et_db,relerr_all_trials,relerr_successes",
+                                (table.et_db, *errors))
+                outputs.append(_write(out_dir / f"{variant}_{estimator}_error.csv", text,
+                                      args.quiet))
+    if bound is not None:
+        outputs.append(_write(out_dir / "bound.csv", bound_csv(bound), args.quiet))
     return outputs
 
 

@@ -30,7 +30,8 @@ merges the error rows into a few running partials per row, so memory does
 not grow with the trial count.  Worker chunks' partials sit side by side
 until each row's are rounded once.  Failure counts are exact integers and
 each error sum is the exactly rounded ``math.fsum`` of its row, so results
-are bit-identical for any worker split or execution order.
+are bit-identical for any worker split or execution order.  Each variant's
+:class:`ResultTable` holds them as columns over the energy grid.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
+from ._output import csv_text
 from .analysis import _noise_and_prior, pcef_upper_bound
 from .arrays import (
     ChannelRealization,
@@ -74,7 +75,6 @@ __all__ = [
     "ExperimentConfig",
     "RESULT_CSV_HEADER",
     "ResultTable",
-    "SweepPoint",
     "bound_csv",
     "bound_table",
     "energy_from_db",
@@ -197,9 +197,15 @@ def power_for_energy(total_energy, n: int, k: int, variant: str = OVERLAPPED):
     return total_energy / (slots_per_stage * weight)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Aggregated results of one energy point for one variant.
+RESULT_CSV_HEADER = ("et_db,pcef,pcef_ci_low,pcef_ci_high,pcef_low_count,"
+                     "relerr_mmse_all_trials,relerr_mmse_successes,"
+                     "relerr_final_all_trials,relerr_final_successes,"
+                     "trials,failures,slots")
+
+
+@dataclass(frozen=True, eq=False)
+class ResultTable:
+    """One variant's sweep results, each column an array over ``et_db``.
 
     ``ci_low`` and ``ci_high`` bound the PCEF with the 95% Wilson score
     interval (:func:`wilson_interval`); ``low_count`` flags fewer than five
@@ -208,46 +214,28 @@ class SweepPoint:
     the downstream consumer wants is not knowable here, so both ship).
     """
 
-    et_db: float
-    pcef: float
-    ci_low: float
-    ci_high: float
-    low_count: bool
-    relerr_mmse_all: float
-    relerr_mmse_success: float
-    relerr_final_all: float
-    relerr_final_success: float
-    trials: int
-    failures: int
-    slots: int
-
-
-RESULT_CSV_HEADER = ("et_db,pcef,pcef_ci_low,pcef_ci_high,pcef_low_count,"
-                     "relerr_mmse_all_trials,relerr_mmse_successes,"
-                     "relerr_final_all_trials,relerr_final_successes,"
-                     "trials,failures,slots")
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    """One variant's sweep results, one row per energy point."""
-
     variant: str
     n: int
     k: int
-    points: tuple[SweepPoint, ...]
+    trials: int
+    slots: int
+    et_db: np.ndarray
+    pcef: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    low_count: np.ndarray
+    relerr_mmse_all: np.ndarray
+    relerr_mmse_success: np.ndarray
+    relerr_final_all: np.ndarray
+    relerr_final_success: np.ndarray
+    failures: np.ndarray
 
     def to_csv(self) -> str:
-        lines = [RESULT_CSV_HEADER]
-        for p in self.points:
-            lines.append(",".join([
-                repr(p.et_db), repr(p.pcef), repr(p.ci_low), repr(p.ci_high),
-                str(int(p.low_count)),
-                repr(p.relerr_mmse_all), repr(p.relerr_mmse_success),
-                repr(p.relerr_final_all), repr(p.relerr_final_success),
-                str(p.trials), str(p.failures), str(p.slots),
-            ]))
-        return "\n".join(lines) + "\n"
+        trials, slots = np.full(len(self.et_db), self.trials), np.full(len(self.et_db), self.slots)
+        return csv_text(RESULT_CSV_HEADER, (
+            self.et_db, self.pcef, self.ci_low, self.ci_high, self.low_count,
+            self.relerr_mmse_all, self.relerr_mmse_success, self.relerr_final_all,
+            self.relerr_final_success, trials, self.failures, slots))
 
 
 def _draw_block(cfg: ExperimentConfig, trials: range, rng: np.random.Generator):
@@ -411,30 +399,31 @@ def _exact_partials(rows: np.ndarray) -> np.ndarray:
     ``sigma = 2^(M + e)``, ``q = (sigma + r) - sigma``, ``r - q`` and any
     row sum of ``q`` are exact.  One partial per pass until every remainder
     is zero: their count follows the range of the entries' bits, not their
-    number.  A non-finite entry, or a ``sigma`` that would overflow, sends
-    every row through :func:`_fsum_floats`.  Needs IEEE round-to-nearest
-    adds with subnormals kept (no flush-to-zero).
+    number.  A row with a non-finite entry, or one whose ``sigma`` would
+    overflow, goes through :func:`_fsum_floats` instead, padded with zeros;
+    the other rows keep the passes.  Needs IEEE round-to-nearest adds with
+    subnormals kept (no flush-to-zero).
     """
     r = rows.reshape(math.prod(rows.shape[:-1]), rows.shape[-1])
     m = (r.shape[1] + 1).bit_length()  # ceil(log2(width + 2))
+    # past 2^(1023 - M), or at NaN, a row's sigma = 2^(M + e) would overflow
+    tops = np.maximum(r.max(axis=1, initial=0.0), -r.min(axis=1, initial=0.0))
+    fallback = np.flatnonzero(~(tops < 2.0 ** (1023 - m)))
+    floats = [_fsum_floats(row) for row in r[fallback].tolist()]
+    r[fallback] = 0.0
     q = np.empty_like(r)
     partials = []
-    while True:
-        top = max(float(r.max(initial=0.0)), -float(r.min(initial=0.0)))  # NaN if any
-        if top == 0.0:
-            break
-        e = math.frexp(top)[1]
-        if not partials and not (math.isfinite(top) and m + e < 1024):
-            floats = [_fsum_floats(row) for row in r.tolist()]
-            width = max(map(len, floats))
-            return np.array([f + [0.0] * (width - len(f)) for f in floats]
-                            ).reshape(*rows.shape[:-1], width)
-        sigma = math.ldexp(1.0, m + e)
+    while top := max(float(r.max(initial=0.0)), -float(r.min(initial=0.0))):
+        sigma = math.ldexp(1.0, m + math.frexp(top)[1])
         np.add(r, sigma, out=q)
         q -= sigma
         partials.append(q.sum(axis=1))
         r -= q
-    return np.array(partials).T.reshape(*rows.shape[:-1], len(partials))
+    out = np.zeros((len(r), max([len(partials), *map(len, floats)])))
+    out[:, :len(partials)] = np.array(partials).T
+    for row, f in zip(fallback, floats):
+        out[row, :len(f)] = f
+    return out.reshape(*rows.shape[:-1], out.shape[-1])
 
 
 def _units(x: float) -> int:
@@ -490,15 +479,13 @@ def _aggregate(cfg: ExperimentConfig, counts: np.ndarray,
     with np.errstate(invalid="ignore"):  # no successes: a NaN mean, 0.0 / 0
         success_means = sums[:, 2:] / successes[:, None]
     low_counts = (counts < 5) | (successes < 5)
-    tables = {}
-    for i, variant in enumerate(cfg.variants):
-        points = map(SweepPoint, cfg.et_db, (counts[i] / trials).tolist(), lows[i].tolist(),
-                     highs[i].tolist(), low_counts[i].tolist(), means[i, 0].tolist(),
-                     success_means[i, 0].tolist(), means[i, 1].tolist(),
-                     success_means[i, 1].tolist(), repeat(trials), counts[i].tolist(),
-                     repeat(slot_count(cfg.n, cfg.k, variant)))
-        tables[variant] = ResultTable(variant=variant, n=cfg.n, k=cfg.k, points=tuple(points))
-    return tables
+    return {variant: ResultTable(
+        variant=variant, n=cfg.n, k=cfg.k, trials=trials, slots=slot_count(cfg.n, cfg.k, variant),
+        et_db=np.array(cfg.et_db), pcef=counts[i] / trials,
+        ci_low=lows[i], ci_high=highs[i], low_count=low_counts[i],
+        relerr_mmse_all=means[i, 0], relerr_mmse_success=success_means[i, 0],
+        relerr_final_all=means[i, 1], relerr_final_success=success_means[i, 1],
+        failures=counts[i]) for i, variant in enumerate(cfg.variants)}
 
 
 def usable_cpus() -> int:
@@ -583,8 +570,5 @@ def bound_table(n: int, k: int, et_db, n0: float = 1.0,
 
 
 def bound_csv(points) -> str:
-    lines = [BOUND_CSV_HEADER]
-    for p in points:
-        lines.append(",".join([repr(p.et_db), repr(p.bound), repr(p.per_stage),
-                               repr(p.raw_total), str(int(p.clamped))]))
-    return "\n".join(lines) + "\n"
+    rows = [(p.et_db, p.bound, p.per_stage, p.raw_total, p.clamped) for p in points]
+    return csv_text(BOUND_CSV_HEADER, zip(*rows))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +131,21 @@ class TestPcefUpperBound:
                 grid.per_stage[i].item(), grid.raw_total[i].item(), grid.total[i].item(),
                 grid.clamped[i].item()))
 
+    def test_largest_prior_the_closed_form_takes(self):
+        # p_t var_alpha / n0 / 2 at the largest float whose square is finite
+        # gives finite terms below 1/2; one float more is rejected
+        largest = 2.0 * math.sqrt(sys.float_info.max)
+        patterns = overlapped_pattern_matrix(2)
+        result = pcef_upper_bound(patterns, stages=3, p_t=1.0, n0=1.0, var_alpha=largest)
+        off = result.terms[~np.eye(len(result.terms), dtype=bool)]
+        assert np.isfinite(off).all() and (off < 0.5).all()
+        with pytest.raises(ValueError, match="var_alpha: gain prior variance .* too large"):
+            pcef_upper_bound(patterns, stages=3, p_t=1.0, n0=1.0,
+                             var_alpha=math.nextafter(largest, math.inf))
+        with pytest.raises(ValueError, match="var_alpha"):
+            pcef_upper_bound(patterns, stages=3, p_t=[0.0, 1e-300, 4.0], n0=0.5,
+                             var_alpha=largest / 4.0)
+
     def test_bad_stage_count(self):
         with pytest.raises(ValueError):
             pcef_upper_bound(overlapped_pattern_matrix(2), stages=0, p_t=1.0,
@@ -138,9 +154,11 @@ class TestPcefUpperBound:
     @pytest.mark.parametrize("key, value", [
         ("n0", 0.0), ("n0", -1.0), ("n0", np.nan), ("p_t", np.nan), ("p_t", np.inf),
         ("p_t", -1.0), ("p_t", np.array([1.0, np.nan])), ("var_alpha", -5.0),
-        ("var_alpha", np.inf), ("stages", 2.5), ("stages", True)])
+        ("var_alpha", np.inf), ("var_alpha", 1e308), ("stages", 2.5), ("stages", True)])
     def test_inputs_that_make_the_bound_nan_rejected(self, key, value):
-        # each once gave a NaN total, a clamped 1.0 or a silently used stage count
+        # each once gave a NaN total, a clamped 1.0, a silently used stage
+        # count or, at var_alpha = 1e308, pairwise terms of 1/2 from an
+        # overflowed square
         inputs = dict(stages=3, p_t=1.0, n0=1.0, var_alpha=4.0)
         inputs[key] = value
         with pytest.raises(ValueError, match=key):

@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from beamest import cli
+from beamest._output import csv_text
 from beamest.cli import ConfigError, load_config, main, parse_config
 from beamest.codebook import read_beam_matrix
 from beamest.estimator import write_trace_records
@@ -488,6 +490,26 @@ class TestBoundCommand:
         assert message in capsys.readouterr().err
         assert not (out / "bound.csv").exists()
 
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    def test_prior_past_the_closed_form_exits_2(self, tmp_path, capsys, command):
+        # it once wrote per_stage 4.0; a sweep now stops before any data file
+        path = write_cfg(tmp_path, "n = 27\nk = 3\ntrials = 2\net_db = 10, 20\nbound = true\n"
+                                   "outputs = slots, pcef, alpha_error\nk_values = 3\n"
+                                   "n_values_k3 = 9\nvar_alpha = 1e308\n")
+        out = tmp_path / "big"
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert ("var_alpha: gain prior variance 1e+308 is too large for the closed-form bound"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    def test_large_prior_within_the_closed_form(self, tmp_path):
+        path = write_cfg(tmp_path, "n = 27\nk = 3\net_db = 0, 10, 20\nvar_alpha = 1e100\n")
+        out = tmp_path / "large"
+        assert run_cli("bound", "--config", path, "--out", out, "--quiet") == 0
+        rows = [row.split(",") for row in (out / "bound.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
+
     def test_mismatched_pairs_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "n = 27, 343\nk = 3\net_db = 10\n")
         assert run_cli("bound", "--config", path, "--out", tmp_path) == 2
@@ -577,6 +599,41 @@ WRITER_RUNS = {
     "trace": "n = 9\nk = 3\ntrials = 4\net_db = 6\n",
     "codebook": "n = 9\nk = 3\n",
 }
+
+
+class TestCsvText:
+    """The one table writer against the per-field formatting each file had:
+    ``repr`` of a float, ``str`` of an int, ``str(int(...))`` of a bool."""
+
+    FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e16, -2.5e-300,
+              1.7976931348623157e308]
+    INTS = [0, -3, 7, 12, 2**32, 2**62, -(2**63), 5, 9, 11]
+    BOOLS = [True, False, False, True, True, False, True, False, False, True]
+
+    def _per_field(self, floats, ints, bools):
+        rows = [",".join([repr(f), str(i), str(int(b))]) for f, i, b in zip(floats, ints, bools)]
+        return "\n".join(["f,i,b", *rows]) + "\n"
+
+    def test_lists_arrays_and_numpy_scalars(self):
+        expected = self._per_field(self.FLOATS, self.INTS, self.BOOLS)
+        columns = (self.FLOATS, self.INTS, self.BOOLS)
+        assert csv_text("f,i,b", columns) == expected
+        assert csv_text("f,i,b", [np.array(c) for c in columns]) == expected
+        # numpy 2's repr of a scalar is np.float64(...), never written
+        scalars = [list(np.array(c)) for c in columns]
+        assert type(scalars[0][0]) is np.float64
+        assert csv_text("f,i,b", scalars) == expected
+
+    def test_mixed_and_large_python_numbers(self):
+        # each field by its own type; an int beyond int64 stays exact
+        assert csv_text("x", ([1, 1.0, 10**20, False, np.float32(0.1)],)) == (
+            "x\n1\n1.0\n100000000000000000000\n0\n" + repr(float(np.float32(0.1))) + "\n")
+
+    def test_no_rows_and_unequal_columns(self):
+        assert csv_text("a,b", ([], [])) == "a,b\n"
+        assert csv_text("a,b", ()) == "a,b\n"
+        with pytest.raises(ValueError):
+            csv_text("a,b", ([1.0, 2.0], [1.0]))
 
 
 class TestOutputFiles:

@@ -5,7 +5,7 @@ import pytest
 from reference import reference_bank
 
 from beamest.arrays import AngleGrid
-from beamest.cli import _gain_flatness_rows
+from beamest.cli import _gain_flatness_csv
 from beamest.codebook import (
     BeamPatternMatrix,
     IndexRange,
@@ -263,7 +263,7 @@ class TestFFTSynthesis:
         grid = AngleGrid(n)
         u = grid.response_matrix  # this grid's own copy, freed with it
         patterns = codebook_bank(n, k, variant).patterns
-        rows = iter(_gain_flatness_rows(n, k, variant)[1:])
+        rows = iter(_gain_flatness_csv(n, k, variant).splitlines()[1:])
         for stage, partition, cb in leftmost_path(n, k, variant):
             for m in range(patterns.m):
                 profile = target_profile(patterns, m, partition.transmit, n)

@@ -417,7 +417,7 @@ def test_sweep_bound_and_trace_build_no_beam(monkeypatch, tmp_path):
     monkeypatch.setattr(codebook, "synthesize_vector", build)
     monkeypatch.setattr(AngleGrid, "response_matrix", property(build))
     tables = montecarlo.run_sweep(ExperimentConfig(n=2401, k=7, et_db=(10.0, 30.0), trials=3))
-    assert all(p.trials == 3 for table in tables.values() for p in table.points)
+    assert all(table.trials == 3 and len(table.failures) == 2 for table in tables.values())
     assert len(montecarlo.bound_table(2401, 7, (10.0, 30.0))) == 2
     config = tmp_path / "trace.cfg"
     config.write_text("n = 343\nk = 7\ntrials = 3\net_db = 20\n")

@@ -27,7 +27,6 @@ from beamest.estimator import (
 from beamest.montecarlo import (
     BoundPoint,
     ExperimentConfig,
-    SweepPoint,
     _aggregate,
     _draw_block,
     _exact_partials,
@@ -293,23 +292,23 @@ class TestRunSweep:
         cfg = _cfg(n=27, et_db=(80.0,), trials=300)
         tables = run_sweep(cfg)
         for table in tables.values():
-            assert table.points[0].pcef == 0.0
-            assert table.points[0].failures == 0
+            assert table.pcef[0] == 0.0
+            assert table.failures[0] == 0
 
     def test_slot_columns(self):
         cfg = _cfg(n=27, trials=16)
         tables = run_sweep(cfg)
-        assert tables[OVERLAPPED].points[0].slots == 12
-        assert tables[NON_OVERLAPPED].points[0].slots == 27
+        assert tables[OVERLAPPED].slots == 12
+        assert tables[NON_OVERLAPPED].slots == 27
 
     def test_pcef_and_interval_sanity(self):
         cfg = _cfg(n=9, et_db=(0.0, 10.0, 20.0), trials=400)
         tables = run_sweep(cfg)
         for table in tables.values():
-            for p in table.points:
-                assert 0.0 <= p.ci_low <= p.pcef <= p.ci_high <= 1.0
-                assert p.trials == 400
-                assert p.failures == round(p.pcef * 400)
+            assert table.trials == 400
+            assert ((0.0 <= table.ci_low) & (table.ci_low <= table.pcef)
+                    & (table.pcef <= table.ci_high) & (table.ci_high <= 1.0)).all()
+            assert (table.failures == np.round(table.pcef * 400)).all()
 
     def test_worker_split_bit_identical(self):
         cfg = _cfg(n=9, et_db=(4.0, 12.0), trials=120)
@@ -353,9 +352,9 @@ class TestRunSweep:
 
     def test_low_count_flag(self):
         cfg = _cfg(n=27, et_db=(60.0,), trials=200)
-        point = run_sweep(cfg)[OVERLAPPED].points[0]
-        assert point.failures < 5
-        assert point.low_count
+        table = run_sweep(cfg)[OVERLAPPED]
+        assert table.failures[0] < 5
+        assert table.low_count[0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -429,10 +428,10 @@ class TestRunSweep:
     def test_pcef_statistically_non_increasing_in_energy(self):
         cfg = _cfg(n=9, et_db=(0.0, 6.0, 12.0, 18.0, 24.0), trials=2000,
                    variants=(OVERLAPPED,))
-        points = run_sweep(cfg)[OVERLAPPED].points
-        for a, b in zip(points, points[1:]):
-            band = 3.0 * np.hypot(a.pcef - a.ci_low, b.pcef - b.ci_low) / 1.96
-            assert b.pcef <= a.pcef + band
+        table = run_sweep(cfg)[OVERLAPPED]
+        half = table.pcef - table.ci_low
+        band = 3.0 * np.hypot(half[:-1], half[1:]) / 1.96
+        assert (table.pcef[1:] <= table.pcef[:-1] + band).all()
 
 
 def _wilson_reference(failures, trials):
@@ -446,13 +445,18 @@ def _wilson_reference(failures, trials):
     return max(0.0, min(low, pcef)), min(1.0, max(high, pcef))
 
 
+# A table's columns, in its CSV's order.
+_COLUMNS = ("et_db", "pcef", "ci_low", "ci_high", "low_count", "relerr_mmse_all",
+            "relerr_mmse_success", "relerr_final_all", "relerr_final_success", "failures")
+
+
 def _aggregate_reference(cfg, variant, counts, sums):
-    """Sweep rows one energy point at a time from its failure count and its
-    four error sums, each with its own interval."""
-    slots = slot_count(cfg.n, cfg.k, variant)
+    """A table's trials, slots and columns of Python numbers, built one
+    energy point at a time from its failure count and its four error sums,
+    each point with its own interval."""
     trials = cfg.trials
     mmse_all, final_all, mmse_success, final_success = sums
-    points = []
+    rows = []
     for i, db in enumerate(cfg.et_db):
         failures = int(counts[i])
         ci_low, ci_high = _wilson_reference(failures, trials)
@@ -461,15 +465,17 @@ def _aggregate_reference(cfg, variant, counts, sums):
         def conditional_mean(total):
             return math.nan if n_success == 0 else total / n_success
 
-        points.append(SweepPoint(
-            et_db=db, pcef=failures / trials, ci_low=ci_low, ci_high=ci_high,
-            low_count=failures < 5 or n_success < 5,
-            relerr_mmse_all=mmse_all[i] / trials,
-            relerr_mmse_success=conditional_mean(mmse_success[i]),
-            relerr_final_all=final_all[i] / trials,
-            relerr_final_success=conditional_mean(final_success[i]),
-            trials=trials, failures=failures, slots=slots))
-    return points
+        rows.append((db, failures / trials, ci_low, ci_high, failures < 5 or n_success < 5,
+                     mmse_all[i] / trials, conditional_mean(mmse_success[i]),
+                     final_all[i] / trials, conditional_mean(final_success[i]), failures))
+    return {"trials": trials, "slots": slot_count(cfg.n, cfg.k, variant),
+            **{name: list(column) for name, column in zip(_COLUMNS, zip(*rows))}}
+
+
+def _table_columns(table):
+    """What :func:`_aggregate_reference` gives, read from a table."""
+    return {"trials": table.trials, "slots": table.slots,
+            **{name: getattr(table, name).tolist() for name in _COLUMNS}}
 
 
 def _fsum_outcomes(fails, err_mmse, err_final):
@@ -485,7 +491,7 @@ def _fsum_outcomes(fails, err_mmse, err_final):
 def _assert_rows_match_reference(cfg, tables, outcomes):
     for variant in cfg.variants:
         expected = _aggregate_reference(cfg, variant, *_fsum_outcomes(*outcomes[variant]))
-        assert [repr(p) for p in tables[variant].points] == [repr(p) for p in expected]
+        assert repr(_table_columns(tables[variant])) == repr(expected)
 
 
 @pytest.mark.parametrize("preset", ["fig3", "fig4", "k7"])
@@ -506,8 +512,7 @@ def test_aggregate_matches_per_point_rows(preset):
     for i, variant in enumerate(cfg.variants):
         sums = [[math.fsum(row) for row in rows] for rows in partials[i].tolist()]
         expected = _aggregate_reference(cfg, variant, counts[i], sums)
-        assert ([repr(p) for p in _aggregate(cfg, counts, partials)[variant].points]
-                == [repr(p) for p in expected])
+        assert repr(_table_columns(_aggregate(cfg, counts, partials)[variant])) == repr(expected)
 
 
 def _synthetic_outcomes(cfg, seed):
@@ -545,8 +550,8 @@ def test_aggregate_edge_rows_match_reference(trials):
         tables = _aggregate(cfg, *_chunk_of(cfg, outcomes, block))
         _assert_rows_match_reference(cfg, tables, outcomes)
         for table in tables.values():
-            assert math.isnan(table.points[0].relerr_mmse_success)
-            assert not math.isnan(table.points[1].relerr_final_success)
+            assert math.isnan(table.relerr_mmse_success[0])
+            assert not math.isnan(table.relerr_final_success[1])
 
 
 @pytest.mark.parametrize("trials", [2, 120])
@@ -580,7 +585,7 @@ def test_aggregate_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(table.points) == 19
+    assert len(table.pcef) == 19
     assert peak < 4 << 20, peak
     # 100 merges leave no more partials per row than one block of all trials
     assert partials.shape[-1] <= _chunk_of(cfg, outcomes, cfg.trials)[1].shape[-1]
@@ -610,8 +615,8 @@ def test_fallback_rows_match_across_splits(monkeypatch):
     # must write the same rows
     cfg = _cfg(n=27, et_db=(0.0, 10.0, 20.0), trials=60, n0=1e-320)
     one = run_sweep(cfg)
-    assert all(math.isinf(p.relerr_mmse_all) and math.isinf(p.relerr_final_all)
-               for table in one.values() for p in table.points)
+    assert all(np.isinf(table.relerr_mmse_all).all() and np.isinf(table.relerr_final_all).all()
+               for table in one.values())
     monkeypatch.setattr(montecarlo, "_process_pool", _InProcessPool)
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 2)
     two = run_sweep(cfg, workers=2)
@@ -620,6 +625,29 @@ def test_fallback_rows_match_across_splits(monkeypatch):
     for variant in cfg.variants:
         assert one[variant].to_csv() == two[variant].to_csv() == small[variant].to_csv()
     _assert_rows_match_reference(cfg, one, sweep_outcomes(cfg, 0, cfg.trials))
+
+
+def test_fallback_takes_only_the_rows_that_need_it(monkeypatch):
+    # a (2, 4, 19, 1000) block of relative errors with one inf, -inf, NaN or
+    # near-overflow entry in four rows: only those rows go through
+    # _fsum_floats, and every other row rounds to the sum it has reduced alone
+    rng = np.random.default_rng(11)
+    rows = rng.exponential(size=(2, 4, 19, 1000)) * 2.0 ** rng.integers(-30, 4, (2, 4, 19, 1000))
+    mixed = rows.copy()
+    finite = np.ones(rows.shape[:-1], dtype=bool)
+    for index, value in (((0, 0, 3, 17), math.inf), ((0, 1, 5, 500), -math.inf),
+                         ((1, 2, 0, 999), math.nan), ((1, 3, 18, 0), 1e308)):
+        mixed[index] = value
+        finite[index[:-1]] = False
+    calls = []
+    fsum_floats = montecarlo._fsum_floats
+    monkeypatch.setattr(montecarlo, "_fsum_floats",
+                        lambda row: calls.append(row) or fsum_floats(row))
+    sums = _rounded_sums(_exact_partials(mixed.copy()))
+    assert len(calls) == 4
+    alone = _rounded_sums(_exact_partials(rows[finite]))
+    assert [repr(x) for x in sums[finite].tolist()] == [repr(x) for x in alone.tolist()]
+    assert [repr(x) for x in sums.reshape(-1).tolist()] == _fsum_rows(mixed.reshape(-1, 1000))
 
 
 def _fsum_rows(rows):
@@ -839,18 +867,19 @@ class TestWilsonInterval:
 
     def test_sweep_rows_use_it(self):
         cfg = _cfg(n=27, et_db=(80.0,), trials=200)
-        point = run_sweep(cfg)[OVERLAPPED].points[0]
-        assert point.failures == 0
-        assert (point.ci_low, point.ci_high) == wilson_interval(0, 200)
-        assert point.ci_high > 0.0
+        table = run_sweep(cfg)[OVERLAPPED]
+        assert table.failures[0] == 0
+        assert (table.ci_low[0], table.ci_high[0]) == wilson_interval(0, 200)
+        assert table.ci_high[0] > 0.0
 
 
-def _bound_point_reference(n, k, db):
+def _bound_point_reference(n, k, db, var_alpha=None):
     """One grid point on its own ``(k^2, k^2)`` term matrix, summed whole."""
     p_t = power_for_energy(energy_from_db(db), n, k)
     terms = np.zeros((k * k, k * k))
     terms[~np.eye(k * k, dtype=bool)] = _rayleigh_terms(
-        pattern_matrix(k, OVERLAPPED).pair_correlations, p_t, 1.0, float(n * n))
+        pattern_matrix(k, OVERLAPPED).pair_correlations, p_t, 1.0,
+        float(n * n) if var_alpha is None else var_alpha)
     per_stage = float(terms.sum() / (k * k))
     raw_total = stage_count(n, k) * per_stage
     return BoundPoint(et_db=float(db), per_stage=per_stage, raw_total=raw_total,
@@ -888,6 +917,18 @@ class TestBoundTable:
         assert abs(points[0].raw_total - 12.0) < 1e-12
         assert points[-1].bound < 0.1
         assert not points[-1].clamped
+
+    def test_prior_past_the_closed_form_rejected(self):
+        # (gap / 2)^2 overflowed, so every pairwise term read 1/2: per_stage 4.0
+        with pytest.raises(ValueError, match="var_alpha: gain prior variance 1e[+]308"):
+            bound_table(27, 3, (0.0, 10.0), var_alpha=1e308)
+
+    def test_large_prior_within_the_closed_form(self):
+        grid = (float("-inf"), 0.0, 10.0, 20.0, 30.0)
+        points = bound_table(27, 3, grid, var_alpha=1e100)
+        expected = [_bound_point_reference(27, 3, db, var_alpha=1e100) for db in grid]
+        assert [repr(p) for p in points] == [repr(p) for p in expected]
+        assert all(0.0 <= p.per_stage <= 1.0 for p in points[1:])
 
     def test_monotone_tail(self):
         values = [p.bound for p in bound_table(27, 3, et_db=tuple(range(10, 42, 4)))]
