@@ -34,6 +34,7 @@ from .estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
     VARIANTS,
+    Design,
     EstimationTrace,
     EstimatorConfig,
     estimate_alpha_mmse,
@@ -41,9 +42,7 @@ from .estimator import (
     run_estimation,
     search_batch,
     select_path,
-    slot_count,
     stage_count,
-    stage_gains,
 )
 from .montecarlo import (
     ExperimentConfig,

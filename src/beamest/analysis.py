@@ -58,6 +58,16 @@ def _noise_and_prior(n0, var_alpha) -> tuple[float, float | None]:
     return n0, var_alpha
 
 
+def _check_bound_range(p_t, n0: float, var_alpha: float) -> None:
+    """``ValueError`` naming ``var_alpha`` unless the half of ``p_t * var_alpha /
+    n0`` that :func:`_rayleigh_terms` squares stays finite at the largest power
+    ``p_t``; an overflow reads 1/2 per term."""
+    ratio = float(np.max(p_t, initial=0.0)) * var_alpha / n0
+    if not ratio / 2.0 <= np.sqrt(np.finfo(float).max):
+        raise ValueError(f"var_alpha: gain prior variance {var_alpha!r} is too large for the "
+                         f"closed-form bound: p_t * var_alpha / n0 reaches {ratio!r}")
+
+
 # Cap on the pairwise terms held at once, (grid points, k^2 * k^2), so the bound
 # over any energy grid evaluates in blocks of bounded memory (2 MB of terms).
 _BOUND_ENTRIES = 1 << 18
@@ -116,11 +126,7 @@ def pcef_upper_bound(
     powers = np.asarray(p_t, dtype=float)
     if not (np.isfinite(powers) & (powers >= 0)).all():
         raise ValueError(f"p_t must be finite and nonnegative, got {p_t!r}")
-    # _rayleigh_terms squares up to half this ratio; an overflow reads 1/2 per term
-    ratio = float(powers.max(initial=0.0)) * var_alpha / n0
-    if not ratio / 2.0 <= np.sqrt(np.finfo(float).max):
-        raise ValueError(f"var_alpha: gain prior variance {var_alpha!r} is too large for the "
-                         f"closed-form bound: p_t * var_alpha / n0 reaches {ratio!r}")
+    _check_bound_range(powers, n0, var_alpha)
     grid = powers.reshape(-1, 1)
     # a term depends on rho alone, which takes few distinct values (21 of the
     # 2352 pairs at k = 7): each is evaluated once per point, then gathered

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from ._output import csv_text, output_file
+from .analysis import _check_bound_range, _noise_and_prior
 from .codebook import realized_gains, write_beam_matrix
 from .estimator import (
     ALPHA_FINAL,
@@ -42,11 +43,11 @@ from .estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
     VARIANTS,
+    Design,
     EstimatorConfig,
     codebook_bank,
     leftmost_path,
     run_estimation,
-    slot_count,
     stage_count,  # noqa: F401 -- benchmarks/workloads.py wraps cli.stage_count
     trace_line,
     trace_record,
@@ -58,7 +59,7 @@ from .montecarlo import (
     bound_table,
     energy_from_db,
     noise_stream,
-    power_for_energy,
+    power_for_energy,  # noqa: F401 -- benchmarks/workloads.py wraps cli.power_for_energy
     run_sweep,
     sample_channel,
     usable_cpus,
@@ -208,11 +209,7 @@ def _alpha_variance(cfg: dict) -> float | None:
 
 
 def _variants(cfg: dict) -> tuple[str, ...]:
-    names = tuple(_as_list(cfg.get("variants", list(VARIANTS))))
-    for name in names:
-        if name not in VARIANTS:
-            raise ConfigError(f"unknown variant {name!r}; expected subset of {VARIANTS}")
-    return names
+    return tuple(_as_list(cfg.get("variants", list(VARIANTS))))
 
 
 def _write(path: Path, text: str, quiet: bool) -> Path:
@@ -273,8 +270,6 @@ def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
     n = _require(cfg, "n", int, "codebook")
     k = _require(cfg, "k", int, "codebook")
     variant = cfg.get("variant", OVERLAPPED)
-    if variant not in VARIANTS:
-        raise ConfigError(f"codebook: unknown variant {variant!r}")
     out_dir = Path(args.out)
     bank = codebook_bank(n, k, variant)
     outputs = []
@@ -303,7 +298,7 @@ def _slot_table_csv(cfg: dict) -> str:
         key = f"n_values_k{k}"
         if key not in cfg:
             raise ConfigError(f"sweep: slot table needs key {key!r}")
-        rows += [(k, n, slot_count(n, k, OVERLAPPED), slot_count(n, k, NON_OVERLAPPED))
+        rows += [(k, n, Design(n, k, OVERLAPPED).slots, Design(n, k, NON_OVERLAPPED).slots)
                  for n in _int_list(cfg, key, "sweep")]
     return csv_text("k,n,overlapped,non_overlapped", zip(*rows))
 
@@ -363,8 +358,14 @@ def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
     if len(n_values) != len(k_values):
         raise ConfigError("bound: 'n' and 'k' lists must pair up one-to-one")
     grid = _energy_grid(cfg, "bound")
-    n0 = _require(cfg, "n0", float, "bound", default=1.0)
-    var_alpha = _alpha_variance(cfg)
+    n0, var_alpha = _noise_and_prior(_require(cfg, "n0", float, "bound", default=1.0),
+                                     _alpha_variance(cfg))
+    # every geometry is checked before one is evaluated and written, so a
+    # rejected one leaves no file behind
+    top = max(energy_from_db(db, n0) for db in grid)
+    for n, k in zip(n_values, k_values):
+        _check_bound_range(top / Design(n, k, OVERLAPPED).power_weight, n0,
+                           float(n * n) if var_alpha is None else var_alpha)
     outputs = []
     single = len(n_values) == 1
     for n, k in zip(n_values, k_values):
@@ -388,11 +389,9 @@ def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
                                   master_seed=seed, n0=n0,
                                   var_alpha=_alpha_variance(cfg),
                                   variants=_variants(cfg))
-    energy = energy_from_db(et_db, n0)
     configs = {variant: EstimatorConfig(
-        n=n, k=k, p_t=power_for_energy(energy, n, k, variant), n0=n0,
-        var_alpha=experiment.alpha_variance, variant=variant)
-        for variant in experiment.variants}
+        n=n, k=k, p_t=float(p_t[0]), n0=experiment.n0, var_alpha=experiment.alpha_variance,
+        variant=variant) for variant, p_t in experiment.powers.items()}
     outputs = [out_dir / f"traces_{variant}.jsonl" for variant in configs]
     # each trial's channel is drawn once and traced by every variant, its
     # record written as it is made, so memory does not grow with the trials

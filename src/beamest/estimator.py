@@ -6,9 +6,11 @@ refines.  After the final stage the angles are known to grid resolution and
 the fading coefficient is estimated Bayes-optimally from all selected
 measurements; sweeps also report the estimate from the last stage alone.
 
-Every row of a pattern matrix ``P`` has squared norm ``k/m``, so every exact
-beam (``U^H v = C p``) of stage ``s`` has the same gain constant
-``C_s = sqrt(m k^(s-1) / n)`` (:func:`stage_gains`).  With the power rule
+Every constant the engine reads is a function of the geometry ``(n, k,
+variant)`` alone, so one :class:`Design` per triple holds them all, checked
+once when it is built.  Every row of a pattern matrix ``P`` has squared norm
+``k/m``, so every exact beam (``U^H v = C p``) of stage ``s`` has the same gain
+constant ``C_s = sqrt(m k^(s-1) / n)`` (:attr:`Design.gains`).  With the power rule
 ``p_s = p_t / C_s^4`` and a rank-one channel, a stage's noiseless ``m x m``
 block is then the same at every stage: while both true angles lie in the
 current parents it is ``sqrt(p_t) * alpha * pilot * P[:, dr] P[:, dt]^T``,
@@ -21,21 +23,8 @@ beam or the ``n x n`` response matrix.  Sounding with the explicit beams
 (``measure_block`` on ``h``, ``f``, ``w``, from :func:`codebook_bank`) gives
 the same blocks up to beam leakage of about 1e-15.
 
-The engine runs on flat blocks.  :func:`fuse_measurements` fuses a whole stack
-of blocks as ``(P^T y) P`` with two 2-D products over the reshaped stack,
-giving each block the bytes of its own product.  The on-track scores are one contiguous
-broadcast, ``amplitude (T, Q, 1) * signal (T, 1, S k^2)`` plus the fused
-noise, where the signal rows come from ``G (x) G``
-(:attr:`~beamest.codebook.BeamPatternMatrix.pair_gram`).  Each row of ``k^2``
-scores is picked by one ``abs`` and ``argmax`` pass, and the picked values
-are gathered through the flat index.  One check that the largest magnitude
-is finite rejects a NaN or infinite score anywhere, picked or not.  The
-search branches on the paper's two designs.  The overlapped design's
-all-beams column overlaps every column, so it scores whole rows.  The
-non-overlapped design has ``G = I``: only the true pair's entry carries
-signal and the rest of the row is fused noise, the same at every power
-point, so with several points it scores the true pair per point and picks
-the best of the rest once.  A single point scores whole rows in both.
+How the engine fuses, scores and picks on flat blocks, per design, is told
+at :func:`search_batch`.
 """
 
 from __future__ import annotations
@@ -43,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -66,6 +55,7 @@ from .codebook import (
 __all__ = [
     "ALPHA_FINAL",
     "ALPHA_MMSE_ALL",
+    "Design",
     "EstimationTrace",
     "EstimatorConfig",
     "NON_OVERLAPPED",
@@ -77,14 +67,10 @@ __all__ = [
     "estimate_alpha_mmse",
     "fuse_measurements",
     "leftmost_path",
-    "pattern_matrix",
-    "patterns_per_end",
     "run_estimation",
     "search_batch",
     "select_path",
-    "slot_count",
     "stage_count",
-    "stage_gains",
     "trace_line",
     "trace_record",
     "write_trace_records",
@@ -122,41 +108,61 @@ def stage_count(n: int, k: int) -> int:
     return stages
 
 
-def patterns_per_end(k: int, variant: str = OVERLAPPED) -> int:
-    """Beams each end uses per stage: ``log2(k + 1)`` overlapped, ``k`` otherwise."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == NON_OVERLAPPED:
-        return k
-    m = (k + 1).bit_length() - 1
-    if (1 << m) - 1 != k:
-        raise ValueError(f"overlapped design needs k = 2^m - 1 sub-ranges, got k = {k}")
-    return m
+@dataclass(frozen=True, init=False, eq=False)
+class Design:
+    """One search design's geometry and every constant the engine reads.
 
-
-def slot_count(n: int, k: int, variant: str = OVERLAPPED) -> int:
-    """Total pilot slots for a full run: stages times (beams per end) squared."""
-    return stage_count(n, k) * patterns_per_end(k, variant) ** 2
-
-
-def stage_gains(n: int, k: int, variant: str = OVERLAPPED) -> tuple[float, ...]:
-    """Per-stage beam gain constants ``C_s = sqrt(m k^(s-1) / n)``, ``s = 1..S``.
-
-    Stage ``s`` gives each of the ``k`` sub-ranges ``n / k^s`` grid points, and
-    every pattern row has squared norm ``k/m``, so every beam's target profile
-    has norm ``sqrt(n / (m k^(s-1)))`` and gain ``C_s = 1/||p||``.
+    ``Design(n, k, variant)`` checks, each ``ValueError`` naming the field,
+    integer ``n`` and ``k`` (not a bool or a float), the variant, ``k = 2^m -
+    1`` for the overlapped design, ``k >= 2`` and ``n`` a power of ``k``.  A
+    design is built once per triple and process (memoized, and pickled as its
+    triple); its pattern matrix at first use.  Its arrays are read-only.
     """
-    m = patterns_per_end(k, variant)
-    return tuple(math.sqrt(m * k ** s / n) for s in range(stage_count(n, k)))
+
+    n: int
+    k: int
+    variant: str
+    stages: int                 # S, stages from the whole grid down to one point
+    m: int                      # beams per end: log2(k + 1) overlapped, k otherwise
+    slots: int                  # pilot slots of a whole run, S m^2
+    gains: tuple[float, ...]    # C_s = sqrt(m k^(s-1) / n), s = 1..S
+    places: np.ndarray          # (S,) grid step of each stage's sub-ranges, k^(S-1) .. 1
+    power_weight: float         # m^2 sum_s C_s^-4: the energy E_T of total power p_t = 1
+
+    def __new__(cls, n, k, variant: str = OVERLAPPED):
+        n, k = _integer("n", n), _integer("k", k)
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        return _design(n, k, variant)
+
+    def __reduce__(self):
+        return Design, (self.n, self.k, self.variant)
+
+    @cached_property
+    def patterns(self) -> BeamPatternMatrix:
+        """The pattern matrix: identity non-overlapped, else overlapped on ``m`` beams."""
+        if self.variant == NON_OVERLAPPED:
+            return identity_pattern_matrix(self.k)
+        return overlapped_pattern_matrix(self.m)
 
 
 @lru_cache(maxsize=None)
-def pattern_matrix(k: int, variant: str = OVERLAPPED) -> BeamPatternMatrix:
-    """The design's pattern matrix: identity non-overlapped, else overlapped on m beams."""
-    m = patterns_per_end(k, variant)
-    if variant == NON_OVERLAPPED:
-        return identity_pattern_matrix(k)
-    return overlapped_pattern_matrix(m)
+def _design(n: int, k: int, variant: str) -> Design:
+    m = k
+    if variant == OVERLAPPED:
+        m = (k + 1).bit_length() - 1
+        if (1 << m) - 1 != k:
+            raise ValueError(f"overlapped design needs k = 2^m - 1 sub-ranges, got k = {k}")
+    stages = stage_count(n, k)
+    # stage s gives each sub-range n / k^s points and every pattern row has
+    # squared norm k/m, so every beam's target profile has gain 1/||p|| = C_s
+    gains = tuple(math.sqrt(m * k ** s / n) for s in range(stages))
+    design = object.__new__(Design)
+    design.__dict__.update(  # frozen: fields are set once, here
+        n=n, k=k, variant=variant, stages=stages, m=m, slots=stages * m ** 2, gains=gains,
+        places=_read_only(k ** np.arange(stages - 1, -1, -1)),
+        power_weight=m ** 2 * sum(c ** -4 for c in gains))
+    return design
 
 
 def _check_powers(p_t) -> np.ndarray:
@@ -172,19 +178,14 @@ def _check_powers(p_t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """One estimation run's geometry, power, noise and prior, and the engine's plan.
+    """One estimation run's geometry, power, noise and prior.
 
-    Construction is the gate: it checks that ``n`` and ``k`` are integers
-    (stored as ``int``) and ``p_t``, ``n0`` and ``var_alpha`` real scalars
-    (stored as ``float``; none a bool, a string or an array), the variant,
-    that ``n`` is a power of a ``k`` the design supports, that ``p_t`` is
-    finite and positive, and that ``n0`` and ``var_alpha`` are finite and
-    nonnegative.  Each ``ValueError`` names the field.
-
-    The constants the search reads are computed at first use and cached on
-    the config, arrays read-only: the design's :attr:`pattern_matrix` and
-    each stage's grid step :attr:`places`.  Neither grows with ``n``.  So
-    repeated :func:`run_estimation` calls on one config pay for them once.
+    Construction is the gate: integer ``n`` and ``k`` (stored as ``int``) and
+    the geometry's :class:`Design` as :attr:`design`; real scalars ``p_t``,
+    ``n0`` and ``var_alpha`` (stored as ``float``; none a bool, a string or an
+    array), ``p_t`` finite and positive, ``n0`` and ``var_alpha`` finite and
+    nonnegative.  Each ``ValueError`` names the field, and
+    :func:`run_estimation` reads every geometry constant from :attr:`design`.
     """
 
     n: int
@@ -193,35 +194,17 @@ class EstimatorConfig:
     n0: float
     var_alpha: float
     variant: str = OVERLAPPED
+    design: Design = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key in ("n", "k"):
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
         for key in ("p_t", "n0", "var_alpha"):
             object.__setattr__(self, key, _real(key, getattr(self, key)))
-        # computing the cached geometry validates the variant, k and n
-        _ = self.patterns, self.stages
+        object.__setattr__(self, "design", Design(self.n, self.k, self.variant))
         _nonnegative("n0", self.n0, "noise variance")
         _nonnegative("var_alpha", self.var_alpha, "gain prior variance")
         _check_powers(self.p_t)
-
-    @cached_property
-    def stages(self) -> int:
-        return stage_count(self.n, self.k)
-
-    @cached_property
-    def patterns(self) -> int:
-        return patterns_per_end(self.k, self.variant)
-
-    @cached_property
-    def pattern_matrix(self) -> BeamPatternMatrix:
-        """The design's :func:`pattern_matrix`, looked up once."""
-        return pattern_matrix(self.k, self.variant)
-
-    @cached_property
-    def places(self) -> np.ndarray:
-        """``(S,)`` grid step of each stage's sub-ranges, ``k^(S-1), ..., k, 1``."""
-        return _read_only(self.k ** np.arange(self.stages - 1, -1, -1))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -229,14 +212,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@lru_cache(maxsize=None)
 def codebook_bank(n: int, k: int, variant: str = OVERLAPPED) -> StageCodebookCache:
-    """Shared beam-synthesis cache of one geometry.
+    """Shared beam-synthesis cache of one geometry, checked as its :class:`Design`;
+    only ``beamest codebook`` and the tests' explicit-beam reference need beams."""
+    return _bank(Design(n, k, variant))
 
-    Only ``beamest codebook`` and the tests' explicit-beam reference need
-    beams; the search runs on :func:`pattern_matrix` and :func:`stage_gains`.
-    """
-    return StageCodebookCache(AngleGrid(n), pattern_matrix(k, variant))
+
+@lru_cache(maxsize=None)
+def _bank(design: Design) -> StageCodebookCache:
+    return StageCodebookCache(AngleGrid(design.n), design.patterns)
 
 
 def leftmost_path(n: int, k: int, variant: str = OVERLAPPED
@@ -247,9 +231,10 @@ def leftmost_path(n: int, k: int, variant: str = OVERLAPPED
     parent is refined, so this one path covers every stage.  Transmit and
     receive parents match, so the combining bank equals the beamforming bank.
     """
-    bank = codebook_bank(n, k, variant)
-    parent = IndexRange(0, n)
-    for s in range(1, stage_count(n, k) + 1):
+    design = Design(n, k, variant)
+    bank = _bank(design)
+    parent = IndexRange(0, design.n)
+    for s in range(1, design.stages + 1):
         partition, codebook = bank.refine(parent, parent, k, stage=s)
         yield s, partition, codebook
         parent = partition.transmit[0]
@@ -413,16 +398,15 @@ class SearchBatch:
         return self.transmit @ self.places
 
 
-def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray) -> SearchBatch:
+def search_batch(design: Design, p_t, theta, phi, alpha, noise: np.ndarray) -> SearchBatch:
     """Run every stage for ``T`` trials times ``Q`` power points at once.
 
-    ``cfg`` fixes the geometry (``n``, ``k`` and the variant); ``p_t`` lists
-    the ``Q`` power points, each finite and positive (``cfg.p_t`` is not
-    read).  ``theta``, ``phi`` and ``alpha`` give the ``T`` true channels and
+    ``design`` fixes the geometry; ``p_t`` lists the ``Q`` power points, each
+    finite and positive.  ``theta``, ``phi`` and ``alpha`` give the ``T`` true channels and
     ``noise`` their ``(T, S, m, m)`` slot noise, shared by every point (see
     :meth:`MeasurementNoise.draw_blocks`).  These are raw caller arrays, so
     their powers, shapes and angle range are checked here on every call; the
-    geometry's constants come from ``cfg``, built and checked once.
+    geometry's constants come from ``design``, built and checked once.
     :func:`run_estimation` runs the same engine on one trial without these
     checks, since its config and channel were checked when they were built.
 
@@ -453,21 +437,21 @@ def search_batch(cfg: EstimatorConfig, p_t, theta, phi, alpha, noise: np.ndarray
         raise ValueError(f"expected a 1-D array of power points, got shape {p_t.shape}")
     alpha = np.asarray(alpha, dtype=complex)
     theta, phi = np.asarray(theta), np.asarray(phi)
-    trials, m, stages = len(alpha), cfg.patterns, cfg.stages
+    trials, m, stages = len(alpha), design.m, design.stages
     if theta.shape != (trials,) or phi.shape != (trials,):
         raise ValueError(f"expected {trials} angle indices per end, "
                          f"got {theta.shape} and {phi.shape}")
     angles = np.array((theta, phi))
-    if angles.min(initial=0) < 0 or angles.max(initial=0) >= cfg.n:
-        raise ValueError(f"angle indices must lie in [0, {cfg.n})")
+    if angles.min(initial=0) < 0 or angles.max(initial=0) >= design.n:
+        raise ValueError(f"angle indices must lie in [0, {design.n})")
     if noise.shape != (trials, stages, m, m):
         raise ValueError(f"expected noise of shape {(trials, stages, m, m)}, got {noise.shape}")
-    receive, transmit, values, on_track = _search(cfg, p_t, angles, alpha, noise)
+    receive, transmit, values, on_track = _search(design, p_t, angles, alpha, noise)
     return SearchBatch(receive=receive, transmit=transmit, values=values, on_track=on_track,
-                       places=cfg.places)
+                       places=design.places)
 
 
-def _search(cfg: EstimatorConfig, p_t: np.ndarray, angles: np.ndarray, alpha: np.ndarray,
+def _search(design: Design, p_t: np.ndarray, angles: np.ndarray, alpha: np.ndarray,
             noise: np.ndarray):
     """The staged search of :func:`search_batch` on checked inputs.
 
@@ -476,11 +460,11 @@ def _search(cfg: EstimatorConfig, p_t: np.ndarray, angles: np.ndarray, alpha: np
     ``(T, S, m, m)``.  Returns the picked receive and transmit sub-ranges and
     values, ``(T, Q, S)`` each, and the ``(T, Q)`` on-track mask.
     """
-    k, stages = cfg.k, cfg.stages
-    patterns = cfg.pattern_matrix
+    k, stages = design.k, design.stages
+    patterns = design.patterns
     trials, points = len(alpha), len(p_t)
     amplitude = alpha[:, None] * PILOT * np.sqrt(p_t)                       # (T, Q)
-    dr, dt = angles[..., None] // cfg.places % k                            # (T, S) each
+    dr, dt = angles[..., None] // design.places % k                            # (T, S) each
     truth = dr * k + dt                                  # flat index of the true pair
     fused = fuse_measurements(noise, patterns).reshape(trials, stages, -1)  # (T, S, k^2)
     magnitudes = np.abs(fused)
@@ -526,10 +510,10 @@ def run_estimation(
     """
     if channel.n != cfg.n:
         raise ValueError(f"channel has {channel.n} antennas but config expects {cfg.n}")
-    m = cfg.patterns
-    noise = MeasurementNoise(cfg.n0, rng).draw_blocks(cfg.stages, (m, m))
+    design = cfg.design
+    noise = MeasurementNoise(cfg.n0, rng).draw_blocks(design.stages, (design.m, design.m))
     receive, transmit, values, _ = _search(
-        cfg, np.array([cfg.p_t], dtype=float), np.array([[channel.theta], [channel.phi]]),
+        design, np.array([cfg.p_t], dtype=float), np.array([[channel.theta], [channel.phi]]),
         np.array([channel.alpha], dtype=complex), noise[None])
     receive, transmit, values = receive[0, 0], transmit[0, 0], values[0, 0]
     # via a list: tuple() of an iterator resizes its result, and CPython keeps
@@ -538,8 +522,8 @@ def run_estimation(
     return EstimationTrace(
         selections=tuple(selections),
         selected_values=tuple(values.tolist()),
-        theta_hat=int(receive @ cfg.places),
-        phi_hat=int(transmit @ cfg.places),
+        theta_hat=int(receive @ design.places),
+        phi_hat=int(transmit @ design.places),
         alpha_hat=complex(estimate_alpha_mmse(values, cfg.p_t, PILOT, cfg.n0, cfg.var_alpha)),
     )
 

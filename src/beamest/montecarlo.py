@@ -5,25 +5,19 @@ and both search variants consume that same draw, so curve comparisons are
 paired.  Noise streams are keyed per ``(trial, variant)`` and reused across
 energy points: one draw of all ``S`` stages' ``m x m`` slot noise per
 ``(trial, variant)`` yields exactly the numbers ``S`` per-stage draws would,
-and every energy point sees the same noise.  A sweep block computes the
-start states of all its streams in one vectorised pass
-(:func:`~beamest.arrays.substream_states`, a ``uint64`` array, which hashes
-the master seed's words once per seed) and reseats one
-generator per stream by writing a row's words into the generator's state
-(:func:`~beamest.arrays.reseater`; through the ``state`` setter where a
-once-per-process probe finds numpy's layout differs), filling each stream
-straight into its row of a block buffer (the angles from one raw word by
-numpy's bounded-integer rule, with an exact fallback), so it draws exactly
-what :func:`sample_channel` and :func:`noise_stream` give trial by trial.
-Those two seed from :func:`~beamest.arrays.stream_seed`, the same hash run
-over a block of consecutive trials at a time, rather than building a
-``SeedSequence`` per stream.
+and every energy point sees the same noise.  A sweep block hashes the start
+states of all its streams at once (:func:`~beamest.arrays.substream_states`)
+and reseats one generator onto each in turn (:func:`~beamest.arrays.reseater`),
+so :func:`_draw_block` draws exactly what :func:`sample_channel` and
+:func:`noise_stream` give trial by trial through
+:func:`~beamest.arrays.stream_seed`.
 The trials then run through :func:`~beamest.estimator.search_batch`, which
 needs no ``n``-element beam: the power rule makes every stage's noiseless
 block the same rank-one product of pattern columns, and the stage gains have
-a closed form
-(:func:`~beamest.estimator.stage_gains`), so neither sweeps nor the bound
-synthesize a beam.  Trials go through in blocks of bounded size, each
+a closed form (:attr:`~beamest.estimator.Design.gains`), so neither sweeps
+nor the bound synthesize a beam.  :class:`ExperimentConfig` builds each
+variant's :class:`~beamest.estimator.Design` and the grid's powers once and
+is the sweep's one gate.  Trials go through in blocks of bounded size, each
 reduced where it is made, for all variants at once: failures add to one
 count per grid point, and one exact-sum pass (:func:`_exact_partials`)
 merges the error rows into a few running partials per row, so memory does
@@ -38,7 +32,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,15 +52,12 @@ from .estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
     PILOT,
-    EstimatorConfig,
+    Design,
+    _check_powers,
     estimate_alpha_mmse,
-    pattern_matrix,
-    patterns_per_end,
     run_estimation,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.run_estimation
     search_batch,
-    slot_count,
-    stage_count,
-    stage_gains,
+    stage_count,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.stage_count
 )
 
 __all__ = [
@@ -106,9 +97,21 @@ class ExperimentConfig:
     """Sweep description: geometry, energy grid, trial budget and seeding.
 
     ``et_db`` lists total pilot energy relative to ``n0`` in dB, strictly
-    increasing.  ``var_alpha = None`` selects the default gain prior variance
-    of ``n**2``.  Construction checks every field, integers stored as ``int``
-    and reals as ``float``; each ``ValueError`` names the field.
+    increasing; ``var_alpha = None`` selects the prior variance ``n**2``.
+    Construction is the run's one gate.  It checks every field (integers
+    stored as ``int``, reals as ``float``), builds each variant's ``Design``
+    (``designs``) and read-only powers over the grid (``powers``), and checks
+    that the gain estimate ``F conj(pilot) s / D`` of
+    :func:`~beamest.estimator.estimate_alpha_mmse`, evaluated left to right,
+    stays in float range: ``F = var_alpha sqrt(p_t)``, ``D = S var_alpha p_t
+    + n0`` (``S = 1`` for the final-stage one), and the sum ``s`` of ``S``
+    selected values has standard deviation ``sqrt(S D)`` on track, less off
+    track.  At every grid power ``var_alpha p_t + n0`` must be normal (else
+    naming ``n0``), and ``F`` normal, or 0 at ``var_alpha = 0``, with
+    ``F * 64 sqrt(S D)`` finite (else naming ``var_alpha``): a sum 64
+    standard deviations out has probability ``exp(-4096)``.  At
+    ``var_alpha = 0`` every gain is 0, so its relative errors are
+    ``0/0 = nan``.  Each ``ValueError`` names the field.
     """
 
     n: int
@@ -119,6 +122,8 @@ class ExperimentConfig:
     n0: float = 1.0
     var_alpha: float | None = None
     variants: tuple[str, ...] = (OVERLAPPED, NON_OVERLAPPED)
+    designs: dict = field(init=False, repr=False, compare=False)
+    powers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "et_db", tuple(_real("et_db", x) for x in self.et_db))
@@ -144,9 +149,32 @@ class ExperimentConfig:
             raise ValueError("no variants selected")
         if len(set(self.variants)) < len(self.variants):
             raise ValueError(f"variants must not repeat, got {self.variants}")
-        for variant in self.variants:
-            patterns_per_end(self.k, variant)
-        stage_count(self.n, self.k)
+        designs = {variant: Design(self.n, self.k, variant) for variant in self.variants}
+        energies = np.fromiter((energy_from_db(db, n0) for db in self.et_db), float,
+                               len(self.et_db))
+        powers = {variant: _check_powers(power_for_energy(energies, self.n, self.k, variant))
+                  for variant in self.variants}
+        for variant, design in designs.items():
+            powers[variant].setflags(write=False)
+            self._check_gain_range(design.stages, powers[variant])
+        object.__setattr__(self, "designs", designs)
+        object.__setattr__(self, "powers", powers)
+
+    def _check_gain_range(self, stages: int, p_t: np.ndarray) -> None:
+        """The class docstring's range condition at each of the powers ``p_t``."""
+        n0, var_alpha, tiny = self.n0, self.alpha_variance, np.finfo(float).tiny
+        factor = var_alpha * np.sqrt(p_t)
+        with np.errstate(over="ignore"):
+            top = factor * (64.0 * np.sqrt(stages * (stages * var_alpha * p_t + n0)))
+        for key, name, value, bad, what in (
+                ("n0", "noise variance", n0, ~(var_alpha * p_t + n0 >= tiny),
+                 "leaves the gain estimate's divisor var_alpha * p_t + n0 subnormal"),
+                ("var_alpha", "gain prior variance", var_alpha,
+                 ~(np.isfinite(top) & ((factor >= tiny) | (var_alpha == 0.0))),
+                 "takes the gain estimate out of float range")):
+            if bad.any():
+                raise ValueError(f"{key}: {name} {value!r} {what} at "
+                                 f"{self.et_db[int(np.argmax(bad))]!r} dB")
 
     @property
     def alpha_variance(self) -> float:
@@ -186,15 +214,9 @@ def energy_from_db(db: float, n0: float = 1.0) -> float:
 
 
 def power_for_energy(total_energy, n: int, k: int, variant: str = OVERLAPPED):
-    """Invert ``E_T = (beams per end)^2 * sum_s p_s`` with ``p_s = p_t / C_s^4``.
-
-    ``C_s`` is the closed-form stage gain of :func:`~beamest.estimator.stage_gains`.
-    ``total_energy`` is a float or an array of energies; the geometry's weight
-    is computed once and divided into it.
-    """
-    slots_per_stage = patterns_per_end(k, variant) ** 2
-    weight = sum(c ** -4 for c in stage_gains(n, k, variant))
-    return total_energy / (slots_per_stage * weight)
+    """Invert ``E_T = (beams per end)^2 * sum_s p_s`` with ``p_s = p_t / C_s^4``: a
+    float or an array of energies over the design's ``power_weight``."""
+    return total_energy / Design(n, k, variant).power_weight
 
 
 RESULT_CSV_HEADER = ("et_db,pcef,pcef_ci_low,pcef_ci_high,pcef_low_count,"
@@ -247,7 +269,6 @@ def _draw_block(cfg: ExperimentConfig, trials: range, rng: np.random.Generator):
     """
     keys = (_CHANNEL_KEY, *(_VARIANT_KEYS[variant] for variant in cfg.variants))
     channel_states, *noise_states = substream_states(cfg.master_seed, trials, keys)
-    stages = stage_count(cfg.n, cfg.k)
     bit_generator = rng.bit_generator
     reseat = reseater(bit_generator)
     n, count = cfg.n, len(trials)
@@ -280,10 +301,10 @@ def _draw_block(cfg: ExperimentConfig, trials: range, rng: np.random.Generator):
     alpha = (0.0 + math.sqrt(cfg.alpha_variance / 2.0) * gains).view(complex)[:, 0]
     noises = {}
     for variant, states in zip(cfg.variants, noise_states):
-        m = patterns_per_end(cfg.k, variant)
+        design = cfg.designs[variant]
         # C order matches normal(size=(stages, 2, m, m)): each stage's real
         # parts, then its imaginary parts
-        parts = np.empty((count, stages, 2, m, m))
+        parts = np.empty((count, design.stages, 2, design.m, design.m))
         for state, row in zip(states, parts):
             reseat(state)
             rng.standard_normal(out=row)
@@ -299,17 +320,8 @@ def _sweep_blocks(cfg: ExperimentConfig, lo: int, hi: int):
     Yields ``(trials, points, {variant: (fails, err_mmse, err_final)})``: a
     range of trials, a slice of the energy grid, arrays ``(points, trials)``.
     """
-    energies = np.fromiter((energy_from_db(db, cfg.n0) for db in cfg.et_db), float,
-                           len(cfg.et_db))
-    powers = {variant: power_for_energy(energies, cfg.n, cfg.k, variant)
-              for variant in cfg.variants}
-    # one config per variant validates the geometry and the prior, at the
-    # grid's lowest power; the engine takes a slice's powers as one array
-    configs = {variant: EstimatorConfig(n=cfg.n, k=cfg.k, p_t=float(powers[variant][0]),
-                                        n0=cfg.n0, var_alpha=cfg.alpha_variance, variant=variant)
-               for variant in cfg.variants}
     n_points = len(cfg.et_db)
-    per_point = stage_count(cfg.n, cfg.k) * cfg.k * cfg.k
+    per_point = cfg.designs[cfg.variants[0]].stages * cfg.k * cfg.k
     width = max(1, min(n_points, _BLOCK_ENTRIES // per_point))
     block = max(1, _BLOCK_ENTRIES // (width * per_point))
     # seed 0's stream is never drawn from: every trial stream reseats it
@@ -321,9 +333,9 @@ def _sweep_blocks(cfg: ExperimentConfig, lo: int, hi: int):
         for first in range(0, n_points, width):
             points = slice(first, min(first + width, n_points))
             outcomes = {}
-            for variant in cfg.variants:
-                p_t = powers[variant][points]
-                batch = search_batch(configs[variant], p_t, theta, phi, alpha, noises[variant])
+            for variant, design in cfg.designs.items():
+                p_t = cfg.powers[variant][points]
+                batch = search_batch(design, p_t, theta, phi, alpha, noises[variant])
                 mmse_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
                                                cfg.alpha_variance)
                 final_hat = estimate_alpha_mmse(batch.values[..., -1:], p_t, PILOT, cfg.n0,
@@ -480,7 +492,7 @@ def _aggregate(cfg: ExperimentConfig, counts: np.ndarray,
         success_means = sums[:, 2:] / successes[:, None]
     low_counts = (counts < 5) | (successes < 5)
     return {variant: ResultTable(
-        variant=variant, n=cfg.n, k=cfg.k, trials=trials, slots=slot_count(cfg.n, cfg.k, variant),
+        variant=variant, n=cfg.n, k=cfg.k, trials=trials, slots=cfg.designs[variant].slots,
         et_db=np.array(cfg.et_db), pcef=counts[i] / trials,
         ci_low=lows[i], ci_high=highs[i], low_count=low_counts[i],
         relerr_mmse_all=means[i, 0], relerr_mmse_success=success_means[i, 0],
@@ -550,15 +562,13 @@ def bound_table(n: int, k: int, et_db, n0: float = 1.0,
     :func:`~beamest.analysis.pcef_upper_bound` call, which evaluates them in
     blocks of bounded memory.
     """
-    n, k = _integer("n", n), _integer("k", k)
+    design = Design(n, k, OVERLAPPED)
     n0, var_alpha = _noise_and_prior(n0, var_alpha)
-    patterns = pattern_matrix(k, OVERLAPPED)
-    stages = stage_count(n, k)
-    variance = float(n * n) if var_alpha is None else var_alpha
+    variance = float(design.n ** 2) if var_alpha is None else var_alpha
     grid = [_real("et_db", db) for db in et_db]
     energies = np.fromiter((energy_from_db(db, n0) for db in grid), float, len(grid))
-    result = pcef_upper_bound(patterns, stages, power_for_energy(energies, n, k, OVERLAPPED),
-                              n0, variance)
+    result = pcef_upper_bound(design.patterns, design.stages,
+                              power_for_energy(energies, design.n, design.k), n0, variance)
     # an unclamped row's bound is its raw total, one float object for both
     # fields, which keeps a long grid's rows as small as one-point results
     return tuple(

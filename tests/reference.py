@@ -31,7 +31,7 @@ def reference_search(channel, cfg, rng):
     noise = MeasurementNoise(cfg.n0, rng)
     parent_t = parent_r = IndexRange(0, cfg.n)
     stages = []
-    for s in range(1, cfg.stages + 1):
+    for s in range(1, cfg.design.stages + 1):
         partition, cb = bank.refine(parent_t, parent_r, cfg.k, stage=s)
         y = measure_block(h, cb.f, cb.w, cfg.p_t / cb.gain ** 4, PILOT, noise)
         r = fuse_measurements(y, bank.patterns)

@@ -22,11 +22,11 @@ from beamest.codebook import IndexRange
 from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
+    Design,
     EstimatorConfig,
     codebook_bank,
     run_estimation,
     search_batch,
-    slot_count,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -74,9 +74,9 @@ def test_criterion_1_slot_table():
     started = time.perf_counter()
     mismatches = []
     for (k, n), (overlapped, baseline) in SLOT_TABLE.items():
-        if slot_count(n, k, OVERLAPPED) != overlapped:
+        if Design(n, k, OVERLAPPED).slots != overlapped:
             mismatches.append((k, n, "overlapped"))
-        if slot_count(n, k, NON_OVERLAPPED) != baseline:
+        if Design(n, k, NON_OVERLAPPED).slots != baseline:
             mismatches.append((k, n, "non_overlapped"))
     elapsed = time.perf_counter() - started
     check(1, "slot counts match the expected table on all 16 cells",
@@ -133,9 +133,9 @@ def test_criterion_3_noiseless_exactness():
         for variant in (OVERLAPPED, NON_OVERLAPPED):
             cfg = EstimatorConfig(n=n, k=k, p_t=1.0, n0=0.0, var_alpha=float(n * n),
                                   variant=variant)
-            m = cfg.patterns
-            batch = search_batch(cfg, [cfg.p_t], thetas, phis, gains,
-                                 np.zeros((trials, cfg.stages, m, m), dtype=complex))
+            m = cfg.design.m
+            batch = search_batch(cfg.design, [cfg.p_t], thetas, phis, gains,
+                                 np.zeros((trials, cfg.design.stages, m, m), dtype=complex))
             failures += int(np.count_nonzero((batch.theta_hat[:, 0] != thetas)
                                              | (batch.phi_hat[:, 0] != phis)))
             # the batch-of-one path on the first channels of the same draw

@@ -498,9 +498,26 @@ class TestBoundCommand:
                                    "n_values_k3 = 9\nvar_alpha = 1e308\n")
         out = tmp_path / "big"
         assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
-        assert ("var_alpha: gain prior variance 1e+308 is too large for the closed-form bound"
+        # the sweep's own gain estimates overflow too, which its config rejects first
+        message = {"bound": "is too large for the closed-form bound",
+                   "sweep": "takes the gain estimate out of float range at 10.0 dB"}[command]
+        assert f"var_alpha: gain prior variance 1e+308 {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_rejected_geometry_leaves_no_file(self, tmp_path, capsys):
+        # the second geometry's prior is past the closed form: every geometry
+        # is checked before the first one's file is written
+        path = write_cfg(tmp_path, "n = 2401, 27\nk = 7, 3\net_db = 40\nvar_alpha = 7.9e156\n")
+        out = tmp_path / "two"
+        assert run_cli("bound", "--config", path, "--out", out, "--quiet") == 2
+        assert ("var_alpha: gain prior variance 7.9e+156 is too large for the closed-form bound"
                 in capsys.readouterr().err)
         assert list(out.iterdir()) == []
+        # each geometry alone: the first is written, the second is rejected
+        for n, k, code in ((2401, 7, 0), (27, 3, 2)):
+            path = write_cfg(tmp_path, f"n = {n}\nk = {k}\net_db = 40\nvar_alpha = 7.9e156\n")
+            assert run_cli("bound", "--config", path, "--out", tmp_path / f"n{n}",
+                           "--quiet") == code
 
     def test_large_prior_within_the_closed_form(self, tmp_path):
         path = write_cfg(tmp_path, "n = 27\nk = 3\net_db = 0, 10, 20\nvar_alpha = 1e100\n")
@@ -589,6 +606,50 @@ class TestTraceCommand:
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 6\nseed = -3\n")
         assert run_cli("trace", "--config", path, "--out", tmp_path / "n", "--quiet") == 2
         assert "master seed must be nonnegative, got -3" in capsys.readouterr().err
+
+
+class TestGainRange:
+    """A prior or noise level whose gain estimates leave the float range is
+    rejected where the experiment is built, before any file is written."""
+
+    @pytest.mark.parametrize("command", ["sweep", "trace"])
+    @pytest.mark.parametrize("line, message", [
+        ("var_alpha = 1e308", "var_alpha: gain prior variance 1e+308 takes the gain estimate "
+                              "out of float range at 10.0 dB"),
+        # at 10 dB the factor var_alpha * sqrt(p_t) and the divisor are
+        # finite, yet the factor times the selected values overflows
+        ("var_alpha = 1e250", "var_alpha: gain prior variance 1e+250 takes the gain estimate "
+                              "out of float range at 10.0 dB"),
+        ("n0 = 1e-320", "n0: noise variance 1e-320 leaves the gain estimate's divisor "
+                        "var_alpha * p_t + n0 subnormal at 10.0 dB")],
+        ids=["var_alpha", "var_alpha-product", "n0"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, line, message):
+        path = write_cfg(tmp_path, "n = 27\nk = 3\ntrials = 20\net_db = 10\n"
+                                   f"outputs = pcef, alpha_error\n{line}\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    # every gain is 0 at var_alpha = 0, so its relative errors are 0/0
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["sweep", "trace"])
+    def test_large_and_zero_priors_run(self, tmp_path, command):
+        for prior in ("1e100", "0"):
+            path = write_cfg(tmp_path, "n = 27\nk = 3\ntrials = 20\net_db = 10\n"
+                                       f"outputs = alpha_error\nvar_alpha = {prior}\n")
+            out = tmp_path / prior
+            assert run_cli(command, "--config", path, "--out", out, "--quiet") == 0
+            if command == "sweep":
+                text = (out / "overlapped_mmse_all_stages_error.csv").read_text()
+                values = [float(x) for row in text.splitlines()[1:] for x in row.split(",")[1:]]
+                assert all(map(math.isnan if prior == "0" else math.isfinite, values))
+            else:
+                text = (out / "traces_overlapped.jsonl").read_text()
+                gains = [(complex(r["alpha"]), complex(r["alpha_hat"]))
+                         for r in map(json.loads, text.splitlines())]
+                assert all(map(np.isfinite, np.ravel(gains)))
+                assert (np.ravel(gains) == 0).all() == (prior == "0")
 
 
 # Small runs of every command, each writing every kind of file it can.

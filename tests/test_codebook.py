@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from reference import reference_bank
 
+from beamest import estimator
 from beamest.arrays import AngleGrid
 from beamest.cli import _gain_flatness_csv
 from beamest.codebook import (
@@ -22,10 +23,9 @@ from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
     VARIANTS,
+    Design,
     codebook_bank,
     leftmost_path,
-    pattern_matrix,
-    stage_gains,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -237,7 +237,7 @@ class TestClosedFormGains:
             u = bank.grid.response_matrix
             values = bank.patterns.values
             path = list(leftmost_path(n, k, variant))
-            gains = stage_gains(n, k, variant)
+            gains = Design(n, k, variant).gains
             assert len(gains) == len(path)
             for gain, (_, partition, cb) in zip(gains, path):
                 assert abs(cb.gain - gain) <= 1e-14 * gain
@@ -251,7 +251,7 @@ class TestClosedFormGains:
                             gain, rtol=1e-12, atol=0)
         finally:
             if n > 343:
-                codebook_bank.cache_clear()  # drop the 92 MB response matrix
+                estimator._bank.cache_clear()  # drop the 92 MB response matrix
 
 
 class TestFFTSynthesis:
@@ -307,7 +307,7 @@ class TestStageCodebook:
         for stage in (1, 2, 3):
             part, cb = cache.refine(parent, parent, 3, stage=stage)
             gains.append(cb.gain)
-            expected = stage_gains(27, 3, OVERLAPPED)[stage - 1]
+            expected = Design(27, 3, OVERLAPPED).gains[stage - 1]
             assert abs(cb.gain - expected) <= 1e-14 * expected
             parent = part.transmit[0]
         assert gains[0] < gains[1] < gains[2]
@@ -359,7 +359,7 @@ class TestShiftedBanks:
         (343, 7, NON_OVERLAPPED), (2401, 7, OVERLAPPED)])
     def test_match_per_parent_synthesis(self, n, k, variant):
         grid = AngleGrid(n)
-        patterns = pattern_matrix(k, variant)
+        patterns = Design(n, k, variant).patterns
         cache = StageCodebookCache(grid, patterns)
         size = n
         for stage in (1, 2, 3):

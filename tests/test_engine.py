@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,10 +26,9 @@ from beamest.estimator import (
     OVERLAPPED,
     PILOT,
     VARIANTS,
+    Design,
     EstimatorConfig,
-    codebook_bank,
     fuse_measurements,
-    pattern_matrix,
     run_estimation,
     search_batch,
     select_path,
@@ -40,8 +40,8 @@ FIG3 = ExperimentConfig(n=27, k=3, et_db=tuple(range(-4, 33, 2)), trials=2000,
 
 
 def _noise(cfg, seeds):
-    m = cfg.patterns
-    return np.stack([MeasurementNoise(cfg.n0, seed).draw_blocks(cfg.stages, (m, m))
+    m = cfg.design.m
+    return np.stack([MeasurementNoise(cfg.n0, seed).draw_blocks(cfg.design.stages, (m, m))
                      for seed in seeds])
 
 
@@ -78,7 +78,7 @@ def test_engine_matches_explicit_beam_reference(data, geometry, variant, gain, l
 
     # the same trial inside a batch: other trials around it, another power point
     thetas, phis = [(theta + 5) % n, theta, 0], [phi, phi, n - 1]
-    batch = search_batch(cfg, [4.0 * cfg.p_t, cfg.p_t], thetas, phis, [1j, alpha, -2.0],
+    batch = search_batch(cfg.design, [4.0 * cfg.p_t, cfg.p_t], thetas, phis, [1j, alpha, -2.0],
                          _noise(cfg, [seed + 1, seed, seed + 2]))
     _assert_matches_reference(reference, batch.receive[1, 1], batch.transmit[1, 1],
                               batch.values[1, 1])
@@ -105,7 +105,7 @@ class TestSearchBatch:
         theta, phi = rng.integers(cfg.n, size=trials), rng.integers(cfg.n, size=trials)
         alpha = rng.normal(size=trials) + 1j * rng.normal(size=trials)
         noise = _noise(cfg, [seed * 1000 + t for t in range(trials)])
-        return theta, phi, search_batch(cfg, p_t, theta, phi, alpha, noise)
+        return theta, phi, search_batch(cfg.design, p_t, theta, phi, alpha, noise)
 
     def test_failure_is_wrong_final_pair(self):
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
@@ -118,10 +118,10 @@ class TestSearchBatch:
         cfg = EstimatorConfig(n=27, k=3, p_t=0.01, n0=1.0, var_alpha=729.0)
         rng_seeds = [3000 + t for t in range(40)]
         theta, phi, batch = self._batch(cfg, [cfg.p_t])
-        fused = fuse_measurements(_noise(cfg, rng_seeds), pattern_matrix(cfg.k, cfg.variant))
+        fused = fuse_measurements(_noise(cfg, rng_seeds), cfg.design.patterns)
         left = 0
         for t in range(40):
-            for s in range(1, cfg.stages):
+            for s in range(1, cfg.design.stages):
                 digits = [(theta[t] // 3 ** (2 - j) % 3, phi[t] // 3 ** (2 - j) % 3)
                           for j in range(s)]
                 picks = list(zip(batch.receive[t, 0, :s], batch.transmit[t, 0, :s]))
@@ -142,30 +142,30 @@ class TestSearchBatch:
         # one bad entry among good ones rejects the whole array
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
         with pytest.raises(ValueError, match=message):
-            search_batch(cfg, [1.0, bad, 2.0], [0], [0], [1.0],
+            search_batch(cfg.design, [1.0, bad, 2.0], [0], [0], [1.0],
                          np.zeros((1, 3, 2, 2), complex))
         with pytest.raises(ValueError, match="1-D array of power points"):
-            search_batch(cfg, [[1.0]], [0], [0], [1.0], np.zeros((1, 3, 2, 2), complex))
+            search_batch(cfg.design, [[1.0]], [0], [0], [1.0], np.zeros((1, 3, 2, 2), complex))
 
     def test_noise_shape_checked(self):
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
         with pytest.raises(ValueError, match="noise"):
-            search_batch(cfg, [1.0], [0, 1], [0, 1], [1.0, 1.0],
+            search_batch(cfg.design, [1.0], [0, 1], [0, 1], [1.0, 1.0],
                          np.zeros((1, 3, 2, 2), complex))
 
     def test_angle_counts_checked(self):
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
         noise = np.zeros((2, 3, 2, 2), complex)
         with pytest.raises(ValueError, match="angle indices per end"):
-            search_batch(cfg, [1.0], [4], [5, 6], [1.0, 1.0], noise)
+            search_batch(cfg.design, [1.0], [4], [5, 6], [1.0, 1.0], noise)
         with pytest.raises(ValueError, match="angle indices per end"):
-            search_batch(cfg, [1.0], [4, 5], [6], [1.0, 1.0], noise)
+            search_batch(cfg.design, [1.0], [4, 5], [6], [1.0, 1.0], noise)
 
     @pytest.mark.parametrize("theta, phi", [(-1, 0), (27, 0), (0, -1), (0, 27)])
     def test_angle_range_checked(self, theta, phi):
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
         with pytest.raises(ValueError, match=r"\[0, 27\)"):
-            search_batch(cfg, [1.0], [theta], [phi], [1.0], np.zeros((1, 3, 2, 2), complex))
+            search_batch(cfg.design, [1.0], [theta], [phi], [1.0], np.zeros((1, 3, 2, 2), complex))
 
     def test_non_finite_fused_values_rejected(self):
         cases = [(1, complex(np.inf, 1.0), 0.0),
@@ -175,11 +175,11 @@ class TestSearchBatch:
             cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0,
                                   variant=variant)
             for trials, gain, bad_noise in cases:
-                noise = np.zeros((trials, 3, cfg.patterns, cfg.patterns), complex)
+                noise = np.zeros((trials, 3, cfg.design.m, cfg.design.m), complex)
                 noise[trials // 2, 1, -1, 0] = bad_noise
                 with np.errstate(invalid="ignore"):
                     with pytest.raises(ValueError, match="NaN or infinite"):
-                        search_batch(cfg, [1.0], (np.arange(trials) + 4) % 27,
+                        search_batch(cfg.design, [1.0], (np.arange(trials) + 4) % 27,
                                      (np.arange(trials) + 5) % 27, np.full(trials, gain),
                                      noise)
 
@@ -188,19 +188,19 @@ class TestSearchBatch:
         # no gain and no noise: every score is 0, so every stage of every trial
         # and point picks hypothesis (0, 0), on and off track alike
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=0.0, var_alpha=729.0, variant=variant)
-        m = cfg.patterns
-        batch = search_batch(cfg, [1.0, 1.0], np.arange(27), np.arange(27)[::-1],
+        m = cfg.design.m
+        batch = search_batch(cfg.design, [1.0, 1.0], np.arange(27), np.arange(27)[::-1],
                              np.zeros(27), np.zeros((27, 3, m, m), complex))
         assert batch.receive.shape == (27, 2, 3)
         assert not batch.receive.any() and not batch.transmit.any()
         np.testing.assert_array_equal(batch.theta_hat, 0)
 
 
-def full_row_search(cfg, patterns, p_t, theta, phi, alpha, fused):
+def full_row_search(design, patterns, p_t, theta, phi, alpha, fused):
     """``(receive, transmit, values, on_track)`` with every row of
     ``k^2`` scores picked whole: the first flat index of the largest
     magnitude, and ``ValueError`` for a NaN or infinite score anywhere."""
-    k, stages = cfg.k, cfg.stages
+    k, stages = design.k, design.stages
     trials, points = len(alpha), len(p_t)
     places = k ** np.arange(stages - 1, -1, -1)
     truth = (np.asarray(theta)[:, None] // places % k * k
@@ -229,14 +229,14 @@ class TestSplitPick:
 
     GEOMETRIES = [(27, 3), (49, 7), (343, 7)]
 
-    def _compare(self, cfg, p_t, theta, phi, alpha, noise, monkeypatch=None, fused=None):
-        patterns = estimator.pattern_matrix(cfg.k, cfg.variant)
+    def _compare(self, design, p_t, theta, phi, alpha, noise, monkeypatch=None, fused=None):
+        patterns = design.patterns
         if fused is None:
             fused = fuse_measurements(noise, patterns)
         else:
             monkeypatch.setattr(estimator, "fuse_measurements", lambda *args: fused)
-        expected = full_row_search(cfg, patterns, p_t, theta, phi, alpha, fused)
-        batch = search_batch(cfg, p_t, theta, phi, alpha, noise)
+        expected = full_row_search(design, patterns, p_t, theta, phi, alpha, fused)
+        batch = search_batch(design, p_t, theta, phi, alpha, noise)
         got = (batch.receive, batch.transmit, batch.values, batch.on_track)
         for name, a, b in zip(("receive", "transmit", "values", "on_track"), got, expected):
             assert a.shape == b.shape, name
@@ -255,7 +255,7 @@ class TestSplitPick:
         alpha = rng.normal(size=trials) + 1j * rng.normal(size=trials)
         noise = _noise(cfg, range(n, n + trials))
         for p_t in ([0.5], [0.01, 0.3, 2.0, 40.0]):
-            batch = self._compare(cfg, p_t, theta, phi, alpha, noise)
+            batch = self._compare(cfg.design, p_t, theta, phi, alpha, noise)
             if n0 and len(p_t) > 1:  # the grid spans failing and succeeding trials
                 assert 0 < batch.on_track.sum() < batch.on_track.size
 
@@ -263,12 +263,12 @@ class TestSplitPick:
     def _tie_geometry(cfg):
         """A true pair with noise-only pairs on both sides, and angles whose
         digits put the path in that pair at every stage."""
-        patterns = estimator.pattern_matrix(cfg.k, cfg.variant)
+        patterns = cfg.design.patterns
         k2 = cfg.k ** 2
         for pair in range(k2):
             zero = np.flatnonzero(patterns.pair_gram[pair] == 0)
             if zero.size and zero.min() < pair < zero.max():
-                repunit = sum(cfg.k ** s for s in range(cfg.stages))  # digit 1 everywhere
+                repunit = sum(cfg.k ** s for s in range(cfg.design.stages))  # digit 1 everywhere
                 angle = [digit * repunit for digit in divmod(pair, cfg.k)]
                 return pair, zero.min(), zero.max(), angle
         raise AssertionError("no such pair")
@@ -282,15 +282,15 @@ class TestSplitPick:
         # unit gain: the true score is 1, 2 and 0.5 at the three points, and a
         # noise-only entry of magnitude 1 ties it at the first point, below
         # the true index in trial 0 and above it in trial 1
-        fused = np.zeros((2, cfg.stages, k * k), complex)
+        fused = np.zeros((2, cfg.design.stages, k * k), complex)
         fused[0, :, below] = -1.0
         fused[1, :, above] = 1j
-        noise = np.zeros((2, cfg.stages, cfg.patterns, cfg.patterns), complex)
-        batch = self._compare(cfg, [1.0, 4.0, 0.25], [theta] * 2, [phi] * 2, [1.0, 1.0],
-                              noise, monkeypatch, fused.reshape(2, cfg.stages, k, k))
+        noise = np.zeros((2, cfg.design.stages, cfg.design.m, cfg.design.m), complex)
+        batch = self._compare(cfg.design, [1.0, 4.0, 0.25], [theta] * 2, [phi] * 2, [1.0, 1.0],
+                              noise, monkeypatch, fused.reshape(2, cfg.design.stages, k, k))
         picks = batch.receive * k + batch.transmit
-        assert picks[0, 0, 0] == below and picks[1, 0].tolist() == [pair] * cfg.stages
-        assert picks[0, 1].tolist() == picks[1, 1].tolist() == [pair] * cfg.stages
+        assert picks[0, 0, 0] == below and picks[1, 0].tolist() == [pair] * cfg.design.stages
+        assert picks[0, 1].tolist() == picks[1, 1].tolist() == [pair] * cfg.design.stages
         assert picks[0, 2, 0] == below and picks[1, 2, 0] == above
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
@@ -303,19 +303,19 @@ class TestSplitPick:
         n, k = geometry
         cfg = EstimatorConfig(n=n, k=k, p_t=1.0, n0=1.0, var_alpha=1.0, variant=variant)
         pair, below, above, (theta, phi) = self._tie_geometry(cfg)
-        fused = np.ones((3, cfg.stages, k * k), complex)
+        fused = np.ones((3, cfg.design.stages, k * k), complex)
         alpha = np.ones(3, complex)
         if where == "gain":
             alpha[1] = bad
         else:
             fused[1, -1, pair if where == "touched" else above] = bad
-        noise = np.zeros((3, cfg.stages, cfg.patterns, cfg.patterns), complex)
+        noise = np.zeros((3, cfg.design.stages, cfg.design.m, cfg.design.m), complex)
         monkeypatch.setattr(estimator, "fuse_measurements",
-                            lambda *args: fused.reshape(3, cfg.stages, k, k))
+                            lambda *args: fused.reshape(3, cfg.design.stages, k, k))
         with np.errstate(invalid="ignore"):
             for p_t in ([1.0], [1.0, 3.0]):
                 with pytest.raises(ValueError, match="NaN or infinite"):
-                    search_batch(cfg, p_t, [theta] * 3, [phi] * 3, alpha, noise)
+                    search_batch(cfg.design, p_t, [theta] * 3, [phi] * 3, alpha, noise)
 
     @pytest.mark.parametrize("k", [3, 7])
     def test_designs_take_their_branch(self, k):
@@ -323,11 +323,11 @@ class TestSplitPick:
         # the signal of that pair fills its whole row of pair_gram and whole
         # rows are the widest split; non-overlapped: the identity, whose
         # signal is the true pair alone
-        overlapped = pattern_matrix(k, OVERLAPPED)
+        overlapped = Design(k, k, OVERLAPPED).patterns
         assert (overlapped.gram > 0).all(axis=1).any()
         assert (overlapped.pair_gram > 0).all(axis=1).any()
         assert not overlapped.is_identity
-        identity = pattern_matrix(k, NON_OVERLAPPED)
+        identity = Design(k, k, NON_OVERLAPPED).patterns
         assert identity.is_identity
         assert ((identity.pair_gram != 0) == np.eye(k * k, dtype=bool)).all()
 
@@ -338,12 +338,13 @@ class TestSplitPick:
         patterns = BeamPatternMatrix(np.array([[1.0, 0.0, 0.0],
                                                [0.0, np.sqrt(0.5), 0.0],
                                                [0.0, np.sqrt(0.5), 1.0]]))
-        monkeypatch.setattr(estimator, "pattern_matrix", lambda k, variant: patterns)
         cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=1.0, variant=NON_OVERLAPPED)
+        # the non-overlapped design's constants with this matrix in place of I
+        design = SimpleNamespace(**{**vars(cfg.design), "patterns": patterns})
         rng = np.random.default_rng(2)
         theta, phi = rng.integers(27, size=80), rng.integers(27, size=80)
         alpha = rng.normal(size=80) + 1j * rng.normal(size=80)
-        self._compare(cfg, [0.1, 1.0, 10.0], theta, phi, alpha, _noise(cfg, range(80)))
+        self._compare(design, [0.1, 1.0, 10.0], theta, phi, alpha, _noise(cfg, range(80)))
 
 
 def _assert_same_sweep(cfg, chunks, whole):
@@ -413,7 +414,7 @@ def test_sweep_bound_and_trace_build_no_beam(monkeypatch, tmp_path):
     def build(*args):
         raise AssertionError("built a beam or a response matrix")
 
-    codebook_bank.cache_clear()
+    estimator._bank.cache_clear()
     monkeypatch.setattr(codebook, "synthesize_vector", build)
     monkeypatch.setattr(AngleGrid, "response_matrix", property(build))
     tables = montecarlo.run_sweep(ExperimentConfig(n=2401, k=7, et_db=(10.0, 30.0), trials=3))
@@ -441,7 +442,7 @@ grid = tuple(range(-4, 33, 2))
 run_sweep(ExperimentConfig(n=27, k=3, et_db=grid, trials=5, master_seed=8151372))
 bound_table(27, 3, grid)
 cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
-search_batch(cfg, [1.0], [4], [5], [1.0], np.zeros((1, 3, 2, 2), complex))
+search_batch(cfg.design, [1.0], [4], [5], [1.0], np.zeros((1, 3, 2, 2), complex))
 with tempfile.TemporaryDirectory() as out:
     config = Path(out) / "run.cfg"
     config.write_text("n = 27\\nk = 3\\ntrials = 5\\net_db = 14\\nbound = true\\n")

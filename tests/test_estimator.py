@@ -1,9 +1,13 @@
 import json
-from dataclasses import replace
+import math
+import pickle
+from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from reference import reference_search
+from test_golden import _integers
 
 from beamest import estimator, montecarlo
 from beamest.arrays import ChannelRealization, MeasurementNoise, substream
@@ -12,15 +16,15 @@ from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
     PILOT,
+    Design,
     EstimatorConfig,
     estimate_alpha_mmse,
     fuse_measurements,
-    pattern_matrix,
-    patterns_per_end,
     run_estimation,
     search_batch,
+    VARIANTS,
+    codebook_bank,
     select_path,
-    slot_count,
     stage_count,
     trace_record,
     write_trace_records,
@@ -45,18 +49,18 @@ class TestCounts:
                 stage_count(n, 3)
 
     def test_patterns_per_end(self):
-        assert patterns_per_end(3, OVERLAPPED) == 2
-        assert patterns_per_end(7, OVERLAPPED) == 3
-        assert patterns_per_end(3, NON_OVERLAPPED) == 3
+        assert Design(3, 3, OVERLAPPED).m == 2
+        assert Design(7, 7, OVERLAPPED).m == 3
+        assert Design(3, 3, NON_OVERLAPPED).m == 3
         with pytest.raises(ValueError):
-            patterns_per_end(4, OVERLAPPED)
+            Design(4, 4, OVERLAPPED)
 
     def test_slot_counts(self):
         # overlapped needs log2(k+1)^2 slots a stage instead of k^2
-        assert slot_count(27, 3, OVERLAPPED) == 12
-        assert slot_count(27, 3, NON_OVERLAPPED) == 27
-        assert slot_count(2401, 7, OVERLAPPED) == 36
-        assert slot_count(2401, 7, NON_OVERLAPPED) == 196
+        assert Design(27, 3, OVERLAPPED).slots == 12
+        assert Design(27, 3, NON_OVERLAPPED).slots == 27
+        assert Design(2401, 7, OVERLAPPED).slots == 36
+        assert Design(2401, 7, NON_OVERLAPPED).slots == 196
 
 
 class TestFuseMeasurements:
@@ -112,7 +116,7 @@ class TestFuseMeasurements:
     def test_stack_matches_block_by_block(self, k, variant):
         # the whole stack goes through two 2-D products; every block must get
         # exactly the bytes of its own (P^T y) P
-        patterns = pattern_matrix(k, variant)
+        patterns = Design(k, k, variant).patterns
         p, m = patterns.values, patterns.m
         rng = np.random.default_rng(k)
         for shape in [(1, 3), (40, 3), (7, 4), (5,)]:
@@ -245,12 +249,12 @@ class TestRunEstimation:
         assert len(trace.selections) == len(trace.selected_values) == 3
         for kr, kt in trace.selections:
             assert 0 <= kr < 3 and 0 <= kt < 3
-        assert slot_count(27, 3, OVERLAPPED) == 12
+        assert Design(27, 3, OVERLAPPED).slots == 12
 
     def test_stage_structure_large_grid(self):
         assert stage_count(2401, 7) == 4
-        assert patterns_per_end(7, OVERLAPPED) ** 2 == 9
-        assert slot_count(2401, 7, OVERLAPPED) == 36
+        assert Design(2401, 7, OVERLAPPED).m ** 2 == 9
+        assert Design(2401, 7, OVERLAPPED).slots == 36
 
     def test_alpha_recovered_noiseless(self):
         ch = ChannelRealization(theta=9, phi=13, alpha=2.0 - 1.0j, n=27)
@@ -330,7 +334,7 @@ class TestSingleTrialEntry:
         # 10 dB: some trials find the true pair and some leave it
         p_t = montecarlo.power_for_energy(montecarlo.energy_from_db(10.0), n, k, variant)
         cfg = _config(n=n, k=k, p_t=p_t, n0=n0, var_alpha=float(n * n), variant=variant)
-        m = cfg.patterns
+        m = cfg.design.m
         rng = np.random.default_rng(n + k)
         found = 0
         for trial in range(40):
@@ -338,8 +342,9 @@ class TestSingleTrialEntry:
                                     alpha=complex(*rng.normal(scale=n / np.sqrt(2), size=2)),
                                     n=n)
             trace = run_estimation(ch, cfg, substream(11, trial))
-            noise = MeasurementNoise(n0, substream(11, trial)).draw_blocks(cfg.stages, (m, m))
-            batch = search_batch(cfg, [p_t], [ch.theta], [ch.phi], [ch.alpha], noise[None])
+            noise = MeasurementNoise(n0, substream(11, trial)).draw_blocks(cfg.design.stages,
+                                                                           (m, m))
+            batch = search_batch(cfg.design, [p_t], [ch.theta], [ch.phi], [ch.alpha], noise[None])
             assert trace.selections == tuple(zip(batch.receive[0, 0].tolist(),
                                                  batch.transmit[0, 0].tolist()))
             assert (trace.theta_hat, trace.phi_hat) == (batch.theta_hat[0, 0],
@@ -355,9 +360,10 @@ class TestSingleTrialEntry:
         cfg = _config()
         ch = ChannelRealization(theta=4, phi=20, alpha=3 - 2j, n=27)
         run_estimation(ch, cfg)
-        batch = search_batch(cfg, [1.0], [4], [20], [3 - 2j], np.zeros((1, 3, 2, 2), complex))
-        assert batch.places is cfg.places
-        for array in (cfg.places, cfg.pattern_matrix.values):
+        batch = search_batch(cfg.design, [1.0], [4], [20], [3 - 2j],
+                             np.zeros((1, 3, 2, 2), complex))
+        assert batch.places is cfg.design.places
+        for array in (cfg.design.places, cfg.design.patterns.values):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -377,9 +383,9 @@ class TestRunBaseline:
         ch = ChannelRealization(theta=1, phi=2, alpha=1.0, n=27)
         baseline = replace(_config(), variant=NON_OVERLAPPED)
         trace = run_estimation(ch, baseline)
-        assert len(trace.selections) == baseline.stages == 3
-        assert baseline.patterns ** 2 == 9
-        assert slot_count(27, 3, NON_OVERLAPPED) == 27
+        assert len(trace.selections) == baseline.design.stages == 3
+        assert baseline.design.m ** 2 == 9
+        assert baseline.design.slots == 27
 
     def test_fused_equals_raw_block(self):
         ch = ChannelRealization(theta=7, phi=16, alpha=1.0 - 2.0j, n=27)
@@ -399,14 +405,90 @@ class TestRunBaseline:
             assert magnitudes.max() < 1e-9 * correct
 
 
+class TestDesign:
+    """The constants of every table1 geometry, n = k .. k^4 at k = 3 and 7."""
+
+    GEOMETRIES = [(k ** s, k) for k in (3, 7) for s in range(1, 5)]
+
+    def test_slots_are_the_table1_rows(self):
+        rows = ["k,n,overlapped,non_overlapped"] + [
+            f"{k},{n},{Design(n, k, OVERLAPPED).slots},{Design(n, k, NON_OVERLAPPED).slots}"
+            for n, k in self.GEOMETRIES]
+        golden = json.loads(Path(__file__).with_name("golden.json").read_text())
+        pinned = golden["runs"]["sweep_table1"]["slot_counts.csv"]["integers"]
+        assert _integers("\n".join(rows).encode()) == pinned
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n, k", GEOMETRIES)
+    def test_constants(self, n, k, variant):
+        design = Design(n, k, variant)
+        m = {3: 2, 7: 3}[k] if variant == OVERLAPPED else k
+        stages = round(math.log(n, k))
+        assert (design.n, design.k, design.variant) == (n, k, variant)
+        assert (design.m, design.stages, design.slots) == (m, stages, stages * m * m)
+        assert design.patterns.values.shape == (m, k)
+        assert design.gains == tuple(math.sqrt(m * k ** (s - 1) / n) for s in range(1, stages + 1))
+        assert design.places.tolist() == [k ** (stages - s) for s in range(1, stages + 1)]
+        # the weight power_for_energy divided by: slots per stage times sum C_s^-4
+        weight = m * m * sum(math.sqrt(m * k ** s / n) ** -4 for s in range(stages))
+        energies = np.array([1e-3, 1.0, 819.0, 1e6])
+        powers = montecarlo.power_for_energy(energies, n, k, variant)
+        assert powers.tobytes() == (energies / weight).tobytes()
+        assert montecarlo.power_for_energy(819.0, n, k, variant) == 819.0 / weight
+
+    def test_memoized_frozen_and_pickled_as_its_triple(self):
+        design = Design(27, 3)
+        assert Design(np.int64(27), np.int64(3), OVERLAPPED) is design
+        assert pickle.loads(pickle.dumps(design)) is design
+        with pytest.raises(FrozenInstanceError):
+            design.m = 3
+        for array in (design.places, design.patterns.values):
+            assert not array.flags.writeable
+
+
+# One case per geometry rejection: (n, k, variant, message naming the field).
+GEOMETRY_REJECTIONS = {
+    "k-below-2": (9, 1, OVERLAPPED, "sub-range count must be at least 2, got 1"),
+    "n-below-k": (2, 3, OVERLAPPED, "antenna count 2 must be at least k = 3"),
+    "n-not-a-power-of-k": (26, 3, NON_OVERLAPPED, "antenna count 26 is not a power of 3"),
+    "overlapped-k-not-2^m-1": (16, 4, OVERLAPPED,
+                               r"overlapped design needs k = 2\^m - 1 sub-ranges, got k = 4"),
+    "unknown-variant": (27, 3, "diagonal", "unknown variant 'diagonal'"),
+    "bool-n": (True, 3, OVERLAPPED, "n must be an integer, got True"),
+    "bool-k": (27, True, OVERLAPPED, "k must be an integer, got True"),
+    "float-n": (27.0, 3, OVERLAPPED, r"n must be an integer, got 27\.0"),
+    "float-k": (27, 3.0, OVERLAPPED, r"k must be an integer, got 3\.0"),
+}
+
+# Everything that builds a geometry from (n, k, variant); bound_table is the
+# overlapped design's alone.
+GEOMETRY_BUILDERS = {
+    "EstimatorConfig": lambda n, k, variant: EstimatorConfig(
+        n=n, k=k, p_t=1.0, n0=1.0, var_alpha=1.0, variant=variant),
+    "ExperimentConfig": lambda n, k, variant: montecarlo.ExperimentConfig(
+        n=n, k=k, et_db=(10.0,), variants=(variant,)),
+    "bound_table": lambda n, k, variant: montecarlo.bound_table(n, k, (10.0,)),
+    "codebook_bank": codebook_bank,
+}
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("case, builder", [
+        pytest.param(case, builder, id=f"{case}-{builder}")
+        for case in GEOMETRY_REJECTIONS for builder in GEOMETRY_BUILDERS
+        if (case, builder) != ("unknown-variant", "bound_table")])
+    def test_geometry_rejected(self, case, builder):
+        n, k, variant, message = GEOMETRY_REJECTIONS[case]
+        with pytest.raises(ValueError, match=message):
+            GEOMETRY_BUILDERS[builder](n, k, variant)
+
     def test_overlapped_needs_power_of_two_minus_one(self):
         with pytest.raises(ValueError):
             _config(n=16, k=4)
 
     def test_baseline_accepts_any_k(self):
         cfg = _config(n=16, k=4, variant=NON_OVERLAPPED)
-        assert cfg.patterns == 4
+        assert cfg.design.m == 4
 
     def test_grid_must_be_power_of_k(self):
         with pytest.raises(ValueError):
@@ -444,11 +526,13 @@ class TestConfigValidation:
             return stage_count(n, k)
 
         monkeypatch.setattr(estimator, "stage_count", counting_stage_count)
+        estimator._design.cache_clear()  # designs are memoized per process
         cfg = _config(n0=1.0)
         channel = ChannelRealization(theta=4, phi=20, alpha=3 - 2j, n=27)
         for seed in range(3):
             run_estimation(channel, cfg, seed)
-        assert cfg.stages * cfg.patterns ** 2 == 12
+        assert _config(p_t=2.0).design is cfg.design
+        assert cfg.design.slots == 12
         assert calls == [(27, 3)]
 
 

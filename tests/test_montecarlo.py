@@ -15,13 +15,10 @@ from beamest.arrays import MeasurementNoise, substream
 from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
+    Design,
     EstimatorConfig,
-    pattern_matrix,
-    patterns_per_end,
     run_estimation,
-    slot_count,
     stage_count,
-    stage_gains,
     trace_record,
 )
 from beamest.montecarlo import (
@@ -145,7 +142,7 @@ class TestBlockDraws:
         rng, (*_, noises) = self._draw(cfg, range(5, 25))
         assert set(noises) == set(cfg.variants)
         for variant, noise in noises.items():
-            m = patterns_per_end(cfg.k, variant)
+            m = cfg.designs[variant].m
             assert noise.shape == (20, stages, m, m)
             for i, trial in enumerate(range(5, 25)):
                 expected = MeasurementNoise(n0, noise_stream(cfg, trial, variant))
@@ -182,7 +179,7 @@ class TestBlockDraws:
                 assert (drawn.dtype, drawn.shape) == (expected.dtype, expected.shape)
                 assert drawn.tobytes() == expected.tobytes()
             for variant, noise in noises.items():
-                m = patterns_per_end(cfg.k, variant)
+                m = cfg.designs[variant].m
                 expected = np.stack([MeasurementNoise(n0, noise_stream(cfg, trial, variant))
                                      .draw_blocks(stages, (m, m)) for trial in trials])
                 assert (noise.dtype, noise.shape) == (expected.dtype, expected.shape)
@@ -201,9 +198,9 @@ class TestBlockDraws:
         seen = []
         engine = montecarlo.search_batch
 
-        def recording(ecfg, p_t, theta, phi, alpha, noise):
-            seen.append((ecfg.variant, theta.tolist(), phi.tolist(), alpha.tolist(), noise))
-            return engine(ecfg, p_t, theta, phi, alpha, noise)
+        def recording(design, p_t, theta, phi, alpha, noise):
+            seen.append((design.variant, theta.tolist(), phi.tolist(), alpha.tolist(), noise))
+            return engine(design, p_t, theta, phi, alpha, noise)
 
         monkeypatch.setattr(montecarlo, "search_batch", recording)
         montecarlo._sweep_chunk(cfg, 3, 12)
@@ -213,7 +210,7 @@ class TestBlockDraws:
             assert theta == [c.theta for c in channels]
             assert phi == [c.phi for c in channels]
             assert alpha == [c.alpha for c in channels]
-            m = patterns_per_end(cfg.k, variant)
+            m = cfg.designs[variant].m
             for i, trial in enumerate(range(3, 12)):
                 expected = MeasurementNoise(cfg.n0, noise_stream(cfg, trial, variant))
                 np.testing.assert_array_equal(
@@ -249,13 +246,13 @@ class TestFailureIndicator:
 
 class TestEnergyAccounting:
     def test_stage_gains_increase(self):
-        gains = stage_gains(27, 3, OVERLAPPED)
+        gains = Design(27, 3, OVERLAPPED).gains
         assert len(gains) == 3
         assert gains[0] < gains[1] < gains[2]
 
     def test_power_for_energy_roundtrip(self):
         for variant in (OVERLAPPED, NON_OVERLAPPED):
-            gains = stage_gains(27, 3, variant)
+            gains = Design(27, 3, variant).gains
             slots_per_stage = {OVERLAPPED: 4, NON_OVERLAPPED: 9}[variant]
             p_t = power_for_energy(819.0, 27, 3, variant)
             total = slots_per_stage * sum(p_t / c ** 4 for c in gains)
@@ -468,7 +465,7 @@ def _aggregate_reference(cfg, variant, counts, sums):
         rows.append((db, failures / trials, ci_low, ci_high, failures < 5 or n_success < 5,
                      mmse_all[i] / trials, conditional_mean(mmse_success[i]),
                      final_all[i] / trials, conditional_mean(final_success[i]), failures))
-    return {"trials": trials, "slots": slot_count(cfg.n, cfg.k, variant),
+    return {"trials": trials, "slots": Design(cfg.n, cfg.k, variant).slots,
             **{name: list(column) for name, column in zip(_COLUMNS, zip(*rows))}}
 
 
@@ -607,13 +604,15 @@ def test_sweep_memory_does_not_grow_with_trials():
     assert many <= few + (1 << 19), (few, many)
 
 
-# the gain estimates themselves overflow at this noise level
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 def test_fallback_rows_match_across_splits(monkeypatch):
-    # n0 = 1e-320 makes every gain error inf, so every block takes the
-    # kernel's fsum fallback; one worker, two and one-trial one-point blocks
-    # must write the same rows
-    cfg = _cfg(n=27, et_db=(0.0, 10.0, 20.0), trials=60, n0=1e-320)
+    # gain estimates scaled to infinity make every gain error inf, so every
+    # block takes the kernel's fsum fallback; one worker, two and one-trial
+    # one-point blocks must write the same rows.  A config whose estimates
+    # overflow (n0 = 1e-320) is rejected when built, so the estimate is scaled
+    estimate = montecarlo.estimate_alpha_mmse
+    monkeypatch.setattr(montecarlo, "estimate_alpha_mmse",
+                        lambda *args: estimate(*args) * math.inf)
+    cfg = _cfg(n=27, et_db=(0.0, 10.0, 20.0), trials=60)
     one = run_sweep(cfg)
     assert all(np.isinf(table.relerr_mmse_all).all() and np.isinf(table.relerr_final_all).all()
                for table in one.values())
@@ -878,7 +877,7 @@ def _bound_point_reference(n, k, db, var_alpha=None):
     p_t = power_for_energy(energy_from_db(db), n, k)
     terms = np.zeros((k * k, k * k))
     terms[~np.eye(k * k, dtype=bool)] = _rayleigh_terms(
-        pattern_matrix(k, OVERLAPPED).pair_correlations, p_t, 1.0,
+        Design(n, k, OVERLAPPED).patterns.pair_correlations, p_t, 1.0,
         float(n * n) if var_alpha is None else var_alpha)
     per_stage = float(terms.sum() / (k * k))
     raw_total = stage_count(n, k) * per_stage
