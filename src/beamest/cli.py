@@ -44,24 +44,23 @@ from .estimator import (
     OVERLAPPED,
     VARIANTS,
     Design,
-    EstimatorConfig,
     codebook_bank,
     leftmost_path,
-    run_estimation,
+    run_estimation,  # noqa: F401 -- benchmarks/workloads.py wraps cli.run_estimation
     stage_count,  # noqa: F401 -- benchmarks/workloads.py wraps cli.stage_count
     trace_line,
-    trace_record,
+    trace_record,  # noqa: F401 -- benchmarks/workloads.py wraps cli.trace_record
     write_trace_records,  # noqa: F401 -- benchmarks/workloads.py wraps cli.write_trace_records
 )
 from .montecarlo import (
     ExperimentConfig,
+    _trace_blocks,
     bound_csv,
     bound_table,
     energy_from_db,
-    noise_stream,
     power_for_energy,  # noqa: F401 -- benchmarks/workloads.py wraps cli.power_for_energy
     run_sweep,
-    sample_channel,
+    sample_channel,  # noqa: F401 -- benchmarks/workloads.py wraps cli.sample_channel
     usable_cpus,
 )
 
@@ -364,8 +363,8 @@ def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
     # rejected one leaves no file behind
     top = max(energy_from_db(db, n0) for db in grid)
     for n, k in zip(n_values, k_values):
-        _check_bound_range(top / Design(n, k, OVERLAPPED).power_weight, n0,
-                           float(n * n) if var_alpha is None else var_alpha)
+        design = Design(n, k, OVERLAPPED)
+        _check_bound_range(top / design.power_weight, n0, design.gain_prior(var_alpha))
     outputs = []
     single = len(n_values) == 1
     for n, k in zip(n_values, k_values):
@@ -389,20 +388,15 @@ def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
                                   master_seed=seed, n0=n0,
                                   var_alpha=_alpha_variance(cfg),
                                   variants=_variants(cfg))
-    configs = {variant: EstimatorConfig(
-        n=n, k=k, p_t=float(p_t[0]), n0=experiment.n0, var_alpha=experiment.alpha_variance,
-        variant=variant) for variant, p_t in experiment.powers.items()}
-    outputs = [out_dir / f"traces_{variant}.jsonl" for variant in configs]
-    # each trial's channel is drawn once and traced by every variant, its
-    # record written as it is made, so memory does not grow with the trials
+    outputs = [out_dir / f"traces_{variant}.jsonl" for variant in experiment.variants]
+    # each block of trials is drawn once and traced by every variant, its
+    # records written before the next block is drawn, so memory does not
+    # grow with the trials
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(output_file(path)) for path in outputs]
-        for trial in range(trials):
-            channel = sample_channel(experiment, trial)
-            for (variant, ecfg), fh in zip(configs.items(), files):
-                rng = np.random.default_rng(noise_stream(experiment, trial, variant))
-                fh.write(trace_line(trace_record(run_estimation(channel, ecfg, rng), channel,
-                                                 trial=trial, seed=seed)))
+        for blocks in _trace_blocks(experiment):
+            for records, fh in zip(blocks, files):
+                fh.write("".join(map(trace_line, records)))
     if not args.quiet:
         for path in outputs:
             print(f"wrote {path}")

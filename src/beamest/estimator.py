@@ -29,11 +29,11 @@ at :func:`search_batch`.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -113,8 +113,9 @@ class Design:
     """One search design's geometry and every constant the engine reads.
 
     ``Design(n, k, variant)`` checks, each ``ValueError`` naming the field,
-    integer ``n`` and ``k`` (not a bool or a float), the variant, ``k = 2^m -
-    1`` for the overlapped design, ``k >= 2`` and ``n`` a power of ``k``.  A
+    integer ``n`` and ``k`` (not a bool or a float), the variant, ``k >= 2``,
+    ``n`` a power of ``k``, ``k = 2^m - 1`` for the overlapped design, and
+    ``power_weight`` and ``prior`` within the float range.  A
     design is built once per triple and process (memoized, and pickled as its
     triple); its pattern matrix at first use.  Its arrays are read-only.
     """
@@ -128,6 +129,7 @@ class Design:
     gains: tuple[float, ...]    # C_s = sqrt(m k^(s-1) / n), s = 1..S
     places: np.ndarray          # (S,) grid step of each stage's sub-ranges, k^(S-1) .. 1
     power_weight: float         # m^2 sum_s C_s^-4: the energy E_T of total power p_t = 1
+    prior: float                # n^2, the gain prior variance where none is given
 
     def __new__(cls, n, k, variant: str = OVERLAPPED):
         n, k = _integer("n", n), _integer("k", k)
@@ -137,6 +139,10 @@ class Design:
 
     def __reduce__(self):
         return Design, (self.n, self.k, self.variant)
+
+    def gain_prior(self, var_alpha: float | None) -> float:
+        """The gain prior variance in use: ``var_alpha``, or :attr:`prior` where it is ``None``."""
+        return self.prior if var_alpha is None else var_alpha
 
     @cached_property
     def patterns(self) -> BeamPatternMatrix:
@@ -148,20 +154,27 @@ class Design:
 
 @lru_cache(maxsize=None)
 def _design(n: int, k: int, variant: str) -> Design:
+    stages = stage_count(n, k)
     m = k
     if variant == OVERLAPPED:
         m = (k + 1).bit_length() - 1
         if (1 << m) - 1 != k:
             raise ValueError(f"overlapped design needs k = 2^m - 1 sub-ranges, got k = {k}")
-    stages = stage_count(n, k)
     # stage s gives each sub-range n / k^s points and every pattern row has
     # squared norm k/m, so every beam's target profile has gain 1/||p|| = C_s
     gains = tuple(math.sqrt(m * k ** s / n) for s in range(stages))
+    try:
+        power_weight, prior = m ** 2 * sum(c ** -4 for c in gains), float(n * n)
+    except (OverflowError, ZeroDivisionError):  # C_s^-4 or n^2 past the float range
+        power_weight = prior = math.inf
+    if not math.isfinite(power_weight + prior):
+        raise ValueError("n: antenna count is too large: the design's power constants "
+                         "overflow a float")
     design = object.__new__(Design)
     design.__dict__.update(  # frozen: fields are set once, here
         n=n, k=k, variant=variant, stages=stages, m=m, slots=stages * m ** 2, gains=gains,
-        places=_read_only(k ** np.arange(stages - 1, -1, -1)),
-        power_weight=m ** 2 * sum(c ** -4 for c in gains))
+        places=_read_only(k ** np.arange(stages - 1, -1, -1)), power_weight=power_weight,
+        prior=prior)
     return design
 
 
@@ -531,24 +544,55 @@ def run_estimation(
 def trace_record(trace: EstimationTrace, truth: ChannelRealization,
                  trial: int | None = None, seed: int | None = None) -> dict:
     """Flatten one run into a JSON-serializable record for post-hoc analysis."""
-    record = {
+    return _record(trial, seed, truth.theta, truth.phi, format_complex(truth.alpha),
+                   [list(pair) for pair in trace.selections], trace.theta_hat,
+                   trace.phi_hat, trace.alpha_hat)
+
+
+def _record(trial, seed, theta: int, phi: int, alpha: str, selections: list,
+            theta_hat: int, phi_hat: int, alpha_hat: complex) -> dict:
+    """The :func:`trace_record` dict of one run: ``alpha`` comes formatted,
+    since every variant of a trial shares it, and ``selections`` as lists."""
+    return {
         "trial": trial,
         "seed": seed,
-        "theta": truth.theta,
-        "phi": truth.phi,
-        "alpha": format_complex(truth.alpha),
-        "selections": [list(pair) for pair in trace.selections],
-        "theta_hat": trace.theta_hat,
-        "phi_hat": trace.phi_hat,
-        "alpha_hat": format_complex(trace.alpha_hat),
-        "correct": bool(trace.theta_hat == truth.theta and trace.phi_hat == truth.phi),
+        "theta": theta,
+        "phi": phi,
+        "alpha": alpha,
+        "selections": selections,
+        "theta_hat": theta_hat,
+        "phi_hat": phi_hat,
+        "alpha_hat": format_complex(alpha_hat),
+        "correct": bool(theta_hat == theta and phi_hat == phi),
     }
-    return record
+
+
+# A trace record's JSON line, its keys in sorted order.
+_TRACE_LINE = ('{"alpha": %s, "alpha_hat": %s, "correct": %s, "phi": %d, "phi_hat": %d, '
+               '"seed": %s, "selections": %r, "theta": %d, "theta_hat": %d, "trial": %s}\n')
 
 
 def trace_line(record: dict) -> str:
-    """One trace record as a JSON line, keys sorted."""
-    return json.dumps(record, sort_keys=True) + "\n"
+    """One :func:`trace_record` dict as a JSON line: the text of
+    ``json.dumps(record, sort_keys=True) + "\\n"``, written field by field.
+
+    The schema is fixed, and a dict with other keys raises ``ValueError``:
+    ``trial`` and ``seed`` are ints or ``None``, the angles ints,
+    ``correct`` a bool, ``selections`` a list of two-int lists, whose
+    ``repr`` is their JSON, and the two gains strings, which go through
+    ``json``'s own encoder.  ``None``, which a caller writes for a record
+    it could not make, gives ``null``.
+    """
+    if record is None:
+        return "null\n"
+    if len(record) != 10:
+        raise ValueError(f"not a trace record: keys {sorted(record)}")
+    trial, seed = record["trial"], record["seed"]
+    return _TRACE_LINE % (
+        _json_string(record["alpha"]), _json_string(record["alpha_hat"]),
+        "true" if record["correct"] else "false", record["phi"], record["phi_hat"],
+        "null" if seed is None else seed, record["selections"], record["theta"],
+        record["theta_hat"], "null" if trial is None else trial)
 
 
 def write_trace_records(path, records) -> None:

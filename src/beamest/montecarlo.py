@@ -5,12 +5,15 @@ and both search variants consume that same draw, so curve comparisons are
 paired.  Noise streams are keyed per ``(trial, variant)`` and reused across
 energy points: one draw of all ``S`` stages' ``m x m`` slot noise per
 ``(trial, variant)`` yields exactly the numbers ``S`` per-stage draws would,
-and every energy point sees the same noise.  A sweep block hashes the start
-states of all its streams at once (:func:`~beamest.arrays.substream_states`)
-and reseats one generator onto each in turn (:func:`~beamest.arrays.reseater`),
-so :func:`_draw_block` draws exactly what :func:`sample_channel` and
-:func:`noise_stream` give trial by trial through
-:func:`~beamest.arrays.stream_seed`.
+and every energy point sees the same noise.  A block of trials hashes the
+start states of all its streams at once
+(:func:`~beamest.arrays.substream_states`) and reseats one generator onto
+each in turn (:func:`~beamest.arrays.reseater`), so :func:`_draw_block` draws
+exactly what a generator seeded per trial with
+:func:`~beamest.arrays.substream` gives.  Its channel half,
+:func:`_draw_channels`, is the one channel draw: :func:`sample_channel`
+serves single trials from a cached block of it.  ``beamest trace`` runs the
+same blocks through the same engine (:func:`_trace_blocks`).
 The trials then run through :func:`~beamest.estimator.search_batch`, which
 needs no ``n``-element beam: the power rule makes every stage's noiseless
 block the same rank-one product of pattern columns, and the stage gains have
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +43,7 @@ import numpy as np
 from ._output import csv_text
 from .analysis import _noise_and_prior, pcef_upper_bound
 from .arrays import (
+    _STREAM_BLOCK,
     ChannelRealization,
     StreamSeed,
     _integer,
@@ -48,12 +53,14 @@ from .arrays import (
     substream,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.substream
     substream_states,
 )
+from .codebook import format_complex
 from .estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
     PILOT,
     Design,
     _check_powers,
+    _record,
     estimate_alpha_mmse,
     run_estimation,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.run_estimation
     search_batch,
@@ -100,7 +107,8 @@ class ExperimentConfig:
     increasing; ``var_alpha = None`` selects the prior variance ``n**2``.
     Construction is the run's one gate.  It checks every field (integers
     stored as ``int``, reals as ``float``), builds each variant's ``Design``
-    (``designs``) and read-only powers over the grid (``powers``), and checks
+    (``designs``), the prior variance in use (``alpha_variance``) and
+    read-only powers over the grid (``powers``), and checks
     that the gain estimate ``F conj(pilot) s / D`` of
     :func:`~beamest.estimator.estimate_alpha_mmse`, evaluated left to right,
     stays in float range: ``F = var_alpha sqrt(p_t)``, ``D = S var_alpha p_t
@@ -123,6 +131,7 @@ class ExperimentConfig:
     var_alpha: float | None = None
     variants: tuple[str, ...] = (OVERLAPPED, NON_OVERLAPPED)
     designs: dict = field(init=False, repr=False, compare=False)
+    alpha_variance: float = field(init=False, repr=False, compare=False)
     powers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -150,6 +159,8 @@ class ExperimentConfig:
         if len(set(self.variants)) < len(self.variants):
             raise ValueError(f"variants must not repeat, got {self.variants}")
         designs = {variant: Design(self.n, self.k, variant) for variant in self.variants}
+        object.__setattr__(self, "alpha_variance",
+                           designs[self.variants[0]].gain_prior(var_alpha))
         energies = np.fromiter((energy_from_db(db, n0) for db in self.et_db), float,
                                len(self.et_db))
         powers = {variant: _check_powers(power_for_energy(energies, self.n, self.k, variant))
@@ -176,24 +187,54 @@ class ExperimentConfig:
                 raise ValueError(f"{key}: {name} {value!r} {what} at "
                                  f"{self.et_db[int(np.argmax(bad))]!r} dB")
 
-    @property
-    def alpha_variance(self) -> float:
-        return float(self.n * self.n) if self.var_alpha is None else float(self.var_alpha)
+
+# sample_channel keeps the draws of the latest _STREAM_BLOCK-trial block of
+# each of the last _CHANNEL_KEYS (master seed, n, prior) triples, with the
+# ChannelRealization of each trial asked for; the lock orders the cache's
+# evictions between threads
+_CHANNEL_KEYS = 4
+_channel_blocks: dict[tuple[int, int, float], tuple[int, list, list]] = {}
+_channel_lock = threading.Lock()
 
 
 def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealization:
-    """Draw one channel: angles uniform on the grid, gain complex Gaussian.
+    """One trial's channel: angles uniform on the grid, gain complex Gaussian.
 
-    Fully determined by ``(master_seed, trial_index)``, so trials can run in
-    any order.  Both gain parts come from one ``normal(size=2)`` call, the
-    numbers two scalar calls give.
+    Fully determined by ``(master_seed, trial_index)``, ``n`` and the prior,
+    so trials can run in any order, and it is the channel a sweep or a trace
+    gives that trial.  The first trial asked for in an aligned block of
+    ``_STREAM_BLOCK`` draws the whole block through :func:`_draw_channels`;
+    its neighbours then cost a lookup, and a trial asked for again, by
+    another variant, gets the same validated object.  ``ValueError`` for a
+    trial index outside ``[0, 2**32)``.
     """
-    rng = np.random.default_rng(stream_seed(cfg.master_seed, trial_index, _CHANNEL_KEY))
-    # two scalar draws: integers(n, size=2) gives the same numbers but takes
-    # longer, through its array path
-    theta, phi = int(rng.integers(cfg.n)), int(rng.integers(cfg.n))
-    real, imag = rng.normal(scale=math.sqrt(cfg.alpha_variance / 2.0), size=2).tolist()
-    return ChannelRealization(theta=theta, phi=phi, alpha=complex(real, imag), n=cfg.n)
+    trial = _integer("trial index", trial_index)
+    if not 0 <= trial < _MAX_TRIALS:
+        raise ValueError(f"trial index {trial} outside [0, 2**32)")
+    offset = trial % _STREAM_BLOCK
+    start = trial - offset
+    key = (cfg.master_seed, cfg.n, cfg.alpha_variance)
+    cached = _channel_blocks.get(key)
+    if cached is None or cached[0] != start:
+        (states,) = substream_states(cfg.master_seed, range(start, start + _STREAM_BLOCK),
+                                     [_CHANNEL_KEY])
+        # seed 0's stream is never drawn from: every trial stream reseats it
+        theta, phi, alpha = _draw_channels(states, cfg.n, cfg.alpha_variance,
+                                           np.random.default_rng(0))
+        cached = (start, list(zip(theta.tolist(), phi.tolist(), alpha.tolist())),
+                  [None] * _STREAM_BLOCK)
+        with _channel_lock:
+            _channel_blocks.pop(key, None)
+            if len(_channel_blocks) >= _CHANNEL_KEYS:
+                del _channel_blocks[next(iter(_channel_blocks))]
+            _channel_blocks[key] = cached
+    _, draws, channels = cached
+    channel = channels[offset]
+    if channel is None:
+        theta, phi, alpha = draws[offset]
+        channel = channels[offset] = ChannelRealization(theta=theta, phi=phi, alpha=alpha,
+                                                        n=cfg.n)
+    return channel
 
 
 def noise_stream(cfg: ExperimentConfig, trial_index: int, variant: str) -> StreamSeed:
@@ -260,21 +301,25 @@ class ResultTable:
             self.relerr_final_success, trials, self.failures, slots))
 
 
-def _draw_block(cfg: ExperimentConfig, trials: range, rng: np.random.Generator):
-    """Engine inputs of ``trials``: ``(theta, phi, alpha, {variant: noise})``.
+def _draw_channels(channel_states: np.ndarray, n: int, variance: float,
+                   rng: np.random.Generator):
+    """Channels ``(theta, phi, alpha)`` of the trials whose channel streams
+    start at ``channel_states`` (rows of :func:`~beamest.arrays.substream_states`
+    for key 0): angles uniform on the ``n``-point grid, gains complex Gaussian
+    of variance ``variance``.
 
-    Trial for trial the same numbers as :func:`sample_channel` and
-    ``MeasurementNoise(cfg.n0, noise_stream(...)).draw_blocks``: the PCG64
-    behind ``rng`` is reseated onto each stream in turn.
+    Trial for trial the numbers of a generator seeded with
+    ``substream(master_seed, trial, 0)``: ``integers(n, size=2)``, then
+    ``normal(scale=sqrt(variance / 2), size=2)`` for the gain's real and
+    imaginary parts.  The PCG64 behind ``rng`` is reseated onto each trial's
+    stream in turn.
     """
-    keys = (_CHANNEL_KEY, *(_VARIANT_KEYS[variant] for variant in cfg.variants))
-    channel_states, *noise_states = substream_states(cfg.master_seed, trials, keys)
     bit_generator = rng.bit_generator
     reseat = reseater(bit_generator)
-    n, count = cfg.n, len(trials)
+    count = len(channel_states)
     # Each stream is reseated and filled straight into its row of a block
     # buffer; scaling and the complex combine then run once per block, as the
-    # same elementwise expressions Generator.normal and draw_blocks evaluate.
+    # same elementwise expressions Generator.normal evaluates.
     words = np.empty(count, dtype=np.uint64)
     gains = np.empty((count, 2))
     for i, state in enumerate(channel_states):
@@ -297,8 +342,24 @@ def _draw_block(cfg: ExperimentConfig, trials: range, rng: np.random.Generator):
         angles[i] = rng.integers(n, size=2)
         rng.standard_normal(out=gains[i])
     theta, phi = angles.T
-    # each row's two normals are the real and imaginary parts, as in sample_channel
-    alpha = (0.0 + math.sqrt(cfg.alpha_variance / 2.0) * gains).view(complex)[:, 0]
+    # each row's two normals are the real and imaginary parts
+    alpha = (0.0 + math.sqrt(variance / 2.0) * gains).view(complex)[:, 0]
+    return theta, phi, alpha
+
+
+def _draw_block(cfg: ExperimentConfig, trials: range, rng: np.random.Generator):
+    """Engine inputs of ``trials``: ``(theta, phi, alpha, {variant: noise})``.
+
+    The channels of :func:`_draw_channels`, then each variant's noise: trial
+    for trial the numbers of ``MeasurementNoise(cfg.n0, noise_stream(...))
+    .draw_blocks``, with the PCG64 behind ``rng`` reseated onto each stream
+    in turn.
+    """
+    keys = (_CHANNEL_KEY, *(_VARIANT_KEYS[variant] for variant in cfg.variants))
+    channel_states, *noise_states = substream_states(cfg.master_seed, trials, keys)
+    theta, phi, alpha = _draw_channels(channel_states, cfg.n, cfg.alpha_variance, rng)
+    reseat = reseater(rng.bit_generator)
+    count = len(trials)
     noises = {}
     for variant, states in zip(cfg.variants, noise_states):
         design = cfg.designs[variant]
@@ -344,6 +405,39 @@ def _sweep_blocks(cfg: ExperimentConfig, lo: int, hi: int):
                                      (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T,
                                      (np.abs(final_hat - alpha[:, None]) / alpha_mag).T)
             yield trials, points, outcomes
+
+
+def _trace_blocks(cfg: ExperimentConfig):
+    """:func:`~beamest.estimator.trace_record` dicts of every trial at the
+    first energy point of ``cfg`` (a trace's config has one), a block of
+    ``_STREAM_BLOCK`` trials at a time.
+
+    Yields one list of records per variant and block, trials in order: the
+    records :func:`~beamest.estimator.run_estimation` gives each trial on
+    :func:`sample_channel`'s channel and :func:`noise_stream`'s noise, from
+    one :func:`_draw_block` and one one-point search and gain estimate per
+    variant.
+    """
+    seed = cfg.master_seed
+    rng = np.random.default_rng(0)  # never drawn from: every trial stream reseats it
+    for start in range(0, cfg.trials, _STREAM_BLOCK):
+        trials = range(start, min(start + _STREAM_BLOCK, cfg.trials))
+        theta, phi, alpha, noises = _draw_block(cfg, trials, rng)
+        truth = list(zip(trials, theta.tolist(), phi.tolist(),
+                         map(format_complex, alpha.tolist())))
+        blocks = []
+        for variant, design in cfg.designs.items():
+            p_t = cfg.powers[variant][:1]
+            batch = search_batch(design, p_t, theta, phi, alpha, noises[variant])
+            alpha_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
+                                            cfg.alpha_variance)
+            picks = np.stack([batch.receive[:, 0], batch.transmit[:, 0]], axis=-1).tolist()
+            blocks.append([
+                _record(trial, seed, t, p, a, selections, t_hat, p_hat, a_hat)
+                for (trial, t, p, a), selections, t_hat, p_hat, a_hat in zip(
+                    truth, picks, batch.theta_hat[:, 0].tolist(),
+                    batch.phi_hat[:, 0].tolist(), alpha_hat[:, 0].tolist())])
+        yield blocks
 
 
 def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int):
@@ -564,7 +658,7 @@ def bound_table(n: int, k: int, et_db, n0: float = 1.0,
     """
     design = Design(n, k, OVERLAPPED)
     n0, var_alpha = _noise_and_prior(n0, var_alpha)
-    variance = float(design.n ** 2) if var_alpha is None else var_alpha
+    variance = design.gain_prior(var_alpha)
     grid = [_real("et_db", db) for db in et_db]
     energies = np.fromiter((energy_from_db(db, n0) for db in grid), float, len(grid))
     result = pcef_upper_bound(design.patterns, design.stages,

@@ -9,12 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import reference_channel
 
-from beamest import cli
+from beamest import cli, montecarlo
 from beamest._output import csv_text
 from beamest.cli import ConfigError, load_config, main, parse_config
 from beamest.codebook import read_beam_matrix
-from beamest.estimator import write_trace_records
+from beamest.estimator import (
+    EstimatorConfig,
+    run_estimation,
+    trace_line,
+    trace_record,
+    write_trace_records,
+)
+from beamest.montecarlo import ExperimentConfig, noise_stream
 
 
 def run_cli(*args):
@@ -133,6 +141,18 @@ class TestExitCodes:
         assert run_cli(command, "--config", path, "--out", tmp_path / "s", "--quiet") == 2
         assert f"{command}: key 'seed' must be int, got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "s" / f"{command}_manifest.json").exists()
+
+    @pytest.mark.parametrize("command, geometry", [
+        ("sweep", f"n = {7 ** 300}\nk = 7\n"), ("bound", f"n = {3 ** 330}\nk = 3\n"),
+        ("trace", f"n = {7 ** 300}\nk = 7\n")], ids=["sweep", "bound", "trace"])
+    def test_geometry_past_the_float_range_exits_2(self, tmp_path, capsys, command, geometry):
+        # the design's power constants, and the default prior n^2, overflow
+        path = write_cfg(tmp_path, geometry + "trials = 2\net_db = 10\nbound = true\n")
+        out = tmp_path / "huge"
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err == ("error: n: antenna count is too large: the design's "
+                                           "power constants overflow a float\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["sweep", "trace"])
     @pytest.mark.parametrize("key", ["n0", "var_alpha"])
@@ -548,19 +568,58 @@ class TestTraceCommand:
             assert isinstance(record["correct"], bool)
 
     def test_each_variant_draws_each_channel_once(self, tmp_path, monkeypatch):
-        # both variants trace the same channels: each trial's channel is drawn
-        # once and traced by every variant before the next trial's is drawn
-        trials = []
-        draw = cli.sample_channel
+        # both variants trace the same channels: each block of trials is drawn
+        # once, in trial order, and traced by every variant before the next
+        # block is drawn
+        drawn, written = [], []
+        draw, line = montecarlo._draw_block, cli.trace_line
 
-        def counting(experiment, trial):
-            trials.append(trial)
-            return draw(experiment, trial)
+        def counting(experiment, trials, rng):
+            drawn.append(trials)
+            return draw(experiment, trials, rng)
 
-        monkeypatch.setattr(cli, "sample_channel", counting)
-        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 5\net_db = 20\n")
+        def recording(record):
+            written.append((len(drawn), record["trial"]))
+            return line(record)
+
+        monkeypatch.setattr(montecarlo, "_draw_block", counting)
+        monkeypatch.setattr(cli, "trace_line", recording)
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 600\net_db = 20\n")
         assert run_cli("trace", "--config", path, "--out", tmp_path / "t", "--quiet") == 0
-        assert trials == list(range(5))
+        assert drawn == [range(0, 256), range(256, 512), range(512, 600)]
+        # each variant writes a block's records before the next is drawn
+        blocks = [1] * 256 + [2] * 256 + [3] * 88
+        expected = [(block, trial) for first in range(0, 600, 256)
+                    for _ in range(2) for block, trial in
+                    zip(blocks[first:first + 256], range(first, min(first + 256, 600)))]
+        assert written == expected
+
+    @pytest.mark.parametrize("geometry", ["n = 27\nk = 3\ntrials = 600\net_db = 14\n",
+                                          "n = 343\nk = 7\ntrials = 300\net_db = 20\n"],
+                             ids=["n27", "n343-k7"])
+    def test_blocks_equal_per_trial_runs(self, tmp_path, geometry):
+        # trial by trial, over block edges, the line one run_estimation on
+        # the reference channel and the trial's noise stream gives
+        path = write_cfg(tmp_path, geometry + "seed = 5\n")
+        out = tmp_path / "blocks"
+        assert run_cli("trace", "--config", path, "--out", out, "--quiet") == 0
+        cfg = cli.parse_config(path.read_text())
+        experiment = ExperimentConfig(n=cfg["n"], k=cfg["k"], et_db=(cfg["et_db"],),
+                                      trials=cfg["trials"], master_seed=5)
+        channels = [reference_channel(experiment, trial) for trial in range(cfg["trials"])]
+        for variant, p_t in experiment.powers.items():
+            ecfg = EstimatorConfig(n=experiment.n, k=experiment.k, p_t=float(p_t[0]), n0=1.0,
+                                   var_alpha=experiment.alpha_variance, variant=variant)
+            lines = (out / f"traces_{variant}.jsonl").read_text().splitlines(keepends=True)
+            expected = [trace_line(trace_record(
+                run_estimation(channel, ecfg,
+                               np.random.default_rng(noise_stream(experiment, trial, variant))),
+                channel, trial=trial, seed=5)) for trial, channel in enumerate(channels)]
+            assert len(lines) == len(expected)
+            for trial, (got, want) in enumerate(zip(lines, expected)):
+                assert got == want, (variant, trial)
+            # both outcomes occur, so the picks after a miss are checked too
+            assert 0 < sum('"correct": false' in line for line in lines) < len(lines)
 
     def test_memory_does_not_grow_with_trials(self, tmp_path):
         # each record is written as it is made; one variant at the fig3
@@ -724,21 +783,21 @@ class TestOutputFiles:
     def test_trace_records_over_longer_file(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         path.write_text("stale line\n" * 10_000)
-        write_trace_records(path, [{"trial": 1, "correct": True}])
-        assert path.read_text() == '{"correct": true, "trial": 1}\n'
+        write_trace_records(path, [_full_record(1)])
+        assert path.read_text() == _full_line(1)
 
     def test_records_cut_short_leave_what_was_written(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         path.write_text("stale line\n" * 10_000)
 
         def records():
-            yield {"trial": 0}
-            yield {"trial": 1}
+            yield _full_record(0)
+            yield _full_record(1)
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
             write_trace_records(path, records())
-        assert path.read_text() == '{"trial": 0}\n{"trial": 1}\n'
+        assert path.read_text() == _full_line(0) + _full_line(1)
 
     def test_symlinked_output_is_written_through(self, tmp_path):
         fresh = self._run(tmp_path, "sweep", tmp_path / "fresh")
@@ -758,6 +817,20 @@ class TestOutputFiles:
         first = self._run(tmp_path, "sweep", out)
         assert self._run(tmp_path, "sweep", out) == first
         assert self._run(tmp_path, "sweep", tmp_path / "fresh") == first
+
+
+def _full_record(trial):
+    """A trace record with every field :func:`trace_record` writes."""
+    return {"trial": trial, "seed": 4, "theta": 5, "phi": 7, "alpha": "1.5-0.25j",
+            "selections": [[1, 2], [2, 1]], "theta_hat": 5, "phi_hat": 7,
+            "alpha_hat": "1.48125-0.246875j", "correct": True}
+
+
+def _full_line(trial):
+    """:func:`_full_record`'s JSON line, written out."""
+    return ('{"alpha": "1.5-0.25j", "alpha_hat": "1.48125-0.246875j", "correct": true, '
+            '"phi": 7, "phi_hat": 7, "seed": 4, "selections": [[1, 2], [2, 1]], '
+            f'"theta": 5, "theta_hat": 5, "trial": {trial}}}\n')
 
 
 # A small run of each command and the first data file it writes.

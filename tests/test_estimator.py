@@ -6,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from reference import reference_search
 from test_golden import _integers
 
 from beamest import estimator, montecarlo
 from beamest.arrays import ChannelRealization, MeasurementNoise, substream
-from beamest.codebook import identity_pattern_matrix, overlapped_pattern_matrix
+from beamest.codebook import format_complex, identity_pattern_matrix, overlapped_pattern_matrix
 from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
@@ -26,6 +28,7 @@ from beamest.estimator import (
     codebook_bank,
     select_path,
     stage_count,
+    trace_line,
     trace_record,
     write_trace_records,
 )
@@ -449,6 +452,9 @@ class TestDesign:
 # One case per geometry rejection: (n, k, variant, message naming the field).
 GEOMETRY_REJECTIONS = {
     "k-below-2": (9, 1, OVERLAPPED, "sub-range count must be at least 2, got 1"),
+    # the count is checked before the overlapped rule's 2^m - 1 is formed
+    "negative-k": (27, -1, OVERLAPPED, "sub-range count must be at least 2, got -1"),
+    "zero-k": (27, 0, OVERLAPPED, "sub-range count must be at least 2, got 0"),
     "n-below-k": (2, 3, OVERLAPPED, "antenna count 2 must be at least k = 3"),
     "n-not-a-power-of-k": (26, 3, NON_OVERLAPPED, "antenna count 26 is not a power of 3"),
     "overlapped-k-not-2^m-1": (16, 4, OVERLAPPED,
@@ -458,6 +464,9 @@ GEOMETRY_REJECTIONS = {
     "bool-k": (27, True, OVERLAPPED, "k must be an integer, got True"),
     "float-n": (27.0, 3, OVERLAPPED, r"n must be an integer, got 27\.0"),
     "float-k": (27, 3.0, OVERLAPPED, r"k must be an integer, got 3\.0"),
+    # C_s^-4 and the default prior n^2 pass the float range
+    "n-overflows-k7": (7 ** 300, 7, OVERLAPPED, "n: antenna count is too large"),
+    "n-overflows-k3": (3 ** 330, 3, NON_OVERLAPPED, "n: antenna count is too large"),
 }
 
 # Everything that builds a geometry from (n, k, variant); bound_table is the
@@ -536,7 +545,44 @@ class TestConfigValidation:
         assert calls == [(27, 3)]
 
 
+# Trace record fields: ints of any size or None where trace_record allows it,
+# and gains formatted as format_complex writes them, -0.0, NaN and infinities
+# included, or any text.
+_PARTS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 0.0])
+_GAINS = st.builds(complex, _PARTS, _PARTS).map(format_complex) | st.text()
+_INTS = st.integers(-(2 ** 64), 2 ** 64) | st.sampled_from([0, 2 ** 200, -(2 ** 100)])
+_RECORDS = st.fixed_dictionaries({
+    "trial": st.none() | _INTS, "seed": st.none() | _INTS, "theta": _INTS, "phi": _INTS,
+    "alpha": _GAINS, "selections": st.lists(st.lists(_INTS, min_size=2, max_size=2),
+                                            max_size=8),
+    "theta_hat": _INTS, "phi_hat": _INTS, "alpha_hat": _GAINS, "correct": st.booleans()})
+
+
 class TestTraceRecords:
+    @settings(deadline=None, max_examples=200)
+    @given(record=_RECORDS)
+    @example(record={"trial": None, "seed": None, "theta": 0, "phi": 2 ** 70,
+                     "alpha": format_complex(complex(-0.0, -0.0)), "selections": [],
+                     "theta_hat": -1, "phi_hat": 3,
+                     "alpha_hat": format_complex(complex(math.nan, -math.inf)),
+                     "correct": False})
+    def test_line_is_json_dumps(self, record):
+        assert trace_line(record) == json.dumps(record, sort_keys=True) + "\n"
+
+    def test_line_of_a_run(self):
+        ch = ChannelRealization(theta=5, phi=6, alpha=complex(-0.0, 2.0), n=9)
+        record = trace_record(run_estimation(ch, _config(n=9, var_alpha=81.0, n0=1.0)), ch)
+        assert record["trial"] is None and record["alpha"] == "-0.0+2.0j"
+        assert trace_line(record) == json.dumps(record, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("record", [{"trial": 1, "correct": True}, {}])
+    def test_other_dicts_rejected(self, record):
+        with pytest.raises(ValueError, match="not a trace record"):
+            trace_line(record)
+
+    def test_missing_record_is_null(self):
+        assert trace_line(None) == json.dumps(None) + "\n"
+
     def test_record_roundtrip(self, tmp_path):
         ch = ChannelRealization(theta=5, phi=6, alpha=1.0 + 2.0j, n=9)
         cfg = _config(n=9, var_alpha=81.0)

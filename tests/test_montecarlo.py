@@ -1,12 +1,14 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import sweep_outcomes
+from reference import reference_channel, sweep_outcomes
 from scipy import stats
 
 from beamest import analysis, arrays, cli, montecarlo
@@ -107,6 +109,68 @@ class TestSampleChannel:
         b = np.random.default_rng(noise_stream(cfg, 0, NON_OVERLAPPED)).normal(size=4)
         assert not np.allclose(a, b)
 
+    def test_block_served_by_lookup(self, monkeypatch):
+        # a block's first trial draws it; its neighbours return the same objects
+        draws = []
+        draw = montecarlo._draw_channels
+
+        def counting(states, n, variance, rng):
+            draws.append(len(states))
+            return draw(states, n, variance, rng)
+
+        monkeypatch.setattr(montecarlo, "_draw_channels", counting)
+        monkeypatch.setattr(montecarlo, "_channel_blocks", {})
+        cfg = _cfg(n=27)
+        first = [sample_channel(cfg, trial) for trial in range(300)]
+        assert [sample_channel(cfg, trial) for trial in range(256, 300)] == first[256:]
+        assert sample_channel(cfg, 299) is first[299]
+        assert draws == [montecarlo._STREAM_BLOCK] * 2
+        assert first == [reference_channel(cfg, trial) for trial in range(300)]
+
+    def test_cache_keyed_by_seed_grid_and_prior(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_channel_blocks", {})
+        configs = [_cfg(master_seed=seed, n=n, var_alpha=prior)
+                   for seed in (1, 2) for n in (9, 27) for prior in (None, 2.0)]
+        for cfg in configs:
+            for trial in (5, 700):
+                assert sample_channel(cfg, trial) == reference_channel(cfg, trial)
+        assert len(montecarlo._channel_blocks) == montecarlo._CHANNEL_KEYS
+        for start, draws, channels in montecarlo._channel_blocks.values():
+            assert (start, len(draws)) == (512, montecarlo._STREAM_BLOCK)
+            assert [i for i, c in enumerate(channels) if c is not None] == [700 - 512]
+
+    @pytest.mark.parametrize("trial", [-1, 2**32, 2**40])
+    def test_trial_outside_32_bits_rejected(self, trial):
+        with pytest.raises(ValueError, match=rf"trial index {trial} outside \[0, 2\*\*32\)"):
+            sample_channel(_cfg(), trial)
+
+    def test_last_trial_index(self):
+        cfg = _cfg()
+        assert sample_channel(cfg, 2**32 - 1) == reference_channel(cfg, 2**32 - 1)
+
+    def test_threads_share_the_cache(self):
+        # more threads than cores, switching often, each missing and evicting
+        # blocks the others read
+        configs = [_cfg(master_seed=seed) for seed in range(2 * montecarlo._CHANNEL_KEYS)]
+
+        def work(worker):
+            rng = np.random.default_rng(worker)
+            for _ in range(50):
+                cfg, trial = configs[int(rng.integers(len(configs)))], int(rng.integers(2048))
+                if sample_channel(cfg, trial) != reference_channel(cfg, trial):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(work, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [True] * 4
+        assert len(montecarlo._channel_blocks) <= montecarlo._CHANNEL_KEYS
+
 
 def _may_reject(cfg, trial):
     """Whether numpy's bounded-integer rule may reject a word of this trial's angles.
@@ -121,19 +185,25 @@ def _may_reject(cfg, trial):
 
 
 class TestBlockDraws:
-    """A sweep block's seeding against the per-trial reference streams."""
+    """A block's seeding, and sample_channel's, against the per-trial
+    reference streams."""
 
     def _draw(self, cfg, trials):
         rng = np.random.default_rng(123)
         return rng, _draw_block(cfg, trials, rng)
 
     def test_channels_equal_sample_channel(self):
+        # both against the reference, over a block edge of sample_channel's
         cfg = _cfg(n=27, var_alpha=3.5)
-        _, (theta, phi, alpha, _) = self._draw(cfg, range(37, 101))
-        for i, trial in enumerate(range(37, 101)):
+        trials = range(201, 301)
+        _, (theta, phi, alpha, _) = self._draw(cfg, trials)
+        for i, trial in enumerate(trials):
+            expected = reference_channel(cfg, trial)
             channel = sample_channel(cfg, trial)
-            assert (theta[i], phi[i]) == (channel.theta, channel.phi)
-            assert np.array(alpha[i]).tobytes() == np.array(channel.alpha).tobytes()
+            assert channel == expected
+            assert np.array(channel.alpha).tobytes() == np.array(expected.alpha).tobytes()
+            assert (theta[i], phi[i]) == (expected.theta, expected.phi)
+            assert np.array(alpha[i]).tobytes() == np.array(expected.alpha).tobytes()
 
     @pytest.mark.parametrize("n0", [0.7])
     def test_noise_equals_per_trial_streams(self, n0):
@@ -171,13 +241,17 @@ class TestBlockDraws:
             trials = range(start, start + count)
             stages = stage_count(cfg.n, cfg.k)
             rng, (theta, phi, alpha, noises) = self._draw(cfg, trials)
-            channels = [sample_channel(cfg, trial) for trial in trials]
+            channels = [reference_channel(cfg, trial) for trial in trials]
+            served = [sample_channel(cfg, trial) for trial in trials]
             for drawn, expected in ((theta, [c.theta for c in channels]),
                                     (phi, [c.phi for c in channels]),
                                     (alpha, [c.alpha for c in channels])):
                 expected = np.array(expected)
                 assert (drawn.dtype, drawn.shape) == (expected.dtype, expected.shape)
                 assert drawn.tobytes() == expected.tobytes()
+            assert served == channels
+            assert (np.array([c.alpha for c in served]).tobytes()
+                    == np.array([c.alpha for c in channels]).tobytes())
             for variant, noise in noises.items():
                 m = cfg.designs[variant].m
                 expected = np.stack([MeasurementNoise(n0, noise_stream(cfg, trial, variant))
@@ -206,7 +280,7 @@ class TestBlockDraws:
         montecarlo._sweep_chunk(cfg, 3, 12)
         assert [variant for variant, *_ in seen] == list(cfg.variants)
         for variant, theta, phi, alpha, noise in seen:
-            channels = [sample_channel(cfg, trial) for trial in range(3, 12)]
+            channels = [reference_channel(cfg, trial) for trial in range(3, 12)]
             assert theta == [c.theta for c in channels]
             assert phi == [c.phi for c in channels]
             assert alpha == [c.alpha for c in channels]
@@ -224,6 +298,8 @@ class TestBlockDrawsThroughSetter(TestBlockDraws):
     @pytest.fixture(autouse=True)
     def _setter_path(self, monkeypatch):
         monkeypatch.setattr(arrays, "_direct_reseat_works", lambda: False)
+        # sample_channel draws its blocks afresh, through the setter too
+        monkeypatch.setattr(montecarlo, "_channel_blocks", {})
 
 
 class TestFailureIndicator:
