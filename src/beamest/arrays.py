@@ -14,9 +14,8 @@ seed.  :func:`substream_states` turns them into PCG64 start states, one
 ``uint64`` array of 64-bit state and increment words, and sweeps reseat one
 generator with its rows through :func:`reseater` instead of building a
 generator per stream, filling each stream's draws straight into a block
-buffer.  Trial-by-trial callers take a :class:`StreamSeed` from
-:func:`stream_seed` instead of a ``SeedSequence``: it seeds the same
-generator from words hashed for a block of consecutive trials at a time.
+buffer.  A :class:`StreamSeed` seeds one stream's generator from its hashed
+words; :mod:`beamest.montecarlo` keeps the per-trial blocks they come from.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import math
 import numbers
 import operator
 import sys
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +40,6 @@ __all__ = [
     "build_channel",
     "measure_block",
     "reseater",
-    "stream_seed",
     "substream",
     "substream_states",
 ]
@@ -204,7 +201,8 @@ class MeasurementNoise:
     """Circularly-symmetric complex AWGN source with per-sample variance ``n0``.
 
     Real and imaginary parts each carry variance ``n0 / 2``.  The stream is
-    fully determined by ``seed``, so a fixed seed reproduces every draw.
+    fully determined by ``seed``, so a fixed seed reproduces every draw; a
+    trial's :class:`StreamSeed` comes from ``montecarlo.noise_stream``.
     """
 
     n0: float
@@ -400,7 +398,14 @@ def substream_states(master_seed: int, trials, keys) -> np.ndarray:
     bit for bit: the seed words of :func:`_seed_words`, then PCG64's seeding
     on 64-bit limbs.  Trial indices and keys must each fit one 32-bit word.
     """
-    state_hi, state_lo, seq_hi, seq_lo = _seed_words(master_seed, trials, keys)
+    return _pcg64_states(_seed_words(master_seed, trials, keys))
+
+
+def _pcg64_states(words: np.ndarray) -> np.ndarray:
+    """PCG64's seeding on 64-bit limbs: start states ``[state_lo, state_hi,
+    inc_lo, inc_hi]`` on the last axis from :func:`_seed_words`' four words on
+    the first."""
+    state_hi, state_lo, seq_hi, seq_lo = words
     # PCG64 seeding: inc = 2 initseq + 1, state = (inc + initstate) MULT + inc
     inc_lo = (seq_lo << _ONE) | _ONE
     inc_hi = (seq_hi << _ONE) | (seq_lo >> _SHIFT63)
@@ -411,96 +416,25 @@ def substream_states(master_seed: int, trials, keys) -> np.ndarray:
 
 
 class StreamSeed:
-    """``substream(master_seed, trial, key)`` with its generator seed already hashed.
+    """The hashed seed words of one ``substream(master_seed, trial, key)``.
 
-    A bit generator seeds itself with ``generate_state(4, np.uint64)``; that
-    request returns a copy of the words :func:`stream_seed` hashed.  Any
-    other request, and :meth:`spawn`, go to the equal ``SeedSequence``, made
-    at first need and kept, so spawned children follow numpy's child
-    counter.  Made by :func:`stream_seed`, which registers the class as
-    numpy's ``ISpawnableSeedSequence``; instances pickle.
+    It answers the one request a bit generator makes, ``generate_state(4,
+    np.uint64)``, with a copy of the words, so the generator draws what the
+    ``SeedSequence`` gives; any other request raises ``TypeError``, and it
+    does not spawn.  Bit generators take it once :mod:`beamest.montecarlo`
+    has registered it as numpy's ``ISeedSequence``.
     """
 
-    __slots__ = ("master_seed", "trial", "key", "_words", "_sequence")
+    __slots__ = ("_words",)
 
-    def __init__(self, master_seed: int, trial: int, key: int, words: np.ndarray):
-        self.master_seed, self.trial, self.key = master_seed, trial, key
+    def __init__(self, words: np.ndarray):
         self._words = words
-        self._sequence = None
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words == 4 and dtype is np.uint64:
-            return self._words.copy()
-        return self._seed_sequence().generate_state(n_words, dtype)
-
-    def spawn(self, n_children: int) -> list[np.random.SeedSequence]:
-        return self._seed_sequence().spawn(n_children)
-
-    def _seed_sequence(self) -> np.random.SeedSequence:
-        if self._sequence is None:
-            self._sequence = substream(self.master_seed, self.trial, self.key)
-        return self._sequence
-
-    def __reduce__(self):
-        spawned = 0 if self._sequence is None else self._sequence.n_children_spawned
-        return _restore_stream_seed, (self.master_seed, self.trial, self.key, self._words,
-                                      spawned)
-
-
-def _restore_stream_seed(master_seed, trial, key, words, spawned) -> StreamSeed:
-    _register_stream_seed()
-    seed = StreamSeed(master_seed, trial, key, words)
-    if spawned:
-        seed._sequence = np.random.SeedSequence(master_seed, spawn_key=(trial, key),
-                                                n_children_spawned=spawned)
-    return seed
-
-
-@functools.cache
-def _register_stream_seed() -> None:
-    """Register :class:`StreamSeed` as numpy's ``ISpawnableSeedSequence``,
-    which bit generators require of a seed object.  Done at first use, so
-    importing the package loads no ``numpy.random``."""
-    from numpy.random.bit_generator import ISpawnableSeedSequence
-    ISpawnableSeedSequence.register(StreamSeed)
-
-
-# stream_seed hashes this many consecutive trials at once, and keeps the
-# latest such block of each of the last _STREAM_KEYS (master seed, key) pairs;
-# the lock orders the cache's evictions between threads
-_STREAM_BLOCK = 256
-_STREAM_KEYS = 8
-_stream_blocks: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-_stream_lock = threading.Lock()
-
-
-def stream_seed(master_seed: int, trial: int, key: int) -> StreamSeed:
-    """Seed of ``substream(master_seed, trial, key)``, hashed a block at a time.
-
-    The first trial asked for in an aligned block of ``_STREAM_BLOCK``
-    hashes the whole block's words through :func:`_seed_words`, the hash
-    :func:`substream_states` uses; its neighbours then cost a lookup.
-    Generators seeded with the result draw exactly what the ``SeedSequence``
-    gives.  ``ValueError`` for a trial index outside ``[0, 2**32)``.
-    """
-    trial = _integer("trial index", trial)
-    if not 0 <= trial <= _MASK32:
-        raise ValueError(f"trial index {trial} outside [0, 2**32)")
-    offset = trial % _STREAM_BLOCK
-    start = trial - offset
-    cached = _stream_blocks.get((master_seed, key))
-    if cached is None or cached[0] != start:
-        words = _seed_words(master_seed, range(start, start + _STREAM_BLOCK), [key])
-        words = words[:, 0].T.copy()
-        words.setflags(write=False)
-        _register_stream_seed()
-        cached = (start, words)
-        with _stream_lock:
-            _stream_blocks.pop((master_seed, key), None)
-            if len(_stream_blocks) >= _STREAM_KEYS:
-                del _stream_blocks[next(iter(_stream_blocks))]
-            _stream_blocks[master_seed, key] = cached
-    return StreamSeed(master_seed, trial, key, cached[1][offset])
+        if n_words != 4 or dtype is not np.uint64:
+            raise TypeError("StreamSeed answers generate_state(4, np.uint64) only, "
+                            f"got ({n_words}, {dtype})")
+        return self._words.copy()
 
 
 def _add128(a_lo, a_hi, b_lo, b_hi):

@@ -88,6 +88,11 @@ ALPHA_FINAL = "final_stage_only"
 PILOT = 1.0 + 0.0j
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+
+
 def stage_count(n: int, k: int) -> int:
     """Number of k-way refinement stages from the full grid down to one point.
 
@@ -114,8 +119,8 @@ class Design:
 
     ``Design(n, k, variant)`` checks, each ``ValueError`` naming the field,
     integer ``n`` and ``k`` (not a bool or a float), the variant, ``k >= 2``,
-    ``n`` a power of ``k``, ``k = 2^m - 1`` for the overlapped design, and
-    ``power_weight`` and ``prior`` within the float range.  A
+    ``n`` a power of ``k`` below ``2**63``, ``k = 2^m - 1`` for the overlapped
+    design, and ``power_weight`` and ``prior`` within the float range.  A
     design is built once per triple and process (memoized, and pickled as its
     triple); its pattern matrix at first use.  Its arrays are read-only.
     """
@@ -133,8 +138,7 @@ class Design:
 
     def __new__(cls, n, k, variant: str = OVERLAPPED):
         n, k = _integer("n", n), _integer("k", k)
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        _check_variant(variant)
         return _design(n, k, variant)
 
     def __reduce__(self):
@@ -170,6 +174,9 @@ def _design(n: int, k: int, variant: str) -> Design:
     if not math.isfinite(power_weight + prior):
         raise ValueError("n: antenna count is too large: the design's power constants "
                          "overflow a float")
+    if n >= 1 << 63:
+        raise ValueError(f"n: antenna count {n} is too large: grid indices are int64, "
+                         "so n must be below 2**63")
     design = object.__new__(Design)
     design.__dict__.update(  # frozen: fields are set once, here
         n=n, k=k, variant=variant, stages=stages, m=m, slots=stages * m ** 2, gains=gains,

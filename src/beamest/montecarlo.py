@@ -11,8 +11,9 @@ start states of all its streams at once
 each in turn (:func:`~beamest.arrays.reseater`), so :func:`_draw_block` draws
 exactly what a generator seeded per trial with
 :func:`~beamest.arrays.substream` gives.  Its channel half,
-:func:`_draw_channels`, is the one channel draw: :func:`sample_channel`
-serves single trials from a cached block of it.  ``beamest trace`` runs the
+:func:`_draw_channels`, is the one channel draw: the per-trial calls
+:func:`sample_channel` and :func:`noise_stream` share one cached block of
+channels and noise seeds (:func:`_trial_block`).  ``beamest trace`` runs the
 same blocks through the same engine (:func:`_trace_blocks`).
 The trials then run through :func:`~beamest.estimator.search_batch`, which
 needs no ``n``-element beam: the power rule makes every stage's noiseless
@@ -43,13 +44,13 @@ import numpy as np
 from ._output import csv_text
 from .analysis import _noise_and_prior, pcef_upper_bound
 from .arrays import (
-    _STREAM_BLOCK,
     ChannelRealization,
     StreamSeed,
     _integer,
+    _pcg64_states,
     _real,
+    _seed_words,
     reseater,
-    stream_seed,
     substream,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.substream
     substream_states,
 )
@@ -60,6 +61,7 @@ from .estimator import (
     PILOT,
     Design,
     _check_powers,
+    _check_variant,
     _record,
     estimate_alpha_mmse,
     run_estimation,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.run_estimation
@@ -188,13 +190,47 @@ class ExperimentConfig:
                                  f"{self.et_db[int(np.argmax(bad))]!r} dB")
 
 
-# sample_channel keeps the draws of the latest _STREAM_BLOCK-trial block of
-# each of the last _CHANNEL_KEYS (master seed, n, prior) triples, with the
-# ChannelRealization of each trial asked for; the lock orders the cache's
-# evictions between threads
+# sample_channel and noise_stream share one cache of aligned _STREAM_BLOCK-trial
+# blocks, the latest of each of the last _CHANNEL_KEYS (master seed, n, prior)
+# triples; the lock orders its evictions between threads
+_STREAM_BLOCK = 256
 _CHANNEL_KEYS = 4
-_channel_blocks: dict[tuple[int, int, float], tuple[int, list, list]] = {}
-_channel_lock = threading.Lock()
+_trial_blocks: dict[tuple[int, int, float], tuple[int, list, list, np.ndarray]] = {}
+_trial_lock = threading.Lock()
+
+
+def _trial_block(cfg: ExperimentConfig, trial_index: int) -> tuple[tuple, int]:
+    """The cached block ``(start, draws, channels, words)`` holding
+    ``trial_index``, and the trial's offset in it.  A block's first call hashes
+    all its streams' seed words ``words[key, offset]`` in one
+    :func:`~beamest.arrays._seed_words` call and draws its channels."""
+    trial = _integer("trial index", trial_index)
+    if not 0 <= trial < _MAX_TRIALS:
+        raise ValueError(f"trial index {trial} outside [0, 2**32)")
+    offset = trial % _STREAM_BLOCK
+    start = trial - offset
+    key = (cfg.master_seed, cfg.n, cfg.alpha_variance)
+    block = _trial_blocks.get(key)
+    if block is None or block[0] != start:
+        # keys 0, 1 and 2 (channel, then noise) each index their own row of words
+        words = _seed_words(cfg.master_seed, range(start, start + _STREAM_BLOCK),
+                            [_CHANNEL_KEY, *_VARIANT_KEYS.values()])
+        # seed 0's stream is never drawn from: every trial stream reseats it
+        theta, phi, alpha = _draw_channels(_pcg64_states(words[:, _CHANNEL_KEY]), cfg.n,
+                                           cfg.alpha_variance, np.random.default_rng(0))
+        words = words.transpose(1, 2, 0).copy()
+        words.setflags(write=False)
+        # imported here, so that importing the package loads no numpy.random
+        from numpy.random.bit_generator import ISeedSequence
+        ISeedSequence.register(StreamSeed)  # bit generators take registered seeds only
+        block = (start, list(zip(theta.tolist(), phi.tolist(), alpha.tolist())),
+                 [None] * _STREAM_BLOCK, words)
+        with _trial_lock:
+            _trial_blocks.pop(key, None)
+            if len(_trial_blocks) >= _CHANNEL_KEYS:
+                del _trial_blocks[next(iter(_trial_blocks))]
+            _trial_blocks[key] = block
+    return block, offset
 
 
 def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealization:
@@ -202,44 +238,25 @@ def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealizatio
 
     Fully determined by ``(master_seed, trial_index)``, ``n`` and the prior,
     so trials can run in any order, and it is the channel a sweep or a trace
-    gives that trial.  The first trial asked for in an aligned block of
-    ``_STREAM_BLOCK`` draws the whole block through :func:`_draw_channels`;
-    its neighbours then cost a lookup, and a trial asked for again, by
-    another variant, gets the same validated object.  ``ValueError`` for a
-    trial index outside ``[0, 2**32)``.
+    gives that trial.  Served from the trial's block (:func:`_trial_block`),
+    so a trial asked for again, by another variant, gets the same object.
+    ``ValueError`` for a trial index outside ``[0, 2**32)``.
     """
-    trial = _integer("trial index", trial_index)
-    if not 0 <= trial < _MAX_TRIALS:
-        raise ValueError(f"trial index {trial} outside [0, 2**32)")
-    offset = trial % _STREAM_BLOCK
-    start = trial - offset
-    key = (cfg.master_seed, cfg.n, cfg.alpha_variance)
-    cached = _channel_blocks.get(key)
-    if cached is None or cached[0] != start:
-        (states,) = substream_states(cfg.master_seed, range(start, start + _STREAM_BLOCK),
-                                     [_CHANNEL_KEY])
-        # seed 0's stream is never drawn from: every trial stream reseats it
-        theta, phi, alpha = _draw_channels(states, cfg.n, cfg.alpha_variance,
-                                           np.random.default_rng(0))
-        cached = (start, list(zip(theta.tolist(), phi.tolist(), alpha.tolist())),
-                  [None] * _STREAM_BLOCK)
-        with _channel_lock:
-            _channel_blocks.pop(key, None)
-            if len(_channel_blocks) >= _CHANNEL_KEYS:
-                del _channel_blocks[next(iter(_channel_blocks))]
-            _channel_blocks[key] = cached
-    _, draws, channels = cached
+    (_, draws, channels, _), offset = _trial_block(cfg, trial_index)
     channel = channels[offset]
     if channel is None:
-        theta, phi, alpha = draws[offset]
-        channel = channels[offset] = ChannelRealization(theta=theta, phi=phi, alpha=alpha,
-                                                        n=cfg.n)
+        channel = channels[offset] = ChannelRealization(*draws[offset], n=cfg.n)
     return channel
 
 
 def noise_stream(cfg: ExperimentConfig, trial_index: int, variant: str) -> StreamSeed:
-    """Noise substream for one (trial, variant); shared across energy points."""
-    return stream_seed(cfg.master_seed, trial_index, _VARIANT_KEYS[variant])
+    """Noise substream for one (trial, variant), shared across energy points: the
+    seed of ``substream(master_seed, trial_index, key)`` from the trial's block
+    (:func:`_trial_block`).  ``ValueError`` for an unknown variant or a trial
+    index outside ``[0, 2**32)``."""
+    _check_variant(variant)
+    block, offset = _trial_block(cfg, trial_index)
+    return StreamSeed(block[3][_VARIANT_KEYS[variant], offset])
 
 
 def energy_from_db(db: float, n0: float = 1.0) -> float:

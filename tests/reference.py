@@ -12,8 +12,8 @@ for that closed form.  Sweeps reduce each block of trials to counts and
 exact partials as it is made; :func:`sweep_outcomes` keeps the per-trial
 outcomes instead, for the tests that pin or sum them row by row.  Sweeps,
 traces and ``sample_channel`` draw channels a block at a time;
-:func:`reference_channel` draws one trial's from its own seeded generator,
-the oracle for those blocks.
+:func:`reference_channel` draws one trial's from a generator seeded with
+numpy's own ``SeedSequence``, the oracle for those blocks.
 """
 
 import math
@@ -26,7 +26,7 @@ from beamest.arrays import (
     MeasurementNoise,
     build_channel,
     measure_block,
-    stream_seed,
+    substream,
 )
 from beamest.codebook import IndexRange, synthesize_vector, target_profile
 from beamest.estimator import PILOT, codebook_bank, fuse_measurements, select_path
@@ -34,9 +34,10 @@ from beamest.montecarlo import _CHANNEL_KEY, _sweep_blocks
 
 
 def reference_channel(cfg, trial):
-    """Trial ``trial``'s channel from a generator seeded with its own stream:
-    two scalar ``integers(n)`` and one ``normal(size=2)`` for the gain."""
-    rng = np.random.default_rng(stream_seed(cfg.master_seed, trial, _CHANNEL_KEY))
+    """Trial ``trial``'s channel from a generator seeded with numpy's own
+    ``SeedSequence`` for its stream: two scalar ``integers(n)`` and one
+    ``normal(size=2)`` for the gain."""
+    rng = np.random.default_rng(substream(cfg.master_seed, trial, _CHANNEL_KEY))
     theta, phi = int(rng.integers(cfg.n)), int(rng.integers(cfg.n))
     real, imag = rng.normal(scale=math.sqrt(cfg.alpha_variance / 2.0), size=2).tolist()
     return ChannelRealization(theta=theta, phi=phi, alpha=complex(real, imag), n=cfg.n)

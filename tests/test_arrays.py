@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence, ISpawnableSeedSequence
+from reference import reference_channel
 
-from beamest import arrays
+from beamest import arrays, montecarlo
 from beamest.arrays import (
     AngleGrid,
     ChannelRealization,
@@ -22,10 +24,11 @@ from beamest.arrays import (
     measure_block,
     reseater,
     steering_vector,
-    stream_seed,
     substream,
     substream_states,
 )
+from beamest.estimator import NON_OVERLAPPED, OVERLAPPED
+from beamest.montecarlo import ExperimentConfig, noise_stream, sample_channel
 
 
 class TestSteeringVector:
@@ -349,85 +352,128 @@ class TestSeedPool:
             [_state_words(np.random.PCG64(substream(seeds[0], 3, 1)).state)]]
 
 
+# The noise streams' substream keys, written out so that the oracle does not
+# read them from the package.
+NOISE_KEYS = {OVERLAPPED: 1, NON_OVERLAPPED: 2}
+
+
+def _experiment(master_seed):
+    return ExperimentConfig(n=9, k=3, et_db=(0.0,), master_seed=master_seed)
+
+
 class TestStreamSeed:
-    """stream_seed against numpy's SeedSequence for the same (seed, trial, key)."""
+    """The StreamSeed that montecarlo.noise_stream serves from its trial-block
+    cache, against numpy's SeedSequence for the same (seed, trial, key)."""
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(master_seed=st.integers(0, 2**128 - 1), trial=st.integers(0, 2**32 - 1),
-           key=st.integers(0, 2))
+           variant=st.sampled_from(sorted(NOISE_KEYS)))
     # either side of a block boundary, and the last trial a word holds
-    @example(master_seed=5, trial=255, key=1)
-    @example(master_seed=5, trial=256, key=2)
-    @example(master_seed=2**128 - 1, trial=2**32 - 1, key=0)
-    def test_equals_seed_sequence(self, master_seed, trial, key):
-        seed = stream_seed(master_seed, trial, key)
-        expected = substream(master_seed, trial, key)
-        for n_words, dtype in ((4, np.uint64), (2, np.uint64), (624, np.uint32)):
-            got = seed.generate_state(n_words, dtype)
-            assert got.dtype == dtype
-            np.testing.assert_array_equal(got, expected.generate_state(n_words, dtype))
-        assert (np.random.default_rng(seed).bit_generator.state
-                == np.random.default_rng(expected).bit_generator.state)
-        # successive spawns continue numpy's child counter
-        for _ in range(2):
-            children, numpy_children = seed.spawn(2), expected.spawn(2)
-            assert [c.spawn_key for c in children] == [c.spawn_key for c in numpy_children]
-            assert [c.generate_state(4, np.uint64).tolist() for c in children] == [
-                c.generate_state(4, np.uint64).tolist() for c in numpy_children]
-        rng = np.random.default_rng(stream_seed(master_seed, trial, key))
+    @example(master_seed=5, trial=255, variant=OVERLAPPED)
+    @example(master_seed=5, trial=256, variant=NON_OVERLAPPED)
+    @example(master_seed=2**128 - 1, trial=2**32 - 1, variant=NON_OVERLAPPED)
+    def test_equals_seed_sequence(self, master_seed, trial, variant):
+        seed = noise_stream(_experiment(master_seed), trial, variant)
+        expected = substream(master_seed, trial, NOISE_KEYS[variant])
+        got = seed.generate_state(4, np.uint64)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, expected.generate_state(4, np.uint64))
+        rng = np.random.default_rng(seed)
+        assert rng.bit_generator.state == np.random.default_rng(expected).bit_generator.state
         rng.normal(size=3)
         copy = pickle.loads(pickle.dumps(rng))
         np.testing.assert_array_equal(copy.normal(size=5), rng.normal(size=5))
 
     def test_words_are_a_copy(self):
-        words = stream_seed(3, 7, 1).generate_state(4, np.uint64)
+        cfg = _experiment(3)
+        words = noise_stream(cfg, 7, OVERLAPPED).generate_state(4, np.uint64)
         words[:] = 0
-        assert stream_seed(3, 7, 1).generate_state(4, np.uint64).tolist() == (
+        assert noise_stream(cfg, 7, OVERLAPPED).generate_state(4, np.uint64).tolist() == (
             substream(3, 7, 1).generate_state(4, np.uint64).tolist())
 
-    def test_pickle_keeps_the_child_counter(self):
-        seed = stream_seed(9, 300, 2)
-        seed.spawn(3)
-        copy = pickle.loads(pickle.dumps(seed))
-        assert [c.spawn_key for c in copy.spawn(2)] == [(300, 2, 3), (300, 2, 4)]
-        assert (np.random.default_rng(copy).bit_generator.state
-                == np.random.default_rng(substream(9, 300, 2)).bit_generator.state)
+    def test_other_requests_refused(self):
+        seed = noise_stream(_experiment(3), 7, OVERLAPPED)
+        assert isinstance(seed, ISeedSequence)
+        assert not isinstance(seed, ISpawnableSeedSequence)
+        assert not hasattr(seed, "spawn")
+        for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64), (624, np.uint32)):
+            with pytest.raises(TypeError, match=r"generate_state\(4, np\.uint64\) only"):
+                seed.generate_state(n_words, dtype)
+        # bit generators that ask for other words than PCG64's four
+        for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64):
+            with pytest.raises(TypeError, match=r"generate_state\(4, np\.uint64\) only"):
+                bit_generator(seed)
 
-    def test_unpickles_in_a_fresh_interpreter(self):
-        # unpickling registers the class, so a generator takes the seed
-        # before any stream_seed call in that process
-        code = ("import pickle, sys, numpy; seed = pickle.loads(sys.stdin.buffer.read()); "
+    def test_pickled_seed_does_not_spawn(self):
+        copy = pickle.loads(pickle.dumps(noise_stream(_experiment(9), 300, NON_OVERLAPPED)))
+        rng = np.random.default_rng(copy)
+        assert rng.bit_generator.state == (
+            np.random.default_rng(substream(9, 300, 2)).bit_generator.state)
+        assert not hasattr(copy, "spawn")
+        if hasattr(rng, "spawn"):  # numpy releases with Generator.spawn ask the seed to spawn
+            for spawner in (rng, rng.bit_generator):
+                with pytest.raises(TypeError, match="does not implement spawning"):
+                    spawner.spawn(2)
+
+    def test_fresh_interpreter_takes_it_after_a_block(self):
+        # unpickling does not register the class: a generator refuses the
+        # seed until the process makes a block of seeds
+        code = ("import pickle, sys, numpy\n"
+                "seed = pickle.loads(sys.stdin.buffer.read())\n"
+                "try:\n"
+                "    numpy.random.default_rng(seed)\n"
+                "except TypeError:\n"
+                "    print('refused')\n"
+                "from beamest.montecarlo import ExperimentConfig, noise_stream\n"
+                "noise_stream(ExperimentConfig(n=9, k=3, et_db=(0.0,)), 0, 'overlapped')\n"
                 "print(numpy.random.default_rng(seed).integers(2**62))")
         src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run([sys.executable, "-c", code],
-                              input=pickle.dumps(stream_seed(9, 300, 2)), capture_output=True,
-                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        seed = noise_stream(_experiment(9), 300, NON_OVERLAPPED)
+        done = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(seed),
+                              capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=120)
         assert done.returncode == 0, done.stderr.decode()
-        assert int(done.stdout) == np.random.default_rng(substream(9, 300, 2)).integers(2**62)
+        refused, drawn = done.stdout.split()
+        assert refused == b"refused"
+        assert int(drawn) == np.random.default_rng(substream(9, 300, 2)).integers(2**62)
 
     @pytest.mark.parametrize("trial", [-1, 2**32, 2**40])
     def test_trial_outside_32_bits_rejected(self, trial):
         with pytest.raises(ValueError, match=rf"trial index {trial} outside \[0, 2\*\*32\)"):
-            stream_seed(3, trial, 0)
+            noise_stream(_experiment(3), trial, OVERLAPPED)
 
-    def test_cache_stays_bounded(self):
-        for seed in range(3 * arrays._STREAM_KEYS):
+    @pytest.mark.parametrize("variant", ["foo", "", None])
+    def test_unknown_variant_rejected(self, variant):
+        with pytest.raises(ValueError, match=f"unknown variant {variant!r}; expected one of"):
+            noise_stream(_experiment(3), 0, variant)
+
+    def test_cache_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_trial_blocks", {})
+        for seed in range(3 * montecarlo._CHANNEL_KEYS):
             for trial in (0, 1000):
-                stream_seed(seed, trial, 1)
-        assert len(arrays._stream_blocks) == arrays._STREAM_KEYS
-        for start, words in arrays._stream_blocks.values():
-            assert (start, words.shape) == (768, (arrays._STREAM_BLOCK, 4))
+                noise_stream(_experiment(seed), trial, NON_OVERLAPPED)
+        assert len(montecarlo._trial_blocks) == montecarlo._CHANNEL_KEYS
+        assert [seed for seed, *_ in montecarlo._trial_blocks] == list(
+            range(2 * montecarlo._CHANNEL_KEYS, 3 * montecarlo._CHANNEL_KEYS))
+        for start, _, _, words in montecarlo._trial_blocks.values():
+            assert (start, words.shape) == (768, (3, montecarlo._STREAM_BLOCK, 4))
             assert not words.flags.writeable
 
     def test_threads_share_the_cache(self):
         # more threads than cores, switching often, each missing and evicting
-        # blocks the others read
+        # blocks the others read, for channels and noise seeds alike
+        configs = [_experiment(seed) for seed in range(2 * montecarlo._CHANNEL_KEYS)]
+
         def work(worker):
             rng = np.random.default_rng(worker)
-            for _ in range(200):
-                seed, trial = int(rng.integers(2 * arrays._STREAM_KEYS)), int(rng.integers(4096))
-                got = stream_seed(seed, trial, 1).generate_state(4, np.uint64)
-                if got.tolist() != substream(seed, trial, 1).generate_state(4, np.uint64).tolist():
+            for _ in range(100):
+                seed, trial = int(rng.integers(len(configs))), int(rng.integers(4096))
+                variant = (OVERLAPPED, NON_OVERLAPPED)[int(rng.integers(2))]
+                got = noise_stream(configs[seed], trial, variant).generate_state(4, np.uint64)
+                expected = substream(seed, trial, NOISE_KEYS[variant])
+                if got.tolist() != expected.generate_state(4, np.uint64).tolist():
+                    return False
+                if sample_channel(configs[seed], trial) != reference_channel(configs[seed], trial):
                     return False
             return True
 
@@ -439,7 +485,7 @@ class TestStreamSeed:
         finally:
             sys.setswitchinterval(interval)
         assert results == [True] * 4
-        assert len(arrays._stream_blocks) <= arrays._STREAM_KEYS
+        assert len(montecarlo._trial_blocks) <= montecarlo._CHANNEL_KEYS
 
 
 def _require_direct_path():

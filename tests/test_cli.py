@@ -155,6 +155,17 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["sweep", "trace"])
+    def test_grid_past_int64_exits_2(self, tmp_path, capsys, command):
+        # 3**40 passes the float range, but numpy's integers(n) takes no n past int64
+        path = write_cfg(tmp_path, f"n = {3 ** 40}\nk = 3\ntrials = 2\net_db = 10\n")
+        out = tmp_path / "huge"
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err == (
+            f"error: n: antenna count {3 ** 40} is too large: grid indices are int64, "
+            "so n must be below 2**63\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep", "trace"])
     @pytest.mark.parametrize("key", ["n0", "var_alpha"])
     def test_nan_noise_or_prior_exits_2(self, tmp_path, capsys, command, key):
         path = write_cfg(tmp_path, f"n = 9\nk = 3\ntrials = 2\net_db = 6\n{key} = nan\n")

@@ -439,6 +439,11 @@ class TestDesign:
         assert powers.tobytes() == (energies / weight).tobytes()
         assert montecarlo.power_for_energy(819.0, n, k, variant) == 819.0 / weight
 
+    @pytest.mark.parametrize("n, k", [(3 ** 39, 3), (2 ** 63 - 1, 2 ** 63 - 1)])
+    def test_largest_grids_fit_int64(self, n, k):
+        design = Design(n, k, NON_OVERLAPPED)
+        assert design.places.tolist() == [k ** s for s in range(design.stages - 1, -1, -1)]
+
     def test_memoized_frozen_and_pickled_as_its_triple(self):
         design = Design(27, 3)
         assert Design(np.int64(27), np.int64(3), OVERLAPPED) is design
@@ -467,6 +472,10 @@ GEOMETRY_REJECTIONS = {
     # C_s^-4 and the default prior n^2 pass the float range
     "n-overflows-k7": (7 ** 300, 7, OVERLAPPED, "n: antenna count is too large"),
     "n-overflows-k3": (3 ** 330, 3, NON_OVERLAPPED, "n: antenna count is too large"),
+    # within the float range, but grid indices are int64
+    "n-past-int64": (3 ** 40, 3, OVERLAPPED,
+                     r"n: antenna count 12157665459056928801 is too large: grid indices are "
+                     r"int64, so n must be below 2\*\*63"),
 }
 
 # Everything that builds a geometry from (n, k, variant); bound_table is the

@@ -119,7 +119,7 @@ class TestSampleChannel:
             return draw(states, n, variance, rng)
 
         monkeypatch.setattr(montecarlo, "_draw_channels", counting)
-        monkeypatch.setattr(montecarlo, "_channel_blocks", {})
+        monkeypatch.setattr(montecarlo, "_trial_blocks", {})
         cfg = _cfg(n=27)
         first = [sample_channel(cfg, trial) for trial in range(300)]
         assert [sample_channel(cfg, trial) for trial in range(256, 300)] == first[256:]
@@ -128,16 +128,38 @@ class TestSampleChannel:
         assert first == [reference_channel(cfg, trial) for trial in range(300)]
 
     def test_cache_keyed_by_seed_grid_and_prior(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_channel_blocks", {})
+        monkeypatch.setattr(montecarlo, "_trial_blocks", {})
         configs = [_cfg(master_seed=seed, n=n, var_alpha=prior)
                    for seed in (1, 2) for n in (9, 27) for prior in (None, 2.0)]
         for cfg in configs:
             for trial in (5, 700):
                 assert sample_channel(cfg, trial) == reference_channel(cfg, trial)
-        assert len(montecarlo._channel_blocks) == montecarlo._CHANNEL_KEYS
-        for start, draws, channels in montecarlo._channel_blocks.values():
+        assert len(montecarlo._trial_blocks) == montecarlo._CHANNEL_KEYS
+        for start, draws, channels, words in montecarlo._trial_blocks.values():
             assert (start, len(draws)) == (512, montecarlo._STREAM_BLOCK)
+            assert words.shape == (3, montecarlo._STREAM_BLOCK, 4)
+            assert not words.flags.writeable
             assert [i for i, c in enumerate(channels) if c is not None] == [700 - 512]
+
+    def test_block_hashed_once_for_channels_and_noise(self, monkeypatch):
+        # one seed-word hash serves a block's channels and both noise streams
+        calls = []
+        seed_words = montecarlo._seed_words
+
+        def counting(master_seed, trials, keys):
+            calls.append((trials, list(keys)))
+            return seed_words(master_seed, trials, keys)
+
+        monkeypatch.setattr(montecarlo, "_seed_words", counting)
+        monkeypatch.setattr(montecarlo, "_trial_blocks", {})
+        cfg = _cfg(n=27)
+        for trial in range(256):
+            sample_channel(cfg, trial)
+            noise_stream(cfg, trial, OVERLAPPED)
+            noise_stream(cfg, trial, NON_OVERLAPPED)
+        assert calls == [(range(0, 256), [0, 1, 2])]
+        noise_stream(cfg, 256, NON_OVERLAPPED)
+        assert calls[1:] == [(range(256, 512), [0, 1, 2])]
 
     @pytest.mark.parametrize("trial", [-1, 2**32, 2**40])
     def test_trial_outside_32_bits_rejected(self, trial):
@@ -169,7 +191,7 @@ class TestSampleChannel:
         finally:
             sys.setswitchinterval(interval)
         assert results == [True] * 4
-        assert len(montecarlo._channel_blocks) <= montecarlo._CHANNEL_KEYS
+        assert len(montecarlo._trial_blocks) <= montecarlo._CHANNEL_KEYS
 
 
 def _may_reject(cfg, trial):
@@ -299,7 +321,7 @@ class TestBlockDrawsThroughSetter(TestBlockDraws):
     def _setter_path(self, monkeypatch):
         monkeypatch.setattr(arrays, "_direct_reseat_works", lambda: False)
         # sample_channel draws its blocks afresh, through the setter too
-        monkeypatch.setattr(montecarlo, "_channel_blocks", {})
+        monkeypatch.setattr(montecarlo, "_trial_blocks", {})
 
 
 class TestFailureIndicator:
