@@ -422,7 +422,7 @@ class StreamSeed:
     np.uint64)``, with a copy of the words, so the generator draws what the
     ``SeedSequence`` gives; any other request raises ``TypeError``, and it
     does not spawn.  Bit generators take it once :mod:`beamest.montecarlo`
-    has registered it as numpy's ``ISeedSequence``.
+    has registered it on a subclass of numpy's ``ISeedSequence``.
     """
 
     __slots__ = ("_words",)

@@ -4,39 +4,36 @@ Every trial draws a channel from a stream keyed by ``(master_seed, trial)``
 and both search variants consume that same draw, so curve comparisons are
 paired.  Noise streams are keyed per ``(trial, variant)`` and reused across
 energy points: one draw of all ``S`` stages' ``m x m`` slot noise per
-``(trial, variant)`` yields exactly the numbers ``S`` per-stage draws would,
-and every energy point sees the same noise.  A block of trials hashes the
-start states of all its streams at once
+``(trial, variant)`` yields exactly the numbers ``S`` per-stage draws would.
+A block of trials hashes the start states of all its streams at once
 (:func:`~beamest.arrays.substream_states`) and reseats one generator onto
 each in turn (:func:`~beamest.arrays.reseater`), so :func:`_draw_block` draws
 exactly what a generator seeded per trial with
-:func:`~beamest.arrays.substream` gives.  Its channel half,
-:func:`_draw_channels`, is the one channel draw: the per-trial calls
-:func:`sample_channel` and :func:`noise_stream` share one cached block of
-channels and noise seeds (:func:`_trial_block`).  ``beamest trace`` runs the
-same blocks through the same engine (:func:`_trace_blocks`).
-The trials then run through :func:`~beamest.estimator.search_batch`, which
-needs no ``n``-element beam: the power rule makes every stage's noiseless
-block the same rank-one product of pattern columns, and the stage gains have
-a closed form (:attr:`~beamest.estimator.Design.gains`), so neither sweeps
-nor the bound synthesize a beam.  :class:`ExperimentConfig` builds each
-variant's :class:`~beamest.estimator.Design` and the grid's powers once and
-is the sweep's one gate.  Trials go through in blocks of bounded size, each
-reduced where it is made, for all variants at once: failures add to one
-count per grid point, and one exact-sum pass (:func:`_exact_partials`)
-merges the error rows into a few running partials per row, so memory does
-not grow with the trial count.  Worker chunks' partials sit side by side
-until each row's are rounded once.  Failure counts are exact integers and
-each error sum is the exactly rounded ``math.fsum`` of its row, so results
-are bit-identical for any worker split or execution order.  Each variant's
-:class:`ResultTable` holds them as columns over the energy grid.
+:func:`~beamest.arrays.substream` gives; :func:`_draw_channels` is its channel
+half.  The per-trial calls :func:`sample_channel` and :func:`noise_stream`
+read 256-trial blocks from two caches, of seed words (:func:`_block_words`)
+and of the channels drawn from them (:func:`_block_channels`).  Sweeps and
+``beamest trace`` run one engine loop (:func:`_engine_blocks`) through
+:func:`~beamest.estimator.search_batch`, which synthesizes no ``n``-element
+beam: every stage's noiseless block is the same rank-one product of pattern
+columns, and the stage gains have a closed form
+(:attr:`~beamest.estimator.Design.gains`).  :class:`ExperimentConfig` builds
+each variant's :class:`~beamest.estimator.Design` and the grid's powers once
+and is the sweep's one gate.  Each block of trials is reduced where it is
+made, for all variants at once: failures add to one count per grid point, and
+one exact-sum pass (:func:`_exact_partials`) merges the error rows into a few
+running partials per row, so memory does not grow with the trial count.
+Failure counts are exact integers and each error sum is the exactly rounded
+``math.fsum`` of its row, so results are bit-identical for any worker split or
+execution order.  Each variant's :class:`ResultTable` holds them as columns
+over the energy grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,47 +187,50 @@ class ExperimentConfig:
                                  f"{self.et_db[int(np.argmax(bad))]!r} dB")
 
 
-# sample_channel and noise_stream share one cache of aligned _STREAM_BLOCK-trial
-# blocks, the latest of each of the last _CHANNEL_KEYS (master seed, n, prior)
-# triples; the lock orders its evictions between threads
+# sample_channel and noise_stream read aligned _STREAM_BLOCK-trial blocks from
+# two caches, each keeping its last _CHANNEL_KEYS blocks
 _STREAM_BLOCK = 256
 _CHANNEL_KEYS = 4
-_trial_blocks: dict[tuple[int, int, float], tuple[int, list, list, np.ndarray]] = {}
-_trial_lock = threading.Lock()
 
 
-def _trial_block(cfg: ExperimentConfig, trial_index: int) -> tuple[tuple, int]:
-    """The cached block ``(start, draws, channels, words)`` holding
-    ``trial_index``, and the trial's offset in it.  A block's first call hashes
-    all its streams' seed words ``words[key, offset]`` in one
-    :func:`~beamest.arrays._seed_words` call and draws its channels."""
+@functools.cache
+def _seed_interface() -> type:
+    """A subclass of numpy's ``ISeedSequence``, made and kept once per process,
+    that bit generators take :class:`StreamSeed` through: ``isinstance``
+    caches a subclass's answer, and importing the package loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+    interface = type(ISeedSequence)("StreamSeeds", (ISeedSequence,), {})
+    interface.register(StreamSeed)
+    return interface
+
+
+@functools.lru_cache(maxsize=_CHANNEL_KEYS)
+def _block_words(master_seed: int, start: int) -> np.ndarray:
+    """Read-only seed words ``[:, key, offset]`` of the block of trials from
+    ``start``: one :func:`~beamest.arrays._seed_words` call over keys 0, 1 and 2."""
+    _seed_interface()
+    words = _seed_words(master_seed, range(start, start + _STREAM_BLOCK),
+                        [_CHANNEL_KEY, *_VARIANT_KEYS.values()])
+    words.setflags(write=False)
+    return words
+
+
+@functools.lru_cache(maxsize=_CHANNEL_KEYS)
+def _block_channels(master_seed: int, n: int, variance: float, start: int):
+    """``(draws, channels)`` of that block: its :func:`_draw_channels` draw per
+    trial, and a slot per trial for its ``ChannelRealization``, built on demand."""
+    states = _pcg64_states(_block_words(master_seed, start)[:, _CHANNEL_KEY])
+    # seed 0's stream is never drawn from: every trial stream reseats it
+    theta, phi, alpha = _draw_channels(states, n, variance, np.random.default_rng(0))
+    return tuple(zip(theta.tolist(), phi.tolist(), alpha.tolist())), [None] * _STREAM_BLOCK
+
+
+def _block_start(trial_index: int) -> tuple[int, int]:
+    """The start of the aligned block holding ``trial_index``, and its offset there."""
     trial = _integer("trial index", trial_index)
     if not 0 <= trial < _MAX_TRIALS:
         raise ValueError(f"trial index {trial} outside [0, 2**32)")
-    offset = trial % _STREAM_BLOCK
-    start = trial - offset
-    key = (cfg.master_seed, cfg.n, cfg.alpha_variance)
-    block = _trial_blocks.get(key)
-    if block is None or block[0] != start:
-        # keys 0, 1 and 2 (channel, then noise) each index their own row of words
-        words = _seed_words(cfg.master_seed, range(start, start + _STREAM_BLOCK),
-                            [_CHANNEL_KEY, *_VARIANT_KEYS.values()])
-        # seed 0's stream is never drawn from: every trial stream reseats it
-        theta, phi, alpha = _draw_channels(_pcg64_states(words[:, _CHANNEL_KEY]), cfg.n,
-                                           cfg.alpha_variance, np.random.default_rng(0))
-        words = words.transpose(1, 2, 0).copy()
-        words.setflags(write=False)
-        # imported here, so that importing the package loads no numpy.random
-        from numpy.random.bit_generator import ISeedSequence
-        ISeedSequence.register(StreamSeed)  # bit generators take registered seeds only
-        block = (start, list(zip(theta.tolist(), phi.tolist(), alpha.tolist())),
-                 [None] * _STREAM_BLOCK, words)
-        with _trial_lock:
-            _trial_blocks.pop(key, None)
-            if len(_trial_blocks) >= _CHANNEL_KEYS:
-                del _trial_blocks[next(iter(_trial_blocks))]
-            _trial_blocks[key] = block
-    return block, offset
+    return trial - trial % _STREAM_BLOCK, trial % _STREAM_BLOCK
 
 
 def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealization:
@@ -238,11 +238,12 @@ def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealizatio
 
     Fully determined by ``(master_seed, trial_index)``, ``n`` and the prior,
     so trials can run in any order, and it is the channel a sweep or a trace
-    gives that trial.  Served from the trial's block (:func:`_trial_block`),
+    gives that trial.  Served from the trial's block (:func:`_block_channels`),
     so a trial asked for again, by another variant, gets the same object.
     ``ValueError`` for a trial index outside ``[0, 2**32)``.
     """
-    (_, draws, channels, _), offset = _trial_block(cfg, trial_index)
+    start, offset = _block_start(trial_index)
+    draws, channels = _block_channels(cfg.master_seed, cfg.n, cfg.alpha_variance, start)
     channel = channels[offset]
     if channel is None:
         channel = channels[offset] = ChannelRealization(*draws[offset], n=cfg.n)
@@ -252,11 +253,11 @@ def sample_channel(cfg: ExperimentConfig, trial_index: int) -> ChannelRealizatio
 def noise_stream(cfg: ExperimentConfig, trial_index: int, variant: str) -> StreamSeed:
     """Noise substream for one (trial, variant), shared across energy points: the
     seed of ``substream(master_seed, trial_index, key)`` from the trial's block
-    (:func:`_trial_block`).  ``ValueError`` for an unknown variant or a trial
-    index outside ``[0, 2**32)``."""
+    (:func:`_block_words`; no channel is drawn).  ``ValueError`` for an unknown
+    variant or a trial index outside ``[0, 2**32)``."""
     _check_variant(variant)
-    block, offset = _trial_block(cfg, trial_index)
-    return StreamSeed(block[3][_VARIANT_KEYS[variant], offset])
+    start, offset = _block_start(trial_index)
+    return StreamSeed(_block_words(cfg.master_seed, start)[:, _VARIANT_KEYS[variant], offset])
 
 
 def energy_from_db(db: float, n0: float = 1.0) -> float:
@@ -392,69 +393,66 @@ def _draw_block(cfg: ExperimentConfig, trials: range, rng: np.random.Generator):
     return theta, phi, alpha, noises
 
 
+def _engine_blocks(cfg: ExperimentConfig, lo: int, hi: int, block: int, width: int):
+    """The trial engine over trials [lo, hi): one :func:`_draw_block` per
+    ``block`` trials, then per ``width`` grid points and variant one
+    :func:`~beamest.estimator.search_batch` and all-stage gain estimate.
+    Yields ``(trials, points, (theta, phi, alpha), {variant: (batch, alpha_hat)})``.
+    """
+    n_points = len(cfg.et_db)
+    rng = np.random.default_rng(0)  # never drawn from: every trial stream reseats it
+    for start in range(lo, hi, block):
+        trials = range(start, min(start + block, hi))
+        theta, phi, alpha, noises = _draw_block(cfg, trials, rng)
+        for first in range(0, n_points, width):
+            points = slice(first, min(first + width, n_points))
+            results = {}
+            for variant, design in cfg.designs.items():
+                p_t = cfg.powers[variant][points]
+                batch = search_batch(design, p_t, theta, phi, alpha, noises[variant])
+                results[variant] = batch, estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
+                                                              cfg.alpha_variance)
+            yield trials, points, (theta, phi, alpha), results
+
+
 def _sweep_blocks(cfg: ExperimentConfig, lo: int, hi: int):
     """Per-trial outcomes of trials [lo, hi), one engine block at a time.
 
     Yields ``(trials, points, {variant: (fails, err_mmse, err_final)})``: a
     range of trials, a slice of the energy grid, arrays ``(points, trials)``.
     """
-    n_points = len(cfg.et_db)
     per_point = cfg.designs[cfg.variants[0]].stages * cfg.k * cfg.k
-    width = max(1, min(n_points, _BLOCK_ENTRIES // per_point))
+    width = max(1, min(len(cfg.et_db), _BLOCK_ENTRIES // per_point))
     block = max(1, _BLOCK_ENTRIES // (width * per_point))
-    # seed 0's stream is never drawn from: every trial stream reseats it
-    rng = np.random.default_rng(0)
-    for start in range(lo, hi, block):
-        trials = range(start, min(start + block, hi))
-        theta, phi, alpha, noises = _draw_block(cfg, trials, rng)
+    for trials, points, (*_, alpha), results in _engine_blocks(cfg, lo, hi, block, width):
         alpha_mag = np.abs(alpha)[:, None]
-        for first in range(0, n_points, width):
-            points = slice(first, min(first + width, n_points))
-            outcomes = {}
-            for variant, design in cfg.designs.items():
-                p_t = cfg.powers[variant][points]
-                batch = search_batch(design, p_t, theta, phi, alpha, noises[variant])
-                mmse_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
-                                               cfg.alpha_variance)
-                final_hat = estimate_alpha_mmse(batch.values[..., -1:], p_t, PILOT, cfg.n0,
-                                                cfg.alpha_variance)
-                outcomes[variant] = (~batch.on_track.T,
-                                     (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T,
-                                     (np.abs(final_hat - alpha[:, None]) / alpha_mag).T)
-            yield trials, points, outcomes
+        outcomes = {}
+        for variant, (batch, mmse_hat) in results.items():
+            final_hat = estimate_alpha_mmse(batch.values[..., -1:], cfg.powers[variant][points],
+                                            PILOT, cfg.n0, cfg.alpha_variance)
+            outcomes[variant] = (~batch.on_track.T,
+                                 (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T,
+                                 (np.abs(final_hat - alpha[:, None]) / alpha_mag).T)
+        yield trials, points, outcomes
 
 
 def _trace_blocks(cfg: ExperimentConfig):
-    """:func:`~beamest.estimator.trace_record` dicts of every trial at the
-    first energy point of ``cfg`` (a trace's config has one), a block of
-    ``_STREAM_BLOCK`` trials at a time.
-
-    Yields one list of records per variant and block, trials in order: the
-    records :func:`~beamest.estimator.run_estimation` gives each trial on
-    :func:`sample_channel`'s channel and :func:`noise_stream`'s noise, from
-    one :func:`_draw_block` and one one-point search and gain estimate per
-    variant.
+    """:func:`~beamest.estimator.trace_record` dicts of every trial at the one
+    energy point of a trace's ``cfg``: per engine block of ``_STREAM_BLOCK``
+    trials, one list per variant, trials in order, of the records
+    :func:`~beamest.estimator.run_estimation` gives each trial on
+    :func:`sample_channel`'s channel and :func:`noise_stream`'s noise.
     """
-    seed = cfg.master_seed
-    rng = np.random.default_rng(0)  # never drawn from: every trial stream reseats it
-    for start in range(0, cfg.trials, _STREAM_BLOCK):
-        trials = range(start, min(start + _STREAM_BLOCK, cfg.trials))
-        theta, phi, alpha, noises = _draw_block(cfg, trials, rng)
+    for trials, _, (theta, phi, alpha), results in _engine_blocks(cfg, 0, cfg.trials,
+                                                                 _STREAM_BLOCK, 1):
         truth = list(zip(trials, theta.tolist(), phi.tolist(),
                          map(format_complex, alpha.tolist())))
-        blocks = []
-        for variant, design in cfg.designs.items():
-            p_t = cfg.powers[variant][:1]
-            batch = search_batch(design, p_t, theta, phi, alpha, noises[variant])
-            alpha_hat = estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
-                                            cfg.alpha_variance)
-            picks = np.stack([batch.receive[:, 0], batch.transmit[:, 0]], axis=-1).tolist()
-            blocks.append([
-                _record(trial, seed, t, p, a, selections, t_hat, p_hat, a_hat)
+        yield [[_record(trial, cfg.master_seed, t, p, a, selections, t_hat, p_hat, a_hat)
                 for (trial, t, p, a), selections, t_hat, p_hat, a_hat in zip(
-                    truth, picks, batch.theta_hat[:, 0].tolist(),
-                    batch.phi_hat[:, 0].tolist(), alpha_hat[:, 0].tolist())])
-        yield blocks
+                    truth, np.stack([batch.receive[:, 0], batch.transmit[:, 0]], -1).tolist(),
+                    batch.theta_hat[:, 0].tolist(), batch.phi_hat[:, 0].tolist(),
+                    alpha_hat[:, 0].tolist())]
+               for batch, alpha_hat in results.values()]
 
 
 def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from beamest import cli
+from beamest import cli, montecarlo
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +22,16 @@ def fig3_sweep(tmp_path_factory):
     elapsed = time.perf_counter() - started
     assert code == 0
     return {"dir": out, "elapsed": elapsed}
+
+
+@pytest.fixture
+def fresh_blocks():
+    """``montecarlo``'s two per-trial block caches, ``(_block_words,
+    _block_channels)``, emptied before the test and again after it, so that
+    blocks drawn under a test's patches serve no later test."""
+    caches = (montecarlo._block_words, montecarlo._block_channels)
+    for cache in caches:
+        cache.cache_clear()
+    yield caches
+    for cache in caches:
+        cache.cache_clear()

@@ -8,10 +8,13 @@ replaces the per-parent synthesis with one synthesis per stage, shifted; the
 tests use :func:`reference_bank` as the oracle for its banks.  The shipped
 bound averages the pairwise exceedance over the Rayleigh gain in closed form;
 :func:`pairwise_exceedance` is the fixed-gain form it averages, the oracle
-for that closed form.  Sweeps reduce each block of trials to counts and
-exact partials as it is made; :func:`sweep_outcomes` keeps the per-trial
-outcomes instead, for the tests that pin or sum them row by row.  Sweeps,
-traces and ``sample_channel`` draw channels a block at a time;
+for that closed form.  Sweeps reduce each block of trials from the one engine
+loop (``montecarlo._engine_blocks``) to counts and exact partials as it is
+made; :func:`sweep_outcomes` keeps the per-trial outcomes of that loop
+instead, for the tests that pin or sum them row by row, so it shares any
+error in how the loop forms them (``test_montecarlo.py``'s per-trial
+recompute of the error rows does not).  Sweeps and traces draw channels a block
+at a time, and ``sample_channel`` reads them from a cache of such blocks;
 :func:`reference_channel` draws one trial's from a generator seeded with
 numpy's own ``SeedSequence``, the oracle for those blocks.
 """

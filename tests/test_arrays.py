@@ -362,8 +362,8 @@ def _experiment(master_seed):
 
 
 class TestStreamSeed:
-    """The StreamSeed that montecarlo.noise_stream serves from its trial-block
-    cache, against numpy's SeedSequence for the same (seed, trial, key)."""
+    """The StreamSeed that montecarlo.noise_stream serves from its cache of
+    seed-word blocks, against numpy's SeedSequence for the same (seed, trial, key)."""
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(master_seed=st.integers(0, 2**128 - 1), trial=st.integers(0, 2**32 - 1),
@@ -447,17 +447,24 @@ class TestStreamSeed:
         with pytest.raises(ValueError, match=f"unknown variant {variant!r}; expected one of"):
             noise_stream(_experiment(3), 0, variant)
 
-    def test_cache_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_trial_blocks", {})
-        for seed in range(3 * montecarlo._CHANNEL_KEYS):
+    def test_cache_stays_bounded(self, fresh_blocks):
+        words = fresh_blocks[0]
+        seeds = 3 * montecarlo._CHANNEL_KEYS
+        for seed in range(seeds):
             for trial in (0, 1000):
                 noise_stream(_experiment(seed), trial, NON_OVERLAPPED)
-        assert len(montecarlo._trial_blocks) == montecarlo._CHANNEL_KEYS
-        assert [seed for seed, *_ in montecarlo._trial_blocks] == list(
-            range(2 * montecarlo._CHANNEL_KEYS, 3 * montecarlo._CHANNEL_KEYS))
-        for start, _, _, words in montecarlo._trial_blocks.values():
-            assert (start, words.shape) == (768, (3, montecarlo._STREAM_BLOCK, 4))
-            assert not words.flags.writeable
+        assert (words.cache_info().misses, words.cache_info().currsize) == (
+            2 * seeds, montecarlo._CHANNEL_KEYS)
+        # the last blocks asked for are kept, the first are not
+        for seed in range(seeds - montecarlo._CHANNEL_KEYS // 2, seeds):
+            for trial in (0, 1000):
+                noise_stream(_experiment(seed), trial, OVERLAPPED)
+        assert words.cache_info().misses == 2 * seeds
+        noise_stream(_experiment(0), 1000, OVERLAPPED)
+        assert words.cache_info().misses == 2 * seeds + 1
+        block = montecarlo._block_words(seeds - 1, 768)
+        assert block.shape == (4, 3, montecarlo._STREAM_BLOCK)
+        assert not block.flags.writeable
 
     def test_threads_share_the_cache(self):
         # more threads than cores, switching often, each missing and evicting
@@ -485,7 +492,8 @@ class TestStreamSeed:
         finally:
             sys.setswitchinterval(interval)
         assert results == [True] * 4
-        assert len(montecarlo._trial_blocks) <= montecarlo._CHANNEL_KEYS
+        for cache in (montecarlo._block_words, montecarlo._block_channels):
+            assert cache.cache_info().currsize <= montecarlo._CHANNEL_KEYS
 
 
 def _require_direct_path():

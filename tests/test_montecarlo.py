@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import reference_channel, sweep_outcomes
+from reference import reference_channel, reference_search, sweep_outcomes
 from scipy import stats
 
 from beamest import analysis, arrays, cli, montecarlo
@@ -17,6 +17,7 @@ from beamest.arrays import MeasurementNoise, substream
 from beamest.estimator import (
     NON_OVERLAPPED,
     OVERLAPPED,
+    PILOT,
     Design,
     EstimatorConfig,
     run_estimation,
@@ -109,7 +110,7 @@ class TestSampleChannel:
         b = np.random.default_rng(noise_stream(cfg, 0, NON_OVERLAPPED)).normal(size=4)
         assert not np.allclose(a, b)
 
-    def test_block_served_by_lookup(self, monkeypatch):
+    def test_block_served_by_lookup(self, monkeypatch, fresh_blocks):
         # a block's first trial draws it; its neighbours return the same objects
         draws = []
         draw = montecarlo._draw_channels
@@ -119,29 +120,40 @@ class TestSampleChannel:
             return draw(states, n, variance, rng)
 
         monkeypatch.setattr(montecarlo, "_draw_channels", counting)
-        monkeypatch.setattr(montecarlo, "_trial_blocks", {})
         cfg = _cfg(n=27)
         first = [sample_channel(cfg, trial) for trial in range(300)]
         assert [sample_channel(cfg, trial) for trial in range(256, 300)] == first[256:]
         assert sample_channel(cfg, 299) is first[299]
         assert draws == [montecarlo._STREAM_BLOCK] * 2
+        assert [cache.cache_info().misses for cache in fresh_blocks] == [2, 2]
         assert first == [reference_channel(cfg, trial) for trial in range(300)]
 
-    def test_cache_keyed_by_seed_grid_and_prior(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_trial_blocks", {})
+    def test_cache_keyed_by_seed_grid_and_prior(self, fresh_blocks):
         configs = [_cfg(master_seed=seed, n=n, var_alpha=prior)
                    for seed in (1, 2) for n in (9, 27) for prior in (None, 2.0)]
         for cfg in configs:
             for trial in (5, 700):
                 assert sample_channel(cfg, trial) == reference_channel(cfg, trial)
-        assert len(montecarlo._trial_blocks) == montecarlo._CHANNEL_KEYS
-        for start, draws, channels, words in montecarlo._trial_blocks.values():
-            assert (start, len(draws)) == (512, montecarlo._STREAM_BLOCK)
-            assert words.shape == (3, montecarlo._STREAM_BLOCK, 4)
-            assert not words.flags.writeable
-            assert [i for i, c in enumerate(channels) if c is not None] == [700 - 512]
+        words, channels = fresh_blocks
+        # a block of channels per config and block, drawn from a block of
+        # seed words per seed and block
+        assert channels.cache_info().misses == 2 * len(configs)
+        assert words.cache_info().misses == 4
+        for cache in fresh_blocks:
+            assert cache.cache_info().currsize == montecarlo._CHANNEL_KEYS
+        hits = channels.cache_info().hits
+        for cfg in configs[-2:]:  # the last _CHANNEL_KEYS blocks drawn
+            for start, trial in ((0, 5), (512, 700)):
+                draws, built = montecarlo._block_channels(cfg.master_seed, cfg.n,
+                                                          cfg.alpha_variance, start)
+                assert len(draws) == montecarlo._STREAM_BLOCK
+                assert [i for i, c in enumerate(built) if c is not None] == [trial - start]
+        assert channels.cache_info().hits == hits + 4
+        block = montecarlo._block_words(2, 512)
+        assert block.shape == (4, 3, montecarlo._STREAM_BLOCK)
+        assert not block.flags.writeable
 
-    def test_block_hashed_once_for_channels_and_noise(self, monkeypatch):
+    def test_block_hashed_once_for_channels_and_noise(self, monkeypatch, fresh_blocks):
         # one seed-word hash serves a block's channels and both noise streams
         calls = []
         seed_words = montecarlo._seed_words
@@ -151,7 +163,6 @@ class TestSampleChannel:
             return seed_words(master_seed, trials, keys)
 
         monkeypatch.setattr(montecarlo, "_seed_words", counting)
-        monkeypatch.setattr(montecarlo, "_trial_blocks", {})
         cfg = _cfg(n=27)
         for trial in range(256):
             sample_channel(cfg, trial)
@@ -160,6 +171,24 @@ class TestSampleChannel:
         assert calls == [(range(0, 256), [0, 1, 2])]
         noise_stream(cfg, 256, NON_OVERLAPPED)
         assert calls[1:] == [(range(256, 512), [0, 1, 2])]
+
+    def test_noise_stream_draws_no_channels(self, monkeypatch, fresh_blocks):
+        # a noise seed on a fresh block hashes the block's words only; its
+        # channels are drawn when a channel of the block is first asked for
+        draws = []
+        draw = montecarlo._draw_channels
+        monkeypatch.setattr(montecarlo, "_draw_channels",
+                            lambda *args: draws.append(len(args[0])) or draw(*args))
+        cfg = _cfg(n=27)
+        for trial in (0, 300, 2**32 - 1):
+            for variant, key in montecarlo._VARIANT_KEYS.items():
+                seed = noise_stream(cfg, trial, variant).generate_state(4, np.uint64)
+                expected = substream(cfg.master_seed, trial, key).generate_state(4, np.uint64)
+                assert seed.tolist() == expected.tolist()
+        assert draws == []
+        assert fresh_blocks[1].cache_info().currsize == 0
+        assert sample_channel(cfg, 300) == reference_channel(cfg, 300)
+        assert draws == [montecarlo._STREAM_BLOCK]
 
     @pytest.mark.parametrize("trial", [-1, 2**32, 2**40])
     def test_trial_outside_32_bits_rejected(self, trial):
@@ -191,7 +220,8 @@ class TestSampleChannel:
         finally:
             sys.setswitchinterval(interval)
         assert results == [True] * 4
-        assert len(montecarlo._trial_blocks) <= montecarlo._CHANNEL_KEYS
+        for cache in (montecarlo._block_words, montecarlo._block_channels):
+            assert cache.cache_info().currsize <= montecarlo._CHANNEL_KEYS
 
 
 def _may_reject(cfg, trial):
@@ -318,10 +348,9 @@ class TestBlockDrawsThroughSetter(TestBlockDraws):
     reseated through the PCG64 ``state`` setter."""
 
     @pytest.fixture(autouse=True)
-    def _setter_path(self, monkeypatch):
-        monkeypatch.setattr(arrays, "_direct_reseat_works", lambda: False)
+    def _setter_path(self, monkeypatch, fresh_blocks):
         # sample_channel draws its blocks afresh, through the setter too
-        monkeypatch.setattr(montecarlo, "_trial_blocks", {})
+        monkeypatch.setattr(arrays, "_direct_reseat_works", lambda: False)
 
 
 class TestFailureIndicator:
@@ -404,6 +433,48 @@ class TestRunSweep:
             assert ((0.0 <= table.ci_low) & (table.ci_low <= table.pcef)
                     & (table.pcef <= table.ci_high) & (table.ci_high <= 1.0)).all()
             assert (table.failures == np.round(table.pcef * 400)).all()
+
+    def test_error_rows_equal_per_trial_recompute(self):
+        """Each table row from each trial's own search: the reference channel,
+        the explicit-beam reference search on the trial's noise stream, and
+        the model's gain estimates from its selected values, all ``S`` of
+        them for the MMSE columns and the last stage's for the "final"
+        ones; nothing here goes through the sweep's engine blocks."""
+        cfg = _cfg(n=27, et_db=(4.0, 14.0, 24.0), trials=40, master_seed=31)
+        tables = run_sweep(cfg)
+        channels = [reference_channel(cfg, trial) for trial in range(cfg.trials)]
+        var_alpha, n0 = cfg.alpha_variance, cfg.n0
+        for variant in cfg.variants:
+            table = tables[variant]
+            for q, db in enumerate(cfg.et_db):
+                p_t = power_for_energy(energy_from_db(db, n0), cfg.n, cfg.k, variant)
+                ecfg = EstimatorConfig(n=cfg.n, k=cfg.k, p_t=p_t, n0=n0, var_alpha=var_alpha,
+                                       variant=variant)
+                fails, mmse, final = [], [], []
+                for trial, channel in enumerate(channels):
+                    rng = np.random.default_rng(noise_stream(cfg, trial, variant))
+                    stages = reference_search(channel, ecfg, rng)
+                    values = [r[kr, kt] for _, r, kr, kt in stages]
+                    # the last stage's picks end on the angles found
+                    theta_hat = sum(kr * cfg.k ** (len(stages) - 1 - s)
+                                    for s, (*_, kr, _) in enumerate(stages))
+                    phi_hat = sum(kt * cfg.k ** (len(stages) - 1 - s)
+                                  for s, (*_, kt) in enumerate(stages))
+                    fails.append((theta_hat, phi_hat) != (channel.theta, channel.phi))
+                    # sum(values) has mean S sqrt(p_t) pilot alpha, variance S n0
+                    scale = var_alpha * math.sqrt(p_t) * PILOT.conjugate()
+                    for errors, picked in ((mmse, values), (final, values[-1:])):
+                        alpha_hat = scale * sum(picked) / (len(picked) * var_alpha * p_t + n0)
+                        errors.append(abs(alpha_hat - channel.alpha) / abs(channel.alpha))
+                fails, mmse, final = map(np.array, (fails, mmse, final))
+                assert table.failures[q] == fails.sum()
+                assert 0 < fails.sum() < cfg.trials or db == cfg.et_db[-1]
+                for got, expected in (
+                        (table.relerr_mmse_all[q], mmse.mean()),
+                        (table.relerr_final_all[q], final.mean()),
+                        (table.relerr_mmse_success[q], mmse[~fails].mean()),
+                        (table.relerr_final_success[q], final[~fails].mean())):
+                    assert got == pytest.approx(expected, rel=1e-9)
 
     def test_worker_split_bit_identical(self):
         cfg = _cfg(n=9, et_db=(4.0, 12.0), trials=120)
