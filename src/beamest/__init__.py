@@ -15,7 +15,6 @@ from .arrays import (
     MeasurementNoise,
     build_channel,
     measure_block,
-    steering_vector,
     substream,
 )
 from .codebook import (
@@ -26,7 +25,6 @@ from .codebook import (
     identity_pattern_matrix,
     overlapped_pattern_matrix,
     synthesize_vector,
-    target_profile,
 )
 from .estimator import (
     ALPHA_FINAL,

@@ -10,7 +10,7 @@ Random streams are keyed ``(master seed, key...)`` through
 :func:`substream`.  One vectorised hash, :func:`_seed_words`, computes the
 ``SeedSequence`` seed words of a whole block of ``(trial, key)`` streams at
 once, bit for bit; the master seed's share of that hashing is done once per
-seed.  :func:`substream_states` turns them into PCG64 start states, one
+call.  :func:`substream_states` turns them into PCG64 start states, one
 ``uint64`` array of 64-bit state and increment words, and sweeps reseat one
 generator with its rows through :func:`reseater` instead of building a
 generator per stream, filling each stream's draws straight into a block
@@ -36,7 +36,6 @@ __all__ = [
     "ChannelRealization",
     "MeasurementNoise",
     "StreamSeed",
-    "steering_vector",
     "build_channel",
     "measure_block",
     "reseater",
@@ -45,18 +44,6 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-9
-
-
-def steering_vector(epsilon: float, n: int) -> np.ndarray:
-    """Response of an n-element half-wavelength ULA to a plane wave at angle ``epsilon``.
-
-    Element ``m`` carries phase ``pi * m * sin(epsilon)``; the vector is scaled
-    by ``1/sqrt(n)`` so it always has unit Euclidean norm.
-    """
-    if n < 1:
-        raise ValueError(f"antenna count must be at least 1, got {n}")
-    phases = np.pi * np.sin(epsilon) * np.arange(n)
-    return np.exp(1j * phases) / np.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -82,32 +69,11 @@ class AngleGrid:
         s.setflags(write=False)
         return s
 
-    @cached_property
-    def angles(self) -> np.ndarray:
-        a = np.arcsin(self.sines)
-        a.setflags(write=False)
-        return a
-
-    def angle(self, index: int) -> float:
-        """Direction of grid point ``index`` in radians."""
-        self._check_index(index)
-        return float(self.angles[index])
-
     def response(self, index: int) -> np.ndarray:
         """Unit-norm array response of grid point ``index``."""
-        self._check_index(index)
-        return np.exp(1j * np.pi * self.sines[index] * np.arange(self.n)) / np.sqrt(self.n)
-
-    @cached_property
-    def response_matrix(self) -> np.ndarray:
-        """n-by-n matrix whose column ``i`` is ``response(i)``; orthonormal columns."""
-        u = np.exp(1j * np.pi * np.outer(np.arange(self.n), self.sines)) / np.sqrt(self.n)
-        u.setflags(write=False)
-        return u
-
-    def _check_index(self, index: int) -> None:
         if not 0 <= index < self.n:
             raise ValueError(f"grid index {index} outside [0, {self.n})")
+        return np.exp(1j * np.pi * self.sines[index] * np.arange(self.n)) / np.sqrt(self.n)
 
 
 def _integer(key: str, value) -> int:
@@ -329,20 +295,20 @@ def _words32(values, name: str) -> np.ndarray:
     return array.astype(np.uint32)
 
 
-# SeedSequence pools kept by :func:`_seed_pool`, one per master seed
-_SEED_POOLS = 64
+def _seed_words(master_seed: int, trials, keys) -> np.ndarray:
+    """``substream(master_seed, trial, key).generate_state(4, np.uint64)`` for
+    every key and trial, as a ``(4, len(keys), len(trials))`` ``uint64`` array.
 
-
-@functools.lru_cache(maxsize=_SEED_POOLS)
-def _seed_pool(master_seed: int) -> tuple[np.ndarray, ...]:
-    """SeedSequence's pool after the words of ``master_seed``, and the hash
-    constants the trial word and the key word then take.
-
-    Returns read-only ``uint32`` arrays ``(pool, trial xor, trial mul, key
-    xor, key mul)``, each ``(4, 1, 1)``.  They depend on the master seed
-    alone, so they are computed once per seed; the memo keeps the last
-    ``_SEED_POOLS`` seeds.
+    It follows SeedSequence's pool mixing and ``generate_state`` hashing: the
+    master-seed words are hashed as scalars, and the two spawn-key words of
+    every stream in ``uint32`` arithmetic over all trials, keys and pool words
+    at once.  Trial indices and keys must each fit one 32-bit word.
     """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed must be nonnegative, got {master_seed}")
+    trial_words = _words32(trials, "trial indices")
+    key_words = _words32(keys, "stream keys")[:, None]
     # entropy: the master seed's 32-bit words, zero-padded to the pool size
     # because a spawn key follows
     words = [(master_seed >> shift) & _MASK32
@@ -358,31 +324,9 @@ def _seed_pool(master_seed: int) -> tuple[np.ndarray, ...]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hash(word, *next(constants)))
     # each spawn-key word enters all pool words, each with its own constant
-    result = (np.array(pool, dtype=np.uint32)[:, None, None],
-              *_constant_arrays(constants, _POOL_SIZE), *_constant_arrays(constants, _POOL_SIZE))
-    for array in result:
-        array.setflags(write=False)
-    return result
-
-
-def _seed_words(master_seed: int, trials, keys) -> np.ndarray:
-    """``substream(master_seed, trial, key).generate_state(4, np.uint64)`` for
-    every key and trial, as a ``(4, len(keys), len(trials))`` ``uint64`` array.
-
-    It follows SeedSequence's pool mixing and ``generate_state`` hashing: the
-    master-seed words are hashed as scalars, once per seed
-    (:func:`_seed_pool`), and the two spawn-key words of every stream in
-    ``uint32`` arithmetic over all trials, keys and pool words at once.
-    Trial indices and keys must each fit one 32-bit word.
-    """
-    master_seed = operator.index(master_seed)
-    if master_seed < 0:
-        raise ValueError(f"master seed must be nonnegative, got {master_seed}")
-    trial_words = _words32(trials, "trial indices")
-    key_words = _words32(keys, "stream keys")[:, None]
-    pool, *constants = _seed_pool(master_seed)
-    pool = _mix(pool, _hash(trial_words, *constants[:2]))
-    pool = _mix(pool, _hash(key_words, *constants[2:]))
+    pool = np.array(pool, dtype=np.uint32)[:, None, None]
+    pool = _mix(pool, _hash(trial_words, *_constant_arrays(constants, _POOL_SIZE)))
+    pool = _mix(pool, _hash(key_words, *_constant_arrays(constants, _POOL_SIZE)))
     # eight hashed pool words, paired little-endian
     out = _hash(np.concatenate([pool, pool]), *_OUTPUT_CONSTANTS)
     out = out.astype(np.uint64)

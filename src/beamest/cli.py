@@ -44,7 +44,6 @@ from .estimator import (
     OVERLAPPED,
     VARIANTS,
     Design,
-    codebook_bank,
     leftmost_path,
     run_estimation,  # noqa: F401 -- benchmarks/workloads.py wraps cli.run_estimation
     stage_count,  # noqa: F401 -- benchmarks/workloads.py wraps cli.stage_count
@@ -108,7 +107,8 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in KNOWN_KEYS and not key.startswith("n_values_k"):
+        if key not in KNOWN_KEYS and not (key.startswith("n_values_k")
+                                          and key[len("n_values_k"):].isdecimal()):
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in cfg:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
@@ -251,7 +251,7 @@ def _gain_flatness_csv(n: int, k: int, variant: str) -> str:
     For each stage and beam: worst deviation of |u_i^H f| from gain * amplitude
     inside the covered sub-ranges, and worst leakage outside them.
     """
-    patterns = codebook_bank(n, k, variant).patterns
+    patterns = Design(n, k, variant).patterns
     rows = []
     for s, partition, cb in leftmost_path(n, k, variant):
         realized = np.abs(realized_gains(cb.f))
@@ -270,11 +270,10 @@ def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
     k = _require(cfg, "k", int, "codebook")
     variant = cfg.get("variant", OVERLAPPED)
     out_dir = Path(args.out)
-    bank = codebook_bank(n, k, variant)
     outputs = []
 
     pattern_lines = [",".join(repr(float(v)) for v in row)
-                     for row in bank.patterns.values]
+                     for row in Design(n, k, variant).patterns.values]
     outputs.append(_write(out_dir / "pattern_matrix.csv",
                           "\n".join(pattern_lines) + "\n", args.quiet))
 
@@ -292,8 +291,13 @@ def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
 
 
 def _slot_table_csv(cfg: dict) -> str:
+    k_values = _int_list(cfg, "k_values", "sweep")
+    listed = {f"n_values_k{k}" for k in k_values}
+    for key in cfg:
+        if key.startswith("n_values_k") and key not in listed:
+            raise ConfigError(f"sweep: key {key!r} names no k listed in 'k_values'")
     rows = []
-    for k in _int_list(cfg, "k_values", "sweep"):
+    for k in k_values:
         key = f"n_values_k{k}"
         if key not in cfg:
             raise ConfigError(f"sweep: slot table needs key {key!r}")

@@ -17,13 +17,14 @@ Every parent range of a stage has the same length and the same pattern, so by
 the DFT shift theorem the beams of the parent starting at grid index ``o`` are
 those of the parent starting at 0 times the phase ramp ``exp(2 pi j a o / n)``
 on antenna ``a``: each stage is synthesized once and shifted onto its parents.
+The leftmost parent's profiles are the pattern rows themselves, each entry
+repeated over its child's points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -40,10 +41,8 @@ __all__ = [
     "format_complex",
     "identity_pattern_matrix",
     "overlapped_pattern_matrix",
-    "read_beam_matrix",
     "realized_gains",
     "synthesize_vector",
-    "target_profile",
     "write_beam_matrix",
 ]
 
@@ -178,36 +177,6 @@ class SubrangePartition:
     receive: tuple[IndexRange, ...]
 
 
-def target_profile(
-    patterns: BeamPatternMatrix,
-    m: int,
-    blocks: Sequence[IndexRange],
-    n: int,
-) -> np.ndarray:
-    """Desired per-grid-point gain of beam ``m``: ``values[m, k]`` on block ``k``.
-
-    Points outside every block get zero gain.  The profile is returned
-    unscaled; synthesis determines the gain constant a unit-norm weight vector
-    can actually realize.
-    """
-    if not 0 <= m < patterns.m:
-        raise ValueError(f"beam index {m} outside [0, {patterns.m})")
-    if len(blocks) != patterns.k:
-        raise ValueError(f"expected {patterns.k} sub-ranges, got {len(blocks)}")
-    occupied = np.zeros(n, dtype=bool)
-    profile = np.zeros(n)
-    for k, block in enumerate(blocks):
-        if block.stop > n:
-            raise ValueError(f"sub-range {block} exceeds grid size {n}")
-        if occupied[block.start:block.stop].any():
-            raise ValueError("sub-ranges overlap")
-        occupied[block.start:block.stop] = True
-        profile[block.start:block.stop] = patterns.values[m, k]
-    if not profile.any():
-        raise ValueError("target profile is identically zero")
-    return profile
-
-
 @dataclass(frozen=True, eq=False)
 class SynthesizedBeam:
     """Unit-norm weight vector realizing a scaled copy of a target gain profile."""
@@ -263,11 +232,12 @@ class StageCodebookCache:
     """Builds stage codebooks against one grid/pattern pair: one synthesis per
     stage, shifted.
 
-    The bank of the parent starting at grid index 0 is synthesized beam by
-    beam; the bank of any other parent of that length is the same bank times
-    the phase ramp ``exp(2 pi j a o / n)`` for a parent starting at ``o``, and
-    shares its gain and residual.  Banks and stage codebooks are memoized by
-    the parents' integer bounds.
+    The parent starting at grid index 0 has children of ``c`` points each, so
+    beam ``m``'s target profile is pattern row ``m`` with each entry repeated
+    ``c`` times, zero past the parent; each profile is synthesized once.  The
+    bank of any other parent of that length is the same bank times the phase
+    ramp ``exp(2 pi j a o / n)`` for a parent starting at ``o``, and shares its
+    gain and residual.  Banks are memoized by the parent's integer bounds.
     """
 
     def __init__(self, grid: AngleGrid, patterns: BeamPatternMatrix):
@@ -275,7 +245,8 @@ class StageCodebookCache:
         self.patterns = patterns
         # (start, stop) -> (its children, their beams as columns, shared gain, worst residual)
         self._banks: dict[tuple[int, int], tuple] = {}
-        self._stages: dict[tuple, tuple[SubrangePartition, StageCodebook]] = {}
+        # benchmarks/workloads.py counts refine misses by this table's growth
+        self._stages = self._banks
 
     def _end_bank(self, start: int, stop: int) -> tuple:
         bank = self._banks.get((start, stop))
@@ -285,8 +256,9 @@ class StageCodebookCache:
                 raise ValueError(f"parent range [{start}, {stop}) exceeds grid size {n}")
             blocks = IndexRange(start, stop).split(self.patterns.k)
             if start == 0:
-                beams = [synthesize_vector(target_profile(self.patterns, m, blocks, n), self.grid)
-                         for m in range(self.patterns.m)]
+                profiles = np.zeros((self.patterns.m, n))
+                profiles[:, :stop] = np.repeat(self.patterns.values, len(blocks[0]), axis=1)
+                beams = [synthesize_vector(profile, self.grid) for profile in profiles]
                 bank = (blocks, np.stack([b.vector for b in beams], axis=1), beams[0].gain,
                         max(b.residual for b in beams))
             else:
@@ -299,20 +271,14 @@ class StageCodebookCache:
 
     def refine(self, parent_transmit: IndexRange, parent_receive: IndexRange,
                k: int, stage: int) -> tuple[SubrangePartition, StageCodebook]:
-        """Partition both parents and return the matching codebook, memoized."""
-        key = (parent_transmit.start, parent_transmit.stop,
-               parent_receive.start, parent_receive.stop, stage)
-        hit = self._stages.get(key)
-        if hit is None:
-            if k != self.patterns.k or len(parent_transmit) != len(parent_receive):
-                raise ValueError(f"expected equal parents split {self.patterns.k} ways, got "
-                                 f"{parent_transmit} and {parent_receive} split {k} ways")
-            transmit, f, gain, res_t = self._end_bank(parent_transmit.start, parent_transmit.stop)
-            receive, w, _, res_r = self._end_bank(parent_receive.start, parent_receive.stop)
-            hit = (SubrangePartition(stage, transmit, receive),
-                   StageCodebook(stage=stage, f=f, w=w, gain=gain, residual=max(res_t, res_r)))
-            self._stages[key] = hit
-        return hit
+        """Partition both parents and return the matching codebook."""
+        if k != self.patterns.k or len(parent_transmit) != len(parent_receive):
+            raise ValueError(f"expected equal parents split {self.patterns.k} ways, got "
+                             f"{parent_transmit} and {parent_receive} split {k} ways")
+        transmit, f, gain, res_t = self._end_bank(parent_transmit.start, parent_transmit.stop)
+        receive, w, _, res_r = self._end_bank(parent_receive.start, parent_receive.stop)
+        return (SubrangePartition(stage, transmit, receive),
+                StageCodebook(stage=stage, f=f, w=w, gain=gain, residual=max(res_t, res_r)))
 
 
 # "+" shows the sign of -0.0, which FFT beams carry
@@ -336,17 +302,3 @@ def write_beam_matrix(path, matrix: np.ndarray, stage: int, gain: float) -> None
     lines += [row_format(*row) for row in parts]
     with output_file(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_beam_matrix(path) -> tuple[np.ndarray, int, float]:
-    """Inverse of :func:`write_beam_matrix`; returns ``(matrix, stage, gain)``."""
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        n, m, stage = int(header[0]), int(header[1]), int(header[2])
-        gain = float(header[3])
-        rows = [[complex(cell) for cell in fh.readline().split()] for _ in range(n)]
-    matrix = np.array(rows, dtype=complex)
-    if matrix.shape != (n, m):
-        raise ValueError(f"beam matrix file is inconsistent: header {n}x{m}, "
-                         f"body {matrix.shape}")
-    return matrix, stage, gain

@@ -43,6 +43,7 @@ from .analysis import _noise_and_prior, pcef_upper_bound
 from .arrays import (
     ChannelRealization,
     StreamSeed,
+    _LOW32,
     _integer,
     _pcg64_states,
     _real,
@@ -88,7 +89,6 @@ _VARIANT_KEYS = {OVERLAPPED: 1, NON_OVERLAPPED: 2}
 
 # Trial indices enter the stream hash as one 32-bit word each.
 _MAX_TRIALS = 1 << 32
-_LOW32 = np.uint64(0xFFFFFFFF)
 
 _CONFIDENCE_Z = 1.959963984540054  # two-sided 95% normal quantile
 

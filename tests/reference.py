@@ -17,6 +17,12 @@ recompute of the error rows does not).  Sweeps and traces draw channels a block
 at a time, and ``sample_channel`` reads them from a cache of such blocks;
 :func:`reference_channel` draws one trial's from a generator seeded with
 numpy's own ``SeedSequence``, the oracle for those blocks.
+
+The package never builds a steering vector, the grid's angles, its ``n x n``
+response matrix or a target profile from a list of sub-ranges, and never reads
+a beam file back: :func:`steering_vector`, :func:`grid_angles`,
+:func:`response_matrix`, :func:`target_profile` and :func:`read_beam_matrix`
+are those oracles.
 """
 
 import math
@@ -31,9 +37,69 @@ from beamest.arrays import (
     measure_block,
     substream,
 )
-from beamest.codebook import IndexRange, synthesize_vector, target_profile
+from beamest.codebook import IndexRange, synthesize_vector
 from beamest.estimator import PILOT, codebook_bank, fuse_measurements, select_path
 from beamest.montecarlo import _CHANNEL_KEY, _sweep_blocks
+
+
+def steering_vector(epsilon, n):
+    """Response of an n-element half-wavelength ULA to a plane wave at angle ``epsilon``.
+
+    Element ``m`` carries phase ``pi * m * sin(epsilon)``; the vector is scaled
+    by ``1/sqrt(n)`` so it always has unit Euclidean norm.
+    """
+    if n < 1:
+        raise ValueError(f"antenna count must be at least 1, got {n}")
+    return np.exp(1j * np.pi * np.sin(epsilon) * np.arange(n)) / np.sqrt(n)
+
+
+def grid_angles(grid):
+    """Direction of every point of an ``AngleGrid`` in radians."""
+    return np.arcsin(grid.sines)
+
+
+def response_matrix(grid):
+    """n-by-n matrix whose column ``i`` is ``grid.response(i)``; orthonormal columns."""
+    return np.exp(1j * np.pi * np.outer(np.arange(grid.n), grid.sines)) / np.sqrt(grid.n)
+
+
+def target_profile(patterns, m, blocks, n):
+    """Desired per-grid-point gain of beam ``m``: ``values[m, k]`` on block ``k``.
+
+    Points outside every block get zero gain; the profile is returned
+    unscaled.  Checks the beam index, the block count, and that the blocks lie
+    on the grid and do not overlap.
+    """
+    if not 0 <= m < patterns.m:
+        raise ValueError(f"beam index {m} outside [0, {patterns.m})")
+    if len(blocks) != patterns.k:
+        raise ValueError(f"expected {patterns.k} sub-ranges, got {len(blocks)}")
+    occupied = np.zeros(n, dtype=bool)
+    profile = np.zeros(n)
+    for k, block in enumerate(blocks):
+        if block.stop > n:
+            raise ValueError(f"sub-range {block} exceeds grid size {n}")
+        if occupied[block.start:block.stop].any():
+            raise ValueError("sub-ranges overlap")
+        occupied[block.start:block.stop] = True
+        profile[block.start:block.stop] = patterns.values[m, k]
+    if not profile.any():
+        raise ValueError("target profile is identically zero")
+    return profile
+
+
+def read_beam_matrix(path):
+    """Inverse of ``write_beam_matrix``; returns ``(matrix, stage, gain)``."""
+    with open(path, encoding="ascii") as fh:
+        header = fh.readline().split()
+        n, m, stage = int(header[0]), int(header[1]), int(header[2])
+        gain = float(header[3])
+        rows = [[complex(cell) for cell in fh.readline().split()] for _ in range(n)]
+    matrix = np.array(rows, dtype=complex)
+    if matrix.shape != (n, m):
+        raise ValueError(f"beam matrix file is inconsistent: header {n}x{m}, "
+                         f"body {matrix.shape}")
+    return matrix, stage, gain
 
 
 def reference_channel(cfg, trial):

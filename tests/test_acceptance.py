@@ -3,7 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.  The energy-sweep criteria share two full runs of the shipped
 ``fig3`` preset (10^4 trials per point) executed through the CLI with
-different worker counts, which doubles as the byte-identity check.
+different worker counts, which doubles as the byte-identity check.  The
+``k7.*`` gates check criteria 6 and 8, and that the non-overlapped design
+fails no more often than the overlapped one, on one sweep of the k = 7
+geometry at n = 49.
 """
 
 import math
@@ -12,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import pairwise_exceedance, reference_search
+from reference import pairwise_exceedance, reference_search, response_matrix
 from scipy import integrate
 
 from beamest.analysis import _rayleigh_terms
@@ -28,6 +31,7 @@ from beamest.estimator import (
     run_estimation,
     search_batch,
 )
+from beamest.montecarlo import ExperimentConfig, bound_table, run_sweep
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -39,7 +43,7 @@ SLOT_TABLE = {
 }
 
 
-def check(criterion: int, description: str, condition: bool, detail: str = ""):
+def check(criterion, description: str, condition: bool, detail: str = ""):
     status = "PASS" if condition else "FAIL"
     suffix = f" [{detail}]" if detail else ""
     print(f"\nACCEPTANCE {criterion} {status} - {description}{suffix}")
@@ -100,7 +104,7 @@ def test_criterion_2_codebook_fidelity():
             next_parents.extend(blocks)
             _, cb = bank.refine(parent, parent, k, stage=1)
             worst_residual = max(worst_residual, cb.residual)
-            realized = np.abs(grid.response_matrix.conj().T @ cb.f)
+            realized = np.abs(response_matrix(grid).conj().T @ cb.f)
             covered = np.zeros(n, dtype=bool)
             target = np.zeros((n, patterns.m))
             for j, block in enumerate(blocks):
@@ -279,3 +283,59 @@ def test_criterion_9_worker_determinism(fig3_runs):
     check(9, "identical seed with different worker counts produces "
              "byte-identical result tables",
           identical, f"{len(names)} tables compared")
+
+
+# The k = 7 gates' grid: 10-38 dB in steps of 4
+K7_ET_DB = tuple(float(db) for db in range(10, 39, 4))
+
+
+@pytest.fixture(scope="module")
+def k7_sweep():
+    """Both designs swept at n = 49, k = 7 (5,000 trials, seed 11) with the
+    paper's bound on the same grid: ``(tables, bound points)``."""
+    cfg = ExperimentConfig(n=49, k=7, et_db=K7_ET_DB, trials=5000, master_seed=11)
+    return run_sweep(cfg, workers=1), bound_table(49, 7, K7_ET_DB)
+
+
+def _sigma(table) -> np.ndarray:
+    return np.sqrt(table.pcef * (1 - table.pcef) / table.trials)
+
+
+def test_k7_bound_dominance(k7_sweep):
+    tables, points = k7_sweep
+    table = tables[OVERLAPPED]
+    bound = np.array([p.bound for p in points])
+    dominated = bool(np.all(table.pcef <= bound + 4 * _sigma(table)))
+    unclamped = ~np.array([p.clamped for p in points]) & (table.pcef > 0)
+    ratios = bound[unclamped] / table.pcef[unclamped]
+    check("k7.1", "analytical bound dominates the simulated overlapped failure "
+                  "probability at n = 49, k = 7 within 4 sigma",
+          dominated and len(ratios) > 0,
+          f"{len(table.pcef)} points; bound/pcef where unclamped: " + ", ".join(
+              f"{db:.0f} dB {r:.1f}x" for db, r in zip(np.array(K7_ET_DB)[unclamped], ratios)))
+
+
+def test_k7_mmse_improvement(k7_sweep):
+    tables, _ = k7_sweep
+    weak_points = []
+    compared = 0
+    for variant, table in tables.items():
+        mask = table.pcef < 0.5
+        compared += int(mask.sum())
+        if not np.all(table.relerr_final_all[mask] > table.relerr_mmse_all[mask]):
+            weak_points.append(variant)
+    check("k7.2", "all-stage MMSE gain estimate beats the final-stage estimate at "
+                  "every n = 49, k = 7 point with failure probability below one half",
+          not weak_points and compared >= 8, f"{compared} points compared")
+
+
+def test_k7_non_overlapped_fails_less(k7_sweep):
+    tables, _ = k7_sweep
+    overlapped, baseline = tables[OVERLAPPED], tables[NON_OVERLAPPED]
+    # sigma of the difference of the two estimates, as if independent
+    sigma = np.hypot(_sigma(overlapped), _sigma(baseline))
+    check("k7.3", "non-overlapped failure probability at n = 49, k = 7 stays at or "
+                  "below the overlapped one at equal energy within 4 sigma",
+          bool(np.all(baseline.pcef <= overlapped.pcef + 4 * sigma)),
+          f"{len(K7_ET_DB)} points, non-overlapped/overlapped "
+          f"{(baseline.pcef / overlapped.pcef).max():.2f} at most")

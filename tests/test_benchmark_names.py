@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import beamest
+from beamest.arrays import AngleGrid
+from beamest.codebook import IndexRange, StageCodebookCache, overlapped_pattern_matrix
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -69,3 +71,14 @@ def test_package_exports_come_from_module_all():
                if not name.startswith("_") and not isinstance(value, type(beamest))]
     assert exports
     assert [name for name in exports if id(getattr(beamest, name)) not in listed] == []
+
+
+def test_refine_miss_table_grows_only_on_a_new_bank():
+    # register_spans counts a refine call as a miss when the cache's _stages
+    # table grows during it
+    bank = StageCodebookCache(AngleGrid(9), overlapped_pattern_matrix(2))
+    sizes = [len(bank._stages)]
+    for parent in (IndexRange(0, 9), IndexRange(0, 9), IndexRange(0, 3), IndexRange(3, 6)):
+        bank.refine(parent, parent, 3, stage=1 + (len(parent) == 3))
+        sizes.append(len(bank._stages))
+    assert sizes == [0, 1, 1, 2, 3]

@@ -9,12 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import reference_channel
+from reference import read_beam_matrix, reference_channel
 
 from beamest import cli, montecarlo
 from beamest._output import csv_text
 from beamest.cli import ConfigError, load_config, main, parse_config
-from beamest.codebook import read_beam_matrix
 from beamest.estimator import (
     EstimatorConfig,
     run_estimation,
@@ -227,6 +226,27 @@ class TestExitCodes:
                        "--quiet") == 2
         assert f"{command}: key {key!r} must list integers, got {shown}" in capsys.readouterr().err
         assert not out.exists() or not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("text, key", [
+        ("k_values = 3\nn_values_k4 = 16\n", "n_values_k4"),
+        ("k_values = 3\nn_values_k3 = 9\nn_values_k4 = 16\n", "n_values_k4"),
+        ("k_values = 3\nn_values_k3 = 9\nn_values_k03 = 9\n", "n_values_k03"),
+        ("k_values = 3\nn_values_k3 = 9\nn_values_kx = 9\n", "n_values_kx")],
+        ids=["unlisted-only", "unlisted", "padded", "not-integer"])
+    def test_n_values_key_of_no_listed_k_exits_2(self, tmp_path, capsys, text, key):
+        # the slot table ignored these keys and exited 0
+        out = tmp_path / "slots"
+        path = write_cfg(tmp_path, "outputs = slots\n" + text)
+        assert run_cli("sweep", "--config", path, "--out", out, "--quiet") == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists() or not any(out.glob("*.csv"))
+        with pytest.raises(ConfigError, match=key):
+            cli._slot_table_csv(parse_config(path.read_text()))
+
+    def test_n_values_key_of_no_integer_k_rejected_by_any_command(self):
+        # a suffix that is no integer is an unknown key, slot table or not
+        with pytest.raises(ConfigError, match="unknown config key 'n_values_k3x'"):
+            parse_config("n = 9\nk = 3\nn_values_k3x = 9\n")
 
     @pytest.mark.parametrize("command", ["codebook", "sweep", "bound", "trace"])
     def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, command):

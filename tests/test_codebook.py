@@ -2,9 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
-from reference import reference_bank
+from reference import read_beam_matrix, reference_bank, response_matrix, target_profile
 
-from beamest import estimator
 from beamest.arrays import AngleGrid
 from beamest.cli import _gain_flatness_csv
 from beamest.codebook import (
@@ -14,9 +13,7 @@ from beamest.codebook import (
     format_complex,
     identity_pattern_matrix,
     overlapped_pattern_matrix,
-    read_beam_matrix,
     synthesize_vector,
-    target_profile,
     write_beam_matrix,
 )
 from beamest.estimator import (
@@ -199,7 +196,7 @@ class TestSynthesizeVector:
         grid = AngleGrid(27)
         g = target_profile(overlapped_pattern_matrix(2), 1, IndexRange(0, 27).split(3), 27)
         beam = synthesize_vector(g, grid)
-        realized = grid.response_matrix.conj().T @ beam.vector
+        realized = response_matrix(grid).conj().T @ beam.vector
         np.testing.assert_allclose(realized, beam.gain * g, atol=1e-12)
 
     def test_same_stage_beams_share_gain(self):
@@ -232,26 +229,22 @@ class TestClosedFormGains:
     @pytest.mark.parametrize("n, k", [(27, 3), (81, 3), (243, 3), (49, 7), (343, 7),
                                       (2401, 7)])
     def test_stage_gains_equal_synthesized_gains(self, n, k, variant):
-        try:
-            bank = codebook_bank(n, k, variant)
-            u = bank.grid.response_matrix
-            values = bank.patterns.values
-            path = list(leftmost_path(n, k, variant))
-            gains = Design(n, k, variant).gains
-            assert len(gains) == len(path)
-            for gain, (_, partition, cb) in zip(gains, path):
-                assert abs(cb.gain - gain) <= 1e-14 * gain
-                # realized gains carry the rounding of an n-term sum (4e-13 at n = 2401)
-                for beams, blocks in ((cb.f, partition.transmit), (cb.w, partition.receive)):
-                    realized = np.abs(u.T @ beams.conj())  # |U^H v|, U^H never copied
-                    for j, block in enumerate(blocks):
-                        covered = values[:, j] > 0
-                        np.testing.assert_allclose(
-                            realized[block.start:block.stop, covered] / values[covered, j],
-                            gain, rtol=1e-12, atol=0)
-        finally:
-            if n > 343:
-                estimator._bank.cache_clear()  # drop the 92 MB response matrix
+        bank = codebook_bank(n, k, variant)
+        u = response_matrix(bank.grid)  # 92 MB at n = 2401, freed on return
+        values = bank.patterns.values
+        path = list(leftmost_path(n, k, variant))
+        gains = Design(n, k, variant).gains
+        assert len(gains) == len(path)
+        for gain, (_, partition, cb) in zip(gains, path):
+            assert abs(cb.gain - gain) <= 1e-14 * gain
+            # realized gains carry the rounding of an n-term sum (4e-13 at n = 2401)
+            for beams, blocks in ((cb.f, partition.transmit), (cb.w, partition.receive)):
+                realized = np.abs(u.T @ beams.conj())  # |U^H v|, U^H never copied
+                for j, block in enumerate(blocks):
+                    covered = values[:, j] > 0
+                    np.testing.assert_allclose(
+                        realized[block.start:block.stop, covered] / values[covered, j],
+                        gain, rtol=1e-12, atol=0)
 
 
 class TestFFTSynthesis:
@@ -261,7 +254,7 @@ class TestFFTSynthesis:
     @pytest.mark.parametrize("n, k", [(27, 3), (343, 7), (2401, 7)])
     def test_matches_response_matrix_along_leftmost_path(self, n, k, variant):
         grid = AngleGrid(n)
-        u = grid.response_matrix  # this grid's own copy, freed with it
+        u = response_matrix(grid)
         patterns = codebook_bank(n, k, variant).patterns
         rows = iter(_gain_flatness_csv(n, k, variant).splitlines()[1:])
         for stage, partition, cb in leftmost_path(n, k, variant):
@@ -320,7 +313,7 @@ class TestStageCodebook:
         b = overlapped_pattern_matrix(2)
         part, cb = StageCodebookCache(grid, b).refine(transmit, receive, 3, stage=2)
         for bank, blocks in ((cb.f, part.transmit), (cb.w, part.receive)):
-            realized = np.abs(grid.response_matrix.conj().T @ bank)
+            realized = np.abs(response_matrix(grid).conj().T @ bank)
             covered = np.zeros(27, dtype=bool)
             for j, block in enumerate(blocks):
                 covered[block.start:block.stop] = True
@@ -413,7 +406,7 @@ class TestClosedFormOracle:
     @pytest.mark.parametrize("n, k", [(27, 3), (81, 3), (243, 3), (49, 7), (343, 7)])
     def test_matches_lstsq_along_leftmost_path(self, n, k, variant):
         bank = codebook_bank(n, k, variant)
-        u = bank.grid.response_matrix
+        u = response_matrix(bank.grid)
         path = list(leftmost_path(n, k, variant))
         profiles = [np.stack([target_profile(bank.patterns, m, partition.transmit, n)
                               for m in range(bank.patterns.m)], axis=1)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from reference import reference_search, sweep_outcomes
 
 from beamest import cli, codebook, estimator, montecarlo
-from beamest.arrays import AngleGrid, ChannelRealization, MeasurementNoise
+from beamest.arrays import ChannelRealization, MeasurementNoise
 from beamest.codebook import BeamPatternMatrix
 from beamest.estimator import (
     NON_OVERLAPPED,
@@ -409,14 +409,13 @@ def test_block_size_bounds_large_geometries(monkeypatch):
 
 
 def test_sweep_bound_and_trace_build_no_beam(monkeypatch, tmp_path):
-    # closed-form stage gains and the Gram-matrix stage signal need neither a
-    # beam nor the n x n response matrix, even at n = 2401
+    # closed-form stage gains and the Gram-matrix stage signal need no beam,
+    # even at n = 2401
     def build(*args):
-        raise AssertionError("built a beam or a response matrix")
+        raise AssertionError("built a beam")
 
     estimator._bank.cache_clear()
     monkeypatch.setattr(codebook, "synthesize_vector", build)
-    monkeypatch.setattr(AngleGrid, "response_matrix", property(build))
     tables = montecarlo.run_sweep(ExperimentConfig(n=2401, k=7, et_db=(10.0, 30.0), trials=3))
     assert all(table.trials == 3 and len(table.failures) == 2 for table in tables.values())
     assert len(montecarlo.bound_table(2401, 7, (10.0, 30.0))) == 2
