@@ -9,8 +9,9 @@ relies on that orthogonality.
 Random streams are keyed ``(master seed, key...)`` through
 :func:`substream`.  One vectorised hash, :func:`_seed_words`, computes the
 ``SeedSequence`` seed words of a whole block of ``(trial, key)`` streams at
-once, bit for bit; the master seed's share of that hashing is done once per
-call.  :func:`substream_states` turns them into PCG64 start states, one
+once, bit for bit: it takes the master seed's mixed pool from numpy's own
+``SeedSequence`` and replicates only the spawn-key mixing and the output
+hash.  :func:`substream_states` turns them into PCG64 start states, one
 ``uint64`` array of 64-bit state and increment words, and sweeps reseat one
 generator with its rows through :func:`reseater` instead of building a
 generator per stream, filling each stream's draws straight into a block
@@ -256,34 +257,29 @@ _LOW32 = np.uint64(_MASK32)
 _ONE, _SHIFT32, _SHIFT63 = np.uint64(1), np.uint64(32), np.uint64(63)
 
 
-def _hash_constants(init: int, mult: int):
-    """SeedSequence's running hash constant: yields its value before and after each step."""
-    const = init
-    while True:
-        after = (const * mult) & _MASK32
-        yield const, after
-        const = after
-
-
-def _constant_arrays(constants, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next ``count`` hash-constant pairs as ``uint32`` columns ``(count, 1, 1)``."""
-    pairs = np.array([next(constants) for _ in range(count)], dtype=np.uint32)
-    return pairs[:, 0, None, None], pairs[:, 1, None, None]
+def _constant_pairs(init: int, mult: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's running hash constant before and after steps ``start``
+    to ``start + count - 1``, as ``uint32`` columns ``(count, 1, 1)``; the
+    constant before step ``i`` is ``init * mult**i mod 2**32``."""
+    constants = np.array([init * pow(mult, i, 1 << 32) & _MASK32
+                          for i in range(start, start + count + 1)], dtype=np.uint32)
+    return constants[:-1, None, None], constants[1:, None, None]
 
 
 # generate_state's hash constants, the same for every stream
-_OUTPUT_CONSTANTS = _constant_arrays(_hash_constants(_INIT_B, _MULT_B), 2 * _POOL_SIZE)
+_OUTPUT_CONSTANTS = _constant_pairs(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE)
 
 
 def _hash(value, xor, mul):
-    """SeedSequence's ``hashmix``; Python ints and ``uint32`` arrays alike."""
-    value = ((value ^ xor) * mul) & _MASK32
+    """SeedSequence's ``hashmix`` on ``uint32`` arrays, with the constant
+    ``xor`` before the step and ``mul`` after it."""
+    value = (value ^ xor) * mul
     return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    """SeedSequence's ``mix`` of pool word ``x`` with hashed word ``y``."""
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    """SeedSequence's ``mix`` of ``uint32`` pool words ``x`` with hashed words ``y``."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ (result >> 16)
 
 
@@ -299,34 +295,26 @@ def _seed_words(master_seed: int, trials, keys) -> np.ndarray:
     """``substream(master_seed, trial, key).generate_state(4, np.uint64)`` for
     every key and trial, as a ``(4, len(keys), len(trials))`` ``uint64`` array.
 
-    It follows SeedSequence's pool mixing and ``generate_state`` hashing: the
-    master-seed words are hashed as scalars, and the two spawn-key words of
-    every stream in ``uint32`` arithmetic over all trials, keys and pool words
-    at once.  Trial indices and keys must each fit one 32-bit word.
+    The pool of ``SeedSequence(master_seed)`` is numpy's own mixing of the
+    master seed's words; a spawn key follows them, so it is the pool just
+    before the trial word enters.  The two spawn-key words of every stream
+    are then mixed in, and ``generate_state``'s output hash applied, in
+    ``uint32`` arithmetic over all trials, keys and pool words at once.
+    Trial indices and keys must each fit one 32-bit word.
     """
     master_seed = operator.index(master_seed)
     if master_seed < 0:
         raise ValueError(f"master seed must be nonnegative, got {master_seed}")
     trial_words = _words32(trials, "trial indices")
     key_words = _words32(keys, "stream keys")[:, None]
-    # entropy: the master seed's 32-bit words, zero-padded to the pool size
-    # because a spawn key follows
-    words = [(master_seed >> shift) & _MASK32
-             for shift in range(0, max(master_seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(word, *next(constants)) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(constants)))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(constants)))
+    pool = np.random.SeedSequence(master_seed).pool[:, None, None]
+    # the hash constant has stepped 4 times to fill the pool, 12 to mix it
+    # and 4 per master-seed word past it
+    past = max(-(-master_seed.bit_length() // 32) - _POOL_SIZE, 0)
+    xor, mul = _constant_pairs(_INIT_A, _MULT_A, 16 + 4 * past, 2 * _POOL_SIZE)
     # each spawn-key word enters all pool words, each with its own constant
-    pool = np.array(pool, dtype=np.uint32)[:, None, None]
-    pool = _mix(pool, _hash(trial_words, *_constant_arrays(constants, _POOL_SIZE)))
-    pool = _mix(pool, _hash(key_words, *_constant_arrays(constants, _POOL_SIZE)))
+    pool = _mix(pool, _hash(trial_words, xor[:_POOL_SIZE], mul[:_POOL_SIZE]))
+    pool = _mix(pool, _hash(key_words, xor[_POOL_SIZE:], mul[_POOL_SIZE:]))
     # eight hashed pool words, paired little-endian
     out = _hash(np.concatenate([pool, pool]), *_OUTPUT_CONSTANTS)
     out = out.astype(np.uint64)

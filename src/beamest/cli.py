@@ -81,6 +81,9 @@ KNOWN_KEYS = {
 # Most points an et_db_min/et_db_max/et_db_step range may expand to.
 MAX_GRID_POINTS = 10 ** 6
 
+# Most entries (beams times antennas) a codebook export's beam bank may hold.
+MAX_BANK_ENTRIES = 10 ** 7
+
 
 def _parse_scalar(token: str):
     lowered = token.lower()
@@ -178,6 +181,13 @@ def _int_list(cfg: dict, key: str, command: str) -> list[int]:
     return values
 
 
+def _distinct(values: list, key: str, command: str) -> list:
+    """``values``; ``ConfigError`` naming ``key`` if an entry repeats."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{command}: key {key!r} must not repeat entries, got {values!r}")
+    return values
+
+
 def _energy_grid(cfg: dict, command: str) -> tuple[float, ...]:
     if "et_db" in cfg:
         return tuple(_checked(x, "et_db", float, command) for x in _as_list(cfg["et_db"]))
@@ -269,11 +279,15 @@ def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
     n = _require(cfg, "n", int, "codebook")
     k = _require(cfg, "k", int, "codebook")
     variant = cfg.get("variant", OVERLAPPED)
+    design = Design(n, k, variant)
+    if design.m * n > MAX_BANK_ENTRIES:
+        raise ConfigError(f"codebook: n = {n} needs a bank of {design.m} beams of {n} "
+                          f"weights, more than {MAX_BANK_ENTRIES} entries")
     out_dir = Path(args.out)
     outputs = []
 
     pattern_lines = [",".join(repr(float(v)) for v in row)
-                     for row in Design(n, k, variant).patterns.values]
+                     for row in design.patterns.values]
     outputs.append(_write(out_dir / "pattern_matrix.csv",
                           "\n".join(pattern_lines) + "\n", args.quiet))
 
@@ -291,7 +305,7 @@ def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
 
 
 def _slot_table_csv(cfg: dict) -> str:
-    k_values = _int_list(cfg, "k_values", "sweep")
+    k_values = _distinct(_int_list(cfg, "k_values", "sweep"), "k_values", "sweep")
     listed = {f"n_values_k{k}" for k in k_values}
     for key in cfg:
         if key.startswith("n_values_k") and key not in listed:
@@ -302,13 +316,14 @@ def _slot_table_csv(cfg: dict) -> str:
         if key not in cfg:
             raise ConfigError(f"sweep: slot table needs key {key!r}")
         rows += [(k, n, Design(n, k, OVERLAPPED).slots, Design(n, k, NON_OVERLAPPED).slots)
-                 for n in _int_list(cfg, key, "sweep")]
+                 for n in _distinct(_int_list(cfg, key, "sweep"), key, "sweep")]
     return csv_text("k,n,overlapped,non_overlapped", zip(*rows))
 
 
 def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
-    outputs_wanted = [str(o) for o in _as_list(cfg.get("outputs", "pcef"))]
+    outputs_wanted = _distinct([str(o) for o in _as_list(cfg.get("outputs", "pcef"))],
+                               "outputs", "sweep")
     for name in outputs_wanted:
         if name not in ("pcef", "alpha_error", "slots"):
             raise ConfigError(f"sweep: unknown output family {name!r}")

@@ -314,10 +314,11 @@ class TestSubstreamStates:
 
 
 class TestSeedPool:
-    """The master seed's pool, hashed anew by every call."""
+    """The master seed's pool, read from numpy's SeedSequence by every call."""
 
-    # one, two, four and five 32-bit words
-    SEEDS = [7, 2**32 + 5, 2**128 - 3, 2**130 - 1]
+    # one zero word, then one, two, four, five and seven 32-bit words: the
+    # spawn-key words' hash steps start at 16, 20 and 28
+    SEEDS = [0, 7, 2**32 + 5, 2**128 - 3, 2**130 - 1, 2**200 + 99]
 
     @pytest.mark.parametrize("master_seed", SEEDS)
     def test_hit_and_miss_give_the_seed_sequence_rows(self, master_seed):

@@ -248,6 +248,39 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match="unknown config key 'n_values_k3x'"):
             parse_config("n = 9\nk = 3\nn_values_k3x = 9\n")
 
+    @pytest.mark.parametrize("text, key", [
+        ("outputs = slots\nk_values = 3, 3\nn_values_k3 = 9\n", "k_values"),
+        ("outputs = slots\nk_values = 3\nn_values_k3 = 9, 9\n", "n_values_k3"),
+        ("outputs = slots, slots\nk_values = 3\nn_values_k3 = 9\n", "outputs"),
+        ("outputs = slots, pcef\nk_values = 3, 7\nn_values_k3 = 9\nn_values_k7 = 7, 49, 7\n"
+         "n = 9\nk = 3\ntrials = 2\net_db = 6\n", "n_values_k7")],
+        ids=["k-values", "n-values", "outputs", "n-values-with-pcef"])
+    def test_repeated_list_entry_exits_2(self, tmp_path, capsys, text, key):
+        # the slot table wrote a repeated row twice and exited 0, and a
+        # repeated output family was reported as a missing key 'n'
+        out = tmp_path / "repeats"
+        assert run_cli("sweep", "--config", write_cfg(tmp_path, text), "--out", out,
+                       "--quiet") == 2
+        assert f"sweep: key {key!r} must not repeat entries" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("n, k, m", [(3 ** 20, 3, 2), (7 ** 12, 7, 3)],
+                             ids=["3^20", "7^12"])
+    def test_codebook_past_the_bank_cap_exits_2(self, tmp_path, capsys, monkeypatch, n, k, m):
+        # the leftmost bank's profiles asked for 52 GiB (3^20) and 309 GiB
+        # (7^12) after pattern_matrix.csv was written; no bank may be built
+        def no_bank(*args):
+            raise AssertionError("a bank was built")
+        monkeypatch.setattr(cli, "leftmost_path", no_bank)
+        out = tmp_path / "cb"
+        path = write_cfg(tmp_path, f"n = {n}\nk = {k}\n")
+        assert run_cli("codebook", "--config", path, "--out", out, "--quiet") == 2
+        assert f"codebook: n = {n} needs a bank of {m} beams" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        # the largest geometry the presets list, n = 2401 with up to 7 beams
+        # per end, stays within the cap
+        assert 7 * 2401 <= cli.MAX_BANK_ENTRIES
+
     @pytest.mark.parametrize("command", ["codebook", "sweep", "bound", "trace"])
     def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, command):
         path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 6\n")
