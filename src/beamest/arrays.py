@@ -17,6 +17,8 @@ generator with its rows through :func:`reseater` instead of building a
 generator per stream, filling each stream's draws straight into a block
 buffer.  A :class:`StreamSeed` seeds one stream's generator from its hashed
 words; :mod:`beamest.montecarlo` keeps the per-trial blocks they come from.
+Gains and slot noise alike are complex Gaussian by one rule,
+:func:`_complex_gaussian`, bit for bit ``Generator.normal``'s.
 """
 
 from __future__ import annotations
@@ -191,8 +193,17 @@ class MeasurementNoise:
         """
         if self.n0 == 0:
             return np.zeros((count, *shape), dtype=complex)
-        parts = self._rng.normal(scale=np.sqrt(self.n0 / 2), size=(count, 2, *shape))
-        return parts[:, 0] + 1j * parts[:, 1]
+        return _complex_gaussian(self._rng.standard_normal((count, 2, *shape)), self.n0)
+
+
+def _complex_gaussian(parts: np.ndarray, variance: float) -> np.ndarray:
+    """Complex Gaussians of variance ``variance`` from standard normals ``(count, 2, ...)``,
+    real then imaginary parts, scaled in place to ``Generator.normal``'s bits."""
+    parts *= np.sqrt(variance / 2)
+    parts += 0.0  # a -0.0 product becomes 0.0
+    out = np.empty((len(parts), *parts.shape[2:]), dtype=complex)
+    out.real, out.imag = parts[:, 0], parts[:, 1]
+    return out
 
 
 def measure_block(

@@ -189,23 +189,32 @@ def _distinct(values: list, key: str, command: str) -> list:
 
 
 def _energy_grid(cfg: dict, command: str) -> tuple[float, ...]:
+    """The energy grid in dB; ``ConfigError`` naming its keys unless it is
+    strictly increasing, as :class:`~beamest.montecarlo.ExperimentConfig` needs."""
     if "et_db" in cfg:
-        return tuple(_checked(x, "et_db", float, command) for x in _as_list(cfg["et_db"]))
-    keys = ("et_db_min", "et_db_max", "et_db_step")
-    if any(key not in cfg for key in keys):
-        raise ConfigError(f"{command}: need either 'et_db' or "
-                          "'et_db_min/et_db_max/et_db_step'")
-    lo, hi, step = (_require(cfg, key, float, command) for key in keys)
-    for key, value in zip(keys, (lo, hi, step)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{command}: key {key!r} must be finite, got {value!r}")
-    if step <= 0 or hi < lo:
-        raise ConfigError(f"{command}: bad energy grid ({lo}, {hi}, {step})")
-    span = (hi - lo) / step + 1e-9  # inf if hi - lo overflows
-    if span >= MAX_GRID_POINTS:
-        raise ConfigError(f"{command}: keys 'et_db_min', 'et_db_max' and 'et_db_step' "
-                          f"give more than {MAX_GRID_POINTS} energy points")
-    return tuple(lo + i * step for i in range(int(span) + 1))
+        named = "key 'et_db'"
+        grid = tuple(_checked(x, "et_db", float, command) for x in _as_list(cfg["et_db"]))
+    else:
+        named = "keys 'et_db_min', 'et_db_max' and 'et_db_step'"
+        keys = ("et_db_min", "et_db_max", "et_db_step")
+        if any(key not in cfg for key in keys):
+            raise ConfigError(f"{command}: need either 'et_db' or "
+                              "'et_db_min/et_db_max/et_db_step'")
+        lo, hi, step = (_require(cfg, key, float, command) for key in keys)
+        for key, value in zip(keys, (lo, hi, step)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{command}: key {key!r} must be finite, got {value!r}")
+        if step <= 0 or hi < lo:
+            raise ConfigError(f"{command}: bad energy grid ({lo}, {hi}, {step})")
+        span = (hi - lo) / step + 1e-9  # inf if hi - lo overflows
+        if span >= MAX_GRID_POINTS:
+            raise ConfigError(f"{command}: {named} give more than {MAX_GRID_POINTS} energy points")
+        grid = tuple(lo + i * step for i in range(int(span) + 1))
+    for a, b in zip(grid, grid[1:]):
+        if b <= a:
+            raise ConfigError(f"{command}: {named} must give strictly increasing energies, "
+                              f"got {b!r} after {a!r}")
+    return grid
 
 
 def _alpha_variance(cfg: dict) -> float | None:
@@ -375,18 +384,21 @@ def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
     k_values = _int_list(cfg, "k", "bound")
     if len(n_values) != len(k_values):
         raise ConfigError("bound: 'n' and 'k' lists must pair up one-to-one")
+    pairs = list(zip(n_values, k_values))
+    if len(set(pairs)) < len(pairs):
+        raise ConfigError(f"bound: keys 'n' and 'k' must not repeat an (n, k) pair, got {pairs}")
     grid = _energy_grid(cfg, "bound")
     n0, var_alpha = _noise_and_prior(_require(cfg, "n0", float, "bound", default=1.0),
                                      _alpha_variance(cfg))
     # every geometry is checked before one is evaluated and written, so a
     # rejected one leaves no file behind
     top = max(energy_from_db(db, n0) for db in grid)
-    for n, k in zip(n_values, k_values):
+    for n, k in pairs:
         design = Design(n, k, OVERLAPPED)
         _check_bound_range(top / design.power_weight, n0, design.gain_prior(var_alpha))
     outputs = []
-    single = len(n_values) == 1
-    for n, k in zip(n_values, k_values):
+    single = len(pairs) == 1
+    for n, k in pairs:
         points = bound_table(n, k, grid, n0=n0, var_alpha=var_alpha)
         name = "bound.csv" if single else f"bound_k{k}_n{n}.csv"
         outputs.append(_write(out_dir / name, bound_csv(points), args.quiet))

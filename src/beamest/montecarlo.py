@@ -6,8 +6,8 @@ paired.  Noise streams are keyed per ``(trial, variant)`` and reused across
 energy points: one draw of all ``S`` stages' ``m x m`` slot noise per
 ``(trial, variant)`` yields exactly the numbers ``S`` per-stage draws would.
 A block of trials hashes the start states of all its streams at once
-(:func:`~beamest.arrays.substream_states`) and reseats one generator onto
-each in turn (:func:`~beamest.arrays.reseater`), so :func:`_draw_block` draws
+(:func:`~beamest.arrays.substream_states`) and reseats its one generator
+(:func:`_stream_seat`) onto each in turn, so :func:`_draw_block` draws
 exactly what a generator seeded per trial with
 :func:`~beamest.arrays.substream` gives; :func:`_draw_channels` is its channel
 half.  The per-trial calls :func:`sample_channel` and :func:`noise_stream`
@@ -44,6 +44,7 @@ from .arrays import (
     ChannelRealization,
     StreamSeed,
     _LOW32,
+    _complex_gaussian,
     _integer,
     _pcg64_states,
     _real,
@@ -220,8 +221,7 @@ def _block_channels(master_seed: int, n: int, variance: float, start: int):
     """``(draws, channels)`` of that block: its :func:`_draw_channels` draw per
     trial, and a slot per trial for its ``ChannelRealization``, built on demand."""
     states = _pcg64_states(_block_words(master_seed, start)[:, _CHANNEL_KEY])
-    # seed 0's stream is never drawn from: every trial stream reseats it
-    theta, phi, alpha = _draw_channels(states, n, variance, np.random.default_rng(0))
+    theta, phi, alpha = _draw_channels(states, n, variance, _stream_seat())
     return tuple(zip(theta.tolist(), phi.tolist(), alpha.tolist())), [None] * _STREAM_BLOCK
 
 
@@ -319,8 +319,15 @@ class ResultTable:
             self.relerr_final_success, trials, self.failures, slots))
 
 
-def _draw_channels(channel_states: np.ndarray, n: int, variance: float,
-                   rng: np.random.Generator):
+def _stream_seat():
+    """A function that reseats one generator, made per call and never drawn
+    from as seeded, onto a row of ``substream_states`` and returns it."""
+    rng = np.random.default_rng(0)
+    reseat = reseater(rng.bit_generator)
+    return lambda state: reseat(state) or rng
+
+
+def _draw_channels(channel_states: np.ndarray, n: int, variance: float, seat):
     """Channels ``(theta, phi, alpha)`` of the trials whose channel streams
     start at ``channel_states`` (rows of :func:`~beamest.arrays.substream_states`
     for key 0): angles uniform on the ``n``-point grid, gains complex Gaussian
@@ -329,20 +336,14 @@ def _draw_channels(channel_states: np.ndarray, n: int, variance: float,
     Trial for trial the numbers of a generator seeded with
     ``substream(master_seed, trial, 0)``: ``integers(n, size=2)``, then
     ``normal(scale=sqrt(variance / 2), size=2)`` for the gain's real and
-    imaginary parts.  The PCG64 behind ``rng`` is reseated onto each trial's
-    stream in turn.
-    """
-    bit_generator = rng.bit_generator
-    reseat = reseater(bit_generator)
+    imaginary parts, drawn through ``seat`` (:func:`_stream_seat`)."""
     count = len(channel_states)
-    # Each stream is reseated and filled straight into its row of a block
-    # buffer; scaling and the complex combine then run once per block, as the
-    # same elementwise expressions Generator.normal evaluates.
+    # each stream fills its row of a block buffer, scaled once per block
     words = np.empty(count, dtype=np.uint64)
     gains = np.empty((count, 2))
     for i, state in enumerate(channel_states):
-        reseat(state)
-        words[i] = bit_generator.random_raw()
+        rng = seat(state)
+        words[i] = rng.bit_generator.random_raw()
         rng.standard_normal(out=gains[i])
     # integers(n, size=2) with n <= 2**32 - 1 maps the low, then the high
     # 32 bits of one raw word by Lemire's multiply-shift; it may reject and
@@ -356,40 +357,30 @@ def _draw_channels(channel_states: np.ndarray, n: int, variance: float,
         angles = np.empty((count, 2), dtype=np.int64)
         redraw = range(count)
     for i in redraw:
-        reseat(channel_states[i])
+        rng = seat(channel_states[i])
         angles[i] = rng.integers(n, size=2)
         rng.standard_normal(out=gains[i])
     theta, phi = angles.T
-    # each row's two normals are the real and imaginary parts
-    alpha = (0.0 + math.sqrt(variance / 2.0) * gains).view(complex)[:, 0]
-    return theta, phi, alpha
+    return theta, phi, _complex_gaussian(gains, variance)
 
 
-def _draw_block(cfg: ExperimentConfig, trials: range, rng: np.random.Generator):
-    """Engine inputs of ``trials``: ``(theta, phi, alpha, {variant: noise})``.
-
-    The channels of :func:`_draw_channels`, then each variant's noise: trial
-    for trial the numbers of ``MeasurementNoise(cfg.n0, noise_stream(...))
-    .draw_blocks``, with the PCG64 behind ``rng`` reseated onto each stream
-    in turn.
-    """
+def _draw_block(cfg: ExperimentConfig, trials: range):
+    """Engine inputs of ``trials``: ``(theta, phi, alpha, {variant: noise})``,
+    all through one :func:`_stream_seat`: the channels of :func:`_draw_channels`,
+    then each variant's noise, trial for trial the numbers of
+    ``MeasurementNoise(cfg.n0, noise_stream(...)).draw_blocks``."""
     keys = (_CHANNEL_KEY, *(_VARIANT_KEYS[variant] for variant in cfg.variants))
     channel_states, *noise_states = substream_states(cfg.master_seed, trials, keys)
-    theta, phi, alpha = _draw_channels(channel_states, cfg.n, cfg.alpha_variance, rng)
-    reseat = reseater(rng.bit_generator)
-    count = len(trials)
+    seat = _stream_seat()
+    theta, phi, alpha = _draw_channels(channel_states, cfg.n, cfg.alpha_variance, seat)
     noises = {}
     for variant, states in zip(cfg.variants, noise_states):
-        design = cfg.designs[variant]
-        # C order matches normal(size=(stages, 2, m, m)): each stage's real
-        # parts, then its imaginary parts
-        parts = np.empty((count, design.stages, 2, design.m, design.m))
-        for state, row in zip(states, parts):
-            reseat(state)
-            rng.standard_normal(out=row)
-        parts *= np.sqrt(cfg.n0 / 2)
-        parts += 0.0  # normal's loc + scale * z: a -0.0 product becomes 0.0
-        noises[variant] = parts[:, :, 0] + 1j * parts[:, :, 1]
+        stages, m = cfg.designs[variant].stages, cfg.designs[variant].m
+        # a trial's row in C order is standard_normal(size=(stages, 2, m, m))
+        parts = np.empty((len(states) * stages, 2, m, m))
+        for state, row in zip(states, parts.reshape(len(states), -1)):
+            seat(state).standard_normal(out=row)
+        noises[variant] = _complex_gaussian(parts, cfg.n0).reshape(-1, stages, m, m)
     return theta, phi, alpha, noises
 
 
@@ -400,10 +391,9 @@ def _engine_blocks(cfg: ExperimentConfig, lo: int, hi: int, block: int, width: i
     Yields ``(trials, points, (theta, phi, alpha), {variant: (batch, alpha_hat)})``.
     """
     n_points = len(cfg.et_db)
-    rng = np.random.default_rng(0)  # never drawn from: every trial stream reseats it
     for start in range(lo, hi, block):
         trials = range(start, min(start + block, hi))
-        theta, phi, alpha, noises = _draw_block(cfg, trials, rng)
+        theta, phi, alpha, noises = _draw_block(cfg, trials)
         for first in range(0, n_points, width):
             points = slice(first, min(first + width, n_points))
             results = {}
@@ -430,9 +420,10 @@ def _sweep_blocks(cfg: ExperimentConfig, lo: int, hi: int):
         for variant, (batch, mmse_hat) in results.items():
             final_hat = estimate_alpha_mmse(batch.values[..., -1:], cfg.powers[variant][points],
                                             PILOT, cfg.n0, cfg.alpha_variance)
-            outcomes[variant] = (~batch.on_track.T,
-                                 (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T,
-                                 (np.abs(final_hat - alpha[:, None]) / alpha_mag).T)
+            with np.errstate(invalid="ignore"):  # var_alpha = 0: every error is 0/0 = nan
+                outcomes[variant] = (~batch.on_track.T,
+                                     (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T,
+                                     (np.abs(final_hat - alpha[:, None]) / alpha_mag).T)
         yield trials, points, outcomes
 
 

@@ -239,6 +239,27 @@ class TestMeasurementNoise:
         with pytest.raises(ValueError, match="noise variance must be nonnegative"):
             MeasurementNoise(-0.5)
 
+    @pytest.mark.parametrize("n0", [0.7, 2.5])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (7, 7)])
+    def test_draws_are_numpys_normal(self, n0, shape):
+        # bytes, not values: the sign of a zero must match too
+        parts = np.random.default_rng(41).normal(scale=np.sqrt(n0 / 2), size=(5, 2, *shape))
+        expected = parts[:, 0] + 1j * parts[:, 1]
+        drawn = MeasurementNoise(n0, 41).draw_blocks(5, shape)
+        assert (drawn.dtype, drawn.shape) == (expected.dtype, expected.shape)
+        assert drawn.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("variance", [0.0, 0.7, 3.5, 729.0])
+    def test_gain_rule_is_the_scaled_pair_view(self, variance):
+        # each row's two normals are a gain's real and imaginary parts
+        z = np.random.default_rng(8).standard_normal((300, 2))
+        z[:3] = [[0.0, -0.0], [-0.0, 0.0], [-1.5, 2.0]]
+        s = np.sqrt(variance / 2)
+        expected = (0.0 + s * z).view(complex)[:, 0]
+        gains = arrays._complex_gaussian(z, variance)
+        assert (gains.dtype, gains.shape) == (expected.dtype, expected.shape)
+        assert gains.tobytes() == expected.tobytes()
+
 
 class TestSubstream:
     def test_distinct_keys_distinct_streams(self):

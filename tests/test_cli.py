@@ -264,6 +264,34 @@ class TestExitCodes:
         assert f"sweep: key {key!r} must not repeat entries" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_bound_repeated_pair_exits_2(self, tmp_path, capsys):
+        # bound_k3_n27.csv was written once and listed twice in the manifest
+        out = tmp_path / "pairs"
+        path = write_cfg(tmp_path, "n = 27, 9, 27\nk = 3, 3, 3\net_db = 10\n")
+        assert run_cli("bound", "--config", path, "--out", out, "--quiet") == 2
+        assert ("bound: keys 'n' and 'k' must not repeat an (n, k) pair, got "
+                "[(27, 3), (9, 3), (27, 3)]" in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    @pytest.mark.parametrize("grid, named, shown", [
+        ("et_db = 10, 10\n", "key 'et_db'", "10.0 after 10.0"),
+        ("et_db = 12, 10\n", "key 'et_db'", "10.0 after 12.0"),
+        ("et_db = 0, 20, 10\n", "key 'et_db'", "10.0 after 20.0"),
+        # past 2**52 steps from zero, lo + i * step rounds onto its neighbour
+        (range_keys("-1e17, -99999999999999900, 1"),
+         "keys 'et_db_min', 'et_db_max' and 'et_db_step'", "-1e+17 after -1e+17")],
+        ids=["repeated", "falling", "falling-last", "range-rounds"])
+    def test_energy_grid_not_increasing_exits_2(self, tmp_path, capsys, command, grid,
+                                                named, shown):
+        # bound wrote a repeated energy's row twice and a falling grid's rows unsorted
+        out = tmp_path / "grid"
+        path = write_cfg(tmp_path, "n = 27\nk = 3\ntrials = 2\n" + grid)
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert (f"{command}: {named} must give strictly increasing energies, got {shown}"
+                in capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("n, k, m", [(3 ** 20, 3, 2), (7 ** 12, 7, 3)],
                              ids=["3^20", "7^12"])
     def test_codebook_past_the_bank_cap_exits_2(self, tmp_path, capsys, monkeypatch, n, k, m):
@@ -638,9 +666,9 @@ class TestTraceCommand:
         drawn, written = [], []
         draw, line = montecarlo._draw_block, cli.trace_line
 
-        def counting(experiment, trials, rng):
+        def counting(experiment, trials):
             drawn.append(trials)
-            return draw(experiment, trials, rng)
+            return draw(experiment, trials)
 
         def recording(record):
             written.append((len(drawn), record["trial"]))
@@ -754,8 +782,9 @@ class TestGainRange:
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    # every gain is 0 at var_alpha = 0, so its relative errors are 0/0
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    # every gain is 0 at var_alpha = 0, so its relative errors are 0/0 = nan,
+    # which must raise no numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["sweep", "trace"])
     def test_large_and_zero_priors_run(self, tmp_path, command):
         for prior in ("1e100", "0"):

@@ -115,9 +115,9 @@ class TestSampleChannel:
         draws = []
         draw = montecarlo._draw_channels
 
-        def counting(states, n, variance, rng):
+        def counting(states, n, variance, seat):
             draws.append(len(states))
-            return draw(states, n, variance, rng)
+            return draw(states, n, variance, seat)
 
         monkeypatch.setattr(montecarlo, "_draw_channels", counting)
         cfg = _cfg(n=27)
@@ -240,15 +240,11 @@ class TestBlockDraws:
     """A block's seeding, and sample_channel's, against the per-trial
     reference streams."""
 
-    def _draw(self, cfg, trials):
-        rng = np.random.default_rng(123)
-        return rng, _draw_block(cfg, trials, rng)
-
     def test_channels_equal_sample_channel(self):
         # both against the reference, over a block edge of sample_channel's
         cfg = _cfg(n=27, var_alpha=3.5)
         trials = range(201, 301)
-        _, (theta, phi, alpha, _) = self._draw(cfg, trials)
+        theta, phi, alpha, _ = _draw_block(cfg, trials)
         for i, trial in enumerate(trials):
             expected = reference_channel(cfg, trial)
             channel = sample_channel(cfg, trial)
@@ -261,7 +257,7 @@ class TestBlockDraws:
     def test_noise_equals_per_trial_streams(self, n0):
         cfg = _cfg(n=27, k=3, n0=n0)
         stages = stage_count(cfg.n, cfg.k)
-        rng, (*_, noises) = self._draw(cfg, range(5, 25))
+        *_, noises = _draw_block(cfg, range(5, 25))
         assert set(noises) == set(cfg.variants)
         for variant, noise in noises.items():
             m = cfg.designs[variant].m
@@ -271,10 +267,6 @@ class TestBlockDraws:
                 # bytes, not values: the sign of a zero must match too
                 assert noise[i].tobytes() == expected.draw_blocks(stages, (m, m)).tobytes()
         assert not (noises[OVERLAPPED] == 0).any()
-        # the generator ends where the last noise stream's own draw ends
-        last = np.random.default_rng(noise_stream(cfg, 24, cfg.variants[-1]))
-        MeasurementNoise(n0, last).draw_blocks(stages, noises[cfg.variants[-1]].shape[-2:])
-        assert rng.bit_generator.state == last.bit_generator.state
 
     def test_block_draws_are_the_per_trial_draws(self):
         """Byte for byte, over master seeds, trial windows, both variants and
@@ -292,7 +284,7 @@ class TestBlockDraws:
                                    master_seed=seed, n0=n0)
             trials = range(start, start + count)
             stages = stage_count(cfg.n, cfg.k)
-            rng, (theta, phi, alpha, noises) = self._draw(cfg, trials)
+            theta, phi, alpha, noises = _draw_block(cfg, trials)
             channels = [reference_channel(cfg, trial) for trial in trials]
             served = [sample_channel(cfg, trial) for trial in trials]
             for drawn, expected in ((theta, [c.theta for c in channels]),
@@ -310,10 +302,6 @@ class TestBlockDraws:
                                      .draw_blocks(stages, (m, m)) for trial in trials])
                 assert (noise.dtype, noise.shape) == (expected.dtype, expected.shape)
                 assert noise.tobytes() == expected.tobytes()
-            # the generator ends where the last noise stream's own draw ends
-            last = np.random.default_rng(noise_stream(cfg, trials[-1], cfg.variants[-1]))
-            MeasurementNoise(n0, last).draw_blocks(stages, noises[cfg.variants[-1]].shape[-2:])
-            assert rng.bit_generator.state == last.bit_generator.state
             fallbacks.append(sum(_may_reject(cfg, trial) for trial in trials))
 
         check()
