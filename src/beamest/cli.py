@@ -217,13 +217,13 @@ def _energy_grid(cfg: dict, command: str) -> tuple[float, ...]:
     return grid
 
 
-def _alpha_variance(cfg: dict) -> float | None:
+def _alpha_variance(cfg: dict, command: str) -> float | None:
     value = cfg.get("var_alpha", "auto")
     if value == "auto":
         return None
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"var_alpha must be a number or 'auto', got {value!r}")
-    return float(value)
+    return _checked(value, "var_alpha", float, command)
 
 
 def _variants(cfg: dict) -> tuple[str, ...]:
@@ -346,7 +346,7 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
         trials=_require(cfg, "trials", int, "sweep"),
         master_seed=_require(cfg, "seed", int, "sweep", default=0),
         n0=_require(cfg, "n0", float, "sweep", default=1.0),
-        var_alpha=_alpha_variance(cfg), variants=_variants(cfg))
+        var_alpha=_alpha_variance(cfg, "sweep"), variants=_variants(cfg))
     # the bound first: a prior it rejects stops the run before any file is written
     bound = (bound_table(n, k, experiment.et_db, n0=experiment.n0, var_alpha=experiment.var_alpha)
              if _require(cfg, "bound", bool, "sweep", default=False) else None)
@@ -389,7 +389,7 @@ def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
         raise ConfigError(f"bound: keys 'n' and 'k' must not repeat an (n, k) pair, got {pairs}")
     grid = _energy_grid(cfg, "bound")
     n0, var_alpha = _noise_and_prior(_require(cfg, "n0", float, "bound", default=1.0),
-                                     _alpha_variance(cfg))
+                                     _alpha_variance(cfg, "bound"))
     # every geometry is checked before one is evaluated and written, so a
     # rejected one leaves no file behind
     top = max(energy_from_db(db, n0) for db in grid)
@@ -415,9 +415,9 @@ def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
         raise ConfigError("trace: 'et_db' must be a single energy value in dB")
     seed = _require(cfg, "seed", int, "trace", default=0)
     n0 = _require(cfg, "n0", float, "trace", default=1.0)
-    experiment = ExperimentConfig(n=n, k=k, et_db=(float(et_db),), trials=trials,
-                                  master_seed=seed, n0=n0,
-                                  var_alpha=_alpha_variance(cfg),
+    experiment = ExperimentConfig(n=n, k=k, et_db=(_checked(et_db, "et_db", float, "trace"),),
+                                  trials=trials, master_seed=seed, n0=n0,
+                                  var_alpha=_alpha_variance(cfg, "trace"),
                                   variants=_variants(cfg))
     outputs = [out_dir / f"traces_{variant}.jsonl" for variant in experiment.variants]
     # each block of trials is drawn once and traced by every variant, its

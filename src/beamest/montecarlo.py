@@ -142,20 +142,21 @@ class ExperimentConfig:
         for key in ("n", "k", "trials", "master_seed"):
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if self.trials < 1:
-            raise ValueError(f"trial count must be at least 1, got {self.trials}")
+            raise ValueError(f"trials: trial count must be at least 1, got {self.trials}")
         if self.trials > _MAX_TRIALS:
-            raise ValueError(f"trial count must be at most 2**32, got {self.trials}")
+            raise ValueError(f"trials: trial count must be at most 2**32, got {self.trials}")
         if self.master_seed < 0:
-            raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
+            raise ValueError(f"master_seed: master seed must be nonnegative, "
+                             f"got {self.master_seed}")
         if not self.et_db:
-            raise ValueError("energy sweep is empty")
+            raise ValueError("et_db: energy sweep is empty")
         if any(b <= a for a, b in zip(self.et_db, self.et_db[1:])):
-            raise ValueError("energy sweep must be strictly increasing")
+            raise ValueError("et_db: energy sweep must be strictly increasing")
         n0, var_alpha = _noise_and_prior(self.n0, self.var_alpha)
         object.__setattr__(self, "n0", n0)
         object.__setattr__(self, "var_alpha", var_alpha)
         if not self.variants:
-            raise ValueError("no variants selected")
+            raise ValueError("variants: no variants selected")
         if len(set(self.variants)) < len(self.variants):
             raise ValueError(f"variants must not repeat, got {self.variants}")
         designs = {variant: Design(self.n, self.k, variant) for variant in self.variants}
@@ -511,72 +512,37 @@ def _exact_partials(rows: np.ndarray) -> np.ndarray:
     ``sigma = 2^(M + e)``, ``q = (sigma + r) - sigma``, ``r - q`` and any
     row sum of ``q`` are exact.  One partial per pass until every remainder
     is zero: their count follows the range of the entries' bits, not their
-    number.  A row with a non-finite entry, or one whose ``sigma`` would
-    overflow, goes through :func:`_fsum_floats` instead, padded with zeros;
-    the other rows keep the passes.  Needs IEEE round-to-nearest adds with
+    number.  Entries are ``>= 0`` or NaN (relative gain errors, kept far from
+    overflow by :class:`ExperimentConfig`'s gain-range gate): a row holding an
+    inf or a NaN has its ``np.sum``, the inf or NaN ``math.fsum`` gives, as its
+    first partial and zeros after it; a finite row whose ``sigma`` would
+    overflow raises ``ValueError``.  Needs IEEE round-to-nearest adds with
     subnormals kept (no flush-to-zero).
     """
     r = rows.reshape(math.prod(rows.shape[:-1]), rows.shape[-1])
     m = (r.shape[1] + 1).bit_length()  # ceil(log2(width + 2))
-    # past 2^(1023 - M), or at NaN, a row's sigma = 2^(M + e) would overflow
     tops = np.maximum(r.max(axis=1, initial=0.0), -r.min(axis=1, initial=0.0))
-    fallback = np.flatnonzero(~(tops < 2.0 ** (1023 - m)))
-    floats = [_fsum_floats(row) for row in r[fallback].tolist()]
-    r[fallback] = 0.0
+    special = ~np.isfinite(tops)  # an inf or NaN entry
+    if (tops[~special] >= 2.0 ** (1023 - m)).any():  # sigma = 2^(M + e) would overflow
+        raise ValueError(f"exact row sums need finite entries below 2**{1023 - m}")
+    partials = [np.where(special, r.sum(axis=1), 0.0)] if special.any() else []
+    r[special] = 0.0
     q = np.empty_like(r)
-    partials = []
     while top := max(float(r.max(initial=0.0)), -float(r.min(initial=0.0))):
         sigma = math.ldexp(1.0, m + math.frexp(top)[1])
         np.add(r, sigma, out=q)
         q -= sigma
         partials.append(q.sum(axis=1))
         r -= q
-    out = np.zeros((len(r), max([len(partials), *map(len, floats)])))
-    out[:, :len(partials)] = np.array(partials).T
-    for row, f in zip(fallback, floats):
-        out[row, :len(f)] = f
-    return out.reshape(*rows.shape[:-1], out.shape[-1])
-
-
-def _units(x: float) -> int:
-    """``x`` exactly, in units of ``2^-1074``."""
-    n, d = x.as_integer_ratio()
-    return n << (1075 - d.bit_length())
-
-
-def _fsum_floats(row: list) -> list:
-    """A few floats that ``math.fsum`` treats as ``row``, whatever follows.
-
-    An intermediate overflow stays raised: two largest floats.  Otherwise
-    fsum's result depends only on the kinds of infinity and NaN it saw, one
-    entry each, and on the exact sum of the finite entries after the last of
-    them, in floats from Python's integers; so fsum's overflow check sees
-    earlier blocks through their exact sum.
-    """
-    try:
-        try:
-            math.fsum(row)
-        except ValueError:  # -inf + inf, which fsum reports after the last entry
-            pass
-        last = max((i for i, x in enumerate(row) if not math.isfinite(x)), default=-1)
-        floats, total = [], sum(map(_units, row[last + 1:]))
-        while total:
-            floats.append(total / (1 << 1074))  # rounded to nearest
-            total -= _units(floats[-1])
-    except OverflowError:
-        return [float(np.finfo(float).max)] * 2
-    kinds = sorted({repr(x) for x in row[:last + 1] if not math.isfinite(x)})
-    return [float(kind) for kind in kinds] + floats
+    out = np.reshape(partials, (len(partials), len(r))).T
+    return out.reshape(*rows.shape[:-1], len(partials))
 
 
 def _rounded_sums(partials: np.ndarray) -> np.ndarray:
-    """Each row's partials rounded once, to the float ``math.fsum`` gives: one
-    add rounds two below ``2^1022``; more, larger or non-finite ones go
-    through ``fsum``, which also raises its ``OverflowError`` and ``ValueError``.
-    """
-    if partials.shape[-1] <= 2 and (np.abs(partials) < 2.0 ** 1022).all():
-        return partials.sum(axis=-1)
-    rows = partials.reshape(-1, partials.shape[-1]).tolist()
+    """Each row's partials rounded once, by ``math.fsum``, to the float it
+    gives the whole row that :func:`_exact_partials` reduced (entries ``>= 0``
+    or NaN; a row past its limit raised ``ValueError`` there)."""
+    rows = partials.reshape(math.prod(partials.shape[:-1]), partials.shape[-1]).tolist()
     return np.array(list(map(math.fsum, rows))).reshape(partials.shape[:-1])
 
 

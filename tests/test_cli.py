@@ -101,7 +101,7 @@ class TestConfigParsing:
         experiment = ExperimentConfig(
             n=cfg["n"], k=cfg["k"], et_db=_energy_grid(cfg, "sweep"),
             trials=cfg["trials"], master_seed=cfg["seed"], n0=cfg["n0"],
-            var_alpha=_alpha_variance(cfg), variants=_variants(cfg))
+            var_alpha=_alpha_variance(cfg, "sweep"), variants=_variants(cfg))
         assert experiment.trials == 10_000
         assert len(experiment.et_db) >= 8
 
@@ -186,6 +186,20 @@ class TestExitCodes:
         assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
         assert f"{command}: {message}" in capsys.readouterr().err
         assert not (out / f"{command}_manifest.json").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("sweep", "var_alpha"), ("bound", "var_alpha"), ("trace", "var_alpha"),
+        ("trace", "et_db")])
+    def test_huge_integer_prior_or_energy_exits_2(self, tmp_path, capsys, command, key):
+        # float() of an integer past the float range raised an OverflowError traceback
+        huge = "1" + "0" * 400
+        values = {"et_db": "6", "var_alpha": "auto", key: huge}
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\n"
+                         + "".join(f"{name} = {value}\n" for name, value in values.items()))
+        out = tmp_path / "huge"
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert f"{command}: key {key!r} is too large, got {huge}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["sweep", "bound"])
     @pytest.mark.parametrize("value, shown", [("true", "True"), ("3, abc", "'abc'")],

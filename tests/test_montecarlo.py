@@ -528,6 +528,19 @@ class TestRunSweep:
                 with pytest.raises(ValueError, match=f"{key} is NaN or infinite"):
                     _cfg(**{key: value})
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"et_db": ()}, "et_db: energy sweep is empty"),
+        ({"et_db": (12.0, 10.0)}, "et_db: energy sweep must be strictly increasing"),
+        ({"trials": 0}, "trials: trial count must be at least 1, got 0"),
+        ({"trials": 2**32 + 1}, "trials: trial count must be at most 2**32, got 4294967297"),
+        ({"master_seed": -1}, "master_seed: master seed must be nonnegative, got -1"),
+        ({"variants": ()}, "variants: no variants selected")],
+        ids=["empty-grid", "falling-grid", "no-trials", "many-trials", "seed", "variants"])
+    def test_errors_name_their_field(self, fields, message):
+        with pytest.raises(ValueError) as raised:
+            _cfg(**fields)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("key, value", [("master_seed", 1.5), ("trials", 2.5),
                                             ("master_seed", True), ("trials", "8")])
     def test_non_integer_count_or_seed_rejected(self, key, value):
@@ -761,9 +774,9 @@ def test_sweep_memory_does_not_grow_with_trials():
     assert many <= few + (1 << 19), (few, many)
 
 
-def test_fallback_rows_match_across_splits(monkeypatch):
+def test_infinite_rows_match_across_splits(monkeypatch):
     # gain estimates scaled to infinity make every gain error inf, so every
-    # block takes the kernel's fsum fallback; one worker, two and one-trial
+    # error row reduces to its one inf partial; one worker, two and one-trial
     # one-point blocks must write the same rows.  A config whose estimates
     # overflow (n0 = 1e-320) is rejected when built, so the estimate is scaled
     estimate = montecarlo.estimate_alpha_mmse
@@ -783,38 +796,9 @@ def test_fallback_rows_match_across_splits(monkeypatch):
     _assert_rows_match_reference(cfg, one, sweep_outcomes(cfg, 0, cfg.trials))
 
 
-def test_fallback_takes_only_the_rows_that_need_it(monkeypatch):
-    # a (2, 4, 19, 1000) block of relative errors with one inf, -inf, NaN or
-    # near-overflow entry in four rows: only those rows go through
-    # _fsum_floats, and every other row rounds to the sum it has reduced alone
-    rng = np.random.default_rng(11)
-    rows = rng.exponential(size=(2, 4, 19, 1000)) * 2.0 ** rng.integers(-30, 4, (2, 4, 19, 1000))
-    mixed = rows.copy()
-    finite = np.ones(rows.shape[:-1], dtype=bool)
-    for index, value in (((0, 0, 3, 17), math.inf), ((0, 1, 5, 500), -math.inf),
-                         ((1, 2, 0, 999), math.nan), ((1, 3, 18, 0), 1e308)):
-        mixed[index] = value
-        finite[index[:-1]] = False
-    calls = []
-    fsum_floats = montecarlo._fsum_floats
-    monkeypatch.setattr(montecarlo, "_fsum_floats",
-                        lambda row: calls.append(row) or fsum_floats(row))
-    sums = _rounded_sums(_exact_partials(mixed.copy()))
-    assert len(calls) == 4
-    alone = _rounded_sums(_exact_partials(rows[finite]))
-    assert [repr(x) for x in sums[finite].tolist()] == [repr(x) for x in alone.tolist()]
-    assert [repr(x) for x in sums.reshape(-1).tolist()] == _fsum_rows(mixed.reshape(-1, 1000))
-
-
 def _fsum_rows(rows):
-    """Each row's ``math.fsum`` by ``repr``, or the exception it raises."""
-    out = []
-    for row in rows.tolist():
-        try:
-            out.append(repr(math.fsum(row)))
-        except (OverflowError, ValueError) as exc:
-            out.append((type(exc), str(exc)))
-    return out
+    """Each row's ``math.fsum`` by ``repr``."""
+    return [repr(math.fsum(row)) for row in rows.tolist()]
 
 
 def _merged(rows, cuts, chunk=None):
@@ -838,31 +822,22 @@ def _merged(rows, cuts, chunk=None):
 def _count_bound(rows):
     """A partial count no merge exceeds, whatever the cuts: one per pass,
     and a pass takes at least ``52 - M`` of the bits between the largest
-    running sum and the lowest bit set, or up to three markers for
-    infinities and NaN and the exact floats of the rest."""
+    running sum and the lowest bit set, and one for an inf or NaN row's sum."""
     values = rows[np.isfinite(rows) & (rows != 0)]
     if not values.size:
-        return 3
+        return 1
     mantissas, exponents = np.frexp(values)
     whole = np.abs(np.ldexp(mantissas, 53)).astype(np.int64)
     lowest = int((exponents - 53 + np.log2(whole & -whole).astype(int)).min())
     m = (rows.shape[1] + 64).bit_length()
     span = int(exponents.max()) + rows.shape[1].bit_length() + 1 - lowest
-    return 3 + -(-span // (52 - m)) + 1
+    return 1 + -(-span // (52 - m)) + 1
 
 
 def _assert_fsum_bytes(rows, cuts=(), chunk=None):
-    expected = _fsum_rows(rows)
     partials, counts = _merged(rows, list(cuts), chunk)
     assert max(counts) <= _count_bound(rows), counts
-    errors = [e for e in expected if not isinstance(e, str)]
-    if errors:
-        # rows round in order, so the first raising row's error surfaces
-        with pytest.raises(errors[0][0]) as raised:
-            _rounded_sums(partials)
-        assert str(raised.value) == errors[0][1]
-    else:
-        assert [repr(x) for x in _rounded_sums(partials).tolist()] == expected
+    assert [repr(x) for x in _rounded_sums(partials).tolist()] == _fsum_rows(rows)
 
 
 # ties, subnormals and extremes a random draw seldom gives
@@ -897,13 +872,17 @@ class TestExactRowSums:
            pool=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                                    st.sampled_from(_SPECIAL_FLOATS)), min_size=1, max_size=12),
            seed=st.integers(0, 2**32 - 1), masked=st.lists(st.booleans(), min_size=3, max_size=3),
-           nonfinite=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3),
+           nonfinite=st.lists(st.sampled_from([math.inf, math.nan]), max_size=3),
            blocks=st.integers(1, 12), chunked=st.booleans())
     def test_rows_equal_fsum(self, width, rows, pool, seed, masked, nonfinite, blocks, chunked):
         rng = np.random.default_rng(seed)
         parts = []
         for count, mask in zip(rows, masked):
             values = _random_rows(rng, np.array(pool), count, width)
+            # the kernel's domain: finite entries whose running sums stay
+            # below its limit 2^(1023 - M), M = ceil(log2(merged width + 2))
+            big = np.abs(values) >= 2.0 ** (1020 - 2 * (width + 64).bit_length())
+            values[big] *= 2.0 ** -64
             for value in nonfinite:
                 if rng.random() < 0.5:
                     values[rng.integers(count), rng.integers(width)] = value
@@ -920,11 +899,10 @@ class TestExactRowSums:
         [0.0, -0.0, 0.0], [-0.0], [0.0],     # all zero: fsum gives +0.0
         [5e-324], [5e-324, -5e-324, 5e-324], [2.2250738585072014e-308, -5e-324],
         [1e300, 1e-300, -1e300], [1e-300, 1e300, 1.0, -1e300],
-        [1.7976931348623157e308, -1.7976931348623157e308, 1.0],  # fallback, finite sum
-        [1.7976931348623157e308, 1.7976931348623157e308],         # OverflowError
-        [2.0**1021, 2.0**1021, 2.0**1022],                        # OverflowError
-        [math.inf, 1.0], [-math.inf, -math.inf], [math.inf, -math.inf],  # ValueError
-        [math.nan, 1.0], [1.0, math.nan, math.inf], [math.nan, math.inf, 1.0, -math.inf],
+        [2.0**1019, 3 * 2.0**1017, 2.0**-1074],  # sigma = 2^1023, the largest taken
+        [math.inf, 1.0], [math.inf, math.inf], [0.0, 5e-324, math.inf],
+        [math.nan, 1.0], [math.nan, math.nan], [1.0, 0.0, math.nan],
+        [1.0, math.nan, math.inf], [math.inf, 1e300, math.nan],
         [-1.0, -2.0, -(2.0**-60)], [-(2.0**-60), 3.0, -4.0 * 2.0**-60],
     ])
     def test_edge_rows(self, row):
@@ -937,16 +915,20 @@ class TestExactRowSums:
             rows[2, 1::2] = 0.0
             _assert_fsum_bytes(rows, cuts)
 
-    def test_near_overflow_blocks_stay_exact(self):
-        # each fallback block keeps its exact sum, not its rounded one: the
-        # small entries outlive a block whose fsum rounds them away
-        rows = np.array([[1e308, 1e-300, -1e308, 2.0**-1074],
-                         [1.7976931348623157e308, 1.0, -1.7976931348623157e308, 2.0**-60],
-                         [1e308, 1e308, -1e308, -1e308]])  # OverflowError
-        for cuts in ([1], [2], [1, 2, 3], [3]):
-            _assert_fsum_bytes(rows, cuts)
-        assert [repr(x) for x in _rounded_sums(_merged(rows[:2], [2])[0]).tolist()] == [
-            repr(1e-300), repr(1.0)]
+    def test_rows_past_the_limit_raise(self):
+        # a finite row reaching 2^(1023 - M), M = ceil(log2(width + 2)), would
+        # need sigma = 2^1024; an inf row beside it changes nothing
+        for width in (1, 2, 6, 1000):
+            exponent = 1023 - (width + 1).bit_length()
+            below = math.nextafter(2.0 ** exponent, 0.0)
+            rows = np.zeros((3, width))
+            rows[0, -1], rows[1, 0] = below, math.inf
+            sums = _rounded_sums(_exact_partials(rows.copy()))
+            assert [repr(x) for x in sums.tolist()] == [repr(below), "inf", "0.0"]
+            for value in (2.0 ** exponent, -(2.0 ** exponent), 1.7976931348623157e308):
+                rows[2, 0] = value
+                with pytest.raises(ValueError, match=rf"below 2\*\*{exponent}$"):
+                    _exact_partials(rows.copy())
 
     def test_long_rows(self):
         rng = np.random.default_rng(4)
