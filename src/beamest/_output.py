@@ -44,8 +44,10 @@ def output_file(path):
 def csv_text(header: str, columns) -> str:
     """``header``, then one line per row of ``columns``, arrays or sequences
     of one length: a float by ``repr``, an int by ``str``, a bool as 0 or 1,
-    and a numpy value as the Python number it holds."""
-    fields = (map(repr, c.tolist()) if isinstance(c, np.ndarray) and c.dtype.kind in "fiu"
+    and a numpy value as the Python number it holds.  A numpy array of
+    numbers or bools is formatted by one ``tolist``, a bool cast to 0 or 1."""
+    fields = (map(repr, (c.astype(np.uint8) if c.dtype.kind == "b" else c).tolist())
+              if isinstance(c, np.ndarray) and c.dtype.kind in "fiub"
               else map(_field, c) for c in columns)
     return "\n".join([header, *map(",".join, zip(*fields, strict=True))]) + "\n"
 

@@ -131,9 +131,7 @@ def pcef_upper_bound(
     # a term depends on rho alone, which takes few distinct values (21 of the
     # 2352 pairs at k = 7): each is evaluated once per point, then gathered
     # into the point's row, whose self pairs read an appended zero
-    rho, inverse = np.unique(patterns.pair_correlations, return_inverse=True)
-    layout = np.full(k2 * k2, len(rho))
-    layout[~np.eye(k2, dtype=bool).reshape(-1)] = inverse.reshape(-1)
+    rho, layout = patterns.distinct_correlations
     step = max(1, _BOUND_ENTRIES // (k2 * k2))
     distinct = np.zeros((min(step, len(grid)), len(rho) + 1))
     sums = np.empty(len(grid))

@@ -222,7 +222,8 @@ def _alpha_variance(cfg: dict, command: str) -> float | None:
     if value == "auto":
         return None
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"var_alpha must be a number or 'auto', got {value!r}")
+        raise ConfigError(f"{command}: key 'var_alpha': var_alpha must be a number or 'auto', "
+                          f"got {value!r}")
     return _checked(value, "var_alpha", float, command)
 
 
@@ -471,31 +472,40 @@ def main(argv=None) -> int:
         return 2
     started = time.perf_counter()
     out_dir = Path(args.out)
+    # the directories this run creates, deepest first: a run that exits 2
+    # removes them again, so a rejected config leaves none behind
+    missing = []
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            break
+        missing.append(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory {args.out!r}: {exc.strerror}",
-              file=sys.stderr)
-        return 2
-    try:
-        config_name, cfg = load_config(args.config)
-        if args.seed is not None:
-            # resolve the override into the config so the manifest echo alone
-            # reproduces the run
-            cfg["seed"] = args.seed
-        run_info: dict = {}
-        outputs = _COMMANDS[args.command](cfg, args, run_info)
-        _write_manifest(out_dir, args.command, config_name, cfg, args,
-                        time.perf_counter() - started, outputs, run_info)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # reading the config raises ConfigError, so this is an output file,
-        # which output_file names
-        print(f"error: cannot write '{exc.filename}': {exc.strerror}", file=sys.stderr)
-        return 2
-    return 0
+        error = f"cannot create output directory {args.out!r}: {exc.strerror}"
+    else:
+        try:
+            config_name, cfg = load_config(args.config)
+            if args.seed is not None:
+                # resolve the override into the config so the manifest echo
+                # alone reproduces the run
+                cfg["seed"] = args.seed
+            run_info: dict = {}
+            outputs = _COMMANDS[args.command](cfg, args, run_info)
+            _write_manifest(out_dir, args.command, config_name, cfg, args,
+                            time.perf_counter() - started, outputs, run_info)
+            return 0
+        except (ConfigError, ValueError) as exc:
+            error = str(exc)
+        except OSError as exc:
+            # reading the config raises ConfigError, so this is an output
+            # file, which output_file names
+            error = f"cannot write '{exc.filename}': {exc.strerror}"
+    print(f"error: {error}", file=sys.stderr)
+    for path in missing:  # one that holds a file written before the error stays
+        with contextlib.suppress(OSError):
+            path.rmdir()
+    return 2
 
 
 if __name__ == "__main__":

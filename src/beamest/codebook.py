@@ -116,6 +116,26 @@ class BeamPatternMatrix:
         rho.setflags(write=False)
         return rho
 
+    @cached_property
+    def distinct_correlations(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rho, layout)``: the distinct values of :attr:`pair_correlations`,
+        ascending, and for each entry of the flattened ``pair_gram`` the index
+        of its pair's ``rho`` there, ``len(rho)`` on the diagonal."""
+        k2 = self.k * self.k
+        rho, inverse = np.unique(self.pair_correlations, return_inverse=True)
+        layout = np.full(k2 * k2, len(rho))
+        layout[~np.eye(k2, dtype=bool).reshape(-1)] = inverse.reshape(-1)
+        rho.setflags(write=False)
+        layout.setflags(write=False)
+        return rho, layout
+
+    @cached_property
+    def pair_digits(self) -> np.ndarray:
+        """``(2, k^2)``: row 0 ``kr``, row 1 ``kt`` of each hypothesis ``i = kr * k + kt``."""
+        digits = np.array(np.divmod(np.arange(self.k * self.k), self.k))
+        digits.setflags(write=False)
+        return digits
+
 
 def overlapped_pattern_matrix(m: int) -> BeamPatternMatrix:
     """All ``2^m - 1`` nonzero on/off combinations of ``m`` beams, one per column.

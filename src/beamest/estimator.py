@@ -16,12 +16,15 @@ block is then the same at every stage: while both true angles lie in the
 current parents it is ``sqrt(p_t) * alpha * pilot * P[:, dr] P[:, dt]^T``,
 fused ``sqrt(p_t) * alpha * pilot * G[:, dr] G[dt, :]`` with ``G = P^T P``
 and ``dr``, ``dt`` the base-``k`` digits of ``theta``, ``phi`` at that stage;
-once the search has left the true range it is zero.  :func:`search_batch` runs
-every stage on that signal for arrays of trials and power points at once, and
-:func:`run_estimation` runs the same engine on one trial, so neither builds a
-beam or the ``n x n`` response matrix.  Sounding with the explicit beams
-(``measure_block`` on ``h``, ``f``, ``w``, from :func:`codebook_bank`) gives
-the same blocks up to beam leakage of about 1e-15.
+once the search has left the true range it is zero.  The engine core
+:func:`_search` runs every stage on that signal for arrays of trials and
+power points at once.  :func:`search_batch` is its checked entry for arrays
+from outside the package; sweeps and traces call the core directly on the
+block draw's arrays, in range by construction, and :func:`run_estimation`
+on one trial, so none builds a beam or the ``n x n`` response matrix.
+Sounding with the explicit beams (``measure_block`` on ``h``, ``f``, ``w``,
+from :func:`codebook_bank`) gives the same blocks up to beam leakage of about
+1e-15.
 
 How the engine fuses, scores and picks on flat blocks, per design, is told
 at :func:`search_batch`.
@@ -390,7 +393,14 @@ def estimate_alpha_mmse(
     denominator = values.shape[-1] * var_alpha * p_t + n0
     if np.count_nonzero(denominator <= 0):  # a scalar or an array of powers
         raise ValueError("prior variance and noise variance cannot both be zero")
-    return var_alpha * np.sqrt(p_t) * np.conj(pilot) * values.sum(axis=-1) / denominator
+    return _mmse(values.sum(axis=-1), var_alpha * np.sqrt(p_t) * np.conj(pilot), denominator)
+
+
+def _mmse(total, factor, divisor):
+    """:func:`estimate_alpha_mmse`, unchecked, from the sum ``total`` of the
+    selected values, the factor ``var_alpha * sqrt(p_t) * conj(pilot)`` and
+    the divisor ``S * var_alpha * p_t + n0``, evaluated left to right."""
+    return factor * total / divisor
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,7 +438,8 @@ def search_batch(design: Design, p_t, theta, phi, alpha, noise: np.ndarray) -> S
     their powers, shapes and angle range are checked here on every call; the
     geometry's constants come from ``design``, built and checked once.
     :func:`run_estimation` runs the same engine on one trial without these
-    checks, since its config and channel were checked when they were built.
+    checks, since its config and channel were checked when they were built,
+    and so does a sweep or trace on its block draws, in range by construction.
 
     A stage fuses its block with ``P^T y P`` and keeps the largest ``|r|``
     (first flat index on ties).  Its block is the rank-one signal plus noise
@@ -466,9 +477,7 @@ def search_batch(design: Design, p_t, theta, phi, alpha, noise: np.ndarray) -> S
         raise ValueError(f"angle indices must lie in [0, {design.n})")
     if noise.shape != (trials, stages, m, m):
         raise ValueError(f"expected noise of shape {(trials, stages, m, m)}, got {noise.shape}")
-    receive, transmit, values, on_track = _search(design, p_t, angles, alpha, noise)
-    return SearchBatch(receive=receive, transmit=transmit, values=values, on_track=on_track,
-                       places=design.places)
+    return SearchBatch(*_search(design, p_t, angles, alpha, noise), places=design.places)
 
 
 def _search(design: Design, p_t: np.ndarray, angles: np.ndarray, alpha: np.ndarray,
@@ -506,7 +515,8 @@ def _search(design: Design, p_t: np.ndarray, angles: np.ndarray, alpha: np.ndarr
     on = np.ones(correct.shape, dtype=bool)
     on[..., 1:] = correct[..., :-1]
     # off track, a stage sees the same noise at every point
-    receive, transmit = np.divmod(np.where(on, pick_on, pick_off[:, None]), k)
+    receive, transmit = patterns.pair_digits.take(np.where(on, pick_on, pick_off[:, None]),
+                                                  axis=1)
     # C order, in which the estimators sum the stages
     values = np.ascontiguousarray(np.where(on, value_on, value_off[:, None]))
     return receive, transmit, values, correct[..., -1]

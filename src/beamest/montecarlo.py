@@ -13,13 +13,15 @@ exactly what a generator seeded per trial with
 half.  The per-trial calls :func:`sample_channel` and :func:`noise_stream`
 read 256-trial blocks from two caches, of seed words (:func:`_block_words`)
 and of the channels drawn from them (:func:`_block_channels`).  Sweeps and
-``beamest trace`` run one engine loop (:func:`_engine_blocks`) through
-:func:`~beamest.estimator.search_batch`, which synthesizes no ``n``-element
-beam: every stage's noiseless block is the same rank-one product of pattern
-columns, and the stage gains have a closed form
-(:attr:`~beamest.estimator.Design.gains`).  :class:`ExperimentConfig` builds
-each variant's :class:`~beamest.estimator.Design` and the grid's powers once
-and is the sweep's one gate.  Each block of trials is reduced where it is
+``beamest trace`` run one engine loop (:func:`_engine_blocks`), which calls
+the search core :func:`~beamest.estimator._search` on the block draw's own
+arrays (:func:`~beamest.estimator.search_batch` is the checked entry for
+arrays from outside) and synthesizes no ``n``-element beam: every stage's
+noiseless block is the same rank-one product of pattern columns, and the
+stage gains have a closed form (:attr:`~beamest.estimator.Design.gains`).
+:class:`ExperimentConfig` builds each variant's
+:class:`~beamest.estimator.Design` and the grid's powers once and is the
+sweep's one gate.  Each block of trials is reduced where it is
 made, for all variants at once: failures add to one count per grid point, and
 one exact-sum pass (:func:`_exact_partials`) merges the error rows into a few
 running partials per row, so memory does not grow with the trial count.
@@ -34,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,12 +62,13 @@ from .estimator import (
     OVERLAPPED,
     PILOT,
     Design,
+    SearchBatch,
     _check_powers,
     _check_variant,
+    _mmse,
     _record,
-    estimate_alpha_mmse,
+    _search,
     run_estimation,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.run_estimation
-    search_batch,
     stage_count,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.stage_count
 )
 
@@ -320,12 +324,19 @@ class ResultTable:
             self.relerr_final_success, trials, self.failures, slots))
 
 
+_seats = threading.local()
+
+
 def _stream_seat():
-    """A function that reseats one generator, made per call and never drawn
-    from as seeded, onto a row of ``substream_states`` and returns it."""
-    rng = np.random.default_rng(0)
-    reseat = reseater(rng.bit_generator)
-    return lambda state: reseat(state) or rng
+    """A function that reseats one generator, never drawn from as seeded, onto
+    a row of ``substream_states`` and returns it: one generator and reseater
+    per thread, made at the thread's first call, since every draw reseats it
+    before reading and a thread makes one draw at a time."""
+    if not hasattr(_seats, "seat"):
+        rng = np.random.default_rng(0)
+        reseat = reseater(rng.bit_generator)
+        _seats.seat = lambda state: reseat(state) or rng
+    return _seats.seat
 
 
 def _draw_channels(channel_states: np.ndarray, n: int, variance: float, seat):
@@ -388,21 +399,28 @@ def _draw_block(cfg: ExperimentConfig, trials: range):
 def _engine_blocks(cfg: ExperimentConfig, lo: int, hi: int, block: int, width: int):
     """The trial engine over trials [lo, hi): one :func:`_draw_block` per
     ``block`` trials, then per ``width`` grid points and variant one
-    :func:`~beamest.estimator.search_batch` and all-stage gain estimate.
-    Yields ``(trials, points, (theta, phi, alpha), {variant: (batch, alpha_hat)})``.
+    :func:`~beamest.estimator._search` on the block draw's arrays, in range by
+    construction, and the all-stage and final-stage gain estimates, their
+    factors and divisors computed once per call.  Yields ``(trials, points,
+    (theta, phi, alpha), {variant: (batch, alpha_hat, final_hat)})``.
     """
-    n_points = len(cfg.et_db)
+    n_points, var_alpha = len(cfg.et_db), cfg.alpha_variance
+    terms = {variant: (var_alpha * np.sqrt(p_t) * np.conj(PILOT),
+                       cfg.designs[variant].stages * var_alpha * p_t + cfg.n0,
+                       var_alpha * p_t + cfg.n0) for variant, p_t in cfg.powers.items()}
     for start in range(lo, hi, block):
         trials = range(start, min(start + block, hi))
         theta, phi, alpha, noises = _draw_block(cfg, trials)
+        angles = np.array((theta, phi))
         for first in range(0, n_points, width):
             points = slice(first, min(first + width, n_points))
             results = {}
             for variant, design in cfg.designs.items():
-                p_t = cfg.powers[variant][points]
-                batch = search_batch(design, p_t, theta, phi, alpha, noises[variant])
-                results[variant] = batch, estimate_alpha_mmse(batch.values, p_t, PILOT, cfg.n0,
-                                                              cfg.alpha_variance)
+                factor, divisor, final = (term[points] for term in terms[variant])
+                batch = SearchBatch(*_search(design, cfg.powers[variant][points], angles, alpha,
+                                             noises[variant]), places=design.places)
+                results[variant] = (batch, _mmse(batch.values.sum(axis=-1), factor, divisor),
+                                    _mmse(batch.values[..., -1], factor, final))
             yield trials, points, (theta, phi, alpha), results
 
 
@@ -418,9 +436,7 @@ def _sweep_blocks(cfg: ExperimentConfig, lo: int, hi: int):
     for trials, points, (*_, alpha), results in _engine_blocks(cfg, lo, hi, block, width):
         alpha_mag = np.abs(alpha)[:, None]
         outcomes = {}
-        for variant, (batch, mmse_hat) in results.items():
-            final_hat = estimate_alpha_mmse(batch.values[..., -1:], cfg.powers[variant][points],
-                                            PILOT, cfg.n0, cfg.alpha_variance)
+        for variant, (batch, mmse_hat, final_hat) in results.items():
             with np.errstate(invalid="ignore"):  # var_alpha = 0: every error is 0/0 = nan
                 outcomes[variant] = (~batch.on_track.T,
                                      (np.abs(mmse_hat - alpha[:, None]) / alpha_mag).T,
@@ -444,7 +460,7 @@ def _trace_blocks(cfg: ExperimentConfig):
                     truth, np.stack([batch.receive[:, 0], batch.transmit[:, 0]], -1).tolist(),
                     batch.theta_hat[:, 0].tolist(), batch.phi_hat[:, 0].tolist(),
                     alpha_hat[:, 0].tolist())]
-               for batch, alpha_hat in results.values()]
+               for batch, alpha_hat, _ in results.values()]
 
 
 def _sweep_chunk(cfg: ExperimentConfig, lo: int, hi: int):
@@ -646,5 +662,6 @@ def bound_table(n: int, k: int, et_db, n0: float = 1.0,
 
 
 def bound_csv(points) -> str:
-    rows = [(p.et_db, p.bound, p.per_stage, p.raw_total, p.clamped) for p in points]
-    return csv_text(BOUND_CSV_HEADER, zip(*rows))
+    rows = np.array([(p.et_db, p.bound, p.per_stage, p.raw_total) for p in points], dtype=float)
+    return csv_text(BOUND_CSV_HEADER, (*rows.reshape(-1, 4).T,
+                                       np.array([p.clamped for p in points], dtype=bool)))

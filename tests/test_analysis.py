@@ -131,6 +131,24 @@ class TestPcefUpperBound:
                 grid.per_stage[i].item(), grid.raw_total[i].item(), grid.total[i].item(),
                 grid.clamped[i].item()))
 
+    @pytest.mark.parametrize("patterns", [
+        overlapped_pattern_matrix(2), identity_pattern_matrix(3), overlapped_pattern_matrix(3),
+        identity_pattern_matrix(7)], ids=["k3-overlapped", "k3-identity", "k7-overlapped",
+                                          "k7-identity"])
+    def test_cached_correlation_layout_is_a_fresh_unique(self, patterns):
+        # the bound reads rho's distinct values and their layout from the
+        # pattern matrix, made once; they must be what np.unique gives afresh
+        k2 = patterns.k ** 2
+        rho, inverse = np.unique(patterns.pair_correlations, return_inverse=True)
+        layout = np.full(k2 * k2, len(rho))
+        layout[~np.eye(k2, dtype=bool).reshape(-1)] = inverse.reshape(-1)
+        cached_rho, cached_layout = patterns.distinct_correlations
+        for cached, fresh in ((cached_rho, rho), (cached_layout, layout)):
+            assert (cached.dtype, cached.shape) == (fresh.dtype, fresh.shape)
+            assert cached.tobytes() == fresh.tobytes()
+            assert not cached.flags.writeable
+        assert patterns.distinct_correlations[1] is cached_layout
+
     def test_largest_prior_the_closed_form_takes(self):
         # p_t var_alpha / n0 / 2 at the largest float whose square is finite
         # gives finite terms below 1/2; one float more is rejected

@@ -12,7 +12,7 @@ import pytest
 from reference import read_beam_matrix, reference_channel
 
 from beamest import cli, montecarlo
-from beamest._output import csv_text
+from beamest._output import _field, csv_text
 from beamest.cli import ConfigError, load_config, main, parse_config
 from beamest.estimator import (
     EstimatorConfig,
@@ -151,7 +151,7 @@ class TestExitCodes:
         assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
         assert capsys.readouterr().err == ("error: n: antenna count is too large: the design's "
                                            "power constants overflow a float\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "trace"])
     def test_grid_past_int64_exits_2(self, tmp_path, capsys, command):
@@ -162,7 +162,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: n: antenna count {3 ** 40} is too large: grid indices are int64, "
             "so n must be below 2**63\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "trace"])
     @pytest.mark.parametrize("key", ["n0", "var_alpha"])
@@ -199,7 +199,37 @@ class TestExitCodes:
         out = tmp_path / "huge"
         assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
         assert f"{command}: key {key!r} is too large, got {huge}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "bound", "trace"])
+    def test_non_number_prior_exits_2_naming_the_key(self, tmp_path, capsys, command):
+        # the message named neither the command nor the key, unlike every other key's
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 6\nvar_alpha = abc\n")
+        out = tmp_path / "prior"
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {command}: key 'var_alpha': var_alpha must be a number or "
+                       "'auto', got 'abc'\n")
+        assert "var_alpha must be a number or 'auto', got 'abc'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "bound", "trace"])
+    @pytest.mark.parametrize("config", ["var_alpha = abc\n", None], ids=["rejected", "missing"])
+    def test_exit_2_leaves_no_directory_it_created(self, tmp_path, capsys, command, config):
+        # --out and its parents were made before the config was read, and stayed
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        path = (tmp_path / "nope.cfg" if config is None else
+                write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 6\n" + config))
+        for out in (tmp_path / "newdir" / "sub", kept / "new" / "sub"):
+            assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+            assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "newdir").exists()
+        assert list(kept.iterdir()) == []
+        # a run that succeeds keeps the directories it made
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 6\n")
+        assert run_cli(command, "--config", path, "--out", kept / "new" / "sub", "--quiet") == 0
+        assert (kept / "new" / "sub" / f"{command}_manifest.json").is_file()
 
     @pytest.mark.parametrize("command", ["sweep", "bound"])
     @pytest.mark.parametrize("value, shown", [("true", "True"), ("3, abc", "'abc'")],
@@ -276,7 +306,7 @@ class TestExitCodes:
         assert run_cli("sweep", "--config", write_cfg(tmp_path, text), "--out", out,
                        "--quiet") == 2
         assert f"sweep: key {key!r} must not repeat entries" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_bound_repeated_pair_exits_2(self, tmp_path, capsys):
         # bound_k3_n27.csv was written once and listed twice in the manifest
@@ -285,7 +315,7 @@ class TestExitCodes:
         assert run_cli("bound", "--config", path, "--out", out, "--quiet") == 2
         assert ("bound: keys 'n' and 'k' must not repeat an (n, k) pair, got "
                 "[(27, 3), (9, 3), (27, 3)]" in capsys.readouterr().err)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["bound", "sweep"])
     @pytest.mark.parametrize("grid, named, shown", [
@@ -304,7 +334,7 @@ class TestExitCodes:
         assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
         assert (f"{command}: {named} must give strictly increasing energies, got {shown}"
                 in capsys.readouterr().err)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("n, k, m", [(3 ** 20, 3, 2), (7 ** 12, 7, 3)],
                              ids=["3^20", "7^12"])
@@ -318,7 +348,7 @@ class TestExitCodes:
         path = write_cfg(tmp_path, f"n = {n}\nk = {k}\n")
         assert run_cli("codebook", "--config", path, "--out", out, "--quiet") == 2
         assert f"codebook: n = {n} needs a bank of {m} beams" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         # the largest geometry the presets list, n = 2401 with up to 7 beams
         # per end, stays within the cap
         assert 7 * 2401 <= cli.MAX_BANK_ENTRIES
@@ -628,7 +658,7 @@ class TestBoundCommand:
         message = {"bound": "is too large for the closed-form bound",
                    "sweep": "takes the gain estimate out of float range at 10.0 dB"}[command]
         assert f"var_alpha: gain prior variance 1e+308 {message}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_rejected_geometry_leaves_no_file(self, tmp_path, capsys):
         # the second geometry's prior is past the closed form: every geometry
@@ -638,7 +668,7 @@ class TestBoundCommand:
         assert run_cli("bound", "--config", path, "--out", out, "--quiet") == 2
         assert ("var_alpha: gain prior variance 7.9e+156 is too large for the closed-form bound"
                 in capsys.readouterr().err)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         # each geometry alone: the first is written, the second is rejected
         for n, k, code in ((2401, 7, 0), (27, 3, 2)):
             path = write_cfg(tmp_path, f"n = {n}\nk = {k}\net_db = 40\nvar_alpha = 7.9e156\n")
@@ -794,7 +824,7 @@ class TestGainRange:
         out = tmp_path / "out"
         assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
         assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     # every gain is 0 at var_alpha = 0, so its relative errors are 0/0 = nan,
     # which must raise no numpy warning
@@ -850,6 +880,16 @@ class TestCsvText:
         scalars = [list(np.array(c)) for c in columns]
         assert type(scalars[0][0]) is np.float64
         assert csv_text("f,i,b", scalars) == expected
+
+    def test_bool_columns_match_per_field(self):
+        # a bool array goes through one tolist; each field must be _field's,
+        # a byte other than 0 or 1 included (it reads as True)
+        bools = np.array(self.BOOLS)
+        odd = np.frombuffer(bytes([2, 0, 255, 1]), dtype=bool)
+        for column in (bools, bools[::-3], odd, np.zeros(0, dtype=bool)):
+            assert csv_text("b", (column,)) == "\n".join(["b", *map(_field, column)]) + "\n"
+            assert csv_text("b,f", (column, np.zeros(len(column)))) == "".join(
+                ["b,f\n", *(f"{_field(b)},0.0\n" for b in column)])
 
     def test_mixed_and_large_python_numbers(self):
         # each field by its own type; an int beyond int64 stays exact

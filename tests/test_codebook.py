@@ -89,6 +89,17 @@ class TestOverlappedPatternMatrix:
             assert abs(np.linalg.norm(sig) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("patterns", [overlapped_pattern_matrix(2), identity_pattern_matrix(7)],
+                         ids=["k3", "k7"])
+def test_pair_digits_are_divmod(patterns):
+    # the search maps each pick to its (receive, transmit) pair through this table
+    k = patterns.k
+    expected = np.array(np.divmod(np.arange(k * k), k))
+    digits = patterns.pair_digits
+    assert (digits.dtype, digits.tobytes()) == (expected.dtype, expected.tobytes())
+    assert not digits.flags.writeable
+
+
 class TestPatternMatrixValidation:
     def test_identity(self):
         np.testing.assert_allclose(identity_pattern_matrix(3).values, np.eye(3))

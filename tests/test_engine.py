@@ -28,6 +28,7 @@ from beamest.estimator import (
     VARIANTS,
     Design,
     EstimatorConfig,
+    estimate_alpha_mmse,
     fuse_measurements,
     run_estimation,
     search_batch,
@@ -366,6 +367,29 @@ def test_sweep_chunk_split_invariant():
             np.testing.assert_array_equal(got, expected)
     _assert_same_sweep(FIG3, [_sweep_chunk(FIG3, lo, hi) for lo, hi in splits],
                        _sweep_chunk(FIG3, 0, 2000))
+
+
+@pytest.mark.parametrize("var_alpha", [None, 0.0], ids=["default-prior", "zero-prior"])
+def test_sweep_estimates_equal_the_public_estimate(var_alpha):
+    # the engine estimates from factors and divisors computed once per call;
+    # each must be estimate_alpha_mmse's bytes on the block's picks, over
+    # blocks of trials and slices of the fig3 grid, for both designs
+    cfg = ExperimentConfig(n=FIG3.n, k=FIG3.k, et_db=FIG3.et_db, trials=300,
+                           master_seed=FIG3.master_seed, var_alpha=var_alpha)
+    seen = set()
+    for _, points, _, results in montecarlo._engine_blocks(cfg, 0, cfg.trials, 128, 7):
+        for variant, (batch, mmse_hat, final_hat) in results.items():
+            seen.add(variant)
+            p_t = cfg.powers[variant][points]
+            for got, values in ((mmse_hat, batch.values), (final_hat, batch.values[..., -1:])):
+                expected = estimate_alpha_mmse(values, p_t, PILOT, cfg.n0, cfg.alpha_variance)
+                assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+                assert got.tobytes() == expected.tobytes()
+    assert seen == set(VARIANTS)
+    if var_alpha == 0.0:  # every gain is 0, so every relative error is 0/0
+        for _, _, outcomes in montecarlo._sweep_blocks(cfg, 0, cfg.trials):
+            for _, err_mmse, err_final in outcomes.values():
+                assert np.isnan(err_mmse).all() and np.isnan(err_final).all()
 
 
 def _chunk_peak(cfg, trials):

@@ -310,13 +310,14 @@ class TestBlockDraws:
     def test_sweep_feeds_the_engine_the_block_draws(self, monkeypatch):
         cfg = _cfg(n=9, trials=12)
         seen = []
-        engine = montecarlo.search_batch
+        engine = montecarlo._search
 
-        def recording(design, p_t, theta, phi, alpha, noise):
+        def recording(design, p_t, angles, alpha, noise):
+            theta, phi = angles
             seen.append((design.variant, theta.tolist(), phi.tolist(), alpha.tolist(), noise))
-            return engine(design, p_t, theta, phi, alpha, noise)
+            return engine(design, p_t, angles, alpha, noise)
 
-        monkeypatch.setattr(montecarlo, "search_batch", recording)
+        monkeypatch.setattr(montecarlo, "_search", recording)
         montecarlo._sweep_chunk(cfg, 3, 12)
         assert [variant for variant, *_ in seen] == list(cfg.variants)
         for variant, theta, phi, alpha, noise in seen:
@@ -329,6 +330,26 @@ class TestBlockDraws:
                 expected = MeasurementNoise(cfg.n0, noise_stream(cfg, trial, variant))
                 np.testing.assert_array_equal(
                     noise[i], expected.draw_blocks(stage_count(cfg.n, cfg.k), (m, m)))
+
+
+def test_one_stream_seat_per_thread(fresh_blocks):
+    # the block draw's generator and reseater are made once per thread, and
+    # a thread's draws match the reference however the threads interleave
+    seat = montecarlo._stream_seat()
+    assert montecarlo._stream_seat() is seat
+    cfg = _cfg(n=27, trials=40)
+
+    def draw(_):
+        return montecarlo._stream_seat(), _draw_block(cfg, range(40))[:3]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(draw, range(4), timeout=120))
+    assert all(other is not seat for other, _ in results)
+    channels = [reference_channel(cfg, trial) for trial in range(40)]
+    for _, (theta, phi, alpha) in results:
+        assert theta.tolist() == [c.theta for c in channels]
+        assert phi.tolist() == [c.phi for c in channels]
+        assert alpha.tolist() == [c.alpha for c in channels]
 
 
 class TestBlockDrawsThroughSetter(TestBlockDraws):
@@ -779,9 +800,8 @@ def test_infinite_rows_match_across_splits(monkeypatch):
     # error row reduces to its one inf partial; one worker, two and one-trial
     # one-point blocks must write the same rows.  A config whose estimates
     # overflow (n0 = 1e-320) is rejected when built, so the estimate is scaled
-    estimate = montecarlo.estimate_alpha_mmse
-    monkeypatch.setattr(montecarlo, "estimate_alpha_mmse",
-                        lambda *args: estimate(*args) * math.inf)
+    estimate = montecarlo._mmse
+    monkeypatch.setattr(montecarlo, "_mmse", lambda *args: estimate(*args) * math.inf)
     cfg = _cfg(n=27, et_db=(0.0, 10.0, 20.0), trials=60)
     one = run_sweep(cfg)
     assert all(np.isinf(table.relerr_mmse_all).all() and np.isinf(table.relerr_final_all).all()
