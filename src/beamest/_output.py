@@ -42,17 +42,9 @@ def output_file(path):
 
 
 def csv_text(header: str, columns) -> str:
-    """``header``, then one line per row of ``columns``, arrays or sequences
-    of one length: a float by ``repr``, an int by ``str``, a bool as 0 or 1,
-    and a numpy value as the Python number it holds.  A numpy array of
-    numbers or bools is formatted by one ``tolist``, a bool cast to 0 or 1."""
+    """``header``, then one line per row of ``columns``, numpy arrays of
+    numbers or bools of one length, each formatted by one ``tolist``: a float
+    by ``repr``, an int by ``str``, a bool as 0 or 1 (any nonzero byte is 1)."""
     fields = (map(repr, (c.astype(np.uint8) if c.dtype.kind == "b" else c).tolist())
-              if isinstance(c, np.ndarray) and c.dtype.kind in "fiub"
-              else map(_field, c) for c in columns)
+              for c in columns)
     return "\n".join([header, *map(",".join, zip(*fields, strict=True))]) + "\n"
-
-
-def _field(value) -> str:
-    if isinstance(value, np.generic):  # numpy 2's repr would write np.float64(...)
-        value = value.item()
-    return str(int(value)) if isinstance(value, bool) else repr(value)

@@ -16,6 +16,13 @@ sweep, the estimation-run throughput.  Commands put such run facts in a
 ``run_info`` dict that goes into the manifest only, never into a data file.
 Data tables are comma-separated with a header row; complex values serialize
 as ``re<+/->imj``.
+
+The commands check only what the config format adds (key kinds, lists, the
+energy grid's two exclusive forms); the library's gates, where each object is
+built, check the rest and name the field.  A rejected input raises
+``ValueError`` (``ConfigError`` is one); :func:`main` prints it, or an output
+file that cannot be written, as one line ``error: <command>: <message>`` and
+exits 2.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ import numpy as np
 
 from . import __version__
 from ._output import csv_text, output_file
-from .analysis import _check_bound_range, _noise_and_prior
 from .codebook import realized_gains, write_beam_matrix
 from .estimator import (
     ALPHA_FINAL,
@@ -56,7 +62,6 @@ from .montecarlo import (
     _trace_blocks,
     bound_csv,
     bound_table,
-    energy_from_db,
     power_for_energy,  # noqa: F401 -- benchmarks/workloads.py wraps cli.power_for_energy
     run_sweep,
     sample_channel,  # noqa: F401 -- benchmarks/workloads.py wraps cli.sample_channel
@@ -145,26 +150,26 @@ def load_config(spec: str) -> tuple[str, dict]:
     return name, parse_config(text)
 
 
-def _require(cfg: dict, key: str, kind, command: str, default=None):
+def _require(cfg: dict, key: str, kind, default=None):
     """``cfg[key]`` checked to be of ``kind``; required unless a ``default`` is given."""
     if key not in cfg:
         if default is None:
-            raise ConfigError(f"{command}: config key {key!r} is required")
+            raise ConfigError(f"config key {key!r} is required")
         return default
-    return _checked(cfg[key], key, kind, command)
+    return _checked(cfg[key], key, kind)
 
 
-def _checked(value, key: str, kind, command: str):
+def _checked(value, key: str, kind):
     """``value`` of ``key`` checked to be of ``kind``, an int taken as a float
     where ``kind`` is ``float``; never a bool, unless ``kind`` is ``bool``."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         try:
             value = float(value)
         except OverflowError:
-            raise ConfigError(f"{command}: key {key!r} is too large, got {value!r}") from None
+            raise ConfigError(f"key {key!r} is too large, got {value!r}") from None
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         names = "/".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise ConfigError(f"{command}: key {key!r} must be {names}, got {value!r}")
+        raise ConfigError(f"key {key!r} must be {names}, got {value!r}")
     return value
 
 
@@ -172,63 +177,76 @@ def _as_list(value) -> list:
     return list(value) if isinstance(value, list) else [value]
 
 
-def _int_list(cfg: dict, key: str, command: str) -> list[int]:
+def _int_list(cfg: dict, key: str) -> list[int]:
     """``cfg[key]`` as a list of ints; ``ConfigError`` naming the key for any other entry."""
-    values = _as_list(_require(cfg, key, (int, list), command))
+    values = _as_list(_require(cfg, key, (int, list)))
     for value in values:
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{command}: key {key!r} must list integers, got {value!r}")
+            raise ConfigError(f"key {key!r} must list integers, got {value!r}")
     return values
 
 
-def _distinct(values: list, key: str, command: str) -> list:
+def _distinct(values: list, key: str) -> list:
     """``values``; ``ConfigError`` naming ``key`` if an entry repeats."""
     if len(set(values)) < len(values):
-        raise ConfigError(f"{command}: key {key!r} must not repeat entries, got {values!r}")
+        raise ConfigError(f"key {key!r} must not repeat entries, got {values!r}")
     return values
 
 
-def _energy_grid(cfg: dict, command: str) -> tuple[float, ...]:
-    """The energy grid in dB; ``ConfigError`` naming its keys unless it is
-    strictly increasing, as :class:`~beamest.montecarlo.ExperimentConfig` needs."""
+def _energy_grid(cfg: dict) -> tuple[float, ...]:
+    """The energy grid in dB; ``ConfigError`` naming its keys unless exactly one
+    of its two forms is given and it is strictly increasing, as
+    :class:`~beamest.montecarlo.ExperimentConfig` needs."""
+    keys = ("et_db_min", "et_db_max", "et_db_step")
+    given = [key for key in keys if key in cfg]
     if "et_db" in cfg:
+        if given:
+            raise ConfigError("need either 'et_db' or 'et_db_min/et_db_max/et_db_step', "
+                              f"not both; got 'et_db' and {', '.join(map(repr, given))}")
         named = "key 'et_db'"
-        grid = tuple(_checked(x, "et_db", float, command) for x in _as_list(cfg["et_db"]))
+        grid = tuple(_checked(x, "et_db", float) for x in _as_list(cfg["et_db"]))
     else:
         named = "keys 'et_db_min', 'et_db_max' and 'et_db_step'"
-        keys = ("et_db_min", "et_db_max", "et_db_step")
-        if any(key not in cfg for key in keys):
-            raise ConfigError(f"{command}: need either 'et_db' or "
-                              "'et_db_min/et_db_max/et_db_step'")
-        lo, hi, step = (_require(cfg, key, float, command) for key in keys)
+        if len(given) < len(keys):
+            raise ConfigError("need either 'et_db' or 'et_db_min/et_db_max/et_db_step'")
+        lo, hi, step = (_require(cfg, key, float) for key in keys)
         for key, value in zip(keys, (lo, hi, step)):
             if not math.isfinite(value):
-                raise ConfigError(f"{command}: key {key!r} must be finite, got {value!r}")
+                raise ConfigError(f"key {key!r} must be finite, got {value!r}")
         if step <= 0 or hi < lo:
-            raise ConfigError(f"{command}: bad energy grid ({lo}, {hi}, {step})")
+            raise ConfigError(f"bad energy grid ({lo}, {hi}, {step})")
         span = (hi - lo) / step + 1e-9  # inf if hi - lo overflows
         if span >= MAX_GRID_POINTS:
-            raise ConfigError(f"{command}: {named} give more than {MAX_GRID_POINTS} energy points")
+            raise ConfigError(f"{named} give more than {MAX_GRID_POINTS} energy points")
         grid = tuple(lo + i * step for i in range(int(span) + 1))
     for a, b in zip(grid, grid[1:]):
         if b <= a:
-            raise ConfigError(f"{command}: {named} must give strictly increasing energies, "
+            raise ConfigError(f"{named} must give strictly increasing energies, "
                               f"got {b!r} after {a!r}")
     return grid
 
 
-def _alpha_variance(cfg: dict, command: str) -> float | None:
+def _alpha_variance(cfg: dict) -> float | None:
     value = cfg.get("var_alpha", "auto")
     if value == "auto":
         return None
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{command}: key 'var_alpha': var_alpha must be a number or 'auto', "
+        raise ConfigError(f"key 'var_alpha': var_alpha must be a number or 'auto', "
                           f"got {value!r}")
-    return _checked(value, "var_alpha", float, command)
+    return _checked(value, "var_alpha", float)
 
 
 def _variants(cfg: dict) -> tuple[str, ...]:
     return tuple(_as_list(cfg.get("variants", list(VARIANTS))))
+
+
+def _experiment(cfg: dict, et_db: tuple[float, ...]) -> ExperimentConfig:
+    """The sweep or trace ``cfg`` describes over the energies ``et_db``."""
+    return ExperimentConfig(
+        n=_require(cfg, "n", int), k=_require(cfg, "k", int), et_db=et_db,
+        trials=_require(cfg, "trials", int), master_seed=_require(cfg, "seed", int, default=0),
+        n0=_require(cfg, "n0", float, default=1.0), var_alpha=_alpha_variance(cfg),
+        variants=_variants(cfg))
 
 
 def _write(path: Path, text: str, quiet: bool) -> Path:
@@ -237,14 +255,6 @@ def _write(path: Path, text: str, quiet: bool) -> Path:
     if not quiet:
         print(f"wrote {path}")
     return path
-
-
-def _environment() -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "usable_cpus": usable_cpus(),
-    }
 
 
 def _write_manifest(out_dir: Path, command: str, config_name: str, cfg: dict,
@@ -256,7 +266,8 @@ def _write_manifest(out_dir: Path, command: str, config_name: str, cfg: dict,
         "seed_override": args.seed,
         "workers": args.workers,
         "version": __version__,
-        "environment": _environment(),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "usable_cpus": usable_cpus()},
         "elapsed_seconds": elapsed,
         "outputs": [p.name for p in outputs],
         **run_info,
@@ -272,26 +283,26 @@ def _gain_flatness_csv(n: int, k: int, variant: str) -> str:
     inside the covered sub-ranges, and worst leakage outside them.
     """
     patterns = Design(n, k, variant).patterns
-    rows = []
+    stages = []
     for s, partition, cb in leftmost_path(n, k, variant):
         realized = np.abs(realized_gains(cb.f))
         # on the leftmost path the sub-ranges tile [0, len(target))
         target = cb.gain * np.repeat(patterns.values.T, len(partition.transmit[0]), axis=0)
         in_err = np.abs(realized[:len(target)] - target).max(axis=0)
         out_gain = realized[len(target):].max(axis=0, initial=0.0)
-        rows += [(s, m, cb.gain, cb.residual, err, gain)
-                 for m, (err, gain) in enumerate(zip(in_err.tolist(), out_gain.tolist()))]
+        beams = len(in_err)
+        stages.append((np.full(beams, s), np.arange(beams), np.full(beams, cb.gain),
+                       np.full(beams, cb.residual), in_err, out_gain))
     return csv_text("stage,beam,gain,residual,max_in_range_error,max_out_of_range_gain",
-                    zip(*rows))
+                    map(np.concatenate, zip(*stages)))
 
 
 def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
-    n = _require(cfg, "n", int, "codebook")
-    k = _require(cfg, "k", int, "codebook")
+    n, k = _require(cfg, "n", int), _require(cfg, "k", int)
     variant = cfg.get("variant", OVERLAPPED)
     design = Design(n, k, variant)
     if design.m * n > MAX_BANK_ENTRIES:
-        raise ConfigError(f"codebook: n = {n} needs a bank of {design.m} beams of {n} "
+        raise ConfigError(f"n = {n} needs a bank of {design.m} beams of {n} "
                           f"weights, more than {MAX_BANK_ENTRIES} entries")
     out_dir = Path(args.out)
     outputs = []
@@ -315,42 +326,36 @@ def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
 
 
 def _slot_table_csv(cfg: dict) -> str:
-    k_values = _distinct(_int_list(cfg, "k_values", "sweep"), "k_values", "sweep")
+    k_values = _distinct(_int_list(cfg, "k_values"), "k_values")
     listed = {f"n_values_k{k}" for k in k_values}
     for key in cfg:
         if key.startswith("n_values_k") and key not in listed:
-            raise ConfigError(f"sweep: key {key!r} names no k listed in 'k_values'")
+            raise ConfigError(f"key {key!r} names no k listed in 'k_values'")
     rows = []
     for k in k_values:
         key = f"n_values_k{k}"
         if key not in cfg:
-            raise ConfigError(f"sweep: slot table needs key {key!r}")
+            raise ConfigError(f"slot table needs key {key!r}")
         rows += [(k, n, Design(n, k, OVERLAPPED).slots, Design(n, k, NON_OVERLAPPED).slots)
-                 for n in _distinct(_int_list(cfg, key, "sweep"), key, "sweep")]
-    return csv_text("k,n,overlapped,non_overlapped", zip(*rows))
+                 for n in _distinct(_int_list(cfg, key), key)]
+    return csv_text("k,n,overlapped,non_overlapped", np.array(rows).T)
 
 
 def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
     outputs_wanted = _distinct([str(o) for o in _as_list(cfg.get("outputs", "pcef"))],
-                               "outputs", "sweep")
+                               "outputs")
     for name in outputs_wanted:
         if name not in ("pcef", "alpha_error", "slots"):
-            raise ConfigError(f"sweep: unknown output family {name!r}")
+            raise ConfigError(f"unknown output family {name!r}")
     if outputs_wanted == ["slots"]:
         return [_write(out_dir / "slot_counts.csv", _slot_table_csv(cfg), args.quiet)]
 
-    n = _require(cfg, "n", int, "sweep")
-    k = _require(cfg, "k", int, "sweep")
-    experiment = ExperimentConfig(
-        n=n, k=k, et_db=_energy_grid(cfg, "sweep"),
-        trials=_require(cfg, "trials", int, "sweep"),
-        master_seed=_require(cfg, "seed", int, "sweep", default=0),
-        n0=_require(cfg, "n0", float, "sweep", default=1.0),
-        var_alpha=_alpha_variance(cfg, "sweep"), variants=_variants(cfg))
+    experiment = _experiment(cfg, _energy_grid(cfg))
     # the bound first: a prior it rejects stops the run before any file is written
-    bound = (bound_table(n, k, experiment.et_db, n0=experiment.n0, var_alpha=experiment.var_alpha)
-             if _require(cfg, "bound", bool, "sweep", default=False) else None)
+    bound = (bound_table(experiment.n, experiment.k, experiment.et_db, n0=experiment.n0,
+                         var_alpha=experiment.var_alpha)
+             if _require(cfg, "bound", bool, default=False) else None)
     outputs: list[Path] = []
     if "slots" in outputs_wanted:
         outputs.append(_write(out_dir / "slot_counts.csv", _slot_table_csv(cfg),
@@ -381,22 +386,18 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
 
 def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
-    n_values = _int_list(cfg, "n", "bound")
-    k_values = _int_list(cfg, "k", "bound")
+    n_values, k_values = _int_list(cfg, "n"), _int_list(cfg, "k")
     if len(n_values) != len(k_values):
-        raise ConfigError("bound: 'n' and 'k' lists must pair up one-to-one")
+        raise ConfigError("'n' and 'k' lists must pair up one-to-one")
     pairs = list(zip(n_values, k_values))
     if len(set(pairs)) < len(pairs):
-        raise ConfigError(f"bound: keys 'n' and 'k' must not repeat an (n, k) pair, got {pairs}")
-    grid = _energy_grid(cfg, "bound")
-    n0, var_alpha = _noise_and_prior(_require(cfg, "n0", float, "bound", default=1.0),
-                                     _alpha_variance(cfg, "bound"))
-    # every geometry is checked before one is evaluated and written, so a
-    # rejected one leaves no file behind
-    top = max(energy_from_db(db, n0) for db in grid)
+        raise ConfigError(f"keys 'n' and 'k' must not repeat an (n, k) pair, got {pairs}")
+    grid = _energy_grid(cfg)
+    n0, var_alpha = _require(cfg, "n0", float, default=1.0), _alpha_variance(cfg)
+    # every geometry is checked at the grid's top energy, the largest power,
+    # before one is evaluated and written, so a rejected one leaves no file behind
     for n, k in pairs:
-        design = Design(n, k, OVERLAPPED)
-        _check_bound_range(top / design.power_weight, n0, design.gain_prior(var_alpha))
+        bound_table(n, k, grid[-1:], n0=n0, var_alpha=var_alpha)
     outputs = []
     single = len(pairs) == 1
     for n, k in pairs:
@@ -408,18 +409,9 @@ def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
 
 def cmd_trace(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
-    n = _require(cfg, "n", int, "trace")
-    k = _require(cfg, "k", int, "trace")
-    trials = _require(cfg, "trials", int, "trace")
-    et_db = cfg.get("et_db")
-    if not isinstance(et_db, (int, float)) or isinstance(et_db, bool):
-        raise ConfigError("trace: 'et_db' must be a single energy value in dB")
-    seed = _require(cfg, "seed", int, "trace", default=0)
-    n0 = _require(cfg, "n0", float, "trace", default=1.0)
-    experiment = ExperimentConfig(n=n, k=k, et_db=(_checked(et_db, "et_db", float, "trace"),),
-                                  trials=trials, master_seed=seed, n0=n0,
-                                  var_alpha=_alpha_variance(cfg, "trace"),
-                                  variants=_variants(cfg))
+    if "et_db" not in cfg or isinstance(cfg["et_db"], list):
+        raise ConfigError("'et_db' must be a single energy value in dB")
+    experiment = _experiment(cfg, _energy_grid(cfg))
     outputs = [out_dir / f"traces_{variant}.jsonl" for variant in experiment.variants]
     # each block of trials is drawn once and traced by every variant, its
     # records written before the next block is drawn, so memory does not
@@ -467,12 +459,20 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    error = _run(args)
+    if error is None:
+        return 0
+    print(f"error: {args.command}: {error}", file=sys.stderr)
+    return 2
+
+
+def _run(args) -> str | None:
+    """Run the parsed command; ``None``, or the message it was rejected with."""
     if args.workers < 1:
-        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
-        return 2
+        return f"--workers must be at least 1, got {args.workers}"
     started = time.perf_counter()
     out_dir = Path(args.out)
-    # the directories this run creates, deepest first: a run that exits 2
+    # the directories this run creates, deepest first: a run that is rejected
     # removes them again, so a rejected config leaves none behind
     missing = []
     for path in (out_dir, *out_dir.parents):
@@ -494,18 +494,17 @@ def main(argv=None) -> int:
             outputs = _COMMANDS[args.command](cfg, args, run_info)
             _write_manifest(out_dir, args.command, config_name, cfg, args,
                             time.perf_counter() - started, outputs, run_info)
-            return 0
-        except (ConfigError, ValueError) as exc:
+            return None
+        except ValueError as exc:  # ConfigError is one
             error = str(exc)
         except OSError as exc:
             # reading the config raises ConfigError, so this is an output
             # file, which output_file names
             error = f"cannot write '{exc.filename}': {exc.strerror}"
-    print(f"error: {error}", file=sys.stderr)
     for path in missing:  # one that holds a file written before the error stays
         with contextlib.suppress(OSError):
             path.rmdir()
-    return 2
+    return error
 
 
 if __name__ == "__main__":

@@ -91,9 +91,9 @@ ALPHA_FINAL = "final_stage_only"
 PILOT = 1.0 + 0.0j
 
 
-def _check_variant(variant: str) -> None:
+def _check_variant(variant: str, key: str = "variant") -> None:
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        raise ValueError(f"{key}: unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
 def stage_count(n: int, k: int) -> int:
@@ -103,15 +103,15 @@ def stage_count(n: int, k: int) -> int:
     sub-range sizes ambiguous.
     """
     if k < 2:
-        raise ValueError(f"sub-range count must be at least 2, got {k}")
+        raise ValueError(f"k: sub-range count must be at least 2, got {k}")
     if n < k:
-        raise ValueError(f"antenna count {n} must be at least k = {k}")
+        raise ValueError(f"n: antenna count {n} must be at least k = {k}")
     stages = 0
     value = n
     while value > 1:
         value, remainder = divmod(value, k)
         if remainder:
-            raise ValueError(f"antenna count {n} is not a power of {k}")
+            raise ValueError(f"n: antenna count {n} is not a power of {k}")
         stages += 1
     return stages
 
@@ -166,7 +166,7 @@ def _design(n: int, k: int, variant: str) -> Design:
     if variant == OVERLAPPED:
         m = (k + 1).bit_length() - 1
         if (1 << m) - 1 != k:
-            raise ValueError(f"overlapped design needs k = 2^m - 1 sub-ranges, got k = {k}")
+            raise ValueError(f"k: overlapped design needs k = 2^m - 1 sub-ranges, got k = {k}")
     # stage s gives each sub-range n / k^s points and every pattern row has
     # squared norm k/m, so every beam's target profile has gain 1/||p|| = C_s
     gains = tuple(math.sqrt(m * k ** s / n) for s in range(stages))

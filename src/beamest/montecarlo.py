@@ -63,7 +63,6 @@ from .estimator import (
     PILOT,
     Design,
     SearchBatch,
-    _check_powers,
     _check_variant,
     _mmse,
     _record,
@@ -163,14 +162,20 @@ class ExperimentConfig:
             raise ValueError("variants: no variants selected")
         if len(set(self.variants)) < len(self.variants):
             raise ValueError(f"variants must not repeat, got {self.variants}")
+        for variant in self.variants:
+            _check_variant(variant, "variants")
         designs = {variant: Design(self.n, self.k, variant) for variant in self.variants}
         object.__setattr__(self, "alpha_variance",
                            designs[self.variants[0]].gain_prior(var_alpha))
         energies = np.fromiter((energy_from_db(db, n0) for db in self.et_db), float,
                                len(self.et_db))
-        powers = {variant: _check_powers(power_for_energy(energies, self.n, self.k, variant))
+        powers = {variant: power_for_energy(energies, self.n, self.k, variant)
                   for variant in self.variants}
         for variant, design in designs.items():
+            # the grid's first energy, its lowest, gives the least power
+            if not powers[variant][0] > 0:
+                raise ValueError(f"et_db: power constant must be positive, got "
+                                 f"{float(powers[variant][0])} at {self.et_db[0]!r} dB")
             powers[variant].setflags(write=False)
             self._check_gain_range(design.stages, powers[variant])
         object.__setattr__(self, "designs", designs)
@@ -273,7 +278,7 @@ def energy_from_db(db: float, n0: float = 1.0) -> float:
     except OverflowError:
         energy = math.inf
     if not math.isfinite(energy):
-        raise ValueError(f"pilot energy at {db!r} dB (n0 = {n0!r}) is not finite")
+        raise ValueError(f"et_db: pilot energy at {db!r} dB (n0 = {n0!r}) is not finite")
     return energy
 
 

@@ -12,7 +12,7 @@ import pytest
 from reference import read_beam_matrix, reference_channel
 
 from beamest import cli, montecarlo
-from beamest._output import _field, csv_text
+from beamest._output import csv_text
 from beamest.cli import ConfigError, load_config, main, parse_config
 from beamest.estimator import (
     EstimatorConfig,
@@ -94,14 +94,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("preset", ["fig3", "fig4"])
     def test_sweep_presets_build_valid_experiments(self, preset):
         # validate geometry/grid keys without paying for the full trial budget
-        from beamest.montecarlo import ExperimentConfig
-        from beamest.cli import _alpha_variance, _energy_grid, _variants
-
         _, cfg = load_config(preset)
-        experiment = ExperimentConfig(
-            n=cfg["n"], k=cfg["k"], et_db=_energy_grid(cfg, "sweep"),
-            trials=cfg["trials"], master_seed=cfg["seed"], n0=cfg["n0"],
-            var_alpha=_alpha_variance(cfg, "sweep"), variants=_variants(cfg))
+        experiment = cli._experiment(cfg, cli._energy_grid(cfg))
         assert experiment.trials == 10_000
         assert len(experiment.et_db) >= 8
 
@@ -149,8 +143,8 @@ class TestExitCodes:
         path = write_cfg(tmp_path, geometry + "trials = 2\net_db = 10\nbound = true\n")
         out = tmp_path / "huge"
         assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
-        assert capsys.readouterr().err == ("error: n: antenna count is too large: the design's "
-                                           "power constants overflow a float\n")
+        assert capsys.readouterr().err == (f"error: {command}: n: antenna count is too large: "
+                                           "the design's power constants overflow a float\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "trace"])
@@ -160,7 +154,7 @@ class TestExitCodes:
         out = tmp_path / "huge"
         assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
         assert capsys.readouterr().err == (
-            f"error: n: antenna count {3 ** 40} is too large: grid indices are int64, "
+            f"error: {command}: n: antenna count {3 ** 40} is too large: grid indices are int64, "
             "so n must be below 2**63\n")
         assert not out.exists()
 
@@ -362,6 +356,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
         assert out.read_text() == "a file, not a directory\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "bound", "trace"])
+    @pytest.mark.parametrize("keys, named", [
+        (range_keys("0, 10, 2"), "'et_db_min', 'et_db_max', 'et_db_step'"),
+        ("et_db_step = 2\n", "'et_db_step'")], ids=["all-range-keys", "one-range-key"])
+    def test_both_grid_forms_exit_2(self, tmp_path, capsys, command, keys, named):
+        # et_db was used and the range keys dropped without a word
+        path = write_cfg(tmp_path, "n = 9\nk = 3\ntrials = 2\net_db = 6\n" + keys)
+        out = tmp_path / "both"
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err == (
+            f"error: {command}: need either 'et_db' or 'et_db_min/et_db_max/et_db_step', "
+            f"not both; got 'et_db' and {named}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["codebook", "sweep", "bound", "trace"])
+    @pytest.mark.parametrize("text, workers, taken", [
+        ("n = 9\nk = 3\ntrials = 2\net_db = 6\n", 0, False),
+        (None, 1, False),
+        ("n 9\n", 1, False),
+        ("n = 9\nk = 4\ntrials = 2\net_db = 6\n", 1, False),
+        ("n = 9\nk = 3\ntrials = 2\net_db = nan\nvariant = diagonal\n", 1, False),
+        ("n = 9\nk = 3\ntrials = 2\net_db = 6\n", 1, True)],
+        ids=["workers", "missing-config", "malformed", "library-gate", "library-field",
+             "out-is-a-file"])
+    def test_every_rejection_names_the_command(self, tmp_path, capsys, command, text, workers,
+                                               taken):
+        # library errors reached the user with no command at all
+        path = tmp_path / "none.cfg" if text is None else write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        if taken:
+            out.write_text("a file\n")
+        assert run_cli(command, "--config", path, "--out", out, "--workers", workers,
+                       "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command}: ") and err.count("\n") == 1, err
 
     def test_unknown_command_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -859,48 +889,38 @@ WRITER_RUNS = {
 
 
 class TestCsvText:
-    """The one table writer against the per-field formatting each file had:
-    ``repr`` of a float, ``str`` of an int, ``str(int(...))`` of a bool."""
+    """The one table writer: numpy columns, each formatted by one ``tolist``,
+    ``repr`` of a float, ``str`` of an int, 0 or 1 for a bool."""
 
     FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e16, -2.5e-300,
               1.7976931348623157e308]
     INTS = [0, -3, 7, 12, 2**32, 2**62, -(2**63), 5, 9, 11]
     BOOLS = [True, False, False, True, True, False, True, False, False, True]
 
-    def _per_field(self, floats, ints, bools):
-        rows = [",".join([repr(f), str(i), str(int(b))]) for f, i, b in zip(floats, ints, bools)]
-        return "\n".join(["f,i,b", *rows]) + "\n"
-
-    def test_lists_arrays_and_numpy_scalars(self):
-        expected = self._per_field(self.FLOATS, self.INTS, self.BOOLS)
-        columns = (self.FLOATS, self.INTS, self.BOOLS)
-        assert csv_text("f,i,b", columns) == expected
-        assert csv_text("f,i,b", [np.array(c) for c in columns]) == expected
-        # numpy 2's repr of a scalar is np.float64(...), never written
-        scalars = [list(np.array(c)) for c in columns]
-        assert type(scalars[0][0]) is np.float64
-        assert csv_text("f,i,b", scalars) == expected
+    def test_float_int_and_bool_arrays(self):
+        rows = [",".join([repr(f), str(i), str(int(b))])
+                for f, i, b in zip(self.FLOATS, self.INTS, self.BOOLS)]
+        columns = [np.array(c) for c in (self.FLOATS, self.INTS, self.BOOLS)]
+        assert [c.dtype.kind for c in columns] == ["f", "i", "b"]
+        assert csv_text("f,i,b", columns) == "\n".join(["f,i,b", *rows]) + "\n"
 
     def test_bool_columns_match_per_field(self):
-        # a bool array goes through one tolist; each field must be _field's,
-        # a byte other than 0 or 1 included (it reads as True)
+        # a bool array goes through one tolist; a set bool writes 1, a byte
+        # other than 0 or 1 included (it reads as True), and a clear one 0
         bools = np.array(self.BOOLS)
         odd = np.frombuffer(bytes([2, 0, 255, 1]), dtype=bool)
         for column in (bools, bools[::-3], odd, np.zeros(0, dtype=bool)):
-            assert csv_text("b", (column,)) == "\n".join(["b", *map(_field, column)]) + "\n"
+            fields = ["1" if byte else "0" for byte in column.view(np.uint8).tolist()]
+            assert csv_text("b", (column,)) == "".join(["b\n", *(f"{f}\n" for f in fields)])
             assert csv_text("b,f", (column, np.zeros(len(column)))) == "".join(
-                ["b,f\n", *(f"{_field(b)},0.0\n" for b in column)])
-
-    def test_mixed_and_large_python_numbers(self):
-        # each field by its own type; an int beyond int64 stays exact
-        assert csv_text("x", ([1, 1.0, 10**20, False, np.float32(0.1)],)) == (
-            "x\n1\n1.0\n100000000000000000000\n0\n" + repr(float(np.float32(0.1))) + "\n")
+                ["b,f\n", *(f"{f},0.0\n" for f in fields)])
+        assert csv_text("b", (odd,)) == "b\n1\n0\n1\n1\n"
 
     def test_no_rows_and_unequal_columns(self):
-        assert csv_text("a,b", ([], [])) == "a,b\n"
+        assert csv_text("a,b", (np.zeros(0), np.zeros(0, dtype=int))) == "a,b\n"
         assert csv_text("a,b", ()) == "a,b\n"
         with pytest.raises(ValueError):
-            csv_text("a,b", ([1.0, 2.0], [1.0]))
+            csv_text("a,b", (np.array([1.0, 2.0]), np.array([1.0])))
 
 
 class TestOutputFiles:
@@ -1001,7 +1021,7 @@ class TestUnwritableOutputs:
         blocked = tmp_path / "out" / FIRST_OUTPUTS[command][1]
         blocked.mkdir(parents=True)
         assert self._run(tmp_path, command, blocked.parent) == 2
-        assert capsys.readouterr().err == (f"error: cannot write '{blocked}': "
+        assert capsys.readouterr().err == (f"error: {command}: cannot write '{blocked}': "
                                            f"{os.strerror(errno.EISDIR)}\n")
 
     @pytest.mark.parametrize("command", sorted(FIRST_OUTPUTS))
@@ -1009,7 +1029,7 @@ class TestUnwritableOutputs:
         blocked = tmp_path / "out" / f"{command}_manifest.json"
         blocked.mkdir(parents=True)
         assert self._run(tmp_path, command, blocked.parent) == 2
-        assert capsys.readouterr().err == (f"error: cannot write '{blocked}': "
+        assert capsys.readouterr().err == (f"error: {command}: cannot write '{blocked}': "
                                            f"{os.strerror(errno.EISDIR)}\n")
         assert (blocked.parent / FIRST_OUTPUTS[command][1]).is_file()
 
@@ -1021,5 +1041,5 @@ class TestUnwritableOutputs:
         out.mkdir()
         (out / "bound.csv").symlink_to("/dev/full")
         assert self._run(tmp_path, "bound", out) == 2
-        assert capsys.readouterr().err == (f"error: cannot write '{out / 'bound.csv'}': "
+        assert capsys.readouterr().err == (f"error: bound: cannot write '{out / 'bound.csv'}': "
                                            f"{os.strerror(errno.ENOSPC)}\n")

@@ -453,6 +453,19 @@ class TestDesign:
         for array in (design.places, design.patterns.values):
             assert not array.flags.writeable
 
+    @pytest.mark.parametrize("n, k, variant, message", [
+        (16, 4, OVERLAPPED, "k: overlapped design needs k = 2^m - 1 sub-ranges, got k = 4"),
+        (27, 1, OVERLAPPED, "k: sub-range count must be at least 2, got 1"),
+        (26, 3, NON_OVERLAPPED, "n: antenna count 26 is not a power of 3"),
+        (2, 3, OVERLAPPED, "n: antenna count 2 must be at least k = 3"),
+        (27, 3, "diagonal",
+         "variant: unknown variant 'diagonal'; expected one of ('overlapped', 'non_overlapped')")],
+        ids=["k-not-2^m-1", "k-below-2", "n-not-a-power", "n-below-k", "unknown-variant"])
+    def test_errors_name_their_field(self, n, k, variant, message):
+        with pytest.raises(ValueError) as raised:
+            Design(n, k, variant)
+        assert str(raised.value) == message
+
 
 # One case per geometry rejection: (n, k, variant, message naming the field).
 GEOMETRY_REJECTIONS = {

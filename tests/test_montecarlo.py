@@ -20,6 +20,7 @@ from beamest.estimator import (
     PILOT,
     Design,
     EstimatorConfig,
+    estimate_alpha_mmse,
     run_estimation,
     stage_count,
     trace_record,
@@ -412,6 +413,14 @@ class TestEnergyFromDb:
         with pytest.raises(ValueError, match=f"{db!r} dB"):
             energy_from_db(db, n0)
 
+    def test_message_names_et_db(self):
+        message = "et_db: pilot energy at nan dB (n0 = 1.0) is not finite"
+        for reject in (lambda: energy_from_db(math.nan), lambda: bound_table(27, 3, [math.nan]),
+                       lambda: _cfg(n=27, et_db=(math.nan,))):
+            with pytest.raises(ValueError) as raised:
+                reject()
+            assert str(raised.value) == message
+
     def test_sweep_and_bound_reject_it(self):
         with pytest.raises(ValueError, match="4000.0 dB"):
             run_sweep(_cfg(et_db=(10.0, 4000.0), trials=2))
@@ -485,6 +494,39 @@ class TestRunSweep:
                         (table.relerr_final_success[q], final[~fails].mean())):
                     assert got == pytest.approx(expected, rel=1e-9)
 
+    def test_error_rows_are_relative_errors_of_single_runs(self):
+        # each trial's error row entry is |alpha_hat - alpha| / |alpha| at a
+        # finite prior, bit for bit, its alpha_hat from run_estimation on the
+        # trial's channel and noise stream and the estimate of its last
+        # stage's value alone; nothing here reads the sweep's error formula
+        # (numpy's complex abs, which the rows use, may differ from Python's
+        # hypot in the last bit, so the oracle takes np.abs too)
+        cfg = _cfg(n=27, et_db=(8.0, 20.0, 32.0), trials=200, master_seed=4093)
+        outcomes = sweep_outcomes(cfg, 0, cfg.trials)
+        channels = [sample_channel(cfg, trial) for trial in range(cfg.trials)]
+        alpha = np.array([channel.alpha for channel in channels])
+        for variant in cfg.variants:
+            fails, err_mmse, err_final = outcomes[variant]
+            for q, db in enumerate(cfg.et_db):
+                p_t = power_for_energy(energy_from_db(db, cfg.n0), cfg.n, cfg.k, variant)
+                ecfg = EstimatorConfig(n=cfg.n, k=cfg.k, p_t=p_t, n0=cfg.n0,
+                                       var_alpha=cfg.alpha_variance, variant=variant)
+                traces = [run_estimation(channel, ecfg,
+                                         np.random.default_rng(noise_stream(cfg, trial, variant)))
+                          for trial, channel in enumerate(channels)]
+                mmse = np.array([trace.alpha_hat for trace in traces])
+                final = np.array([estimate_alpha_mmse(trace.selected_values[-1:], p_t, PILOT,
+                                                      cfg.n0, cfg.alpha_variance)
+                                  for trace in traces])
+                for rows, hats in ((err_mmse, mmse), (err_final, final)):
+                    expected = np.abs(hats - alpha) / np.abs(alpha)
+                    assert rows[q].tobytes() == expected.tobytes(), (variant, db)
+                assert fails[q].tolist() == [
+                    (trace.theta_hat, trace.phi_hat) != (channel.theta, channel.phi)
+                    for trace, channel in zip(traces, channels)]
+            # misses occur at the lowest point, so their rows are checked too
+            assert 0 < fails[0].sum() < cfg.trials
+
     def test_worker_split_bit_identical(self):
         cfg = _cfg(n=9, et_db=(4.0, 12.0), trials=120)
         serial = run_sweep(cfg, workers=1)
@@ -555,8 +597,14 @@ class TestRunSweep:
         ({"trials": 0}, "trials: trial count must be at least 1, got 0"),
         ({"trials": 2**32 + 1}, "trials: trial count must be at most 2**32, got 4294967297"),
         ({"master_seed": -1}, "master_seed: master seed must be nonnegative, got -1"),
-        ({"variants": ()}, "variants: no variants selected")],
-        ids=["empty-grid", "falling-grid", "no-trials", "many-trials", "seed", "variants"])
+        ({"variants": ()}, "variants: no variants selected"),
+        ({"et_db": (math.nan,)}, "et_db: pilot energy at nan dB (n0 = 1.0) is not finite"),
+        ({"et_db": (-4000.0, 10.0)},
+         "et_db: power constant must be positive, got 0.0 at -4000.0 dB"),
+        ({"variants": ("foo",)},
+         "variants: unknown variant 'foo'; expected one of ('overlapped', 'non_overlapped')")],
+        ids=["empty-grid", "falling-grid", "no-trials", "many-trials", "seed", "variants",
+             "nan-energy", "zero-power", "unknown-variant"])
     def test_errors_name_their_field(self, fields, message):
         with pytest.raises(ValueError) as raised:
             _cfg(**fields)
@@ -691,8 +739,8 @@ def test_aggregate_matches_per_point_rows(preset):
                                master_seed=5)
     else:  # the preset's geometry, grid and seed at a smaller trial budget
         _, raw = cli.load_config(preset)
-        cfg = ExperimentConfig(n=raw["n"], k=raw["k"], et_db=cli._energy_grid(raw, "sweep"),
-                               trials=3000, master_seed=raw["seed"])
+        raw["trials"] = 3000
+        cfg = cli._experiment(raw, cli._energy_grid(raw))
     counts, partials = _sweep_chunk(cfg, 0, cfg.trials)
     _assert_rows_match_reference(cfg, _aggregate(cfg, counts, partials),
                                  sweep_outcomes(cfg, 0, cfg.trials))
