@@ -11,24 +11,20 @@ Random streams are keyed ``(master seed, key...)`` through
 ``SeedSequence`` seed words of a whole block of ``(trial, key)`` streams at
 once, bit for bit: it takes the master seed's mixed pool from numpy's own
 ``SeedSequence`` and replicates only the spawn-key mixing and the output
-hash.  :func:`substream_states` turns them into PCG64 start states, one
-``uint64`` array of 64-bit state and increment words, and sweeps reseat one
-generator with its rows through :func:`reseater` instead of building a
-generator per stream, filling each stream's draws straight into a block
-buffer.  A :class:`StreamSeed` seeds one stream's generator from its hashed
-words; :mod:`beamest.montecarlo` keeps the per-trial blocks they come from.
+hash.  A :class:`StreamSeed` holds one stream's words, and
+:func:`stream_generators` hands each to numpy's own ``PCG64`` constructor,
+so every stream's generator is numpy's, seeded by numpy;
+:mod:`beamest.montecarlo` keeps the per-trial blocks the words come from.
 Gains and slot noise alike are complex Gaussian by one rule,
 :func:`_complex_gaussian`, bit for bit ``Generator.normal``'s.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import numbers
 import operator
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,9 +37,8 @@ __all__ = [
     "StreamSeed",
     "build_channel",
     "measure_block",
-    "reseater",
+    "stream_generators",
     "substream",
-    "substream_states",
 ]
 
 UNIT_NORM_TOL = 1e-9
@@ -255,17 +250,12 @@ def substream(master_seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=tuple(key))
 
 
-# numpy.random.SeedSequence's pool size and hash constants (numpy >= 1.19),
-# and the multiplier of PCG64's 128-bit LCG.
+# numpy.random.SeedSequence's pool size and hash constants (numpy >= 1.19).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_PCG64_MULT_HI, _PCG64_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-# uint64 scalars only: a Python int would let numpy < 2 promote the limbs to float64
-_LOW32 = np.uint64(_MASK32)
-_ONE, _SHIFT32, _SHIFT63 = np.uint64(1), np.uint64(32), np.uint64(63)
 
 
 def _constant_pairs(init: int, mult: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,33 +319,7 @@ def _seed_words(master_seed: int, trials, keys) -> np.ndarray:
     # eight hashed pool words, paired little-endian
     out = _hash(np.concatenate([pool, pool]), *_OUTPUT_CONSTANTS)
     out = out.astype(np.uint64)
-    return out[0::2] | (out[1::2] << _SHIFT32)
-
-
-def substream_states(master_seed: int, trials, keys) -> np.ndarray:
-    """PCG64 start states of ``substream(master_seed, trial, key)`` for every key and trial.
-
-    Returns a ``(len(keys), len(trials), 4)`` ``uint64`` array whose row
-    ``[j, i]`` holds the words ``[state_lo, state_hi, inc_lo, inc_hi]`` of
-    ``np.random.PCG64(substream(master_seed, trials[i], keys[j])).state``,
-    bit for bit: the seed words of :func:`_seed_words`, then PCG64's seeding
-    on 64-bit limbs.  Trial indices and keys must each fit one 32-bit word.
-    """
-    return _pcg64_states(_seed_words(master_seed, trials, keys))
-
-
-def _pcg64_states(words: np.ndarray) -> np.ndarray:
-    """PCG64's seeding on 64-bit limbs: start states ``[state_lo, state_hi,
-    inc_lo, inc_hi]`` on the last axis from :func:`_seed_words`' four words on
-    the first."""
-    state_hi, state_lo, seq_hi, seq_lo = words
-    # PCG64 seeding: inc = 2 initseq + 1, state = (inc + initstate) MULT + inc
-    inc_lo = (seq_lo << _ONE) | _ONE
-    inc_hi = (seq_hi << _ONE) | (seq_lo >> _SHIFT63)
-    lo, hi = _add128(inc_lo, inc_hi, state_lo, state_hi)
-    lo, hi = _mul128(lo, hi, _PCG64_MULT_LO, _PCG64_MULT_HI)
-    lo, hi = _add128(lo, hi, inc_lo, inc_hi)
-    return np.stack([lo, hi, inc_lo, inc_hi], axis=-1)
+    return out[0::2] | (out[1::2] << np.uint64(32))
 
 
 class StreamSeed:
@@ -364,8 +328,8 @@ class StreamSeed:
     It answers the one request a bit generator makes, ``generate_state(4,
     np.uint64)``, with a copy of the words, so the generator draws what the
     ``SeedSequence`` gives; any other request raises ``TypeError``, and it
-    does not spawn.  Bit generators take it once :mod:`beamest.montecarlo`
-    has registered it on a subclass of numpy's ``ISeedSequence``.
+    does not spawn.  Bit generators take it once :func:`_seed_interface` has
+    registered it on a subclass of numpy's ``ISeedSequence``.
     """
 
     __slots__ = ("_words",)
@@ -380,88 +344,20 @@ class StreamSeed:
         return self._words.copy()
 
 
-def _add128(a_lo, a_hi, b_lo, b_hi):
-    """``a + b mod 2**128`` on ``uint64`` limbs."""
-    lo = a_lo + b_lo
-    return lo, a_hi + b_hi + (lo < a_lo).astype(np.uint64)
-
-
-def _mul128(a_lo, a_hi, b_lo, b_hi):
-    """``a * b mod 2**128`` on ``uint64`` limbs, carrying through 32-bit partial products."""
-    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _SHIFT32, b_lo & _LOW32, b_lo >> _SHIFT32
-    middle = (a0 * b0 >> _SHIFT32) + (a0 * b1 & _LOW32) + (a1 * b0 & _LOW32)
-    carry = a1 * b1 + (a0 * b1 >> _SHIFT32) + (a1 * b0 >> _SHIFT32) + (middle >> _SHIFT32)
-    return a_lo * b_lo, carry + a_lo * b_hi + a_hi * b_lo
-
-
-def _state_views(bit_generator: np.random.PCG64) -> tuple[np.ndarray, np.ndarray]:
-    """``uint64`` views of a PCG64's ``[state_lo, state_hi, inc_lo, inc_hi]``
-    words and of its buffered half-word.
-
-    ``ctypes.state_address`` points at numpy's ``pcg64_state``: a pointer to
-    the 128-bit state and increment, then the ``has_uint32`` flag and the
-    ``uinteger`` half-word, which one ``uint64`` covers.  The views do not
-    keep ``bit_generator`` alive.
-    """
-    head = np.ctypeslib.as_array(
-        (ctypes.c_uint64 * 2).from_address(bit_generator.ctypes.state_address))
-    pointer = int(head[0])
-    # the words are a member of the bit generator object itself; follow no
-    # first word that points elsewhere
-    if not id(bit_generator) <= pointer <= id(bit_generator) + sys.getsizeof(bit_generator) - 32:
-        raise ValueError("PCG64 state does not point into the bit generator")
-    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(pointer)), head[1:]
-
-
-def _setter_state(row: np.ndarray) -> dict:
-    """The PCG64 ``state`` dict of one row of :func:`substream_states`."""
-    state_lo, state_hi, inc_lo, inc_hi = row.tolist()
-    return {"bit_generator": "PCG64",
-            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": 0, "uinteger": 0}
-
-
 @functools.cache
-def _direct_reseat_works() -> bool:
-    """Whether :func:`_state_views` reads and writes PCG64 states in this process.
-
-    The layout is numpy's, so it is probed once: a state set through the
-    ``state`` setter must read back through the views, and one written
-    through the views must read back through ``state``.  Where ``pcg128_t``
-    is an emulated ``{high, low}`` struct the words come out swapped.
-    """
-    probe = np.random.PCG64()
-    try:
-        words, buffered = _state_views(probe)
-    except (AttributeError, TypeError, ValueError):
-        return False
-    known = np.array([0xFEDCBA9876543210, 0x0123456789ABCDEF,
-                      0xECA86420FDB97531, 0x13579BDF02468ACE], dtype=np.uint64)
-    probe.state = {**_setter_state(known), "has_uint32": 1, "uinteger": 7}
-    if words.tolist() != known.tolist() or buffered.tolist() != [7 << 32 | 1]:
-        return False
-    words[:] = known[::-1]
-    buffered[0] = 0
-    return probe.state == _setter_state(known[::-1])
+def _seed_interface() -> type:
+    """A subclass of numpy's ``ISeedSequence``, made and kept once per process,
+    that bit generators take :class:`StreamSeed` through: ``isinstance``
+    caches a subclass's answer, and importing the package loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+    interface = type(ISeedSequence)("StreamSeeds", (ISeedSequence,), {})
+    interface.register(StreamSeed)
+    return interface
 
 
-def reseater(bit_generator: np.random.PCG64):
-    """Function that reseats ``bit_generator`` onto one row of :func:`substream_states`.
-
-    It writes the row straight into the generator's state where the
-    once-per-process probe :func:`_direct_reseat_works` passes, and goes
-    through the ``state`` setter where it fails.  Either way it clears the
-    buffered half-word, as the setter does: a bounded ``integers`` draw may
-    leave one behind.
-    """
-    if _direct_reseat_works():
-        words, buffered = _state_views(bit_generator)
-
-        def reseat(row):
-            words[:] = row
-            buffered[0] = 0
-        reseat.bit_generator = bit_generator  # the views alone do not keep it alive
-    else:
-        def reseat(row):
-            bit_generator.state = _setter_state(row)
-    return reseat
+def stream_generators(words: np.ndarray):
+    """numpy's own ``Generator(PCG64(StreamSeed(row)))`` for each row of
+    seed words ``words`` ``(count, 4)``, made as the result is iterated:
+    each draws what a generator seeded with the row's ``SeedSequence`` draws."""
+    _seed_interface()
+    return (np.random.Generator(np.random.PCG64(StreamSeed(row))) for row in words)

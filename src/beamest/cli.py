@@ -17,9 +17,11 @@ sweep, the estimation-run throughput.  Commands put such run facts in a
 Data tables are comma-separated with a header row; complex values serialize
 as ``re<+/->imj``.
 
-The commands check only what the config format adds (key kinds, lists, the
-energy grid's two exclusive forms); the library's gates, where each object is
-built, check the rest and name the field.  A rejected input raises
+Before any command runs, every key a config holds is checked for what the
+config format adds (key kinds, lists, variant and output names, the energy
+grid's two exclusive forms), so a bad value of a key the command does not use
+is rejected too; the library's gates, where each object is built, check the
+ranges of the values a command uses and name the field.  A rejected input raises
 ``ValueError`` (``ConfigError`` is one); :func:`main` prints it, or an output
 file that cannot be written, as one line ``error: <command>: <message>`` and
 exits 2.
@@ -50,6 +52,7 @@ from .estimator import (
     OVERLAPPED,
     VARIANTS,
     Design,
+    _check_variant,
     leftmost_path,
     run_estimation,  # noqa: F401 -- benchmarks/workloads.py wraps cli.run_estimation
     stage_count,  # noqa: F401 -- benchmarks/workloads.py wraps cli.stage_count
@@ -82,6 +85,9 @@ KNOWN_KEYS = {
     "et_db", "et_db_min", "et_db_max", "et_db_step", "bound", "variant",
     "k_values",
 }
+
+# The kind of each scalar key, whichever command reads it.
+_KINDS = {"trials": int, "seed": int, "n0": float, "bound": bool}
 
 # Most points an et_db_min/et_db_max/et_db_step range may expand to.
 MAX_GRID_POINTS = 10 ** 6
@@ -236,6 +242,34 @@ def _alpha_variance(cfg: dict) -> float | None:
     return _checked(value, "var_alpha", float)
 
 
+def _output_families(cfg: dict) -> list[str]:
+    names = _distinct([str(o) for o in _as_list(cfg.get("outputs", "pcef"))], "outputs")
+    for name in names:
+        if name not in ("pcef", "alpha_error", "slots"):
+            raise ConfigError(f"unknown output family {name!r}")
+    return names
+
+
+def _check_keys(cfg: dict) -> None:
+    """Check every key ``cfg`` holds with its reader, whichever command runs,
+    so a bad value of a key the command does not use is rejected too; the
+    ranges stay with the library gates of the commands that use the values."""
+    for key, value in cfg.items():
+        if key in _KINDS:
+            _checked(value, key, _KINDS[key])
+        elif key in ("n", "k", "k_values") or key.startswith("n_values_k"):
+            _int_list(cfg, key)
+        elif key == "variant":
+            _check_variant(value, key)
+        elif key == "variants":
+            for name in _as_list(value):
+                _check_variant(name, key)
+    _output_families(cfg)
+    _alpha_variance(cfg)
+    if any(key.startswith("et_db") for key in cfg):
+        _energy_grid(cfg)
+
+
 def _variants(cfg: dict) -> tuple[str, ...]:
     return tuple(_as_list(cfg.get("variants", list(VARIANTS))))
 
@@ -343,11 +377,7 @@ def _slot_table_csv(cfg: dict) -> str:
 
 def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
-    outputs_wanted = _distinct([str(o) for o in _as_list(cfg.get("outputs", "pcef"))],
-                               "outputs")
-    for name in outputs_wanted:
-        if name not in ("pcef", "alpha_error", "slots"):
-            raise ConfigError(f"unknown output family {name!r}")
+    outputs_wanted = _output_families(cfg)
     if outputs_wanted == ["slots"]:
         return [_write(out_dir / "slot_counts.csv", _slot_table_csv(cfg), args.quiet)]
 
@@ -490,6 +520,7 @@ def _run(args) -> str | None:
                 # resolve the override into the config so the manifest echo
                 # alone reproduces the run
                 cfg["seed"] = args.seed
+            _check_keys(cfg)
             run_info: dict = {}
             outputs = _COMMANDS[args.command](cfg, args, run_info)
             _write_manifest(out_dir, args.command, config_name, cfg, args,

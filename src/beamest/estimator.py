@@ -199,6 +199,34 @@ def _check_powers(p_t) -> np.ndarray:
     return powers
 
 
+def _check_gain_range(stages: int, p_t, n0: float, var_alpha: float, places) -> None:
+    """``ValueError`` naming ``n0`` or ``var_alpha`` unless the gain estimate
+    ``F conj(pilot) s / D`` of :func:`estimate_alpha_mmse`, evaluated left to
+    right, stays in float range at each power of ``p_t`` (a float or an
+    array), ``places`` naming each power's place in the message.
+
+    ``F = var_alpha sqrt(p_t)``, ``D = S var_alpha p_t + n0`` (``S =
+    stages``, or 1 for the final-stage estimate), and the sum ``s`` of ``S``
+    selected values has standard deviation ``sqrt(S D)`` on track, less off
+    track.  ``var_alpha p_t + n0`` must be normal (else naming ``n0``; both
+    zero fails too), and ``F`` normal, or 0 at ``var_alpha = 0``, with ``F *
+    64 sqrt(S D)`` finite (else naming ``var_alpha``): a sum 64 standard
+    deviations out has probability ``exp(-4096)``.
+    """
+    tiny = np.finfo(float).tiny
+    factor = var_alpha * np.sqrt(p_t)
+    with np.errstate(over="ignore"):
+        top = factor * (64.0 * np.sqrt(stages * (stages * var_alpha * p_t + n0)))
+    for key, name, value, bad, what in (
+            ("n0", "noise variance", n0, ~(var_alpha * p_t + n0 >= tiny),
+             "leaves the gain estimate's divisor var_alpha * p_t + n0 subnormal"),
+            ("var_alpha", "gain prior variance", var_alpha,
+             ~(np.isfinite(top) & ((factor >= tiny) | (var_alpha == 0.0))),
+             "takes the gain estimate out of float range")):
+        if bad.any():
+            raise ValueError(f"{key}: {name} {value!r} {what} at {places[int(np.argmax(bad))]}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """One estimation run's geometry, power, noise and prior.
@@ -207,7 +235,8 @@ class EstimatorConfig:
     the geometry's :class:`Design` as :attr:`design`; real scalars ``p_t``,
     ``n0`` and ``var_alpha`` (stored as ``float``; none a bool, a string or an
     array), ``p_t`` finite and positive, ``n0`` and ``var_alpha`` finite and
-    nonnegative.  Each ``ValueError`` names the field, and
+    nonnegative, and the gain estimate in float range at ``p_t``
+    (:func:`_check_gain_range`).  Each ``ValueError`` names the field, and
     :func:`run_estimation` reads every geometry constant from :attr:`design`.
     """
 
@@ -228,6 +257,8 @@ class EstimatorConfig:
         _nonnegative("n0", self.n0, "noise variance")
         _nonnegative("var_alpha", self.var_alpha, "gain prior variance")
         _check_powers(self.p_t)
+        _check_gain_range(self.design.stages, self.p_t, self.n0, self.var_alpha,
+                          [f"p_t = {self.p_t!r}"])
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -5,10 +5,10 @@ and both search variants consume that same draw, so curve comparisons are
 paired.  Noise streams are keyed per ``(trial, variant)`` and reused across
 energy points: one draw of all ``S`` stages' ``m x m`` slot noise per
 ``(trial, variant)`` yields exactly the numbers ``S`` per-stage draws would.
-A block of trials hashes the start states of all its streams at once
-(:func:`~beamest.arrays.substream_states`) and reseats its one generator
-(:func:`_stream_seat`) onto each in turn, so :func:`_draw_block` draws
-exactly what a generator seeded per trial with
+A block of trials hashes the seed words of all its streams at once
+(:func:`~beamest.arrays._seed_words`) and seeds numpy's own generator on
+each (:func:`~beamest.arrays.stream_generators`), so :func:`_draw_block`
+draws exactly what a generator seeded per trial with
 :func:`~beamest.arrays.substream` gives; :func:`_draw_channels` is its channel
 half.  The per-trial calls :func:`sample_channel` and :func:`noise_stream`
 read 256-trial blocks from two caches, of seed words (:func:`_block_words`)
@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,15 +45,13 @@ from .analysis import _noise_and_prior, pcef_upper_bound
 from .arrays import (
     ChannelRealization,
     StreamSeed,
-    _LOW32,
     _complex_gaussian,
     _integer,
-    _pcg64_states,
     _real,
+    _seed_interface,
     _seed_words,
-    reseater,
+    stream_generators,
     substream,  # noqa: F401 -- benchmarks/workloads.py wraps montecarlo.substream
-    substream_states,
 )
 from .codebook import format_complex
 from .estimator import (
@@ -63,6 +60,7 @@ from .estimator import (
     PILOT,
     Design,
     SearchBatch,
+    _check_gain_range,
     _check_variant,
     _mmse,
     _record,
@@ -111,16 +109,10 @@ class ExperimentConfig:
     Construction is the run's one gate.  It checks every field (integers
     stored as ``int``, reals as ``float``), builds each variant's ``Design``
     (``designs``), the prior variance in use (``alpha_variance``) and
-    read-only powers over the grid (``powers``), and checks
-    that the gain estimate ``F conj(pilot) s / D`` of
-    :func:`~beamest.estimator.estimate_alpha_mmse`, evaluated left to right,
-    stays in float range: ``F = var_alpha sqrt(p_t)``, ``D = S var_alpha p_t
-    + n0`` (``S = 1`` for the final-stage one), and the sum ``s`` of ``S``
-    selected values has standard deviation ``sqrt(S D)`` on track, less off
-    track.  At every grid power ``var_alpha p_t + n0`` must be normal (else
-    naming ``n0``), and ``F`` normal, or 0 at ``var_alpha = 0``, with
-    ``F * 64 sqrt(S D)`` finite (else naming ``var_alpha``): a sum 64
-    standard deviations out has probability ``exp(-4096)``.  At
+    read-only powers over the grid (``powers``), and checks that the gain
+    estimate stays in float range at every grid power
+    (:func:`~beamest.estimator._check_gain_range`, the rule
+    :class:`~beamest.estimator.EstimatorConfig` applies too).  At
     ``var_alpha = 0`` every gain is 0, so its relative errors are
     ``0/0 = nan``.  Each ``ValueError`` names the field.
     """
@@ -177,42 +169,16 @@ class ExperimentConfig:
                 raise ValueError(f"et_db: power constant must be positive, got "
                                  f"{float(powers[variant][0])} at {self.et_db[0]!r} dB")
             powers[variant].setflags(write=False)
-            self._check_gain_range(design.stages, powers[variant])
+            _check_gain_range(design.stages, powers[variant], n0, self.alpha_variance,
+                              [f"{db!r} dB" for db in self.et_db])
         object.__setattr__(self, "designs", designs)
         object.__setattr__(self, "powers", powers)
-
-    def _check_gain_range(self, stages: int, p_t: np.ndarray) -> None:
-        """The class docstring's range condition at each of the powers ``p_t``."""
-        n0, var_alpha, tiny = self.n0, self.alpha_variance, np.finfo(float).tiny
-        factor = var_alpha * np.sqrt(p_t)
-        with np.errstate(over="ignore"):
-            top = factor * (64.0 * np.sqrt(stages * (stages * var_alpha * p_t + n0)))
-        for key, name, value, bad, what in (
-                ("n0", "noise variance", n0, ~(var_alpha * p_t + n0 >= tiny),
-                 "leaves the gain estimate's divisor var_alpha * p_t + n0 subnormal"),
-                ("var_alpha", "gain prior variance", var_alpha,
-                 ~(np.isfinite(top) & ((factor >= tiny) | (var_alpha == 0.0))),
-                 "takes the gain estimate out of float range")):
-            if bad.any():
-                raise ValueError(f"{key}: {name} {value!r} {what} at "
-                                 f"{self.et_db[int(np.argmax(bad))]!r} dB")
 
 
 # sample_channel and noise_stream read aligned _STREAM_BLOCK-trial blocks from
 # two caches, each keeping its last _CHANNEL_KEYS blocks
 _STREAM_BLOCK = 256
 _CHANNEL_KEYS = 4
-
-
-@functools.cache
-def _seed_interface() -> type:
-    """A subclass of numpy's ``ISeedSequence``, made and kept once per process,
-    that bit generators take :class:`StreamSeed` through: ``isinstance``
-    caches a subclass's answer, and importing the package loads no numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-    interface = type(ISeedSequence)("StreamSeeds", (ISeedSequence,), {})
-    interface.register(StreamSeed)
-    return interface
 
 
 @functools.lru_cache(maxsize=_CHANNEL_KEYS)
@@ -230,8 +196,8 @@ def _block_words(master_seed: int, start: int) -> np.ndarray:
 def _block_channels(master_seed: int, n: int, variance: float, start: int):
     """``(draws, channels)`` of that block: its :func:`_draw_channels` draw per
     trial, and a slot per trial for its ``ChannelRealization``, built on demand."""
-    states = _pcg64_states(_block_words(master_seed, start)[:, _CHANNEL_KEY])
-    theta, phi, alpha = _draw_channels(states, n, variance, _stream_seat())
+    theta, phi, alpha = _draw_channels(_block_words(master_seed, start)[:, _CHANNEL_KEY].T,
+                                       n, variance)
     return tuple(zip(theta.tolist(), phi.tolist(), alpha.tolist())), [None] * _STREAM_BLOCK
 
 
@@ -329,52 +295,40 @@ class ResultTable:
             self.relerr_final_success, trials, self.failures, slots))
 
 
-_seats = threading.local()
+# Lemire's rule keeps a product's low 32 bits (a uint64 scalar: a Python int
+# would let numpy < 2 promote the words to float64)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def _stream_seat():
-    """A function that reseats one generator, never drawn from as seeded, onto
-    a row of ``substream_states`` and returns it: one generator and reseater
-    per thread, made at the thread's first call, since every draw reseats it
-    before reading and a thread makes one draw at a time."""
-    if not hasattr(_seats, "seat"):
-        rng = np.random.default_rng(0)
-        reseat = reseater(rng.bit_generator)
-        _seats.seat = lambda state: reseat(state) or rng
-    return _seats.seat
-
-
-def _draw_channels(channel_states: np.ndarray, n: int, variance: float, seat):
+def _draw_channels(channel_words: np.ndarray, n: int, variance: float):
     """Channels ``(theta, phi, alpha)`` of the trials whose channel streams
-    start at ``channel_states`` (rows of :func:`~beamest.arrays.substream_states`
-    for key 0): angles uniform on the ``n``-point grid, gains complex Gaussian
-    of variance ``variance``.
+    have the seed words ``channel_words`` ``(trials, 4)`` (key 0 of
+    :func:`~beamest.arrays._seed_words`): angles uniform on the ``n``-point
+    grid, gains complex Gaussian of variance ``variance``.
 
     Trial for trial the numbers of a generator seeded with
     ``substream(master_seed, trial, 0)``: ``integers(n, size=2)``, then
     ``normal(scale=sqrt(variance / 2), size=2)`` for the gain's real and
-    imaginary parts, drawn through ``seat`` (:func:`_stream_seat`)."""
-    count = len(channel_states)
+    imaginary parts, drawn through :func:`~beamest.arrays.stream_generators`."""
+    count = len(channel_words)
     # each stream fills its row of a block buffer, scaled once per block
-    words = np.empty(count, dtype=np.uint64)
+    raw = np.empty(count, dtype=np.uint64)
     gains = np.empty((count, 2))
-    for i, state in enumerate(channel_states):
-        rng = seat(state)
-        words[i] = rng.bit_generator.random_raw()
+    for i, rng in enumerate(stream_generators(channel_words)):
+        raw[i] = rng.bit_generator.random_raw()
         rng.standard_normal(out=gains[i])
     # integers(n, size=2) with n <= 2**32 - 1 maps the low, then the high
     # 32 bits of one raw word by Lemire's multiply-shift; it may reject and
     # redraw only when a product's low half is below n, so such trials (and
     # every trial at larger n) draw their channel again through numpy itself
     if n < 1 << 32:
-        products = np.stack([words & _LOW32, words >> np.uint64(32)], axis=1) * np.uint64(n)
+        products = np.stack([raw & _LOW32, raw >> np.uint64(32)], axis=1) * np.uint64(n)
         angles = (products >> np.uint64(32)).astype(np.int64)
         redraw = np.flatnonzero(((products & _LOW32) < n).any(axis=1))
     else:
         angles = np.empty((count, 2), dtype=np.int64)
-        redraw = range(count)
-    for i in redraw:
-        rng = seat(channel_states[i])
+        redraw = np.arange(count)
+    for i, rng in zip(redraw, stream_generators(channel_words[redraw])):
         angles[i] = rng.integers(n, size=2)
         rng.standard_normal(out=gains[i])
     theta, phi = angles.T
@@ -383,20 +337,20 @@ def _draw_channels(channel_states: np.ndarray, n: int, variance: float, seat):
 
 def _draw_block(cfg: ExperimentConfig, trials: range):
     """Engine inputs of ``trials``: ``(theta, phi, alpha, {variant: noise})``,
-    all through one :func:`_stream_seat`: the channels of :func:`_draw_channels`,
-    then each variant's noise, trial for trial the numbers of
-    ``MeasurementNoise(cfg.n0, noise_stream(...)).draw_blocks``."""
+    the channels of :func:`_draw_channels`, then each variant's noise, trial
+    for trial the numbers of ``MeasurementNoise(cfg.n0, noise_stream(...)).draw_blocks``."""
     keys = (_CHANNEL_KEY, *(_VARIANT_KEYS[variant] for variant in cfg.variants))
-    channel_states, *noise_states = substream_states(cfg.master_seed, trials, keys)
-    seat = _stream_seat()
-    theta, phi, alpha = _draw_channels(channel_states, cfg.n, cfg.alpha_variance, seat)
+    # (keys, trials, 4): one contiguous row of seed words per stream
+    words = _seed_words(cfg.master_seed, trials, keys).transpose(1, 2, 0).copy()
+    channel_words, *noise_words = words
+    theta, phi, alpha = _draw_channels(channel_words, cfg.n, cfg.alpha_variance)
     noises = {}
-    for variant, states in zip(cfg.variants, noise_states):
+    for variant, seeds in zip(cfg.variants, noise_words):
         stages, m = cfg.designs[variant].stages, cfg.designs[variant].m
         # a trial's row in C order is standard_normal(size=(stages, 2, m, m))
-        parts = np.empty((len(states) * stages, 2, m, m))
-        for state, row in zip(states, parts.reshape(len(states), -1)):
-            seat(state).standard_normal(out=row)
+        parts = np.empty((len(seeds) * stages, 2, m, m))
+        for rng, row in zip(stream_generators(seeds), parts.reshape(len(seeds), -1)):
+            rng.standard_normal(out=row)
         noises[variant] = _complex_gaussian(parts, cfg.n0).reshape(-1, stages, m, m)
     return theta, phi, alpha, noises
 

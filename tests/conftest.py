@@ -27,14 +27,11 @@ def fig3_sweep(tmp_path_factory):
 @pytest.fixture
 def fresh_blocks():
     """``montecarlo``'s two per-trial block caches, ``(_block_words,
-    _block_channels)``, emptied before the test and again after it, with this
-    thread's stream seat (:func:`~beamest.montecarlo._stream_seat`), so that
-    blocks drawn and seats made under a test's patches serve no later test."""
+    _block_channels)``, emptied before the test and again after it, so that
+    blocks drawn under a test's patches serve no later test."""
     caches = (montecarlo._block_words, montecarlo._block_channels)
     for cache in caches:
         cache.cache_clear()
-    vars(montecarlo._seats).clear()
     yield caches
     for cache in caches:
         cache.cache_clear()
-    vars(montecarlo._seats).clear()

@@ -1,4 +1,3 @@
-import gc
 import math
 import os
 import pickle
@@ -20,11 +19,11 @@ from beamest.arrays import (
     AngleGrid,
     ChannelRealization,
     MeasurementNoise,
+    _seed_words,
     build_channel,
     measure_block,
-    reseater,
+    stream_generators,
     substream,
-    substream_states,
 )
 from beamest.estimator import NON_OVERLAPPED, OVERLAPPED
 from beamest.montecarlo import ExperimentConfig, noise_stream, sample_channel
@@ -282,6 +281,14 @@ def _state_words(state: dict) -> list[int]:
             words["inc"] & (2**64 - 1), words["inc"] >> 64]
 
 
+def _generator_states(master_seed, trials, keys) -> list[list[list[int]]]:
+    """``[key][trial]`` start states, as :func:`_state_words`, of the generators
+    that :func:`stream_generators` makes from :func:`_seed_words`' rows."""
+    words = _seed_words(master_seed, trials, keys)
+    return [[_state_words(rng.bit_generator.state) for rng in stream_generators(words[:, j].T)]
+            for j in range(len(keys))]
+
+
 class TestSubstreamStates:
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(master_seed=st.integers(0, 2**130 - 1),
@@ -294,44 +301,41 @@ class TestSubstreamStates:
     @example(master_seed=2**128, trials=[7], keys=[1])
     @example(master_seed=2**130 - 1, trials=[123456789], keys=[2, 0])
     def test_equals_seeding_through_seed_sequence(self, master_seed, trials, keys):
-        # the 128-bit limb arithmetic must wrap silently in uint64, never
-        # warn of overflow or promote to another dtype
+        # the 32-bit hash arithmetic must wrap silently, never warn of
+        # overflow or promote to another dtype
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states = substream_states(master_seed, trials, keys)
-        assert (states.dtype, states.shape) == (np.dtype(np.uint64), (len(keys), len(trials), 4))
+            words = _seed_words(master_seed, trials, keys)
+            states = _generator_states(master_seed, trials, keys)
+        assert (words.dtype, words.shape) == (np.dtype(np.uint64), (4, len(keys), len(trials)))
         for key, rows in zip(keys, states):
-            assert rows.tolist() == [
+            assert rows == [
                 _state_words(np.random.PCG64(substream(master_seed, trial, key)).state)
                 for trial in trials]
 
-    def test_reseated_generator_draws_the_stream(self):
-        state_lo, state_hi, inc_lo, inc_hi = substream_states(7, [3], [1])[0, 0].tolist()
-        bit_generator = np.random.PCG64()
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state_hi << 64 | state_lo,
-                                         "inc": inc_hi << 64 | inc_lo},
-                               "has_uint32": 0, "uinteger": 0}
-        np.testing.assert_array_equal(np.random.Generator(bit_generator).normal(size=5),
+    def test_generator_draws_the_stream(self):
+        rng, = stream_generators(_seed_words(7, [3], [1])[:, 0].T)
+        np.testing.assert_array_equal(rng.normal(size=5),
                                       np.random.default_rng(substream(7, 3, 1)).normal(size=5))
 
     def test_accepts_ranges_and_empty_blocks(self):
-        from_range = substream_states(5, range(2, 4), (0,))
-        from_list = substream_states(5, [2, 3], [0])
+        from_range = _seed_words(5, range(2, 4), (0,))
+        from_list = _seed_words(5, [2, 3], [0])
         assert from_range.dtype == from_list.dtype == np.uint64
         np.testing.assert_array_equal(from_range, from_list)
-        empty = substream_states(5, [], [0, 1])
-        assert (empty.dtype, empty.shape) == (np.dtype(np.uint64), (2, 0, 4))
+        empty = _seed_words(5, [], [0, 1])
+        assert (empty.dtype, empty.shape) == (np.dtype(np.uint64), (4, 2, 0))
+        assert _generator_states(5, [], [0, 1]) == [[], []]
 
     def test_negative_master_seed_rejected(self):
         with pytest.raises(ValueError, match="master seed"):
-            substream_states(-1, [0], [0])
+            _seed_words(-1, [0], [0])
 
     @pytest.mark.parametrize("trials, keys", [([2**32], [0]), ([-1], [0]), ([0], [-1]),
                                               ([0.5], [0]), ([[0]], [0])])
     def test_words_must_fit_32_bits(self, trials, keys):
         with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-            substream_states(3, trials, keys)
+            _seed_words(3, trials, keys)
 
 
 class TestSeedPool:
@@ -348,9 +352,9 @@ class TestSeedPool:
         trials, keys = [0, 5, 2**32 - 1], [0, 1, 2]
         expected = [[_state_words(np.random.PCG64(substream(master_seed, trial, key)).state)
                      for trial in trials] for key in keys]
-        first = substream_states(master_seed, trials, keys)
-        again = substream_states(master_seed, trials, keys)
-        assert first.tolist() == again.tolist() == expected
+        first = _generator_states(master_seed, trials, keys)
+        again = _generator_states(master_seed, trials, keys)
+        assert first == again == expected
 
 
 # The noise streams' substream keys, written out so that the oracle does not
@@ -495,58 +499,3 @@ class TestStreamSeed:
         assert results == [True] * 4
         for cache in (montecarlo._block_words, montecarlo._block_channels):
             assert cache.cache_info().currsize <= montecarlo._CHANNEL_KEYS
-
-
-def _require_direct_path():
-    if not arrays._direct_reseat_works():
-        pytest.skip("numpy's PCG64 layout here is not the native 128-bit one")
-
-
-class TestReseat:
-    @pytest.mark.parametrize("direct", [True, False], ids=["direct", "setter"])
-    def test_reseat_clears_a_buffered_half_word(self, monkeypatch, direct):
-        if direct:
-            _require_direct_path()
-        monkeypatch.setattr(arrays, "_direct_reseat_works", lambda: direct)
-        rng = np.random.default_rng(9)
-        reseat = reseater(rng.bit_generator)
-        first, second = substream_states(4, [2, 3], [1])[0]
-        reseat(first)
-        # one bounded 32-bit draw keeps the word's other half for the next one
-        rng.integers(2**31, size=1)
-        assert rng.bit_generator.state["has_uint32"] == 1
-        reseat(second)
-        assert rng.bit_generator.state == np.random.PCG64(substream(4, 3, 1)).state
-
-    def test_reseat_keeps_its_generator_alive(self):
-        _require_direct_path()
-        reseat = reseater(np.random.PCG64())  # no other reference to the generator
-        gc.collect()
-        reseat(substream_states(6, [1], [0])[0, 0])
-        assert reseat.bit_generator.state == np.random.PCG64(substream(6, 1, 0)).state
-
-    def test_views_read_and_write_the_state(self):
-        _require_direct_path()
-        bit_generator = np.random.PCG64(5)
-        words, buffered = arrays._state_views(bit_generator)
-        state = bit_generator.state
-        assert words.tolist() == [state["state"]["state"] % 2**64, state["state"]["state"] >> 64,
-                                  state["state"]["inc"] % 2**64, state["state"]["inc"] >> 64]
-        assert buffered.tolist() == [0]
-        words[0] += np.uint64(1)
-        assert bit_generator.state["state"]["state"] == state["state"]["state"] + 1
-
-    @pytest.mark.parametrize("layout", ["swapped", "unreadable"])
-    def test_probe_fails_on_another_layout(self, monkeypatch, layout):
-        _require_direct_path()
-        views = arrays._state_views
-
-        def other_layout(bit_generator):
-            if layout == "unreadable":
-                raise ValueError("PCG64 state does not point into the bit generator")
-            words, buffered = views(bit_generator)
-            # the same memory read in another word order
-            return words[::-1], buffered
-
-        monkeypatch.setattr(arrays, "_state_views", other_layout)
-        assert arrays._direct_reseat_works.__wrapped__() is False

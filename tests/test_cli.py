@@ -126,6 +126,21 @@ class TestExitCodes:
         assert run_cli("sweep", "--config", path, "--out", tmp_path) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["bound", "codebook"])
+    @pytest.mark.parametrize("line, message", [
+        ("variants = foo", "variants: unknown variant 'foo'"),
+        ("variant = diagonal", "variant: unknown variant 'diagonal'"),
+        ("trials = abc", "key 'trials' must be int, got 'abc'"),
+        ("outputs = pcef, nope", "unknown output family 'nope'")])
+    def test_keys_the_command_does_not_read_exit_2(self, tmp_path, capsys, command, line,
+                                                   message):
+        # neither command reads variants, trials or outputs, and bound no variant
+        path = write_cfg(tmp_path, f"n = 27\nk = 3\net_db = 10\n{line}\n")
+        out = tmp_path / "unread"
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert f"error: {command}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sweep", "trace"])
     @pytest.mark.parametrize("seed", ["inf", "1.5"])
     def test_non_integer_seed_exits_2(self, tmp_path, capsys, command, seed):

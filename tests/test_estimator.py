@@ -535,6 +535,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(variant="diagonal")
 
+    def test_zero_prior_and_noise_rejected(self):
+        # run_estimation would divide by var_alpha * p_t + n0 = 0
+        with pytest.raises(ValueError, match=r"^n0: noise variance 0\.0 leaves the gain "
+                           r"estimate's divisor var_alpha \* p_t \+ n0 subnormal at p_t = 1\.0$"):
+            EstimatorConfig(n=27, k=3, p_t=1.0, n0=0.0, var_alpha=0.0)
+
+    def test_prior_out_of_float_range_rejected(self):
+        # run_estimation would return nan+nanj; ExperimentConfig's gate rejects
+        # the same prior by name
+        with pytest.raises(ValueError, match=r"^var_alpha: gain prior variance 1e\+300 takes "
+                           r"the gain estimate out of float range at p_t = 10000000000\.0$"):
+            EstimatorConfig(n=27, k=3, p_t=1e10, n0=1.0, var_alpha=1e300)
+
     @pytest.mark.parametrize("key, value", [
         ("p_t", [1.0, 2.0]), ("p_t", np.array([2.0])), ("p_t", "3"), ("p_t", True),
         ("n0", True), ("var_alpha", True), ("n", 27.0), ("k", 3.0), ("k", True)])

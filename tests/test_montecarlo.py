@@ -1,7 +1,10 @@
+import json
 import math
+import platform
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from reference import reference_channel, reference_search, sweep_outcomes
 from scipy import stats
 
-from beamest import analysis, arrays, cli, montecarlo
+from beamest import analysis, cli, montecarlo
 from beamest.analysis import _rayleigh_terms
 from beamest.arrays import MeasurementNoise, substream
 from beamest.estimator import (
@@ -116,9 +119,9 @@ class TestSampleChannel:
         draws = []
         draw = montecarlo._draw_channels
 
-        def counting(states, n, variance, seat):
-            draws.append(len(states))
-            return draw(states, n, variance, seat)
+        def counting(words, n, variance):
+            draws.append(len(words))
+            return draw(words, n, variance)
 
         monkeypatch.setattr(montecarlo, "_draw_channels", counting)
         cfg = _cfg(n=27)
@@ -333,34 +336,26 @@ class TestBlockDraws:
                     noise[i], expected.draw_blocks(stage_count(cfg.n, cfg.k), (m, m)))
 
 
-def test_one_stream_seat_per_thread(fresh_blocks):
-    # the block draw's generator and reseater are made once per thread, and
-    # a thread's draws match the reference however the threads interleave
-    seat = montecarlo._stream_seat()
-    assert montecarlo._stream_seat() is seat
+def test_threads_drawing_blocks_at_once_get_the_serial_arrays():
+    # every stream's generator is the thread's own, so blocks drawn in
+    # threads that switch often are the arrays one thread draws
     cfg = _cfg(n=27, trials=40)
+    serial = _draw_block(cfg, range(40))
 
-    def draw(_):
-        return montecarlo._stream_seat(), _draw_block(cfg, range(40))[:3]
+    def arrays_of(draw):
+        theta, phi, alpha, noises = draw
+        return [theta.tobytes(), phi.tobytes(), alpha.tobytes(),
+                *(noises[variant].tobytes() for variant in cfg.variants)]
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(draw, range(4), timeout=120))
-    assert all(other is not seat for other, _ in results)
-    channels = [reference_channel(cfg, trial) for trial in range(40)]
-    for _, (theta, phi, alpha) in results:
-        assert theta.tolist() == [c.theta for c in channels]
-        assert phi.tolist() == [c.phi for c in channels]
-        assert alpha.tolist() == [c.alpha for c in channels]
-
-
-class TestBlockDrawsThroughSetter(TestBlockDraws):
-    """The same checks with the layout probe failed, so every stream is
-    reseated through the PCG64 ``state`` setter."""
-
-    @pytest.fixture(autouse=True)
-    def _setter_path(self, monkeypatch, fresh_blocks):
-        # sample_channel draws its blocks afresh, through the setter too
-        monkeypatch.setattr(arrays, "_direct_reseat_works", lambda: False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda _: arrays_of(_draw_block(cfg, range(40))),
+                                    range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [arrays_of(serial)] * 8
 
 
 class TestFailureIndicator:
@@ -928,6 +923,47 @@ def _random_rows(rng, pool, rows, width):
             exponents = rng.integers(low, min(1024, low + rng.integers(1, 1200)), width)
             row[:] = np.ldexp(0.5 + rng.random(width) / 2, exponents) * rng.choice([-1, 1], width)
     return out
+
+
+# (real part, imaginary part, np.abs) of complex values an n = 27 sweep's error
+# rows take the modulus of (seed 4093, 8 dB, overlapped): alpha_hat - alpha of
+# trials 0 to 2 and alpha of trials 6 and 7, with the moduli numpy 2.4.6 on
+# x86_64 gives; each is one unit in the last place from math.hypot's
+COMPLEX_ABS_WITNESSES = [
+    (-3.2969738220051, -0.7674057878695422, 3.385106796874006),
+    (16.285448402756675, -10.38242813180426, 19.31348346598641),
+    (-1.3042258112316496, -9.100846260716319, 9.193824428815088),
+    (-58.1608589051287, 11.109510521676095, 59.21238664851738),
+    (-9.191523319797042, 40.92672384194718, 41.946165800623305),
+]
+
+
+class TestComplexAbs:
+    """numpy's complex ``abs``, which every relative error of
+    :func:`~beamest.montecarlo._sweep_blocks` goes through, on witnesses
+    where it and ``math.hypot`` round apart."""
+
+    @staticmethod
+    def _moduli():
+        values = np.array([complex(re, im) for re, im, _ in COMPLEX_ABS_WITNESSES])
+        return np.abs(values)
+
+    def test_within_one_ulp_of_hypot(self):
+        for (re, im, _), modulus in zip(COMPLEX_ABS_WITNESSES, self._moduli().tolist()):
+            exact = math.hypot(re, im)
+            assert abs(modulus - exact) <= math.ulp(exact)
+
+    def test_witnesses_on_the_recording_environment(self):
+        # the golden digests' environment: there the error rows' bytes are
+        # numpy's moduli, not hypot's
+        recorded = json.loads(Path(__file__).with_name("golden.json").read_text())
+        here = {"numpy": np.__version__, "machine": platform.machine()}
+        if here != recorded["environment"]:
+            pytest.skip(f"moduli recorded on {recorded['environment']}, running on {here}")
+        moduli = self._moduli().tolist()
+        assert moduli == [modulus for *_, modulus in COMPLEX_ABS_WITNESSES]
+        assert all(modulus != math.hypot(re, im)
+                   for (re, im, _), modulus in zip(COMPLEX_ABS_WITNESSES, moduli))
 
 
 class TestExactRowSums:
