@@ -27,8 +27,6 @@ from .codebook import (
     synthesize_vector,
 )
 from .estimator import (
-    ALPHA_FINAL,
-    ALPHA_MMSE_ALL,
     NON_OVERLAPPED,
     OVERLAPPED,
     VARIANTS,

@@ -5,10 +5,14 @@ presets under ``beamest/presets``) and dispatched through four subcommands:
 
 * ``codebook`` -- export pattern matrix, per-stage beam banks and a
   gain-flatness report for inspection;
-* ``sweep``    -- Monte Carlo sweep over a pilot-energy grid (or, with
-  ``outputs = slots``, the measurement slot-count table);
+* ``sweep``    -- Monte Carlo sweep over a pilot-energy grid, one
+  ``<variant>_pcef.csv`` per variant with the PCEF and both gain estimators'
+  errors, and with ``outputs = slots`` the measurement slot-count table;
 * ``bound``    -- analytical failure-probability upper bound across the grid;
 * ``trace``    -- per-trial estimation traces as JSON lines.
+
+``bound`` and the slot table read their geometries through one reader,
+:func:`_pairs`: the ``n`` and ``k`` lists paired one to one.
 
 Every run writes a ``<command>_manifest.json`` echoing the resolved config,
 the seed and every emitted file, plus the software environment and, for a
@@ -46,8 +50,6 @@ from . import __version__
 from ._output import csv_text, output_file
 from .codebook import realized_gains, write_beam_matrix
 from .estimator import (
-    ALPHA_FINAL,
-    ALPHA_MMSE_ALL,
     NON_OVERLAPPED,
     OVERLAPPED,
     VARIANTS,
@@ -83,7 +85,6 @@ class ConfigError(ValueError):
 KNOWN_KEYS = {
     "n", "k", "trials", "seed", "variants", "outputs", "n0", "var_alpha",
     "et_db", "et_db_min", "et_db_max", "et_db_step", "bound", "variant",
-    "k_values",
 }
 
 # The kind of each scalar key, whichever command reads it.
@@ -121,8 +122,7 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in KNOWN_KEYS and not (key.startswith("n_values_k")
-                                          and key[len("n_values_k"):].isdecimal()):
+        if key not in KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in cfg:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
@@ -192,11 +192,17 @@ def _int_list(cfg: dict, key: str) -> list[int]:
     return values
 
 
-def _distinct(values: list, key: str) -> list:
-    """``values``; ``ConfigError`` naming ``key`` if an entry repeats."""
-    if len(set(values)) < len(values):
-        raise ConfigError(f"key {key!r} must not repeat entries, got {values!r}")
-    return values
+def _pairs(cfg: dict) -> list[tuple[int, int]]:
+    """The ``(n, k)`` geometries of the ``n`` and ``k`` lists, paired one to
+    one; ``ConfigError`` for a non-integer entry, unpaired lists or a repeated
+    pair."""
+    n, k = _int_list(cfg, "n"), _int_list(cfg, "k")
+    if len(n) != len(k):
+        raise ConfigError("'n' and 'k' lists must pair up one-to-one")
+    pairs = list(zip(n, k))
+    if len(set(pairs)) < len(pairs):
+        raise ConfigError(f"keys 'n' and 'k' must not repeat an (n, k) pair, got {pairs}")
+    return pairs
 
 
 def _energy_grid(cfg: dict) -> tuple[float, ...]:
@@ -243,9 +249,11 @@ def _alpha_variance(cfg: dict) -> float | None:
 
 
 def _output_families(cfg: dict) -> list[str]:
-    names = _distinct([str(o) for o in _as_list(cfg.get("outputs", "pcef"))], "outputs")
+    names = [str(o) for o in _as_list(cfg.get("outputs", "pcef"))]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"key 'outputs' must not repeat entries, got {names!r}")
     for name in names:
-        if name not in ("pcef", "alpha_error", "slots"):
+        if name not in ("pcef", "slots"):
             raise ConfigError(f"unknown output family {name!r}")
     return names
 
@@ -257,7 +265,7 @@ def _check_keys(cfg: dict) -> None:
     for key, value in cfg.items():
         if key in _KINDS:
             _checked(value, key, _KINDS[key])
-        elif key in ("n", "k", "k_values") or key.startswith("n_values_k"):
+        elif key in ("n", "k"):
             _int_list(cfg, key)
         elif key == "variant":
             _check_variant(value, key)
@@ -360,18 +368,8 @@ def cmd_codebook(cfg: dict, args, run_info: dict) -> list[Path]:
 
 
 def _slot_table_csv(cfg: dict) -> str:
-    k_values = _distinct(_int_list(cfg, "k_values"), "k_values")
-    listed = {f"n_values_k{k}" for k in k_values}
-    for key in cfg:
-        if key.startswith("n_values_k") and key not in listed:
-            raise ConfigError(f"key {key!r} names no k listed in 'k_values'")
-    rows = []
-    for k in k_values:
-        key = f"n_values_k{k}"
-        if key not in cfg:
-            raise ConfigError(f"slot table needs key {key!r}")
-        rows += [(k, n, Design(n, k, OVERLAPPED).slots, Design(n, k, NON_OVERLAPPED).slots)
-                 for n in _distinct(_int_list(cfg, key), key)]
+    rows = [(k, n, Design(n, k, OVERLAPPED).slots, Design(n, k, NON_OVERLAPPED).slots)
+            for n, k in _pairs(cfg)]
     return csv_text("k,n,overlapped,non_overlapped", np.array(rows).T)
 
 
@@ -400,15 +398,6 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
         for variant, table in tables.items():
             outputs.append(_write(out_dir / f"{variant}_pcef.csv", table.to_csv(),
                                   args.quiet))
-    if "alpha_error" in outputs_wanted:
-        for variant, table in tables.items():
-            for estimator, errors in (
-                    (ALPHA_MMSE_ALL, (table.relerr_mmse_all, table.relerr_mmse_success)),
-                    (ALPHA_FINAL, (table.relerr_final_all, table.relerr_final_success))):
-                text = csv_text("et_db,relerr_all_trials,relerr_successes",
-                                (table.et_db, *errors))
-                outputs.append(_write(out_dir / f"{variant}_{estimator}_error.csv", text,
-                                      args.quiet))
     if bound is not None:
         outputs.append(_write(out_dir / "bound.csv", bound_csv(bound), args.quiet))
     return outputs
@@ -416,12 +405,7 @@ def cmd_sweep(cfg: dict, args, run_info: dict) -> list[Path]:
 
 def cmd_bound(cfg: dict, args, run_info: dict) -> list[Path]:
     out_dir = Path(args.out)
-    n_values, k_values = _int_list(cfg, "n"), _int_list(cfg, "k")
-    if len(n_values) != len(k_values):
-        raise ConfigError("'n' and 'k' lists must pair up one-to-one")
-    pairs = list(zip(n_values, k_values))
-    if len(set(pairs)) < len(pairs):
-        raise ConfigError(f"keys 'n' and 'k' must not repeat an (n, k) pair, got {pairs}")
+    pairs = _pairs(cfg)
     grid = _energy_grid(cfg)
     n0, var_alpha = _require(cfg, "n0", float, default=1.0), _alpha_variance(cfg)
     # every geometry is checked at the grid's top energy, the largest power,

@@ -56,8 +56,6 @@ from .codebook import (
 )
 
 __all__ = [
-    "ALPHA_FINAL",
-    "ALPHA_MMSE_ALL",
     "Design",
     "EstimationTrace",
     "EstimatorConfig",
@@ -82,10 +80,6 @@ __all__ = [
 OVERLAPPED = "overlapped"
 NON_OVERLAPPED = "non_overlapped"
 VARIANTS = (OVERLAPPED, NON_OVERLAPPED)
-
-# Labels of the two gain estimates in the sweep's alpha-error file names.
-ALPHA_MMSE_ALL = "mmse_all_stages"
-ALPHA_FINAL = "final_stage_only"
 
 # Unit-power pilot; any unit-modulus symbol behaves identically.
 PILOT = 1.0 + 0.0j
@@ -466,7 +460,8 @@ def search_batch(design: Design, p_t, theta, phi, alpha, noise: np.ndarray) -> S
     finite and positive.  ``theta``, ``phi`` and ``alpha`` give the ``T`` true channels and
     ``noise`` their ``(T, S, m, m)`` slot noise, shared by every point (see
     :meth:`MeasurementNoise.draw_blocks`).  These are raw caller arrays, so
-    their powers, shapes and angle range are checked here on every call; the
+    their powers, shapes, dtypes and angle range are checked here on every
+    call, each ``ValueError`` naming ``theta``, ``phi`` or ``noise``; the
     geometry's constants come from ``design``, built and checked once.
     :func:`run_estimation` runs the same engine on one trial without these
     checks, since its config and channel were checked when they were built,
@@ -498,16 +493,22 @@ def search_batch(design: Design, p_t, theta, phi, alpha, noise: np.ndarray) -> S
     if p_t.ndim != 1:
         raise ValueError(f"expected a 1-D array of power points, got shape {p_t.shape}")
     alpha = np.asarray(alpha, dtype=complex)
-    theta, phi = np.asarray(theta), np.asarray(phi)
+    theta, phi, noise = np.asarray(theta), np.asarray(phi), np.asarray(noise)
     trials, m, stages = len(alpha), design.m, design.stages
     if theta.shape != (trials,) or phi.shape != (trials,):
         raise ValueError(f"expected {trials} angle indices per end, "
                          f"got {theta.shape} and {phi.shape}")
-    angles = np.array((theta, phi))
-    if angles.min(initial=0) < 0 or angles.max(initial=0) >= design.n:
-        raise ValueError(f"angle indices must lie in [0, {design.n})")
+    for key, angle in (("theta", theta), ("phi", phi)):
+        if angle.dtype.kind not in "iu":  # a bool or float would index as a number
+            raise ValueError(f"{key}: angle indices must be integers, got dtype {angle.dtype}")
+        if angle.min(initial=0) < 0 or angle.max(initial=0) >= design.n:
+            raise ValueError(f"{key}: angle indices must lie in [0, {design.n})")
+    if noise.dtype.kind not in "iufc":
+        raise ValueError(f"noise must be numeric, got dtype {noise.dtype}")
     if noise.shape != (trials, stages, m, m):
         raise ValueError(f"expected noise of shape {(trials, stages, m, m)}, got {noise.shape}")
+    # in [0, n) and n < 2**63, so int64 holds either end's indices
+    angles = np.array((theta, phi), dtype=np.int64)
     return SearchBatch(*_search(design, p_t, angles, alpha, noise), places=design.places)
 
 

@@ -566,8 +566,10 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> dict[str, ResultTable]
     ``workers > 1`` splits trials across processes, at most one per usable
     CPU.  Per-trial streams are keyed by trial index, failure counts add up
     exactly and each chunk's partials hold its error rows' exact sums, so
-    the result does not depend on the split.
+    the result does not depend on the split.  A bool or non-integer
+    ``workers`` raises ``ValueError`` naming it.
     """
+    workers = _integer("workers", workers)
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     workers = min(workers, cfg.trials, usable_cpus())

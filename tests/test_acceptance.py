@@ -285,6 +285,43 @@ def test_criterion_9_worker_determinism(fig3_runs):
           identical, f"{len(names)} tables compared")
 
 
+def _orthogonal_detection_success(a2: float, hypotheses: int, n0: float) -> float:
+    """Probability that noncoherent detection picks the true one of
+    ``hypotheses`` orthogonal signals, the true one of energy ``a2``, each
+    branch with complex noise of variance ``n0`` (Proakis, *Digital
+    Communications*, ch. 4)."""
+    return sum((-1) ** j * math.comb(hypotheses - 1, j) / (j + 1)
+               * math.exp(-j * a2 / ((j + 1) * n0)) for j in range(hypotheses))
+
+
+def test_non_overlapped_pcef_matches_exact_quadrature(fig3_sweep):
+    # With P = I a stage's k^2 scores are the true pair's alpha sqrt(p_t) plus
+    # complex noise of variance n0 in every entry, fresh at each stage: M-ary
+    # orthogonal detection with M = k^2.  Given |alpha|^2 the S stages all
+    # succeed with P_ok(|alpha|^2 p_t)^S, so PCEF = 1 - E[P_ok^S] over
+    # |alpha|^2 ~ Exp(var_alpha), one quadrature per point.  A stage-s beam is
+    # 1 / sqrt(n / k^s) on its sub-range, so C_s^-4 = (n / k^s)^2 and
+    # E_T = k^2 sum_s p_t C_s^-4 gives p_t from the model alone.
+    n, k, n0, var_alpha = 27, 3, 1.0, 27.0 ** 2  # the fig3 preset
+    stages, hypotheses = 3, k * k
+    weight = hypotheses * sum((n / k ** s) ** 2 for s in range(1, stages + 1))
+    table = read_table(fig3_sweep["dir"] / "non_overlapped_pcef.csv")
+    z = []
+    for et_db, failures, trials in zip(table["et_db"], table["failures"], table["trials"]):
+        scale = var_alpha * n0 * 10.0 ** (et_db / 10.0) / weight  # E[|alpha|^2] p_t
+        success, _ = integrate.quad(
+            lambda x: math.exp(-x) * _orthogonal_detection_success(x * scale, hypotheses,
+                                                                   n0) ** stages,
+            0.0, math.inf)
+        exact = 1.0 - success
+        z.append((failures / trials - exact) / math.sqrt(exact * (1.0 - exact) / trials))
+    z = np.array(z)
+    check("pcef.1", "the non-overlapped PCEF matches the exact M-ary orthogonal "
+                    "detection level at every fig3 point within 4 sigma",
+          len(z) == 19 and bool(np.all(np.abs(z) <= 4.0)),
+          f"max |z| {np.abs(z).max():.2f}, sum z^2 {np.sum(z ** 2):.1f}")
+
+
 # The k = 7 gates' grid: 10-38 dB in steps of 4
 K7_ET_DB = tuple(float(db) for db in range(10, 39, 4))
 

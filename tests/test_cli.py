@@ -102,9 +102,9 @@ class TestConfigParsing:
     def test_table1_preset_declares_all_cells(self):
         _, cfg = load_config("table1")
         assert cfg["outputs"] == "slots"
-        assert cfg["k_values"] == [3, 7]
-        assert cfg["n_values_k3"] == [3, 9, 27, 81]
-        assert cfg["n_values_k7"] == [7, 49, 343, 2401]
+        assert cfg["n"] == [3, 9, 27, 81, 7, 49, 343, 2401]
+        assert cfg["k"] == [3, 3, 3, 3, 7, 7, 7, 7]
+        assert cli._pairs(cfg) == [(k ** s, k) for k in (3, 7) for s in range(1, 5)]
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):
@@ -262,55 +262,65 @@ class TestExitCodes:
         assert not (out / f"{command}_manifest.json").exists()
 
     @pytest.mark.parametrize("command, text, key, shown", [
-        ("bound", "n = 27.5, 81\nk = 3, 3\net_db = 10\n", "n", "27.5"),
-        ("bound", "n = 27, 81\nk = 3, 3.0\net_db = 10\n", "k", "3.0"),
-        ("bound", "n = 27, true\nk = 3, 3\net_db = 10\n", "n", "True"),
-        ("sweep", "outputs = slots\nk_values = 3.7, 7\nn_values_k3 = 9\n", "k_values", "3.7"),
-        ("sweep", "outputs = slots\nk_values = 3\nn_values_k3 = 9, 27.0\n", "n_values_k3",
-         "27.0"),
-        ("sweep", "outputs = slots\nk_values = 3\nn_values_k3 = 9, false\n", "n_values_k3",
-         "False")],
-        ids=["bound-n-float", "bound-k-float", "bound-n-bool", "k-values-float",
-             "n-values-float", "n-values-bool"])
+        (command, f"n = {n}\nk = {k}\n{extra}", key, shown)
+        for command, extra in (("bound", "et_db = 10\n"), ("sweep", "outputs = slots\n"))
+        for n, k, key, shown in (("27.5, 81", "3, 3", "n", "27.5"),
+                                 ("27, 81", "3, 3.0", "k", "3.0"),
+                                 ("27, true", "3, 3", "n", "True"))],
+        ids=["bound-n-float", "bound-k-float", "bound-n-bool", "slots-n-float",
+             "slots-k-float", "slots-n-bool"])
     def test_non_integer_list_entry_exits_2(self, tmp_path, capsys, command, text, key, shown):
-        # int() truncated 27.5 and 3.7, and the slot table wrote a 27.0 row
+        # int() truncated 27.5, and the slot table wrote a 27.0 row
         out = tmp_path / "lists"
         assert run_cli(command, "--config", write_cfg(tmp_path, text), "--out", out,
                        "--quiet") == 2
         assert f"{command}: key {key!r} must list integers, got {shown}" in capsys.readouterr().err
         assert not out.exists() or not any(out.glob("*.csv"))
 
-    @pytest.mark.parametrize("text, key", [
-        ("k_values = 3\nn_values_k4 = 16\n", "n_values_k4"),
-        ("k_values = 3\nn_values_k3 = 9\nn_values_k4 = 16\n", "n_values_k4"),
-        ("k_values = 3\nn_values_k3 = 9\nn_values_k03 = 9\n", "n_values_k03"),
-        ("k_values = 3\nn_values_k3 = 9\nn_values_kx = 9\n", "n_values_kx")],
-        ids=["unlisted-only", "unlisted", "padded", "not-integer"])
-    def test_n_values_key_of_no_listed_k_exits_2(self, tmp_path, capsys, text, key):
-        # the slot table ignored these keys and exited 0
-        out = tmp_path / "slots"
-        path = write_cfg(tmp_path, "outputs = slots\n" + text)
-        assert run_cli("sweep", "--config", path, "--out", out, "--quiet") == 2
-        assert repr(key) in capsys.readouterr().err
-        assert not out.exists() or not any(out.glob("*.csv"))
-        with pytest.raises(ConfigError, match=key):
-            cli._slot_table_csv(parse_config(path.read_text()))
-
     def test_n_values_key_of_no_integer_k_rejected_by_any_command(self):
-        # a suffix that is no integer is an unknown key, slot table or not
+        # the slot table reads the n and k lists, so no n_values_k<k> key is known
         with pytest.raises(ConfigError, match="unknown config key 'n_values_k3x'"):
             parse_config("n = 9\nk = 3\nn_values_k3x = 9\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("k_values = 3", "line 4: unknown config key 'k_values'"),
+        ("n_values_k3 = 9", "line 4: unknown config key 'n_values_k3'"),
+        ("outputs = alpha_error", "unknown output family 'alpha_error'")],
+        ids=["k-values", "n-values", "alpha-error"])
+    def test_slot_keys_and_error_family_exit_2(self, tmp_path, capsys, line, message):
+        # the slot table reads the n and k lists, and each <variant>_pcef.csv
+        # holds both estimators' gain errors, so neither is a key or a family
+        path = write_cfg(tmp_path, f"n = 9\nk = 3\net_db = 6\n{line}\ntrials = 2\n")
+        out = tmp_path / "gone"
+        assert run_cli("sweep", "--config", path, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err == f"error: sweep: {message}\n"
+        assert not out.exists()
+
+    UNPAIRED = "'n' and 'k' lists must pair up one-to-one"
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("bound", "n = 27, 81\nk = 3\net_db = 10\n", UNPAIRED),
+        ("bound", "n = 27\nk = 3, 3\net_db = 10\n", UNPAIRED),
+        ("sweep", "n = 27, 81\nk = 3\noutputs = slots\n", UNPAIRED),
+        ("sweep", "n = 27\nk = 3, 3\noutputs = slots\n", UNPAIRED),
+        ("sweep", "n = 27, 9, 27\nk = 3, 3, 3\noutputs = slots\n",
+         "keys 'n' and 'k' must not repeat an (n, k) pair, got [(27, 3), (9, 3), (27, 3)]")],
+        ids=["bound-more-n", "bound-more-k", "slots-more-n", "slots-more-k",
+             "slots-repeated-pair"])
+    def test_unpaired_lists_or_repeated_pair_exit_2(self, tmp_path, capsys, command, text,
+                                                    message):
+        # bound and the slot table read their geometries through one reader;
+        # bound's repeated pair is test_bound_repeated_pair_exits_2
+        out = tmp_path / "pairs"
+        path = write_cfg(tmp_path, text)
+        assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err == f"error: {command}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, key", [
-        ("outputs = slots\nk_values = 3, 3\nn_values_k3 = 9\n", "k_values"),
-        ("outputs = slots\nk_values = 3\nn_values_k3 = 9, 9\n", "n_values_k3"),
-        ("outputs = slots, slots\nk_values = 3\nn_values_k3 = 9\n", "outputs"),
-        ("outputs = slots, pcef\nk_values = 3, 7\nn_values_k3 = 9\nn_values_k7 = 7, 49, 7\n"
-         "n = 9\nk = 3\ntrials = 2\net_db = 6\n", "n_values_k7")],
-        ids=["k-values", "n-values", "outputs", "n-values-with-pcef"])
+        ("outputs = slots, slots\nn = 9\nk = 3\n", "outputs")], ids=["outputs"])
     def test_repeated_list_entry_exits_2(self, tmp_path, capsys, text, key):
-        # the slot table wrote a repeated row twice and exited 0, and a
-        # repeated output family was reported as a missing key 'n'
+        # a repeated output family was reported as a missing key 'n'
         out = tmp_path / "repeats"
         assert run_cli("sweep", "--config", write_cfg(tmp_path, text), "--out", out,
                        "--quiet") == 2
@@ -462,7 +472,7 @@ k = 3
 trials = 60
 et_db = 5, 15
 seed = 21
-outputs = pcef, alpha_error
+outputs = pcef, slots
 bound = true
 """
 
@@ -474,11 +484,7 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", path, "--out", out, "--quiet") == 0
         names = {p.name for p in out.iterdir()}
         assert {"overlapped_pcef.csv", "non_overlapped_pcef.csv", "bound.csv",
-                "overlapped_mmse_all_stages_error.csv",
-                "overlapped_final_stage_only_error.csv",
-                "non_overlapped_mmse_all_stages_error.csv",
-                "non_overlapped_final_stage_only_error.csv",
-                "sweep_manifest.json"} == names
+                "slot_counts.csv", "sweep_manifest.json"} == names
         rows = (out / "overlapped_pcef.csv").read_text().strip().split("\n")
         assert len(rows) == 3
         for row in rows[1:]:
@@ -494,6 +500,18 @@ class TestSweepCommand:
             "3,3,4,9", "3,9,8,18", "3,27,12,27", "3,81,16,36",
             "7,7,9,49", "7,49,18,98", "7,343,27,147", "7,2401,36,196",
         ]
+
+    def test_slots_beside_pcef_are_the_sweep_geometry_row(self, tmp_path):
+        # the slot table reads the sweep's own n and k: one row, table1's for (27, 3)
+        path = write_cfg(tmp_path, "n = 27\nk = 3\ntrials = 2\net_db = 6\n"
+                                   "outputs = pcef, slots\n")
+        out = tmp_path / "both"
+        assert run_cli("sweep", "--config", path, "--out", out, "--quiet") == 0
+        assert (out / "slot_counts.csv").read_text() == (
+            "k,n,overlapped,non_overlapped\n3,27,12,27\n")
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        assert manifest["outputs"] == ["slot_counts.csv", "overlapped_pcef.csv",
+                                       "non_overlapped_pcef.csv"]
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         path = write_cfg(tmp_path, SWEEP_CFG)
@@ -695,8 +713,7 @@ class TestBoundCommand:
     def test_prior_past_the_closed_form_exits_2(self, tmp_path, capsys, command):
         # it once wrote per_stage 4.0; a sweep now stops before any data file
         path = write_cfg(tmp_path, "n = 27\nk = 3\ntrials = 2\net_db = 10, 20\nbound = true\n"
-                                   "outputs = slots, pcef, alpha_error\nk_values = 3\n"
-                                   "n_values_k3 = 9\nvar_alpha = 1e308\n")
+                                   "outputs = slots, pcef\nvar_alpha = 1e308\n")
         out = tmp_path / "big"
         assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
         # the sweep's own gain estimates overflow too, which its config rejects first
@@ -865,7 +882,7 @@ class TestGainRange:
         ids=["var_alpha", "var_alpha-product", "n0"])
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, line, message):
         path = write_cfg(tmp_path, "n = 27\nk = 3\ntrials = 20\net_db = 10\n"
-                                   f"outputs = pcef, alpha_error\n{line}\n")
+                                   f"outputs = pcef\n{line}\n")
         out = tmp_path / "out"
         assert run_cli(command, "--config", path, "--out", out, "--quiet") == 2
         assert message in capsys.readouterr().err
@@ -878,12 +895,15 @@ class TestGainRange:
     def test_large_and_zero_priors_run(self, tmp_path, command):
         for prior in ("1e100", "0"):
             path = write_cfg(tmp_path, "n = 27\nk = 3\ntrials = 20\net_db = 10\n"
-                                       f"outputs = alpha_error\nvar_alpha = {prior}\n")
+                                       f"outputs = pcef\nvar_alpha = {prior}\n")
             out = tmp_path / prior
             assert run_cli(command, "--config", path, "--out", out, "--quiet") == 0
             if command == "sweep":
-                text = (out / "overlapped_mmse_all_stages_error.csv").read_text()
-                values = [float(x) for row in text.splitlines()[1:] for x in row.split(",")[1:]]
+                header, *rows = (out / "overlapped_pcef.csv").read_text().splitlines()
+                errors = [i for i, name in enumerate(header.split(","))
+                          if name.startswith("relerr_")]
+                assert len(errors) == 4
+                values = [float(row.split(",")[i]) for row in rows for i in errors]
                 assert all(map(math.isnan if prior == "0" else math.isfinite, values))
             else:
                 text = (out / "traces_overlapped.jsonl").read_text()
@@ -896,7 +916,7 @@ class TestGainRange:
 # Small runs of every command, each writing every kind of file it can.
 WRITER_RUNS = {
     "sweep": "n = 9\nk = 3\ntrials = 3\net_db = 0, 10\nseed = 4\nbound = true\n"
-             "outputs = pcef, alpha_error, slots\nk_values = 3\nn_values_k3 = 3, 9\n",
+             "outputs = pcef, slots\n",
     "bound": "n = 9, 27\nk = 3, 3\net_db = 0, 10\n",
     "trace": "n = 9\nk = 3\ntrials = 4\net_db = 6\n",
     "codebook": "n = 9\nk = 3\n",

@@ -168,6 +168,35 @@ class TestSearchBatch:
         with pytest.raises(ValueError, match=r"\[0, 27\)"):
             search_batch(cfg.design, [1.0], [theta], [phi], [1.0], np.zeros((1, 3, 2, 2), complex))
 
+    @pytest.mark.parametrize("theta, phi, noise, message", [
+        (np.array([3.0]), [5], None, "theta: angle indices must be integers, got dtype float64"),
+        ([4], np.array([True]), None, "phi: angle indices must be integers, got dtype bool"),
+        (np.array(["4"]), [5], None, "theta: angle indices must be integers, got dtype <U1"),
+        ([4], [5], np.full((1, 3, 2, 2), "0"), "noise must be numeric, got dtype <U1"),
+        ([4], [5], np.zeros((1, 3, 2, 2), object), "noise must be numeric, got dtype object"),
+        ([4], [5], [[0.0, 0.0], [0.0, 0.0]], r"expected noise of shape \(1, 3, 2, 2\)")],
+        ids=["float-theta", "bool-phi", "str-theta", "str-noise", "object-noise",
+             "list-noise-shape"])
+    def test_dtypes_checked(self, theta, phi, noise, message):
+        # a float angle raised IndexError, a bool one ran as index 1, a str
+        # array raised UFuncTypeError and a list as noise AttributeError
+        cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
+        if noise is None:
+            noise = np.zeros((1, 3, 2, 2), complex)
+        with pytest.raises(ValueError, match=message):
+            search_batch(cfg.design, [1.0], theta, phi, [1.0], noise)
+
+    def test_nested_list_noise_and_narrow_angles_accepted(self):
+        # any integer dtype indexes the grid, and noise may come as nested lists
+        cfg = EstimatorConfig(n=27, k=3, p_t=1.0, n0=1.0, var_alpha=729.0)
+        noise = np.random.default_rng(5).normal(size=(2, 3, 2, 2))
+        batch = search_batch(cfg.design, [1.0], [4, 20], [5, 26], [1.0, 2j], noise)
+        for theta, phi in ((np.array([4, 20], np.uint8), np.array([5, 26], np.int16)),
+                           (np.array([4, 20], np.int64), np.array([5, 26], np.uint64))):
+            other = search_batch(cfg.design, [1.0], theta, phi, [1.0, 2j], noise.tolist())
+            for field in ("receive", "transmit", "values", "on_track"):
+                np.testing.assert_array_equal(getattr(other, field), getattr(batch, field))
+
     def test_non_finite_fused_values_rejected(self):
         cases = [(1, complex(np.inf, 1.0), 0.0),
                  # one non-finite noise entry in one block of a 40-trial stack

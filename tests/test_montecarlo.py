@@ -554,6 +554,16 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="worker count"):
             run_sweep(_cfg(trials=4), workers=workers)
 
+    @pytest.mark.parametrize("workers", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_workers_rejected(self, monkeypatch, workers):
+        # with four CPUs, 2.5 reached range() as a TypeError and True ran one worker
+        def no_pool(size):
+            raise AssertionError("a pool was started")
+        monkeypatch.setattr(montecarlo, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(montecarlo, "_process_pool", no_pool)
+        with pytest.raises(ValueError, match=f"^workers must be an integer, got {workers!r}$"):
+            run_sweep(_cfg(trials=4), workers=workers)
+
     def test_csv_shape(self):
         cfg = _cfg(trials=32)
         text = run_sweep(cfg)[OVERLAPPED].to_csv()
